@@ -18,18 +18,18 @@
 //! * `snapshot_roundtrip_256` — a 256-decision cache through
 //!   snapshot → JSON → parse → restore: the persistence path a shard pays
 //!   on checkpoint and warm restart.
-//! * `snapshot_ship_binary_256` — the same cache through the wire-v4
+//! * `snapshot_ship_binary_256` — the same cache through the wire's
 //!   binary chunk codec (encode → chunk → reassemble → restore): the
-//!   warm-up shipping path between v4 peers. The perf snapshot also
-//!   trips if the binary chunk stream is not <= 0.5x the JSON stream's
+//!   warm-up shipping path between shards. The perf snapshot also trips
+//!   if the binary chunk stream is not <= 0.5x the JSON rendition's
 //!   bytes.
 //! * `tcp_lockstep_24x3d_hot` / `tcp_pipelined_24x3d_hot` — the warmed
-//!   workload over ONE loopback TCP connection, 4 concurrent callers:
-//!   forced wire-v1 (each caller lock-steps the link, serialized on its
-//!   mutex) vs. wire-v2 multiplexing (requests pipeline with ids, the
-//!   server batches and answers out of order). Cache-hot on purpose: the
-//!   comparison measures the wire, not scoring, and the perf snapshot
-//!   trips if pipelining is not at least 2x the lock-step rate.
+//!   workload over ONE loopback TCP connection, 4 concurrent callers: a
+//!   link capped at one request in flight (each caller waits for the
+//!   previous answer — lock-step) vs. the default cap (requests pipeline
+//!   with ids, the server batches and answers out of order). Cache-hot on
+//!   purpose: the comparison measures the wire, not scoring, and the perf
+//!   snapshot trips if pipelining is not at least 2x the lock-step rate.
 //!
 //! The ranker is synthetic (dense pinned-PRNG weights): this bench
 //! measures the serving and sharding layers, whose cost is independent of
@@ -143,8 +143,8 @@ fn spawn_warm_tcp_server(ranker: &StencilRanker, queries: &[StencilInstance]) ->
 }
 
 /// The workload through ONE TCP connection with `threads` concurrent
-/// callers pulling from a shared work queue. On a v1 link the callers
-/// serialize on the connection; on a v2 link they pipeline.
+/// callers pulling from a shared work queue. On a link capped at one
+/// request in flight the callers serialize; otherwise they pipeline.
 fn run_tcp(shard: &TcpShard, queries: &[StencilInstance], threads: usize) -> f64 {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let next = AtomicUsize::new(0);
@@ -165,6 +165,12 @@ fn run_tcp(shard: &TcpShard, queries: &[StencilInstance], threads: usize) -> f64
     total.into_inner().unwrap()
 }
 
+/// A link that admits one request at a time: lock-step on the one
+/// protocol, the baseline pipelining is measured against.
+fn lockstep_link(server: &ShardServer) -> TcpShard {
+    TcpShard::connect(server.local_addr()).expect("connect loopback").with_max_in_flight(1)
+}
+
 fn snapshot_roundtrip(cache: &DecisionCache) -> usize {
     let snap = cache.snapshot(42);
     let parsed = sorl_serve::CacheSnapshot::from_json(&snap.to_json()).unwrap();
@@ -172,7 +178,7 @@ fn snapshot_roundtrip(cache: &DecisionCache) -> usize {
     restored.restore(&parsed, 42).unwrap()
 }
 
-/// The wire-v4 shipping path: binary chunk encode → reassemble → restore.
+/// The wire's shipping path: binary chunk encode → reassemble → restore.
 fn snapshot_ship_binary(cache: &DecisionCache) -> usize {
     let snap = cache.snapshot(42);
     let (header, chunks) = bin::snapshot_to_chunks(&snap, wire::CHUNK_ENTRIES);
@@ -218,11 +224,11 @@ fn bench_shard(c: &mut Criterion, ranker: &StencilRanker, queries: &[StencilInst
     });
 
     let server = spawn_warm_tcp_server(ranker, queries);
-    let lockstep = TcpShard::connect_v1(server.local_addr()).expect("connect v1");
+    let lockstep = lockstep_link(&server);
     g.bench_function("tcp_lockstep_24x3d_hot", |b| {
         b.iter(|| black_box(run_tcp(&lockstep, queries, 4)))
     });
-    let pipelined = TcpShard::connect(server.local_addr()).expect("connect v2");
+    let pipelined = TcpShard::connect(server.local_addr()).expect("connect loopback");
     g.bench_function("tcp_pipelined_24x3d_hot", |b| {
         b.iter(|| black_box(run_tcp(&pipelined, queries, 4)))
     });
@@ -273,11 +279,11 @@ fn emit_perf_snapshot(ranker: &StencilRanker, queries: &[StencilInstance]) {
     });
 
     let server = spawn_warm_tcp_server(ranker, queries);
-    let lockstep = TcpShard::connect_v1(server.local_addr()).expect("connect v1");
+    let lockstep = lockstep_link(&server);
     report.record("tcp_lockstep_24x3d_hot", samples, || {
         black_box(run_tcp(&lockstep, queries, 4));
     });
-    let pipelined = TcpShard::connect(server.local_addr()).expect("connect v2");
+    let pipelined = TcpShard::connect(server.local_addr()).expect("connect loopback");
     report.record("tcp_pipelined_24x3d_hot", samples, || {
         black_box(run_tcp(&pipelined, queries, 4));
     });
@@ -297,7 +303,7 @@ fn emit_perf_snapshot(ranker: &StencilRanker, queries: &[StencilInstance]) {
     report.write();
 
     // The multiplexing contract: with 4 concurrent callers on one warmed
-    // link, wire-v2 pipelining must at least double the lock-step rate.
+    // link, pipelining must at least double the lock-step rate.
     assert!(
         pipe_s * 2.0 <= lock_s,
         "pipelined wire must be >= 2x lock-step on a hot link: {pipe_s} vs {lock_s}"
@@ -315,9 +321,8 @@ fn emit_perf_snapshot(ranker: &StencilRanker, queries: &[StencilInstance]) {
     );
 
     // The binary-payload contract: on a realistic 256-decision snapshot,
-    // the wire-v4 binary chunk stream must be at most half the JSON
-    // stream's bytes (identical chunk boundaries, so the comparison is
-    // codec-only).
+    // the binary chunk stream must be at most half the JSON rendition's
+    // bytes (identical chunk boundaries, so the comparison is codec-only).
     let snap = cache.snapshot(42);
     let (_, json_chunks) = snap.to_chunks(wire::CHUNK_ENTRIES);
     let (_, bin_chunks) = bin::snapshot_to_chunks(&snap, wire::CHUNK_ENTRIES);

@@ -11,7 +11,7 @@
 //! The pieces:
 //!
 //! * [`trace`] — [`TraceId`]/[`SpanId`]: 64-bit identities that follow
-//!   one request from the submitting client across the wire (the v3
+//!   one request from the submitting client across the wire (every
 //!   frame header carries the raw trace id) to the shard worker.
 //! * [`recorder`] — [`FlightRecorder`]: a fixed-capacity,
 //!   overwrite-oldest ring of span begin/end + instant events with

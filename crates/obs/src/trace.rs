@@ -1,16 +1,16 @@
 //! Trace and span identities.
 //!
 //! A [`TraceId`] names one logical request end-to-end: the client that
-//! submitted it, the TCP frame that carried it (wire v3 puts the raw
-//! `u64` in the frame header) and the shard worker that scored it all
+//! submitted it, the TCP frame that carried it (every frame header carries
+//! the raw `u64`) and the shard worker that scored it all
 //! stamp their spans with the same id, so draining the flight recorders
 //! on both sides of a link yields one joinable story. A [`SpanId`] names
 //! one timed region within a trace (a `tune` call, a batch score pass).
 //!
 //! Ids are random-enough 64-bit values, not sequential: two processes
 //! that never spoke must not mint colliding traces. Zero is reserved as
-//! "absent" — it is what a v1/v2 peer effectively sends, and
-//! [`TraceId::from_wire`] maps it to a fresh trace so old clients still
+//! "absent" — it is what an untraced client sends, and
+//! [`TraceId::from_wire`] maps it to a fresh trace so its requests still
 //! get coherent server-side spans.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,9 +31,9 @@ impl TraceId {
     }
 
     /// Reconstructs a trace id received in a wire frame header. Zero
-    /// means the peer did not send one (v1/v2, or an uninstrumented v3
-    /// client): degrade to a fresh local trace rather than lumping every
-    /// legacy request into one giant trace 0.
+    /// means the peer did not send one (an untraced client): degrade to a
+    /// fresh local trace rather than lumping every untraced request into
+    /// one giant trace 0.
     pub fn from_wire(raw: u64) -> Self {
         if raw == 0 {
             Self::fresh()

@@ -97,7 +97,8 @@ impl DecisionCache {
                 d.last_used = self.tick;
                 self.order.insert(self.tick, key.clone());
                 self.hits += 1;
-                Some((d.entries[..k.min(d.entries.len())].to_vec(), d.candidates))
+                let n = k.min(d.entries.len());
+                Some((d.entries.get(..n).unwrap_or_default().to_vec(), d.candidates))
             }
             _ => {
                 self.misses += 1;
@@ -194,7 +195,8 @@ impl DecisionCache {
         // canonical least-recently-used-first order without a sort.
         for (&tick, key) in &self.order {
             if pred(key.fingerprint()) {
-                let d = &self.map[key];
+                // The LRU index and the map always hold the same keys.
+                let Some(d) = self.map.get(key) else { continue };
                 debug_assert_eq!(d.last_used, tick);
                 snap.entries.push(SnapshotEntry {
                     key: key.clone(),
@@ -265,7 +267,7 @@ impl DecisionCache {
         let mut ordered: Vec<&SnapshotEntry> = snapshot.entries.iter().collect();
         ordered.sort_by_key(|e| e.last_used);
         let skip = ordered.len().saturating_sub(self.capacity);
-        for e in &ordered[skip..] {
+        for e in ordered.iter().skip(skip) {
             self.insert(e.key.clone(), e.entries.clone(), e.candidates);
         }
         Ok(ordered.len() - skip)

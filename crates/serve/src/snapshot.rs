@@ -25,7 +25,8 @@
 //! [`CacheSnapshot::from_chunks_with`] parameterize the per-entry
 //! encoding while keeping chunk boundaries, checksumming and torn-transfer
 //! validation identical — the shard transport's binary payload codec
-//! (`sorl_shard::wire::bin`) plugs in there for wire v4 links.
+//! (`sorl_shard::wire::bin`) plugs in there for every snapshot stream on
+//! the wire.
 
 use std::path::Path;
 

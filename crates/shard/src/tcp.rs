@@ -2,35 +2,24 @@
 //! a shard in another process or on another host) and [`ShardServer`] (the
 //! accept loop that fronts a [`TuneService`] with the wire protocol).
 //!
-//! Both ends speak the framed protocol of [`crate::wire`], and both ends
-//! **multiplex**: a v2 link carries many in-flight requests at once, each
-//! stamped with a request id. The client keeps a pending-request table and
-//! one reader thread per link that routes response frames (and whole
-//! snapshot streams) back to their waiting callers; the server pairs one
-//! reader with one writer thread per connection and completes tuning
+//! Both ends speak the one framed protocol of [`crate::wire`], and both
+//! ends **multiplex**: a link carries many in-flight requests at once,
+//! each stamped with a request id. The client keeps a pending-request
+//! table and one reader thread per link that routes response frames (and
+//! whole snapshot streams) back to their waiting callers; the server pairs
+//! one reader with one writer thread per connection and completes tuning
 //! requests through the service's non-blocking tickets, so a single
-//! connection pipelines instead of lock-stepping call/response.
-//!
-//! Version negotiation is lazy and per-link: the first call sends a v4
-//! fingerprint probe; a v4 peer answers it and the link goes multiplexed
-//! with trace propagation *and binary payloads* on the hot kinds (tune
-//! answers, stats, snapshot chunks — see [`crate::wire::bin`]). Each
-//! older peer rejects the probe with its ordinary version-mismatch fault,
-//! so the ladder redials downward — v3 (multiplexed, traced, JSON), v2
-//! (multiplexed, untraced), finally lock-step v1
-//! ([`TcpShard::connect_v1`] forces that mode outright). The server side
-//! needs no negotiation at all — it answers every frame in the version it
-//! arrived in, picking the payload codec per response kind and stamping
-//! it in the frame header, so the client decodes by codec byte, never by
-//! guesswork.
+//! connection pipelines instead of lock-stepping call/response. Each frame
+//! kind has one payload codec, so neither side negotiates anything: the
+//! link is ready the moment the dial succeeds, and a peer on another
+//! protocol version fails the first frame it reads with a version fault.
 //!
 //! Observability: every [`TcpShard`] keeps [`LinkStats`] (dials,
-//! reconnects, downgrades, poisoned links) and a client-side
-//! [`FlightRecorder`] whose `tune` spans carry the [`TraceId`] that v3
-//! frames ship to the server; [`ShardServer::metrics_source`] exposes
-//! the fronted service's counters plus the per-server link aggregates as
-//! one Prometheus page ([`ShardServer::serve_metrics`] serves it over
-//! HTTP).
+//! reconnects, poisoned links) and a client-side [`FlightRecorder`] whose
+//! `tune` spans carry the [`TraceId`] that request frames ship to the
+//! server; [`ShardServer::metrics_source`] exposes the fronted service's
+//! counters plus the per-server link aggregates as one Prometheus page
+//! ([`ShardServer::serve_metrics`] serves it over HTTP).
 //!
 //! Overload surfaces as backpressure, not timeouts: the client caps its
 //! own in-flight requests per link (submitters wait), and the server caps
@@ -75,13 +64,10 @@ use stencil_model::StencilInstance;
 
 use crate::routing::CacheSlice;
 use crate::transport::ShardTransport;
-use crate::wire::{
-    self, bin, FrameKind, PayloadCodec, WireError, PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3,
-    PROTOCOL_V4,
-};
+use crate::wire::{self, bin, FrameKind, WireError};
 
 /// Locks `m`, recovering from poisoning instead of panicking: every
-/// state these mutexes protect (connection [`Slot`], [`MuxState`],
+/// state these mutexes protect (the connection slot, [`MuxState`],
 /// writer/stream handles) is structurally valid at every step, and a
 /// link whose protocol state actually desynced marks itself dead via
 /// `MuxState::dead` — so a panic on some other thread must surface as a
@@ -159,9 +145,8 @@ impl ReconnectPolicy {
 const CLIENT_FLIGHT_RECORDER_EVENTS: usize = 1024;
 
 /// A point-in-time view of one [`TcpShard`]'s link health
-/// ([`TcpShard::link_stats`]): how often it dialed, fell back to an older
-/// protocol, or abandoned a poisoned connection, plus the live in-flight
-/// count on the current multiplexed link.
+/// ([`TcpShard::link_stats`]): how often it dialed or abandoned a
+/// poisoned connection, plus the live in-flight count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Successful TCP connects (the initial dial included).
@@ -169,19 +154,11 @@ pub struct LinkStats {
     /// Links re-established after the initial one (a restart ridden out,
     /// or a poisoned link replaced).
     pub reconnects: u64,
-    /// Negotiations where the v4 probe was version-rejected and the link
-    /// fell back to v3 (a traced-but-JSON-only peer).
-    pub v3_downgrades: u64,
-    /// Negotiations where the v3 probe was version-rejected and the link
-    /// fell back to v2 (an old multiplexed peer).
-    pub v2_downgrades: u64,
-    /// Negotiations that fell all the way back to lock-step v1.
-    pub v1_downgrades: u64,
     /// Connections abandoned after a transport failure (the next call
     /// redials).
     pub poisoned: u64,
-    /// Requests currently in flight on the live multiplexed link (0 when
-    /// lock-step or disconnected).
+    /// Requests currently in flight on the live link (0 when
+    /// disconnected).
     pub in_flight: usize,
 }
 
@@ -191,9 +168,6 @@ pub struct LinkStats {
 struct LinkCounters {
     dials: AtomicU64,
     reconnects: AtomicU64,
-    v3_downgrades: AtomicU64,
-    v2_downgrades: AtomicU64,
-    v1_downgrades: AtomicU64,
     poisoned: AtomicU64,
 }
 
@@ -204,37 +178,27 @@ pub struct TcpShard {
     timeout: Duration,
     reconnect: ReconnectPolicy,
     max_in_flight: usize,
-    force_v1: bool,
-    conn: Mutex<Slot>,
+    /// The live link; `None` before the first dial of a lazy shard and
+    /// after a transport failure poisoned the previous link.
+    conn: Mutex<Option<Arc<MuxLink>>>,
     counters: LinkCounters,
     recorder: Arc<FlightRecorder>,
 }
 
-/// The link slot: freshly dialed but not yet negotiated, negotiated, or
-/// empty (never connected, or poisoned by a transport failure).
-#[derive(Debug)]
-enum Slot {
-    Empty,
-    /// Dialed at `connect` time; the first call negotiates on it.
-    Raw(TcpStream),
-    Ready(Arc<Link>),
-}
-
 impl TcpShard {
     /// Connects to a shard server, verifying reachability eagerly (the
-    /// connection is then kept for subsequent calls; protocol negotiation
-    /// happens on the first call).
+    /// connection is then kept for subsequent calls).
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         Self::connect_with(addr, DEFAULT_IO_TIMEOUT)
     }
 
     /// Like [`connect`](Self::connect) with an explicit socket timeout
-    /// for every read and write (and for how long a multiplexed call
-    /// waits for its answer).
+    /// for every read and write (and for how long a call waits for its
+    /// answer).
     pub fn connect_with(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<Self> {
         let shard = Self::connect_lazy_with(addr, timeout)?;
-        let stream = shard.dial()?;
-        *lock_recover(&shard.conn) = Slot::Raw(stream);
+        let link = MuxLink::open(shard.dial()?, timeout)?;
+        *lock_recover(&shard.conn) = Some(link);
         Ok(shard)
     }
 
@@ -255,20 +219,10 @@ impl TcpShard {
             timeout,
             reconnect: ReconnectPolicy::default(),
             max_in_flight: DEFAULT_CLIENT_IN_FLIGHT,
-            force_v1: false,
-            conn: Mutex::new(Slot::Empty),
+            conn: Mutex::new(None),
             counters: LinkCounters::default(),
             recorder: Arc::new(FlightRecorder::new(CLIENT_FLIGHT_RECORDER_EVENTS)),
         })
-    }
-
-    /// Like [`connect`](Self::connect), but forcing the lock-step v1
-    /// protocol even against a v2 server — the interop escape hatch (and
-    /// the baseline half of the pipelined-vs-lockstep benches).
-    pub fn connect_v1(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let mut shard = Self::connect_with(addr, DEFAULT_IO_TIMEOUT)?;
-        shard.force_v1 = true;
-        Ok(shard)
     }
 
     /// Replaces the dial retry policy (builder style).
@@ -279,6 +233,7 @@ impl TcpShard {
 
     /// Replaces the per-link in-flight cap (builder style; min 1).
     /// Submitting callers past the cap *wait* — backpressure, not a shed.
+    /// A cap of 1 makes the link lock-step: one request at a time.
     pub fn with_max_in_flight(mut self, max_in_flight: usize) -> Self {
         self.max_in_flight = max_in_flight.max(1);
         self
@@ -289,24 +244,16 @@ impl TcpShard {
         self.addr
     }
 
-    /// This link's dial / downgrade / poison counters and live in-flight
-    /// count — the per-link half of a fleet metrics page.
+    /// This link's dial / poison counters and live in-flight count — the
+    /// per-link half of a fleet metrics page.
     pub fn link_stats(&self) -> LinkStats {
         // sorl-lint: allow(atomic, "diagnostic counter reads; no ordering required")
         let relaxed = Ordering::Relaxed;
-        let in_flight = match &*lock_recover(&self.conn) {
-            Slot::Ready(link) => match link.as_ref() {
-                Link::Mux(mux) => lock_recover(&mux.state).in_flight,
-                Link::V1(_) => 0,
-            },
-            Slot::Empty | Slot::Raw(_) => 0,
-        };
+        let in_flight =
+            lock_recover(&self.conn).as_ref().map_or(0, |link| lock_recover(&link.state).in_flight);
         LinkStats {
             dials: self.counters.dials.load(relaxed),
             reconnects: self.counters.reconnects.load(relaxed),
-            v3_downgrades: self.counters.v3_downgrades.load(relaxed),
-            v2_downgrades: self.counters.v2_downgrades.load(relaxed),
-            v1_downgrades: self.counters.v1_downgrades.load(relaxed),
             poisoned: self.counters.poisoned.load(relaxed),
             in_flight,
         }
@@ -352,164 +299,91 @@ impl TcpShard {
         }
     }
 
-    /// Returns the live link, (re)establishing it if the slot is empty,
-    /// raw, or poisoned.
-    fn link(&self) -> Result<Arc<Link>, ServeError> {
+    /// Returns the live link, redialing if the slot is empty or its link
+    /// is poisoned.
+    fn link(&self) -> Result<Arc<MuxLink>, ServeError> {
         let mut slot = lock_recover(&self.conn);
-        if let Slot::Ready(link) = &*slot {
+        if let Some(link) = &*slot {
             if !link.is_dead() {
                 return Ok(Arc::clone(link));
             }
             // sorl-lint: allow(atomic, "diagnostic counter; no ordering required")
             self.counters.poisoned.fetch_add(1, Ordering::Relaxed);
         }
-        let stream = match std::mem::replace(&mut *slot, Slot::Empty) {
-            Slot::Raw(stream) => stream,
-            Slot::Empty | Slot::Ready(_) => {
-                let stream = self.dial_retrying()?;
-                // sorl-lint: allow(atomic, "diagnostic counter; no ordering required")
-                self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                stream
-            }
-        };
-        let link = self.negotiate(stream)?;
-        *slot = Slot::Ready(Arc::clone(&link));
+        *slot = None;
+        let stream = self.dial_retrying()?;
+        // sorl-lint: allow(atomic, "diagnostic counter; no ordering required")
+        self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
+        let link = MuxLink::open(stream, self.timeout)
+            .map_err(|e| ServeError::Transport(format!("open link to {}: {e}", self.addr)))?;
+        *slot = Some(Arc::clone(&link));
         Ok(link)
     }
 
-    /// Version negotiation on a fresh stream: a descending probe ladder.
-    /// The fingerprint probe goes out as v4; a v4 peer answers it and the
-    /// link multiplexes with trace propagation and binary hot-path
-    /// payloads. An older peer faults the unknown version (with its
-    /// "protocol version" message) and hangs up, so the ladder redials
-    /// and probes v3, then v2, and finally falls back to lock-step v1.
-    /// Each rung costs one dial — only paid against old-binary peers, and
-    /// only at (re)negotiation.
-    fn negotiate(&self, stream: TcpStream) -> Result<Arc<Link>, ServeError> {
-        if self.force_v1 {
-            return Ok(Arc::new(Link::V1(Mutex::new(stream))));
-        }
-        match self.probe(stream, PROTOCOL_V4)? {
-            Probed::Link(link) => return Ok(link),
-            Probed::VersionRejected => {}
-        }
-        // sorl-lint: allow(atomic, "diagnostic counter; no ordering required")
-        self.counters.v3_downgrades.fetch_add(1, Ordering::Relaxed);
-        let stream = self.dial_retrying()?;
-        match self.probe(stream, PROTOCOL_V3)? {
-            Probed::Link(link) => return Ok(link),
-            Probed::VersionRejected => {}
-        }
-        // sorl-lint: allow(atomic, "diagnostic counter; no ordering required")
-        self.counters.v2_downgrades.fetch_add(1, Ordering::Relaxed);
-        let stream = self.dial_retrying()?;
-        match self.probe(stream, PROTOCOL_V2)? {
-            Probed::Link(link) => return Ok(link),
-            Probed::VersionRejected => {}
-        }
-        // sorl-lint: allow(atomic, "diagnostic counter; no ordering required")
-        self.counters.v1_downgrades.fetch_add(1, Ordering::Relaxed);
-        let stream = self.dial_retrying()?;
-        Ok(Arc::new(Link::V1(Mutex::new(stream))))
-    }
-
-    /// One rung of the negotiation ladder: probes `stream` with a
-    /// `version` fingerprint request and either builds the multiplexed
-    /// link or reports that the peer rejected the version (the stream is
-    /// dead either way — version faults close the connection).
-    fn probe(&self, mut stream: TcpStream, version: u16) -> Result<Probed, ServeError> {
-        wire::write_frame_full(&mut stream, version, FrameKind::Fingerprint, 0, 0, &[])
-            .map_err(ServeError::from)?;
-        let frame = wire::read_frame(&mut stream).map_err(ServeError::from)?;
-        match frame.kind {
-            FrameKind::FingerprintOk if frame.version == version && frame.request_id == 0 => {
-                let reader = stream.try_clone().map_err(|e| {
-                    ServeError::Transport(format!("clone link to {}: {e}", self.addr))
-                })?;
-                let link = Arc::new(Link::Mux(MuxLink {
-                    version,
-                    writer: Mutex::new(stream),
-                    state: Mutex::new(MuxState {
-                        next_id: 1,
-                        in_flight: 0,
-                        pending: HashMap::new(),
-                        dead: None,
-                    }),
-                    ready: Condvar::new(),
-                    timeout: self.timeout,
-                    max_in_flight: self.max_in_flight,
-                }));
-                let weak = Arc::downgrade(&link);
-                std::thread::Builder::new()
-                    .name("sorl-shard-link".into())
-                    .spawn(move || mux_reader(reader, &weak))
-                    .map_err(|e| ServeError::Transport(format!("spawn link reader: {e}")))?;
-                Ok(Probed::Link(link))
-            }
-            FrameKind::Error => {
-                let fault = wire::decode_fault(&frame.payload);
-                if matches!(&fault, ServeError::Transport(m) if m.contains("protocol version")) {
-                    return Ok(Probed::VersionRejected);
-                }
-                Err(fault)
-            }
-            other => Err(ServeError::Transport(format!(
-                "unexpected {other:?} frame answering the version probe"
-            ))),
-        }
-    }
-
-    /// Runs one request on the link. On a transport-level failure the
+    /// Runs one exchange on the live link — register, `write` the request
+    /// frames, await the outcome — and decodes the answer. On a
+    /// transport-level failure (an undecodable answer included) the
     /// connection is dropped, so the next call redials (e.g. against a
     /// restarted server).
-    fn call<T>(&self, f: impl FnOnce(&Link) -> Result<T, ServeError>) -> Result<T, ServeError> {
+    fn call<T>(
+        &self,
+        expect: Expect,
+        write: impl FnOnce(&mut TcpStream, u64) -> Result<(), WireError>,
+        decode: impl FnOnce(Outcome) -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
         let link = self.link()?;
-        let result = f(&link);
+        let result = link.call(expect, self.max_in_flight, write).and_then(decode);
         if matches!(result, Err(ServeError::Transport(_))) {
             let mut slot = lock_recover(&self.conn);
-            if let Slot::Ready(current) = &*slot {
-                if Arc::ptr_eq(current, &link) {
-                    *slot = Slot::Empty;
-                    // sorl-lint: allow(atomic, "diagnostic counter; no ordering required")
-                    self.counters.poisoned.fetch_add(1, Ordering::Relaxed);
-                }
+            if slot.as_ref().is_some_and(|current| Arc::ptr_eq(current, &link)) {
+                *slot = None;
+                // sorl-lint: allow(atomic, "diagnostic counter; no ordering required")
+                self.counters.poisoned.fetch_add(1, Ordering::Relaxed);
             }
         }
         result
     }
-}
 
-/// What one rung of the probe ladder resolved to.
-enum Probed {
-    /// The peer answered the probe: the link is up, multiplexed at the
-    /// probed version.
-    Link(Arc<Link>),
-    /// The peer faulted the probed version and closed the connection;
-    /// try the next rung down.
-    VersionRejected,
+    /// One request frame answered by one `reply` frame.
+    fn request<T>(
+        &self,
+        kind: FrameKind,
+        payload: &[u8],
+        reply: FrameKind,
+        trace_id: u64,
+        decode: impl FnOnce(&[u8]) -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
+        self.call(
+            Expect::Reply(reply),
+            |stream, id| wire::write_frame(stream, kind, id, trace_id, payload),
+            |outcome| decode(&outcome.into_payload()?),
+        )
+    }
+
+    /// One request frame answered by a snapshot stream.
+    fn request_snapshot(
+        &self,
+        kind: FrameKind,
+        payload: &[u8],
+    ) -> Result<CacheSnapshot, ServeError> {
+        self.call(
+            Expect::Snapshot,
+            |stream, id| wire::write_frame(stream, kind, id, 0, payload),
+            Outcome::into_snapshot,
+        )
+    }
 }
 
 impl ShardTransport for TcpShard {
     fn tune(&self, instance: StencilInstance, k: usize) -> Result<TopK, ServeError> {
-        // The whole remote call is one client-side span; a v3 link ships
-        // the trace id in the frame header, so the server's recorder
-        // stamps its queue-wait and scoring spans with the same trace.
+        // The whole remote call is one client-side span; the request
+        // frame ships its trace id, so the server's recorder stamps its
+        // queue-wait and scoring spans with the same trace.
         let span = self.recorder.span(TraceId::fresh(), "tune");
         let trace_id = span.trace().as_u64();
         let payload = wire::to_payload(&TuneRequest::new(instance, k));
-        let result = self.call(|link| {
-            let (codec, answer) = link.request(
-                FrameKind::Tune,
-                &payload,
-                FrameKind::TuneOk,
-                "tune answer",
-                trace_id,
-            )?;
-            match codec {
-                PayloadCodec::Json => wire::from_payload(&answer),
-                PayloadCodec::Binary => bin::decode_top_k(&answer),
-            }
-        });
+        let result =
+            self.request(FrameKind::Tune, &payload, FrameKind::TuneOk, trace_id, bin::decode_top_k);
         if result.is_err() {
             span.event("error");
         }
@@ -517,85 +391,44 @@ impl ShardTransport for TcpShard {
     }
 
     fn ranker_fingerprint(&self) -> Result<u64, ServeError> {
-        self.call(|link| {
-            let (codec, answer) = link.request(
-                FrameKind::Fingerprint,
-                &[],
-                FrameKind::FingerprintOk,
-                "fingerprint",
-                0,
-            )?;
-            json_only(codec, &answer, "the fingerprint request")
-        })
+        self.request(FrameKind::Fingerprint, &[], FrameKind::FingerprintOk, 0, wire::from_payload)
     }
 
     fn stats(&self) -> Result<ServeStats, ServeError> {
-        self.call(|link| {
-            let (codec, answer) =
-                link.request(FrameKind::Stats, &[], FrameKind::StatsOk, "stats", 0)?;
-            match codec {
-                PayloadCodec::Json => wire::from_payload(&answer),
-                PayloadCodec::Binary => bin::decode_stats(&answer),
-            }
-        })
+        self.request(FrameKind::Stats, &[], FrameKind::StatsOk, 0, bin::decode_stats)
     }
 
     fn export_cache(&self, slice: &CacheSlice) -> Result<CacheSnapshot, ServeError> {
-        let payload = wire::to_payload(slice);
-        self.call(|link| link.request_snapshot(FrameKind::ExportCache, &payload))
+        self.request_snapshot(FrameKind::ExportCache, &wire::to_payload(slice))
     }
 
     fn extract_cache(&self, slice: &CacheSlice) -> Result<CacheSnapshot, ServeError> {
-        let payload = wire::to_payload(slice);
-        self.call(|link| link.request_snapshot(FrameKind::ExtractCache, &payload))
+        self.request_snapshot(FrameKind::ExtractCache, &wire::to_payload(slice))
     }
 
     fn import_cache(&self, snapshot: CacheSnapshot) -> Result<usize, ServeError> {
-        self.call(|link| {
-            let answer = link.import(&snapshot)?;
-            wire::from_payload(&answer)
-        })
+        let (header, chunks) = bin::snapshot_to_chunks(&snapshot, wire::CHUNK_ENTRIES);
+        let header = wire::to_payload(&header);
+        // Header and chunks go out contiguously under the writer lock, so
+        // the server can read the stream inline.
+        self.call(
+            Expect::Reply(FrameKind::ImportOk),
+            |stream, id| {
+                wire::write_frame(stream, FrameKind::ImportCache, id, 0, &header)?;
+                wire::write_chunk_frames(stream, id, &chunks)
+            },
+            |outcome| wire::from_payload(&outcome.into_payload()?),
+        )
     }
 
     fn trace_dump(&self, trace: Option<TraceId>) -> Result<wire::TraceDumpReply, ServeError> {
         let query = wire::TraceQuery { trace: trace.map(TraceId::as_u64).unwrap_or(0) };
         let payload = wire::to_payload(&query);
-        self.call(|link| {
-            let (codec, answer) = link.request(
-                FrameKind::TraceDump,
-                &payload,
-                FrameKind::TraceDumpOk,
-                "trace dump",
-                0,
-            )?;
-            json_only(codec, &answer, "the trace-dump request")
-        })
+        self.request(FrameKind::TraceDump, &payload, FrameKind::TraceDumpOk, 0, wire::from_payload)
     }
 }
 
-/// Decodes an answer the server only ever sends as JSON; a binary codec
-/// on one of these kinds means the peer is confused enough to distrust.
-fn json_only<T: serde::de::DeserializeOwned>(
-    codec: PayloadCodec,
-    payload: &[u8],
-    what: &str,
-) -> Result<T, ServeError> {
-    match codec {
-        PayloadCodec::Json => wire::from_payload(payload),
-        PayloadCodec::Binary => {
-            Err(ServeError::Transport(format!("unexpected binary payload answering {what}")))
-        }
-    }
-}
-
-/// One negotiated connection: multiplexed (v2 or v3), or lock-step v1.
-#[derive(Debug)]
-enum Link {
-    Mux(MuxLink),
-    V1(Mutex<TcpStream>),
-}
-
-/// What a pending v2 request is waiting for.
+/// What a pending request is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Expect {
     /// One response frame of this kind.
@@ -604,14 +437,31 @@ enum Expect {
     Snapshot,
 }
 
-/// What a completed v2 request resolved to. A plain payload carries the
-/// codec its frame was stamped with, so the caller decodes what was
-/// actually sent (a v4 server may answer JSON when a value overflows the
-/// binary codec's compact ranges).
+/// What a completed request resolved to.
 #[derive(Debug)]
 enum Outcome {
-    Payload(PayloadCodec, Vec<u8>),
+    Payload(Vec<u8>),
     Snapshot(Box<CacheSnapshot>),
+}
+
+impl Outcome {
+    fn into_payload(self) -> Result<Vec<u8>, ServeError> {
+        match self {
+            Outcome::Payload(payload) => Ok(payload),
+            Outcome::Snapshot(_) => {
+                Err(ServeError::Transport("snapshot stream answered a plain request".into()))
+            }
+        }
+    }
+
+    fn into_snapshot(self) -> Result<CacheSnapshot, ServeError> {
+        match self {
+            Outcome::Snapshot(snapshot) => Ok(*snapshot),
+            Outcome::Payload(_) => {
+                Err(ServeError::Transport("plain frame answered a snapshot request".into()))
+            }
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -632,158 +482,55 @@ struct MuxState {
     dead: Option<String>,
 }
 
-/// A multiplexed link: callers register in a pending table keyed by
-/// request id and write under one writer lock; a reader thread routes
-/// response frames back and wakes them.
+/// One connection: callers register in a pending table keyed by request
+/// id and write under one writer lock; a reader thread routes response
+/// frames back and wakes them.
 #[derive(Debug)]
 struct MuxLink {
-    /// The negotiated protocol version every frame goes out in
-    /// ([`PROTOCOL_V2`] or [`PROTOCOL_V3`]; only v3 carries trace ids).
-    version: u16,
     writer: Mutex<TcpStream>,
     state: Mutex<MuxState>,
     ready: Condvar,
     timeout: Duration,
-    max_in_flight: usize,
-}
-
-impl Link {
-    fn is_dead(&self) -> bool {
-        match self {
-            Link::Mux(mux) => lock_recover(&mux.state).dead.is_some(),
-            Link::V1(_) => false,
-        }
-    }
-
-    /// One request answered by one response frame (returned with the
-    /// codec its payload arrived in — always JSON below v4). `trace_id`
-    /// rides in the frame header on a v3+ link and is silently dropped on
-    /// older ones (pass 0 for untraced requests).
-    fn request(
-        &self,
-        kind: FrameKind,
-        payload: &[u8],
-        expect: FrameKind,
-        wanted: &'static str,
-        trace_id: u64,
-    ) -> Result<(PayloadCodec, Vec<u8>), ServeError> {
-        match self {
-            Link::Mux(mux) => {
-                let outcome = mux.call(Expect::Reply(expect), |stream, id| {
-                    wire::write_frame_full(stream, mux.version, kind, id, trace_id, payload)
-                })?;
-                outcome.into_payload()
-            }
-            Link::V1(stream) => {
-                let mut stream = lock_recover(stream);
-                wire::write_frame(&mut *stream, kind, payload)?;
-                let answer = wire::expect_frame(&mut *stream, expect, wanted)?;
-                Ok((PayloadCodec::Json, answer))
-            }
-        }
-    }
-
-    /// One request answered by a snapshot stream.
-    fn request_snapshot(
-        &self,
-        kind: FrameKind,
-        payload: &[u8],
-    ) -> Result<CacheSnapshot, ServeError> {
-        match self {
-            Link::Mux(mux) => {
-                let outcome = mux.call(Expect::Snapshot, |stream, id| {
-                    wire::write_frame_full(stream, mux.version, kind, id, 0, payload)
-                })?;
-                outcome.into_snapshot()
-            }
-            Link::V1(stream) => {
-                let mut stream = lock_recover(stream);
-                wire::write_frame(&mut *stream, kind, payload)?;
-                wire::read_snapshot_stream(&mut *stream)
-            }
-        }
-    }
-
-    /// An import: a header-plus-chunks request answered by one frame.
-    /// Chunking happens here, after negotiation, because the codec is a
-    /// link property: a v4 link ships binary chunks (falling back to JSON
-    /// when the snapshot overflows the binary codec's compact ranges),
-    /// older links always ship JSON.
-    fn import(&self, snapshot: &CacheSnapshot) -> Result<Vec<u8>, ServeError> {
-        match self {
-            Link::Mux(mux) => {
-                let codec = if mux.version >= PROTOCOL_V4 && bin::snapshot_fits(snapshot) {
-                    PayloadCodec::Binary
-                } else {
-                    PayloadCodec::Json
-                };
-                let (header, chunks) = match codec {
-                    PayloadCodec::Json => snapshot.to_chunks(wire::CHUNK_ENTRIES),
-                    PayloadCodec::Binary => bin::snapshot_to_chunks(snapshot, wire::CHUNK_ENTRIES),
-                };
-                let header_payload = wire::to_payload(&header);
-                // Header and chunks go out contiguously under the writer
-                // lock, so the server can read the stream inline.
-                let outcome = mux.call(Expect::Reply(FrameKind::ImportOk), |stream, id| {
-                    wire::write_frame_full(
-                        stream,
-                        mux.version,
-                        FrameKind::ImportCache,
-                        id,
-                        0,
-                        &header_payload,
-                    )?;
-                    wire::write_chunk_frames_coded(stream, mux.version, id, codec, &chunks)
-                })?;
-                let (_, answer) = outcome.into_payload()?;
-                Ok(answer)
-            }
-            Link::V1(stream) => {
-                let (header, chunks) = snapshot.to_chunks(wire::CHUNK_ENTRIES);
-                let mut stream = lock_recover(stream);
-                wire::write_frame(
-                    &mut *stream,
-                    FrameKind::ImportCache,
-                    &wire::to_payload(&header),
-                )?;
-                wire::write_chunk_frames(&mut *stream, &chunks)?;
-                wire::expect_frame(&mut *stream, FrameKind::ImportOk, "import answer")
-            }
-        }
-    }
-}
-
-impl Outcome {
-    fn into_payload(self) -> Result<(PayloadCodec, Vec<u8>), ServeError> {
-        match self {
-            Outcome::Payload(codec, payload) => Ok((codec, payload)),
-            Outcome::Snapshot(_) => {
-                Err(ServeError::Transport("snapshot stream answered a plain request".into()))
-            }
-        }
-    }
-
-    fn into_snapshot(self) -> Result<CacheSnapshot, ServeError> {
-        match self {
-            Outcome::Snapshot(snapshot) => Ok(*snapshot),
-            Outcome::Payload(..) => {
-                Err(ServeError::Transport("plain frame answered a snapshot request".into()))
-            }
-        }
-    }
 }
 
 impl MuxLink {
-    /// Admits one request: waits (backpressure) while the link is at its
-    /// in-flight cap, then registers a fresh id in the pending table.
-    fn begin(&self, expect: Expect) -> Result<u64, ServeError> {
+    /// Wraps a freshly dialed stream and starts its reader thread, which
+    /// holds the link only weakly so dropping the last caller's handle
+    /// closes the connection.
+    fn open(stream: TcpStream, timeout: Duration) -> io::Result<Arc<MuxLink>> {
+        let reader = stream.try_clone()?;
+        let link = Arc::new(MuxLink {
+            writer: Mutex::new(stream),
+            state: Mutex::new(MuxState {
+                next_id: 1,
+                in_flight: 0,
+                pending: HashMap::new(),
+                dead: None,
+            }),
+            ready: Condvar::new(),
+            timeout,
+        });
+        let weak = Arc::downgrade(&link);
+        std::thread::Builder::new()
+            .name("sorl-shard-link".into())
+            .spawn(move || mux_reader(reader, &weak))?;
+        Ok(link)
+    }
+
+    fn is_dead(&self) -> bool {
+        lock_recover(&self.state).dead.is_some()
+    }
+
+    /// Admits one request: waits (backpressure) while the link is at
+    /// `max_in_flight`, then registers a fresh id in the pending table.
+    fn begin(&self, expect: Expect, max_in_flight: usize) -> Result<u64, ServeError> {
         let deadline = Instant::now() + self.timeout;
         let mut state = lock_recover(&self.state);
         loop {
             if let Some(reason) = &state.dead {
                 return Err(ServeError::Transport(reason.clone()));
             }
-            if state.in_flight < self.max_in_flight {
+            if state.in_flight < max_in_flight {
                 break;
             }
             let now = Instant::now();
@@ -806,13 +553,14 @@ impl MuxLink {
         Ok(id)
     }
 
-    /// One full multiplexed exchange: register, write, await.
+    /// One full exchange: register, write, await.
     fn call(
         &self,
         expect: Expect,
+        max_in_flight: usize,
         write: impl FnOnce(&mut TcpStream, u64) -> Result<(), WireError>,
     ) -> Result<Outcome, ServeError> {
-        let id = self.begin(expect)?;
+        let id = self.begin(expect, max_in_flight)?;
         {
             let mut stream = lock_recover(&self.writer);
             if let Err(e) = write(&mut stream, id) {
@@ -894,7 +642,7 @@ const READER_IDLE_POLL: Duration = Duration::from_millis(200);
 /// The per-link reader: routes every incoming frame to its pending
 /// request. Exits when the peer hangs up, the protocol is violated (after
 /// failing all pending requests), or the owning link is dropped.
-fn mux_reader(mut stream: TcpStream, link: &Weak<Link>) {
+fn mux_reader(mut stream: TcpStream, link: &Weak<MuxLink>) {
     // Idle reads poll briefly so a dropped link is noticed; once a frame
     // starts, reads run under the link's full IO timeout.
     let _ = stream.set_read_timeout(Some(READER_IDLE_POLL));
@@ -927,7 +675,7 @@ fn mux_reader(mut stream: TcpStream, link: &Weak<Link>) {
                 return;
             }
         };
-        let Some(mux) = upgrade_mux(link) else { return };
+        let Some(mux) = link.upgrade() else { return };
         let _ = stream.set_read_timeout(Some(mux.timeout));
         let result = wire::read_frame_after(&mut stream, first);
         let _ = stream.set_read_timeout(Some(READER_IDLE_POLL));
@@ -947,28 +695,6 @@ fn mux_reader(mut stream: TcpStream, link: &Weak<Link>) {
     }
 }
 
-fn upgrade_mux(link: &Weak<Link>) -> Option<Arc<MuxHandle>> {
-    let strong = link.upgrade()?;
-    match &*strong {
-        Link::Mux(_) => Some(Arc::new(MuxHandle(strong))),
-        Link::V1(_) => None,
-    }
-}
-
-/// A reader-side handle projecting `Arc<Link>` to its `MuxLink`.
-struct MuxHandle(Arc<Link>);
-
-impl std::ops::Deref for MuxHandle {
-    type Target = MuxLink;
-    fn deref(&self) -> &MuxLink {
-        match &*self.0 {
-            Link::Mux(mux) => mux,
-            // sorl-lint: allow(panic, "MuxHandle is only ever constructed over a Link::Mux")
-            Link::V1(_) => unreachable!("mux reader only serves multiplexed links"),
-        }
-    }
-}
-
 /// Routes one incoming frame. `Err` means the link is poisoned and the
 /// reader must exit.
 fn route_frame(mux: &MuxLink, frame: wire::Frame) -> Result<(), ()> {
@@ -976,8 +702,8 @@ fn route_frame(mux: &MuxLink, frame: wire::Frame) -> Result<(), ()> {
     let Some(pending) = state.pending.get_mut(&frame.request_id) else {
         // A response for a request never issued (or long abandoned): the
         // stream can no longer be trusted. An Error frame is the one
-        // exception worth decoding — a server announcing shutdown faults
-        // id 0 — but it still kills the link.
+        // exception worth decoding — a server announcing shutdown or a
+        // protocol fault uses id 0 — but it still kills the link.
         let reason = if frame.kind == FrameKind::Error {
             format!("server fault: {}", wire::decode_fault(&frame.payload))
         } else {
@@ -990,14 +716,14 @@ fn route_frame(mux: &MuxLink, frame: wire::Frame) -> Result<(), ()> {
     let resolution: Result<Option<Result<Outcome, ServeError>>, String> = match frame.kind {
         FrameKind::Error => Ok(Some(Err(wire::decode_fault(&frame.payload)))),
         kind if pending.expect == Expect::Reply(kind) => {
-            Ok(Some(Ok(Outcome::Payload(frame.codec, frame.payload))))
+            Ok(Some(Ok(Outcome::Payload(frame.payload))))
         }
         FrameKind::SnapshotHeader if pending.expect == Expect::Snapshot => {
             if pending.assembling.is_some() {
                 Err("second snapshot header inside one stream".to_string())
             } else {
                 match wire::from_payload::<SnapshotHeader>(&frame.payload)
-                    .and_then(wire::SnapshotAssembler::new)
+                    .and_then(|header| wire::SnapshotAssembler::new(header, frame.request_id))
                 {
                     Ok(assembler) => {
                         if assembler.is_complete() {
@@ -1014,7 +740,7 @@ fn route_frame(mux: &MuxLink, frame: wire::Frame) -> Result<(), ()> {
         FrameKind::SnapshotChunk if pending.expect == Expect::Snapshot => {
             match pending.assembling.as_mut() {
                 None => Err("snapshot chunk before its header".to_string()),
-                Some(assembler) => match assembler.push_chunk_coded(frame.codec, &frame.payload) {
+                Some(assembler) => match assembler.push(&frame) {
                     // A bounds/length violation could desync framing for
                     // the rest of the stream — poison, don't just fail
                     // the one request.
@@ -1048,8 +774,8 @@ fn route_frame(mux: &MuxLink, frame: wire::Frame) -> Result<(), ()> {
     }
 }
 
-fn fail_link(link: &Weak<Link>, reason: &str) {
-    if let Some(mux) = upgrade_mux(link) {
+fn fail_link(link: &Weak<MuxLink>, reason: &str) {
+    if let Some(mux) = link.upgrade() {
         mux.fail_all(reason);
     }
 }
@@ -1277,34 +1003,20 @@ const SERVER_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// One queued reply for the connection's writer thread.
 enum WriteJob {
-    /// A single response frame, in the version its request arrived in,
-    /// echoing the request's trace id (dropped on the wire below v3) and
-    /// stamped with the codec its payload was encoded in (always JSON
-    /// below v4; error frames are JSON in every version).
-    Frame {
-        version: u16,
-        request_id: u64,
-        trace_id: u64,
-        kind: FrameKind,
-        codec: PayloadCodec,
-        payload: Vec<u8>,
-    },
-    /// A snapshot stream response; `codec` is the *requested* chunk
-    /// encoding (the stream writer degrades to JSON when the version or
-    /// the snapshot's value ranges rule binary out).
-    Snapshot { version: u16, request_id: u64, codec: PayloadCodec, snapshot: Box<CacheSnapshot> },
+    /// A single response frame echoing its request's id and trace id.
+    Frame { request_id: u64, trace_id: u64, kind: FrameKind, payload: Vec<u8> },
+    /// A snapshot stream answering request `request_id`.
+    Snapshot { request_id: u64, snapshot: Box<CacheSnapshot> },
     /// Flush nothing more; shut the socket down (protocol violation or
     /// service shutdown — queued before this job is the farewell fault).
     Close,
 }
 
-fn fault_job(version: u16, request_id: u64, trace_id: u64, fault: &ServeError) -> WriteJob {
+fn fault_job(request_id: u64, trace_id: u64, fault: &ServeError) -> WriteJob {
     WriteJob::Frame {
-        version,
         request_id,
         trace_id,
         kind: FrameKind::Error,
-        codec: PayloadCodec::Json,
         payload: wire::encode_fault(fault),
     }
 }
@@ -1317,25 +1029,11 @@ fn fault_job(version: u16, request_id: u64, trace_id: u64, fault: &ServeError) -
 fn write_loop(mut stream: TcpStream, jobs: &mpsc::Receiver<WriteJob>) {
     while let Ok(job) = jobs.recv() {
         let wrote = match job {
-            WriteJob::Frame { version, request_id, trace_id, kind, codec, payload } => {
-                wire::write_frame_coded(
-                    &mut stream,
-                    version,
-                    kind,
-                    request_id,
-                    trace_id,
-                    codec,
-                    &payload,
-                )
+            WriteJob::Frame { request_id, trace_id, kind, payload } => {
+                wire::write_frame(&mut stream, kind, request_id, trace_id, &payload)
             }
-            WriteJob::Snapshot { version, request_id, codec, snapshot } => {
-                wire::write_snapshot_stream_coded(
-                    &mut stream,
-                    version,
-                    request_id,
-                    codec,
-                    &snapshot,
-                )
+            WriteJob::Snapshot { request_id, snapshot } => {
+                wire::write_snapshot_stream(&mut stream, request_id, &snapshot)
             }
             WriteJob::Close => break,
         };
@@ -1373,7 +1071,7 @@ fn await_first_byte(
                 ) =>
             {
                 if service.strong_count() == 0 {
-                    let _ = jobs.send(fault_job(PROTOCOL_V1, 0, 0, &ServeError::Closed));
+                    let _ = jobs.send(fault_job(0, 0, &ServeError::Closed));
                     let _ = jobs.send(WriteJob::Close);
                     return None;
                 }
@@ -1412,19 +1110,17 @@ fn handle_connection(
             Ok(frame) => frame,
             Err(WireError::Io(_)) => break, // peer died (or stalled) mid-frame
             Err(violation) => {
+                // Bad magic, a foreign protocol version, an unknown kind or
+                // an oversized length: the request id is unknowable, so the
+                // farewell fault goes out under id 0.
                 let fault = ServeError::Transport(violation.to_string());
-                let _ = jobs.send(fault_job(PROTOCOL_V1, 0, 0, &fault));
+                let _ = jobs.send(fault_job(0, 0, &fault));
                 let _ = jobs.send(WriteJob::Close);
                 break;
             }
         };
         let Some(service) = service.upgrade() else {
-            let _ = jobs.send(fault_job(
-                frame.version,
-                frame.request_id,
-                frame.trace_id,
-                &ServeError::Closed,
-            ));
+            let _ = jobs.send(fault_job(frame.request_id, frame.trace_id, &ServeError::Closed));
             let _ = jobs.send(WriteJob::Close);
             break;
         };
@@ -1452,15 +1148,9 @@ fn serve_request(
     counters: &Arc<ServerCounters>,
     config: ShardServerConfig,
 ) -> LinkState {
-    let wire::Frame { version, kind, request_id, trace_id, codec: _, payload } = frame;
-    let reply = |kind: FrameKind, payload: Vec<u8>| WriteJob::Frame {
-        version,
-        request_id,
-        trace_id,
-        kind,
-        codec: PayloadCodec::Json,
-        payload,
-    };
+    let wire::Frame { kind, request_id, trace_id, payload } = frame;
+    let reply =
+        |kind: FrameKind, payload: Vec<u8>| WriteJob::Frame { request_id, trace_id, kind, payload };
     match kind {
         FrameKind::Tune => {
             let parsed = wire::from_payload::<TuneRequest>(&payload).and_then(|req| {
@@ -1476,26 +1166,23 @@ fn serve_request(
             });
             let (instance, k) = match parsed {
                 Ok(parts) => parts,
-                Err(fault) => {
-                    return keep(jobs.send(fault_job(version, request_id, trace_id, &fault)))
-                }
+                Err(fault) => return keep(jobs.send(fault_job(request_id, trace_id, &fault))),
             };
             // The per-connection backpressure cap: a link pushing more
             // concurrent tunes than configured gets cheap rejections, not
             // a growing reply backlog.
             if in_flight.load(Ordering::Acquire) >= config.max_in_flight {
                 let fault = ServeError::Overloaded(ShedReason::LinkInFlight);
-                return keep(jobs.send(fault_job(version, request_id, trace_id, &fault)));
+                return keep(jobs.send(fault_job(request_id, trace_id, &fault)));
             }
             in_flight.fetch_add(1, Ordering::AcqRel);
             counters.in_flight.fetch_add(1, Ordering::AcqRel);
-            // A v3 peer's trace continues on this side; older peers (or
-            // v3 peers that didn't trace) get a fresh trace so the
-            // server-side spans still land somewhere coherent.
             // The server-side half of the remote call: one span covering
             // dispatch to reply, in the *service* recorder under the
             // peer's trace id — this is what makes an assembled fleet
-            // waterfall show the request inside the shard process.
+            // waterfall show the request inside the shard process. An
+            // untraced request (trace 0) gets a fresh trace so the
+            // server-side spans still land somewhere coherent.
             let trace = TraceId::from_wire(trace_id);
             let rpc_span = SpanId::fresh();
             let recorder = service.flight_recorder();
@@ -1514,27 +1201,13 @@ fn serve_request(
                         in_flight.fetch_sub(1, Ordering::AcqRel);
                         counters.in_flight.fetch_sub(1, Ordering::AcqRel);
                         let job = match outcome {
-                            Ok(top) => {
-                                // v4 links get the compact binary answer
-                                // unless a value overflows its ranges; the
-                                // frame's codec byte tells the client
-                                // which decode to run either way.
-                                let (codec, payload) =
-                                    if version >= PROTOCOL_V4 && bin::top_k_fits(&top) {
-                                        (PayloadCodec::Binary, bin::encode_top_k(&top))
-                                    } else {
-                                        (PayloadCodec::Json, wire::to_payload(&top))
-                                    };
-                                WriteJob::Frame {
-                                    version,
-                                    request_id,
-                                    trace_id,
-                                    kind: FrameKind::TuneOk,
-                                    codec,
-                                    payload,
-                                }
-                            }
-                            Err(fault) => fault_job(version, request_id, trace_id, &fault),
+                            Ok(top) => WriteJob::Frame {
+                                request_id,
+                                trace_id,
+                                kind: FrameKind::TuneOk,
+                                payload: bin::encode_top_k(&top),
+                            },
+                            Err(fault) => fault_job(request_id, trace_id, &fault),
                         };
                         let _ = jobs.send(job);
                     });
@@ -1544,25 +1217,12 @@ fn serve_request(
                     recorder.record(EventKind::SpanEnd, trace, rpc_span, "rpc_tune");
                     in_flight.fetch_sub(1, Ordering::AcqRel);
                     counters.in_flight.fetch_sub(1, Ordering::AcqRel);
-                    keep(jobs.send(fault_job(version, request_id, trace_id, &fault)))
+                    keep(jobs.send(fault_job(request_id, trace_id, &fault)))
                 }
             }
         }
         FrameKind::Stats => {
-            let stats = service.stats();
-            let job = if version >= PROTOCOL_V4 {
-                WriteJob::Frame {
-                    version,
-                    request_id,
-                    trace_id,
-                    kind: FrameKind::StatsOk,
-                    codec: PayloadCodec::Binary,
-                    payload: bin::encode_stats(&stats),
-                }
-            } else {
-                reply(FrameKind::StatsOk, wire::to_payload(&stats))
-            };
-            keep(jobs.send(job))
+            keep(jobs.send(reply(FrameKind::StatsOk, bin::encode_stats(&service.stats()))))
         }
         FrameKind::TraceDump => {
             let answer = match wire::from_payload::<wire::TraceQuery>(&payload) {
@@ -1582,7 +1242,7 @@ fn serve_request(
                         wire::to_payload(&wire::TraceDumpReply { dump, exemplars }),
                     )
                 }
-                Err(fault) => fault_job(version, request_id, trace_id, &fault),
+                Err(fault) => fault_job(request_id, trace_id, &fault),
             };
             keep(jobs.send(answer))
         }
@@ -1599,20 +1259,10 @@ fn serve_request(
                 }
             });
             match snapshot {
-                Ok(snapshot) => keep(jobs.send(WriteJob::Snapshot {
-                    version,
-                    request_id,
-                    // Request binary chunking on v4 links; the stream
-                    // writer degrades to JSON when the snapshot's values
-                    // overflow the binary codec's compact ranges.
-                    codec: if version >= PROTOCOL_V4 {
-                        PayloadCodec::Binary
-                    } else {
-                        PayloadCodec::Json
-                    },
-                    snapshot: Box::new(snapshot),
-                })),
-                Err(fault) => keep(jobs.send(fault_job(version, request_id, trace_id, &fault))),
+                Ok(snapshot) => {
+                    keep(jobs.send(WriteJob::Snapshot { request_id, snapshot: Box::new(snapshot) }))
+                }
+                Err(fault) => keep(jobs.send(fault_job(request_id, trace_id, &fault))),
             }
         }
         FrameKind::ImportCache => {
@@ -1622,20 +1272,19 @@ fn serve_request(
             // corrupted or torn transfer is rejected here and nothing
             // reaches the cache — a partial import is impossible by
             // construction.
-            let expect_id = (version >= PROTOCOL_V2).then_some(request_id);
             let assembled = wire::from_payload::<SnapshotHeader>(&payload)
-                .and_then(|header| wire::read_snapshot_chunks_for(stream, header, expect_id));
+                .and_then(|header| wire::read_snapshot_chunks(stream, header, request_id));
             match assembled {
                 Ok(snapshot) => {
                     let answer = match service.import_cache(snapshot) {
                         Ok(applied) => reply(FrameKind::ImportOk, wire::to_payload(&applied)),
-                        Err(fault) => fault_job(version, request_id, trace_id, &fault),
+                        Err(fault) => fault_job(request_id, trace_id, &fault),
                     };
                     keep(jobs.send(answer))
                 }
                 Err(fault) => {
                     // The chunk stream may be desynced — answer, then close.
-                    let _ = jobs.send(fault_job(version, request_id, trace_id, &fault));
+                    let _ = jobs.send(fault_job(request_id, trace_id, &fault));
                     Err(())
                 }
             }
@@ -1651,7 +1300,7 @@ fn serve_request(
         | FrameKind::TraceDumpOk
         | FrameKind::Error => {
             let fault = ServeError::Transport(format!("{kind:?} is not a request frame"));
-            let _ = jobs.send(fault_job(version, request_id, trace_id, &fault));
+            let _ = jobs.send(fault_job(request_id, trace_id, &fault));
             Err(())
         }
     }

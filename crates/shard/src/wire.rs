@@ -1,79 +1,65 @@
-//! The cross-host shard wire protocol: length-prefixed, versioned frames
-//! with JSON or binary payloads and chunked, per-chunk-checksummed
-//! snapshot streaming. This build speaks protocol **v4** (multiplexed,
-//! traced frames with a per-frame payload codec) and still reads and
-//! answers **v3** (multiplexed, traced), **v2** (multiplexed, no trace)
-//! and **v1** (lock-step) peers.
+//! The cross-host shard wire protocol: length-prefixed frames under one
+//! checked header, one payload codec per frame kind, and chunked,
+//! per-chunk-checksummed snapshot streaming.
 //!
-//! Every frame starts with the v1 11-byte header; each later version
-//! appends one strict-prefix-compatible field — v2 a request id so many
-//! requests can be in flight per connection, v3 a trace id so one
-//! request's spans on both ends of the link share a trace, v4 a payload
-//! codec byte so the hottest payloads can travel binary:
+//! Every frame starts with the same 27-byte header:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  — b"SORL"
-//! 4       2     protocol version (little endian; 1, 2, 3 or 4)
+//! 4       2     protocol version (little endian; must equal PROTOCOL_VERSION)
 //! 6       1     frame kind (see [`FrameKind`])
 //! 7       4     payload length (little endian)
-//! 11      8     request id (little endian) — v2+ frames only
-//! 19      8     trace id (little endian) — v3+ frames only (0 = absent)
-//! 27      1     payload codec (see [`PayloadCodec`]) — v4 frames only
-//! 11|19|27|28 len  payload
+//! 11      8     request id (little endian)
+//! 19      8     trace id (little endian; 0 = untraced)
+//! 27      len   payload
 //! ```
 //!
-//! A v2+ response carries the request id of the request it answers; every
-//! frame of a snapshot stream carries the id of the request that opened
-//! the stream. v1 frames have no id ([`read_frame`] reports them as id
-//! `0`) and imply lock-step call/response. A v3+ request carries the
-//! submitting client's trace id (0 when untraced); the server stamps its
-//! own spans with it and echoes it on the response. v1/v2 frames decode
-//! as trace `0`, which the observability layer degrades to a fresh local
-//! trace. A v4 frame additionally names its payload's encoding:
-//! [`PayloadCodec::Json`] (byte `0`, the only pre-v4 encoding — pre-v4
-//! frames decode as it) or [`PayloadCodec::Binary`] (byte `1`, the
-//! little-endian codec in [`bin`]). Requests stay JSON in every version;
-//! a v4 server answers the hot response kinds ([`FrameKind::TuneOk`],
-//! [`FrameKind::StatsOk`], [`FrameKind::SnapshotChunk`]) binary and
-//! everything else JSON, and a receiver always dispatches on the frame's
-//! codec byte, never on its kind. Version negotiation is per-frame: a
-//! receiver answers in the version (and, for hot kinds, the best codec)
-//! the request arrived in, and an old peer rejects a newer-versioned
-//! frame with its ordinary version-mismatch fault — which is exactly the
-//! downgrade signal a dialer needs (see `TcpShard`, which ladders
-//! v4 → v3 → v2 → v1).
+//! Both ends of the wire ship from this workspace, so there is exactly one
+//! protocol version, [`PROTOCOL_VERSION`]. A reader checks it on every
+//! frame, straight after the magic and before it trusts any later header
+//! byte (a peer on another version may lay its header out differently):
+//! a mismatch is a [`WireError::Version`] naming the peer's version, and
+//! the connection is dead. Nothing downgrades or redials.
 //!
-//! Request/response pairs ([`FrameKind::Tune`] → [`FrameKind::TuneOk`],
-//! …) carry one JSON payload each. The v3 family adds the tracing pair
-//! [`FrameKind::TraceDump`] → [`FrameKind::TraceDumpOk`]: the request
-//! payload is a JSON [`TraceQuery`] (a raw trace id, `0` = everything)
-//! and the response a JSON [`TraceDumpReply`] — the server's flight
-//! recorder export plus its resident slow-request exemplars — which is
-//! what `ShardRouter::fleet_trace` and the `sorl-trace` CLI assemble
-//! into cross-process waterfalls. Snapshots never travel as one giant
-//! JSON string: a snapshot stream is a [`FrameKind::SnapshotHeader`] frame
-//! (JSON [`SnapshotHeader`], in every codec — the prologue stays humanly
-//! inspectable) followed by `header.chunks` [`FrameKind::SnapshotChunk`]
-//! frames, each `8-byte FNV-1a checksum ‖ chunk bytes` (see
-//! [`sorl_serve::SnapshotChunk`] — the checksum is the pinned
-//! [`stencil_model::fingerprint::Fnv1a`] over exactly the chunk bytes,
-//! whatever their codec), so big caches stream chunk by chunk and a torn
+//! The request id multiplexes a connection: a response carries the id of
+//! the request it answers, and every frame of a snapshot stream carries
+//! the id of the request that opened it. A request carries the submitting
+//! client's trace id (0 when untraced); the server stamps its own spans
+//! with it and echoes it on the response.
+//!
+//! The frame kind fixes the payload codec — there is no codec byte and no
+//! fallback:
+//!
+//! | frame kinds | payload codec |
+//! |---|---|
+//! | every request, [`FrameKind::FingerprintOk`], [`FrameKind::ImportOk`], [`FrameKind::TraceDumpOk`], [`FrameKind::SnapshotHeader`], [`FrameKind::Error`] | JSON ([`to_payload`] / [`from_payload`]) |
+//! | [`FrameKind::TuneOk`], [`FrameKind::StatsOk`], [`FrameKind::SnapshotChunk`] entries | binary ([`bin`]) |
+//!
+//! The tracing pair [`FrameKind::TraceDump`] → [`FrameKind::TraceDumpOk`]
+//! carries a JSON [`TraceQuery`] (a raw trace id, `0` = everything) and a
+//! JSON [`TraceDumpReply`] — the server's flight recorder export plus its
+//! resident slow-request exemplars — which is what
+//! `ShardRouter::fleet_trace` and the `sorl-trace` CLI assemble into
+//! cross-process waterfalls. Snapshots never travel as one giant frame: a
+//! snapshot stream is a [`FrameKind::SnapshotHeader`] frame (JSON
+//! [`SnapshotHeader`], so the stream prologue stays humanly inspectable)
+//! followed by `header.chunks` [`FrameKind::SnapshotChunk`] frames, each
+//! `8-byte FNV-1a checksum ‖ binary chunk` (see [`sorl_serve::SnapshotChunk`]
+//! — the checksum is the pinned [`stencil_model::fingerprint::Fnv1a`] over
+//! exactly the chunk bytes). Big caches stream chunk by chunk, and a torn
 //! or corrupted transfer is rejected deterministically before anything is
-//! assembled. On a v4 link the chunk bytes are [`bin`]-encoded entries
-//! instead of a JSON array; the frame's codec byte says which, and
-//! [`SnapshotAssembler`] refuses streams that switch codec midway.
+//! assembled ([`SnapshotAssembler`]).
 //!
 //! Failures travel as [`FrameKind::Error`] frames whose payload is a
-//! [`WireFault`] — a flat, versionable encoding of [`ServeError`] that
-//! reconstructs the variant (including snapshot-rejection details) on the
-//! other side.
+//! [`WireFault`] — a flat encoding of [`ServeError`] that reconstructs the
+//! variant (including snapshot-rejection details) on the other side.
 //!
-//! Anything malformed — wrong magic, unknown version or kind, oversized
-//! length, short reads — is a [`WireError`]; transports surface it as
+//! Anything malformed — wrong magic, version or kind, oversized length,
+//! short reads — is a [`WireError`]; transports surface it as
 //! [`ServeError::Transport`] and treat the connection as dead.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
 use serde::{Deserialize, Serialize};
 use sorl_obs::RecorderDump;
@@ -84,38 +70,13 @@ pub mod bin;
 /// Leading bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"SORL";
 
-/// The original lock-step protocol: no request ids, one request in flight
-/// per connection.
-pub const PROTOCOL_V1: u16 = 1;
+/// The protocol version this build speaks — the only one it reads or
+/// writes. Bump it on any change to the header or to a frame kind's
+/// payload.
+pub const PROTOCOL_VERSION: u16 = 5;
 
-/// The multiplexed protocol: every frame carries a request id.
-pub const PROTOCOL_V2: u16 = 2;
-
-/// The traced protocol: every frame additionally carries a trace id
-/// (0 when the sender is not tracing).
-pub const PROTOCOL_V3: u16 = 3;
-
-/// The codec-aware protocol: every frame additionally names its payload
-/// encoding (see [`PayloadCodec`]), so the hottest payloads can travel
-/// binary while everything else stays JSON.
-pub const PROTOCOL_V4: u16 = 4;
-
-/// The newest protocol version this build speaks (it also reads and
-/// answers [`PROTOCOL_V1`] through [`PROTOCOL_V3`]).
-pub const PROTOCOL_VERSION: u16 = PROTOCOL_V4;
-
-/// Size of the fixed v1 frame header (also the shared prefix of every
-/// later header).
-pub const HEADER_LEN: usize = 11;
-
-/// Size of a v2 frame header ([`HEADER_LEN`] plus the 8-byte request id).
-pub const HEADER_LEN_V2: usize = HEADER_LEN + 8;
-
-/// Size of a v3 frame header ([`HEADER_LEN_V2`] plus the 8-byte trace id).
-pub const HEADER_LEN_V3: usize = HEADER_LEN_V2 + 8;
-
-/// Size of a v4 frame header ([`HEADER_LEN_V3`] plus the codec byte).
-pub const HEADER_LEN_V4: usize = HEADER_LEN_V3 + 1;
+/// Size of the frame header.
+pub const HEADER_LEN: usize = 27;
 
 /// Upper bound on a single frame's payload. Chunked snapshot streaming
 /// keeps real frames far below this; the cap exists so garbage bytes in
@@ -128,9 +89,14 @@ pub const CHUNK_ENTRIES: usize = 256;
 /// Upper bound on the total payload bytes of one snapshot stream. The
 /// per-frame [`MAX_PAYLOAD`] cap alone would still let a peer stream an
 /// unbounded *number* of chunks into the receiver's reassembly buffer;
-/// this bounds the whole transfer (decision caches serialize to a few KiB
-/// per entry — a quarter GiB is far beyond any real fleet handoff).
+/// this bounds the whole transfer (decision caches encode to a few hundred
+/// bytes per entry — a quarter GiB is far beyond any real fleet handoff).
 pub const MAX_SNAPSHOT_BYTES: usize = 256 * 1024 * 1024;
+
+/// Payload bytes a frame reader reserves before the bytes arrive; larger
+/// payloads grow as they are read, so a lying length field costs memory
+/// only in proportion to the bytes actually sent.
+const PAYLOAD_RESERVE: usize = 64 * 1024;
 
 /// What a frame carries. The discriminant byte is part of the wire
 /// contract — append, never renumber.
@@ -159,11 +125,14 @@ pub enum FrameKind {
     TraceDump = 0x07,
     /// Snapshot stream prologue (JSON [`SnapshotHeader`]).
     SnapshotHeader = 0x10,
-    /// One snapshot chunk: `checksum (8 bytes LE) ‖ chunk JSON bytes`.
+    /// One snapshot chunk: `checksum (8 bytes LE) ‖ binary chunk`
+    /// ([`bin::snapshot_to_chunks`]).
     SnapshotChunk = 0x11,
-    /// Response to [`FrameKind::Tune`] (JSON [`sorl::tuner::TopK`]).
+    /// Response to [`FrameKind::Tune`] (binary [`sorl::tuner::TopK`],
+    /// [`bin::encode_top_k`]).
     TuneOk = 0x20,
-    /// Response to [`FrameKind::Stats`] (JSON [`sorl_serve::ServeStats`]).
+    /// Response to [`FrameKind::Stats`] (binary
+    /// [`sorl_serve::ServeStats`], [`bin::encode_stats`]).
     StatsOk = 0x21,
     /// Response to [`FrameKind::Fingerprint`] (JSON `u64`).
     FingerprintOk = 0x22,
@@ -174,32 +143,6 @@ pub enum FrameKind {
     TraceDumpOk = 0x24,
     /// Any request's failure response (JSON [`WireFault`]).
     Error = 0x2f,
-}
-
-/// How a v4 frame's payload is encoded. The discriminant byte is part of
-/// the wire contract — append, never renumber. Pre-v4 frames have no
-/// codec byte and always decode as [`PayloadCodec::Json`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(u8)]
-pub enum PayloadCodec {
-    /// UTF-8 JSON — the only encoding of v1–v3 and the v4 default; every
-    /// request and every non-hot response travels as it.
-    #[default]
-    Json = 0,
-    /// The little-endian binary codec in [`bin`] — v4 responses of the
-    /// hot kinds ([`FrameKind::TuneOk`], [`FrameKind::StatsOk`],
-    /// [`FrameKind::SnapshotChunk`]).
-    Binary = 1,
-}
-
-impl PayloadCodec {
-    fn from_byte(b: u8) -> Option<PayloadCodec> {
-        match b {
-            0 => Some(PayloadCodec::Json),
-            1 => Some(PayloadCodec::Binary),
-            _ => None,
-        }
-    }
 }
 
 impl FrameKind {
@@ -241,12 +184,10 @@ pub enum WireError {
     },
     /// The frame kind byte is not one this build knows.
     UnknownKind(u8),
-    /// The v4 payload codec byte is not one this build knows.
-    UnknownCodec(u8),
     /// The declared payload length exceeds [`MAX_PAYLOAD`].
     Oversized(u32),
     /// A frame of an unexpected kind arrived (protocol state violation —
-    /// e.g. a chunk without a header, or a tune reply to a stats request).
+    /// e.g. a tune reply inside a snapshot stream).
     Unexpected {
         /// The kind that arrived.
         found: FrameKind,
@@ -260,15 +201,11 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Io(e) => write!(f, "socket error: {e}"),
             WireError::BadMagic(m) => write!(f, "bad magic {m:02x?} (not a SORL peer)"),
-            WireError::Version { found } => {
-                write!(
-                    f,
-                    "peer speaks protocol version {found}, this build speaks \
-                     {PROTOCOL_V1}-{PROTOCOL_VERSION}"
-                )
-            }
+            WireError::Version { found } => write!(
+                f,
+                "peer speaks protocol version {found}, this build speaks {PROTOCOL_VERSION}"
+            ),
             WireError::UnknownKind(b) => write!(f, "unknown frame kind {b:#04x}"),
-            WireError::UnknownCodec(b) => write!(f, "unknown payload codec {b:#04x}"),
             WireError::Oversized(len) => {
                 write!(f, "frame payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap")
             }
@@ -293,134 +230,44 @@ impl From<WireError> for ServeError {
     }
 }
 
-/// One decoded frame: version, kind, request id (0 for v1 frames), trace
-/// id (0 for pre-v3 frames), payload codec (JSON for pre-v4 frames) and
-/// payload.
+/// One decoded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// The version the frame arrived in ([`PROTOCOL_V1`]..
-    /// [`PROTOCOL_V4`]) — a receiver answers in this version.
-    pub version: u16,
-    /// What the payload carries.
+    /// What the payload carries (and so how it is encoded).
     pub kind: FrameKind,
-    /// The request this frame belongs to. v1 frames have none on the wire
-    /// and decode as `0`.
+    /// The request this frame belongs to.
     pub request_id: u64,
-    /// The trace the request belongs to. Pre-v3 frames (and untraced v3+
-    /// senders) decode as `0`, meaning "absent" — the observability layer
-    /// degrades that to a fresh local trace.
+    /// The trace the request belongs to; `0` means "absent", which the
+    /// observability layer degrades to a fresh local trace.
     pub trace_id: u64,
-    /// How the payload is encoded. Pre-v4 frames have no codec byte and
-    /// decode as [`PayloadCodec::Json`]; receivers dispatch on this, not
-    /// on the frame kind.
-    pub codec: PayloadCodec,
     /// The frame body.
     pub payload: Vec<u8>,
 }
 
-/// Writes one v1 (lock-step) frame.
-pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Result<(), WireError> {
-    write_frame_full(w, PROTOCOL_V1, kind, 0, 0, payload)
-}
-
-/// Writes one v2 (multiplexed) frame carrying `request_id`.
-pub fn write_frame_v2(
-    w: &mut impl Write,
-    kind: FrameKind,
-    request_id: u64,
-    payload: &[u8],
-) -> Result<(), WireError> {
-    write_frame_full(w, PROTOCOL_V2, kind, request_id, 0, payload)
-}
-
-/// Writes one v3 (multiplexed, traced) frame carrying `request_id` and
-/// `trace_id` (0 when untraced).
-pub fn write_frame_v3(
+/// Writes one frame.
+pub fn write_frame(
     w: &mut impl Write,
     kind: FrameKind,
     request_id: u64,
     trace_id: u64,
     payload: &[u8],
 ) -> Result<(), WireError> {
-    write_frame_full(w, PROTOCOL_V3, kind, request_id, trace_id, payload)
-}
-
-/// Writes one untraced frame in the given protocol version. A v1 frame
-/// silently drops `request_id` (v1 has nowhere to carry it; v1 callers
-/// pass 0); a v3 frame goes out with trace id 0.
-pub fn write_frame_in(
-    w: &mut impl Write,
-    version: u16,
-    kind: FrameKind,
-    request_id: u64,
-    payload: &[u8],
-) -> Result<(), WireError> {
-    write_frame_full(w, version, kind, request_id, 0, payload)
-}
-
-/// Writes one frame in the given protocol version with every header
-/// field except the codec (JSON, the only pre-v4 encoding) — the shape a
-/// server needs to answer each request in the version it arrived in,
-/// echoing its trace. Fields a version has no room for are silently
-/// dropped.
-pub fn write_frame_full(
-    w: &mut impl Write,
-    version: u16,
-    kind: FrameKind,
-    request_id: u64,
-    trace_id: u64,
-    payload: &[u8],
-) -> Result<(), WireError> {
-    write_frame_coded(w, version, kind, request_id, trace_id, PayloadCodec::Json, payload)
-}
-
-/// Writes one frame with every header field including the v4 payload
-/// codec — the most general writer; every other `write_frame*` delegates
-/// here. Fields a version has no room for are silently dropped, which for
-/// the codec means a pre-v4 frame can only carry JSON: callers pick the
-/// codec *after* version negotiation, so a non-JSON codec with a pre-v4
-/// version is a caller bug (debug-asserted) and goes out as the JSON the
-/// old peer will assume anyway.
-pub fn write_frame_coded(
-    w: &mut impl Write,
-    version: u16,
-    kind: FrameKind,
-    request_id: u64,
-    trace_id: u64,
-    codec: PayloadCodec,
-    payload: &[u8],
-) -> Result<(), WireError> {
-    debug_assert!((PROTOCOL_V1..=PROTOCOL_VERSION).contains(&version));
-    debug_assert!(
-        version >= PROTOCOL_V4 || codec == PayloadCodec::Json,
-        "pre-v4 frames have no codec byte; negotiate the version before picking a codec"
-    );
     let len = u32::try_from(payload.len()).map_err(|_| WireError::Oversized(u32::MAX))?;
     if len > MAX_PAYLOAD {
         return Err(WireError::Oversized(len));
     }
     // The header is assembled front-to-back on the stack; `put` slices
     // with split_at_mut, so the whole path is free of panicking indexing.
-    let mut header = [0u8; HEADER_LEN_V4];
+    let mut header = [0u8; HEADER_LEN];
     let mut rest = header.as_mut_slice();
     rest = put(rest, &MAGIC);
-    rest = put(rest, &version.to_le_bytes());
+    rest = put(rest, &PROTOCOL_VERSION.to_le_bytes());
     // sorl-lint: allow(cast, "FrameKind is a unit enum with discriminants < 256")
     rest = put(rest, &[kind as u8]);
     rest = put(rest, &len.to_le_bytes());
-    if version >= PROTOCOL_V2 {
-        rest = put(rest, &request_id.to_le_bytes());
-    }
-    if version >= PROTOCOL_V3 {
-        rest = put(rest, &trace_id.to_le_bytes());
-    }
-    if version >= PROTOCOL_V4 {
-        // sorl-lint: allow(cast, "PayloadCodec is a unit enum with discriminants < 256")
-        rest = put(rest, &[codec as u8]);
-    }
-    let used = HEADER_LEN_V4 - rest.len();
-    let (written, _) = header.split_at(used);
-    w.write_all(written)?;
+    rest = put(rest, &request_id.to_le_bytes());
+    put(rest, &trace_id.to_le_bytes());
+    w.write_all(&header)?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(())
@@ -433,8 +280,7 @@ fn put<'a>(buf: &'a mut [u8], bytes: &[u8]) -> &'a mut [u8] {
     tail
 }
 
-/// Reads one frame (either version), validating magic, version, kind and
-/// length.
+/// Reads one frame, validating magic, version, kind and length.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
     let mut first = [0u8; 1];
     r.read_exact(&mut first)?;
@@ -447,64 +293,42 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
 /// of a request without a timeout (idle links are healthy) while still
 /// timing out a peer that stalls *mid-frame*.
 pub fn read_frame_after(r: &mut impl Read, first: u8) -> Result<Frame, WireError> {
-    // Destructuring the fixed prefix into named bytes keeps the whole
+    // Destructuring the fixed-size reads into named bytes keeps the whole
     // parse free of panicking indexing — the pattern *is* the bounds
-    // proof.
-    let mut rest = [0u8; HEADER_LEN - 1];
-    r.read_exact(&mut rest)?;
-    let [m1, m2, m3, v0, v1, kind_b, l0, l1, l2, l3] = rest;
+    // proof. Magic and version are read and checked before the rest of
+    // the header.
+    let mut prefix = [0u8; 5];
+    r.read_exact(&mut prefix)?;
+    let [m1, m2, m3, v0, v1] = prefix;
     let magic = [first, m1, m2, m3];
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
     let version = u16::from_le_bytes([v0, v1]);
-    if !(PROTOCOL_V1..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(WireError::Version { found: version });
     }
+    let mut rest = [0u8; HEADER_LEN - 6];
+    r.read_exact(&mut rest)?;
+    let [kind_b, l0, l1, l2, l3, i0, i1, i2, i3, i4, i5, i6, i7, t0, t1, t2, t3, t4, t5, t6, t7] =
+        rest;
     let kind = FrameKind::from_byte(kind_b).ok_or(WireError::UnknownKind(kind_b))?;
     let len = u32::from_le_bytes([l0, l1, l2, l3]);
     if len > MAX_PAYLOAD {
         return Err(WireError::Oversized(len));
     }
-    let request_id = if version >= PROTOCOL_V2 { read_u64(r)? } else { 0 };
-    let trace_id = if version >= PROTOCOL_V3 { read_u64(r)? } else { 0 };
-    let codec = if version >= PROTOCOL_V4 {
-        let mut b = [0u8; 1];
-        r.read_exact(&mut b)?;
-        let [b] = b;
-        PayloadCodec::from_byte(b).ok_or(WireError::UnknownCodec(b))?
-    } else {
-        PayloadCodec::Json
-    };
+    let request_id = u64::from_le_bytes([i0, i1, i2, i3, i4, i5, i6, i7]);
+    let trace_id = u64::from_le_bytes([t0, t1, t2, t3, t4, t5, t6, t7]);
     let len = usize::try_from(len).map_err(|_| WireError::Oversized(u32::MAX))?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Frame { version, kind, request_id, trace_id, codec, payload })
-}
-
-fn read_u64(r: &mut impl Read) -> Result<u64, WireError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Reads a frame and insists on one specific kind; an [`FrameKind::Error`]
-/// frame is decoded into the remote's [`ServeError`] instead. Lock-step
-/// helper: the request id (if any) is not checked — multiplexed readers
-/// route by id themselves.
-pub fn expect_frame(
-    r: &mut impl Read,
-    wanted: FrameKind,
-    wanted_name: &'static str,
-) -> Result<Vec<u8>, ServeError> {
-    let frame = read_frame(r)?;
-    if frame.kind == wanted {
-        return Ok(frame.payload);
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_RESERVE));
+    r.take(u64::try_from(len).unwrap_or(u64::MAX)).read_to_end(&mut payload)?;
+    if payload.len() != len {
+        return Err(WireError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame payload cut at {} of {len} bytes", payload.len()),
+        )));
     }
-    if frame.kind == FrameKind::Error {
-        return Err(decode_fault(&frame.payload));
-    }
-    Err(WireError::Unexpected { found: frame.kind, wanted: wanted_name }.into())
+    Ok(Frame { kind, request_id, trace_id, payload })
 }
 
 /// Parses a frame's JSON payload.
@@ -515,7 +339,7 @@ pub fn from_payload<T: serde::de::DeserializeOwned>(payload: &[u8]) -> Result<T,
         .map_err(|e| ServeError::Transport(format!("payload does not parse: {e}")))
 }
 
-/// Serializes a value into a frame payload.
+/// Serializes a value into a JSON frame payload.
 pub fn to_payload<T: Serialize>(value: &T) -> Vec<u8> {
     // sorl-lint: allow(panic, "serializing our own derive(Serialize) types cannot fail")
     serde_json::to_string(value).expect("wire value serializes").into_bytes()
@@ -525,153 +349,67 @@ pub fn to_payload<T: Serialize>(value: &T) -> Vec<u8> {
 // Snapshot streaming
 // ---------------------------------------------------------------------------
 
-/// Streams a snapshot as a v1 header frame plus checksummed chunk frames.
+/// Streams a snapshot answering (or, for imports, opening) request
+/// `request_id`: a JSON header frame, then binary chunk frames.
 pub fn write_snapshot_stream(
     w: &mut impl Write,
-    snapshot: &sorl_serve::CacheSnapshot,
-) -> Result<(), WireError> {
-    write_snapshot_stream_in(w, PROTOCOL_V1, 0, snapshot)
-}
-
-/// Streams a snapshot in the given protocol version; every frame of a v2
-/// stream carries `request_id` so a multiplexed reader can route the
-/// whole stream to the request that opened it.
-pub fn write_snapshot_stream_in(
-    w: &mut impl Write,
-    version: u16,
     request_id: u64,
     snapshot: &sorl_serve::CacheSnapshot,
 ) -> Result<(), WireError> {
-    write_snapshot_stream_coded(w, version, request_id, PayloadCodec::Json, snapshot)
+    let (header, chunks) = bin::snapshot_to_chunks(snapshot, CHUNK_ENTRIES);
+    write_frame(w, FrameKind::SnapshotHeader, request_id, 0, &to_payload(&header))?;
+    write_chunk_frames(w, request_id, &chunks)
 }
 
-/// Streams a snapshot in the given version and payload codec. The chunk
-/// payloads are encoded per `codec` ([`bin::snapshot_to_chunks`] for
-/// binary); the header frame stays JSON in every codec so the stream
-/// prologue is always inspectable. The codec silently degrades to JSON
-/// when the version predates v4 or the snapshot holds values outside the
-/// binary codec's compact ranges — the frames' codec bytes tell the
-/// receiver what was actually sent, so degradation is invisible to
-/// correctness.
-pub fn write_snapshot_stream_coded(
+/// Writes snapshot chunks as [`FrameKind::SnapshotChunk`] frames, each
+/// `checksum (8 bytes LE) ‖ chunk bytes`. *The* one encoder of the chunk
+/// frame layout — the import side of a transport sends its chunks through
+/// here too, so the layout cannot fork between directions.
+pub fn write_chunk_frames(
     w: &mut impl Write,
-    version: u16,
     request_id: u64,
-    codec: PayloadCodec,
-    snapshot: &sorl_serve::CacheSnapshot,
-) -> Result<(), WireError> {
-    let codec = match codec {
-        PayloadCodec::Binary if version >= PROTOCOL_V4 && bin::snapshot_fits(snapshot) => {
-            PayloadCodec::Binary
-        }
-        _ => PayloadCodec::Json,
-    };
-    let (header, chunks) = match codec {
-        PayloadCodec::Json => snapshot.to_chunks(CHUNK_ENTRIES),
-        PayloadCodec::Binary => bin::snapshot_to_chunks(snapshot, CHUNK_ENTRIES),
-    };
-    write_frame_coded(
-        w,
-        version,
-        FrameKind::SnapshotHeader,
-        request_id,
-        0,
-        PayloadCodec::Json,
-        &to_payload(&header),
-    )?;
-    write_chunk_frames_coded(w, version, request_id, codec, &chunks)
-}
-
-/// Writes snapshot chunks as v1 [`FrameKind::SnapshotChunk`] frames.
-pub fn write_chunk_frames(w: &mut impl Write, chunks: &[SnapshotChunk]) -> Result<(), WireError> {
-    write_chunk_frames_in(w, PROTOCOL_V1, 0, chunks)
-}
-
-/// Writes snapshot chunks as [`FrameKind::SnapshotChunk`] frames in the
-/// given version, each `checksum (8 bytes LE) ‖ chunk bytes`.
-pub fn write_chunk_frames_in(
-    w: &mut impl Write,
-    version: u16,
-    request_id: u64,
-    chunks: &[SnapshotChunk],
-) -> Result<(), WireError> {
-    write_chunk_frames_coded(w, version, request_id, PayloadCodec::Json, chunks)
-}
-
-/// Writes snapshot chunks as [`FrameKind::SnapshotChunk`] frames in the
-/// given version, stamping each with `codec` (the chunks must already be
-/// encoded in it). *The* one encoder of the chunk frame layout — the
-/// import side of a transport sends its chunks through here too, so the
-/// layout cannot fork between directions.
-pub fn write_chunk_frames_coded(
-    w: &mut impl Write,
-    version: u16,
-    request_id: u64,
-    codec: PayloadCodec,
     chunks: &[SnapshotChunk],
 ) -> Result<(), WireError> {
     for chunk in chunks {
         let mut payload = Vec::with_capacity(8 + chunk.payload.len());
         payload.extend_from_slice(&chunk.checksum.to_le_bytes());
         payload.extend_from_slice(&chunk.payload);
-        write_frame_coded(w, version, FrameKind::SnapshotChunk, request_id, 0, codec, &payload)?;
+        write_frame(w, FrameKind::SnapshotChunk, request_id, 0, &payload)?;
     }
     Ok(())
 }
 
-/// Reads the chunk frames following a snapshot header and reassembles the
-/// snapshot, verifying every chunk checksum and the header's counts. A
-/// corrupted or torn stream yields `Err` without assembling anything.
+/// Reads the chunk frames following a snapshot header of stream
+/// `request_id` and reassembles the snapshot, verifying every chunk
+/// checksum and the header's counts. An error frame from the peer ends
+/// the stream with the peer's fault; a corrupted or torn stream yields
+/// `Err` without assembling anything.
 pub fn read_snapshot_chunks(
     r: &mut impl Read,
     header: SnapshotHeader,
+    request_id: u64,
 ) -> Result<sorl_serve::CacheSnapshot, ServeError> {
-    read_snapshot_chunks_for(r, header, None)
-}
-
-/// Like [`read_snapshot_chunks`], additionally insisting every chunk
-/// frame carries `request_id` — a v2 stream whose chunks are contiguous
-/// on the socket (the sender wrote them under one writer lock) but must
-/// still belong to the request that opened the stream.
-pub fn read_snapshot_chunks_for(
-    r: &mut impl Read,
-    header: SnapshotHeader,
-    request_id: Option<u64>,
-) -> Result<sorl_serve::CacheSnapshot, ServeError> {
-    let mut assembler = SnapshotAssembler::new(header)?;
+    let mut assembler = SnapshotAssembler::new(header, request_id)?;
     while !assembler.is_complete() {
-        let frame = read_frame(r).map_err(ServeError::from)?;
+        let frame = read_frame(r)?;
         if frame.kind == FrameKind::Error {
             return Err(decode_fault(&frame.payload));
         }
-        if frame.kind != FrameKind::SnapshotChunk {
-            return Err(
-                WireError::Unexpected { found: frame.kind, wanted: "snapshot chunk" }.into()
-            );
-        }
-        if let Some(id) = request_id {
-            if frame.request_id != id {
-                return Err(ServeError::Transport(format!(
-                    "snapshot chunk carries request id {} inside stream {id}",
-                    frame.request_id
-                )));
-            }
-        }
-        assembler.push_chunk_coded(frame.codec, &frame.payload)?;
+        assembler.push(&frame)?;
     }
     assembler.finish()
 }
 
 /// Incremental, bounds-checked reassembly of one snapshot stream — the
-/// shared core of the blocking readers above and of multiplexed readers
+/// shared core of [`read_snapshot_chunks`] and of multiplexed readers
 /// that receive a stream's frames one `read_frame` at a time (interleaved
 /// with other requests' traffic).
 #[derive(Debug)]
 pub struct SnapshotAssembler {
     header: SnapshotHeader,
+    request_id: u64,
     chunks: Vec<SnapshotChunk>,
     total: usize,
-    codec: Option<PayloadCodec>,
 }
 
 /// Memory charged per buffered chunk on top of its payload bytes — see
@@ -679,15 +417,15 @@ pub struct SnapshotAssembler {
 const CHUNK_CHARGE: usize = 64;
 
 impl SnapshotAssembler {
-    /// Starts a reassembly for `header`. The header is peer-supplied and
-    /// unverified: the chunk count (and, as chunks arrive, the total
-    /// accumulated memory) is bounded so a rogue peer cannot balloon the
-    /// reassembly buffer one valid-sized frame at a time. Each buffered
-    /// chunk costs its payload bytes PLUS the `SnapshotChunk` struct —
-    /// charging only payload would let ~34M near-empty chunks through
-    /// with gigabytes of struct overhead, so every chunk is charged at
-    /// least `CHUNK_CHARGE`.
-    pub fn new(header: SnapshotHeader) -> Result<Self, ServeError> {
+    /// Starts reassembling stream `request_id` for `header`. The header is
+    /// peer-supplied and unverified: the chunk count (and, as chunks
+    /// arrive, the total accumulated memory) is bounded so a rogue peer
+    /// cannot balloon the reassembly buffer one valid-sized frame at a
+    /// time. Each buffered chunk costs its payload bytes PLUS the
+    /// `SnapshotChunk` struct — charging only payload would let ~34M
+    /// near-empty chunks through with gigabytes of struct overhead, so
+    /// every chunk is charged at least `CHUNK_CHARGE`.
+    pub fn new(header: SnapshotHeader, request_id: u64) -> Result<Self, ServeError> {
         if header.chunks > MAX_SNAPSHOT_BYTES / CHUNK_CHARGE {
             return Err(ServeError::Transport(format!(
                 "snapshot header claims {} chunks — over the stream bound",
@@ -695,30 +433,25 @@ impl SnapshotAssembler {
             )));
         }
         let capacity = header.chunks.min(1024);
-        Ok(SnapshotAssembler {
-            header,
-            chunks: Vec::with_capacity(capacity),
-            total: 0,
-            codec: None,
-        })
+        Ok(SnapshotAssembler { header, request_id, chunks: Vec::with_capacity(capacity), total: 0 })
     }
 
-    /// Buffers one JSON-codec [`FrameKind::SnapshotChunk`] payload
-    /// (`checksum (8 bytes LE) ‖ chunk bytes`).
-    pub fn push_chunk(&mut self, payload: &[u8]) -> Result<(), ServeError> {
-        self.push_chunk_coded(PayloadCodec::Json, payload)
-    }
-
-    /// Buffers one [`FrameKind::SnapshotChunk`] payload
-    /// (`checksum (8 bytes LE) ‖ chunk bytes`) arriving under `codec`.
-    /// The first chunk pins the stream's codec; a stream that switches
-    /// codec midway is rejected — the chunks of one snapshot decode as
-    /// one encoding or not at all.
-    pub fn push_chunk_coded(
-        &mut self,
-        codec: PayloadCodec,
-        payload: &[u8],
-    ) -> Result<(), ServeError> {
+    /// Buffers one frame of the stream: it must be a
+    /// [`FrameKind::SnapshotChunk`] of this stream's request id, with a
+    /// `checksum (8 bytes LE) ‖ chunk bytes` payload, and not past the
+    /// chunk count the header declared.
+    pub fn push(&mut self, frame: &Frame) -> Result<(), ServeError> {
+        if frame.kind != FrameKind::SnapshotChunk {
+            return Err(
+                WireError::Unexpected { found: frame.kind, wanted: "snapshot chunk" }.into()
+            );
+        }
+        if frame.request_id != self.request_id {
+            return Err(ServeError::Transport(format!(
+                "snapshot chunk carries request id {} inside stream {}",
+                frame.request_id, self.request_id
+            )));
+        }
         let index = self.chunks.len();
         if index >= self.header.chunks {
             return Err(ServeError::Transport(format!(
@@ -726,28 +459,18 @@ impl SnapshotAssembler {
                 self.header.chunks
             )));
         }
-        match self.codec {
-            None => self.codec = Some(codec),
-            Some(pinned) if pinned == codec => {}
-            Some(pinned) => {
-                return Err(ServeError::Transport(format!(
-                    "snapshot chunk {index} arrived as {codec:?} in a {pinned:?} stream"
-                )));
-            }
-        }
-        let Some(checksum_bytes) = payload.first_chunk::<8>() else {
+        let Some((checksum, body)) = frame.payload.split_first_chunk::<8>() else {
             return Err(ServeError::Transport(format!(
                 "snapshot chunk {index} too short for its checksum"
             )));
         };
-        self.total = self.total.saturating_add(payload.len().max(CHUNK_CHARGE));
+        self.total = self.total.saturating_add(frame.payload.len().max(CHUNK_CHARGE));
         if self.total > MAX_SNAPSHOT_BYTES {
             return Err(ServeError::Transport(format!(
                 "snapshot stream exceeded {MAX_SNAPSHOT_BYTES} bytes at chunk {index}"
             )));
         }
-        let checksum = u64::from_le_bytes(*checksum_bytes);
-        let body = payload.get(8..).unwrap_or_default();
+        let checksum = u64::from_le_bytes(*checksum);
         self.chunks.push(SnapshotChunk { index, checksum, payload: body.to_vec() });
         Ok(())
     }
@@ -757,17 +480,10 @@ impl SnapshotAssembler {
         self.chunks.len() == self.header.chunks
     }
 
-    /// Verifies and assembles the buffered stream, decoding the chunks in
-    /// whichever codec they arrived under. A corrupted or torn stream
-    /// yields `Err` without assembling anything.
+    /// Verifies and assembles the buffered stream. A corrupted or torn
+    /// stream yields `Err` without assembling anything.
     pub fn finish(self) -> Result<sorl_serve::CacheSnapshot, ServeError> {
-        let assembled = match self.codec.unwrap_or_default() {
-            PayloadCodec::Json => {
-                sorl_serve::CacheSnapshot::from_chunks(&self.header, &self.chunks)
-            }
-            PayloadCodec::Binary => bin::snapshot_from_chunks(&self.header, &self.chunks),
-        };
-        assembled.map_err(|e| match e {
+        bin::snapshot_from_chunks(&self.header, &self.chunks).map_err(|e| match e {
             // Wire-level damage (flipped bits, torn stream) is a transport
             // failure; semantic snapshot problems keep their own variant.
             SnapshotError::ChunkChecksum { .. } | SnapshotError::Truncated { .. } => {
@@ -776,13 +492,6 @@ impl SnapshotAssembler {
             other => ServeError::Snapshot(other),
         })
     }
-}
-
-/// Reads a full snapshot stream (header frame + chunks).
-pub fn read_snapshot_stream(r: &mut impl Read) -> Result<sorl_serve::CacheSnapshot, ServeError> {
-    let payload = expect_frame(r, FrameKind::SnapshotHeader, "snapshot header")?;
-    let header: SnapshotHeader = from_payload(&payload)?;
-    read_snapshot_chunks(r, header)
 }
 
 // ---------------------------------------------------------------------------
@@ -929,6 +638,30 @@ pub fn decode_fault(payload: &[u8]) -> ServeError {
 mod tests {
     use super::*;
     use sorl_serve::CacheSnapshot;
+    use stencil_model::{GridSize, TuningVector};
+
+    /// Reads a whole snapshot stream: the header frame, then its chunks.
+    fn read_snapshot_stream(r: &mut impl Read) -> Result<CacheSnapshot, ServeError> {
+        let frame = read_frame(r)?;
+        if frame.kind != FrameKind::SnapshotHeader {
+            return Err(
+                WireError::Unexpected { found: frame.kind, wanted: "snapshot header" }.into()
+            );
+        }
+        read_snapshot_chunks(r, from_payload(&frame.payload)?, frame.request_id)
+    }
+
+    /// A one-decision snapshot built through the public cache API.
+    fn one_entry_snapshot() -> CacheSnapshot {
+        let mut cache = sorl_serve::DecisionCache::new(4);
+        let instance = stencil_model::StencilInstance::new(
+            stencil_model::StencilKernel::laplacian(),
+            GridSize::cube(64),
+        )
+        .unwrap();
+        cache.insert(instance.key(), vec![(TuningVector::new(8, 8, 8, 2, 1), 0.5)], 8640);
+        cache.snapshot(7)
+    }
 
     #[test]
     fn fault_counts_saturate_instead_of_truncating() {
@@ -970,78 +703,22 @@ mod tests {
     #[test]
     fn frame_roundtrip_is_exact() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Tune, b"{\"k\":3}").unwrap();
-        write_frame(&mut buf, FrameKind::Stats, b"").unwrap();
+        write_frame(&mut buf, FrameKind::Tune, 0x0123_4567_89ab_cdef, 0xfeed_face, b"{\"k\":3}")
+            .unwrap();
+        write_frame(&mut buf, FrameKind::TuneOk, u64::MAX, 0, b"").unwrap();
+        assert_eq!(buf.len(), 2 * HEADER_LEN + 7);
         let mut r = buf.as_slice();
         let frame = read_frame(&mut r).unwrap();
-        assert_eq!(frame.version, PROTOCOL_V1);
-        assert_eq!(frame.kind, FrameKind::Tune);
-        assert_eq!(frame.request_id, 0, "v1 frames carry no id");
-        assert_eq!(frame.payload, b"{\"k\":3}");
-        let frame = read_frame(&mut r).unwrap();
-        assert_eq!(frame.kind, FrameKind::Stats);
-        assert!(frame.payload.is_empty());
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn v2_frames_roundtrip_their_request_id() {
-        let mut buf = Vec::new();
-        write_frame_v2(&mut buf, FrameKind::Tune, 0x0123_4567_89ab_cdef, b"{\"k\":3}").unwrap();
-        write_frame_v2(&mut buf, FrameKind::TuneOk, u64::MAX, b"").unwrap();
-        let mut r = buf.as_slice();
-        let frame = read_frame(&mut r).unwrap();
-        assert_eq!(frame.version, PROTOCOL_V2);
         assert_eq!(frame.kind, FrameKind::Tune);
         assert_eq!(frame.request_id, 0x0123_4567_89ab_cdef);
+        assert_eq!(frame.trace_id, 0xfeed_face);
         assert_eq!(frame.payload, b"{\"k\":3}");
         let frame = read_frame(&mut r).unwrap();
-        assert_eq!(frame.request_id, u64::MAX);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn v3_frames_roundtrip_request_and_trace_ids() {
-        let mut buf = Vec::new();
-        write_frame_v3(&mut buf, FrameKind::Tune, 7, 0xfeed_face_cafe_f00d, b"{\"k\":3}").unwrap();
-        write_frame_v3(&mut buf, FrameKind::TuneOk, 7, 0, b"").unwrap();
-        let mut r = buf.as_slice();
-        let frame = read_frame(&mut r).unwrap();
-        assert_eq!(frame.version, PROTOCOL_V3);
-        assert_eq!(frame.request_id, 7);
-        assert_eq!(frame.trace_id, 0xfeed_face_cafe_f00d);
-        assert_eq!(frame.payload, b"{\"k\":3}");
-        let frame = read_frame(&mut r).unwrap();
-        assert_eq!(frame.trace_id, 0, "untraced v3 frames carry trace 0");
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn pre_v3_frames_decode_as_trace_zero() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Stats, b"").unwrap();
-        write_frame_v2(&mut buf, FrameKind::Stats, 9, b"").unwrap();
-        let mut r = buf.as_slice();
-        assert_eq!(read_frame(&mut r).unwrap().trace_id, 0);
-        assert_eq!(read_frame(&mut r).unwrap().trace_id, 0);
-    }
-
-    #[test]
-    fn mixed_version_frames_interleave_on_one_stream() {
-        // Negotiation is per frame: a server must read a v1 frame arriving
-        // after v2 traffic (and vice versa) without resyncing.
-        let mut buf = Vec::new();
-        write_frame_v2(&mut buf, FrameKind::Tune, 7, b"a").unwrap();
-        write_frame(&mut buf, FrameKind::Stats, b"b").unwrap();
-        write_frame_v3(&mut buf, FrameKind::Tune, 9, 0x1234, b"c").unwrap();
-        write_frame_v2(&mut buf, FrameKind::Fingerprint, 8, b"").unwrap();
-        let mut r = buf.as_slice();
-        assert_eq!(read_frame(&mut r).unwrap().request_id, 7);
-        let v1 = read_frame(&mut r).unwrap();
-        assert_eq!((v1.version, v1.request_id), (PROTOCOL_V1, 0));
-        let v3 = read_frame(&mut r).unwrap();
-        assert_eq!((v3.version, v3.request_id, v3.trace_id), (PROTOCOL_V3, 9, 0x1234));
-        assert_eq!(read_frame(&mut r).unwrap().request_id, 8);
+        assert_eq!(
+            (frame.kind, frame.request_id, frame.trace_id),
+            (FrameKind::TuneOk, u64::MAX, 0)
+        );
+        assert!(frame.payload.is_empty());
         assert!(r.is_empty());
     }
 
@@ -1072,8 +749,8 @@ mod tests {
             }],
         };
         let mut buf = Vec::new();
-        write_frame_v3(&mut buf, FrameKind::TraceDump, 5, 0, &to_payload(&query)).unwrap();
-        write_frame_v3(&mut buf, FrameKind::TraceDumpOk, 5, 0, &to_payload(&reply)).unwrap();
+        write_frame(&mut buf, FrameKind::TraceDump, 5, 0, &to_payload(&query)).unwrap();
+        write_frame(&mut buf, FrameKind::TraceDumpOk, 5, 0, &to_payload(&reply)).unwrap();
         let mut r = buf.as_slice();
         let frame = read_frame(&mut r).unwrap();
         assert_eq!(frame.kind, FrameKind::TraceDump);
@@ -1091,23 +768,31 @@ mod tests {
     #[test]
     fn bad_magic_is_rejected() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Stats, b"").unwrap();
+        write_frame(&mut buf, FrameKind::Stats, 1, 0, b"").unwrap();
         buf[0] = b'X';
         assert!(matches!(read_frame(&mut buf.as_slice()), Err(WireError::BadMagic(_))));
     }
 
     #[test]
-    fn wrong_version_is_rejected() {
+    fn wrong_version_is_rejected_before_the_rest_of_the_header() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Stats, b"").unwrap();
+        write_frame(&mut buf, FrameKind::Stats, 1, 0, b"").unwrap();
         buf[4..6].copy_from_slice(&99u16.to_le_bytes());
         assert!(matches!(read_frame(&mut buf.as_slice()), Err(WireError::Version { found: 99 })));
+        // Magic plus a foreign version is all a reader needs to fail: a
+        // peer on another version may lay the rest of its header out
+        // differently, so none of it is read.
+        let mut prefix = MAGIC.to_vec();
+        prefix.extend_from_slice(&4u16.to_le_bytes());
+        let err = read_frame(&mut prefix.as_slice()).unwrap_err();
+        assert!(matches!(err, WireError::Version { found: 4 }), "{err}");
+        assert!(err.to_string().contains("version 4"), "{err}");
     }
 
     #[test]
     fn unknown_kind_and_oversized_length_are_rejected() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Stats, b"").unwrap();
+        write_frame(&mut buf, FrameKind::Stats, 1, 0, b"").unwrap();
         buf[6] = 0x7e;
         assert!(matches!(read_frame(&mut buf.as_slice()), Err(WireError::UnknownKind(0x7e))));
         buf[6] = FrameKind::Stats as u8;
@@ -1116,56 +801,32 @@ mod tests {
     }
 
     #[test]
-    fn truncated_stream_is_an_io_error() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Tune, b"0123456789").unwrap();
-        // Cut mid-payload (peer closed with a request in flight).
-        buf.truncate(HEADER_LEN + 4);
-        assert!(matches!(read_frame(&mut buf.as_slice()), Err(WireError::Io(_))));
-    }
-
-    #[test]
     fn empty_snapshot_streams_roundtrip() {
         let snap = CacheSnapshot::empty(42);
         let mut buf = Vec::new();
-        write_snapshot_stream(&mut buf, &snap).unwrap();
+        write_snapshot_stream(&mut buf, 3, &snap).unwrap();
         let back = read_snapshot_stream(&mut buf.as_slice()).unwrap();
         assert_eq!(back, snap);
     }
 
     #[test]
-    fn v2_snapshot_streams_are_checked_against_their_request_id() {
-        let snap = CacheSnapshot::empty(42);
+    fn snapshot_streams_are_checked_against_their_request_id() {
+        let snap = one_entry_snapshot();
         let mut buf = Vec::new();
-        write_snapshot_stream_in(&mut buf, PROTOCOL_V2, 55, &snap).unwrap();
+        write_snapshot_stream(&mut buf, 55, &snap).unwrap();
         let mut r = buf.as_slice();
         let frame = read_frame(&mut r).unwrap();
         assert_eq!((frame.kind, frame.request_id), (FrameKind::SnapshotHeader, 55));
         let header: SnapshotHeader = from_payload(&frame.payload).unwrap();
-        let back = read_snapshot_chunks_for(&mut r, header, Some(55)).unwrap();
+        let back = read_snapshot_chunks(&mut r, header, 55).unwrap();
         assert_eq!(back, snap);
 
         // The same stream read under a different expected id is rejected
-        // chunk-by-chunk (an empty snapshot still has zero chunks, so use
-        // a populated one to exercise the check).
-        let mut cache = sorl_serve::DecisionCache::new(4);
-        let instance = stencil_model::StencilInstance::new(
-            stencil_model::StencilKernel::laplacian(),
-            stencil_model::GridSize::cube(64),
-        )
-        .unwrap();
-        cache.insert(
-            instance.key(),
-            vec![(stencil_model::TuningVector::new(8, 8, 8, 2, 1), 0.5)],
-            8640,
-        );
-        let snap = cache.snapshot(7);
-        let mut buf = Vec::new();
-        write_snapshot_stream_in(&mut buf, PROTOCOL_V2, 55, &snap).unwrap();
+        // chunk by chunk.
         let mut r = buf.as_slice();
         let frame = read_frame(&mut r).unwrap();
         let header: SnapshotHeader = from_payload(&frame.payload).unwrap();
-        let err = read_snapshot_chunks_for(&mut r, header, Some(56)).unwrap_err();
+        let err = read_snapshot_chunks(&mut r, header, 56).unwrap_err();
         assert!(
             matches!(err, ServeError::Transport(ref m) if m.contains("request id 55")),
             "{err}"
@@ -1174,41 +835,14 @@ mod tests {
 
     #[test]
     fn corrupted_chunk_byte_fails_the_stream() {
-        // A one-entry snapshot needs real entries; build one through the
-        // public cache API to avoid duplicating entry construction here.
-        let mut cache = sorl_serve::DecisionCache::new(4);
-        let instance = stencil_model::StencilInstance::new(
-            stencil_model::StencilKernel::laplacian(),
-            stencil_model::GridSize::cube(64),
-        )
-        .unwrap();
-        cache.insert(
-            instance.key(),
-            vec![(stencil_model::TuningVector::new(8, 8, 8, 2, 1), 0.5)],
-            8640,
-        );
-        let snap = cache.snapshot(7);
+        let snap = one_entry_snapshot();
         let mut buf = Vec::new();
-        write_snapshot_stream(&mut buf, &snap).unwrap();
+        write_snapshot_stream(&mut buf, 1, &snap).unwrap();
         // Flip a byte inside the chunk payload (past its header+checksum).
         let n = buf.len();
         buf[n - 3] ^= 0x20;
         let err = read_snapshot_stream(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, ServeError::Transport(_)), "{err}");
-    }
-
-    #[test]
-    fn absurd_chunk_counts_are_rejected_before_buffering() {
-        // A header claiming a giant chunk count must be rejected up front
-        // — not honored one frame at a time until memory runs out.
-        let header = SnapshotHeader {
-            format_version: 1,
-            ranker_fingerprint: 0,
-            entries: usize::MAX,
-            chunks: usize::MAX,
-        };
-        let err = read_snapshot_chunks(&mut [].as_slice(), header).unwrap_err();
-        assert!(matches!(err, ServeError::Transport(ref m) if m.contains("bound")), "{err}");
     }
 
     #[test]

@@ -1,32 +1,33 @@
-//! The v4 binary payload codec: compact little-endian encodings for the
+//! The binary payload codec: compact little-endian encodings for the
 //! wire's hottest payloads — [`TopK`] ([`FrameKind::TuneOk`]),
 //! [`ServeStats`] ([`FrameKind::StatsOk`]) and snapshot-chunk entry blocks
-//! ([`FrameKind::SnapshotChunk`]).
+//! ([`FrameKind::SnapshotChunk`]). These frame kinds always carry this
+//! codec; there is no second encoding to fall back to.
 //!
 //! Design rules, in order:
 //!
-//! * **Exactness.** `f64` values travel as their IEEE bit pattern and
-//!   `u64` counters as 8 little-endian bytes — a binary→decode roundtrip
-//!   is bit-for-bit, with none of JSON's float-formatting concerns. The
-//!   property tests pit every codec against its JSON twin on identical
-//!   values.
-//! * **Fault, never panic.** Decoders consume a [`Reader`] whose every
+//! * **Total and exact.** Every value encodes. `f64` values travel as
+//!   their IEEE bit pattern and `u64` counters and count prefixes as
+//!   fixed-width little-endian integers; tuning components ride as
+//!   LEB128 varints and stencil offsets as zigzag varints, so the full
+//!   `u32`/`i32` ranges round-trip bit for bit while the small values
+//!   real tunings and stencils hold take one byte each. The property
+//!   tests pit every codec against its JSON twin on identical values.
+//! * **Fault, never panic.** Decoders consume a `Reader` whose every
 //!   step is bounds-checked; truncated or garbage payloads produce a
 //!   decode error (surfaced as [`ServeError::Transport`] /
 //!   [`SnapshotError::Parse`]), and trailing bytes are rejected too. No
-//!   input can index out of bounds or provoke a giant allocation.
-//! * **Compactness over generality.** Tuning components ride as `u16`
-//!   (the paper's space caps blocks at 1024, unroll at 8, chunk at 256)
-//!   and stencil offsets as `i16`. Values outside those ranges cannot be
-//!   encoded — `*_fits` reports that up front and the transport silently
-//!   falls back to JSON for that payload (the frame's codec byte keeps
-//!   the receiver in the loop), so compaction can never corrupt.
+//!   input can index out of bounds, and a lying count prefix fails on the
+//!   missing bytes rather than provoking a giant allocation.
+//! * **Canonical.** Varints must be minimal and fit `u32`, pattern cells
+//!   must come in strictly increasing offset order with nonzero counts,
+//!   so a payload a decoder accepts re-encodes to exactly its bytes.
 //!
 //! Snapshot chunks use [`CacheSnapshot::to_chunks_with`] /
 //! [`CacheSnapshot::from_chunks_with`], so chunk boundaries, the byte
 //! budget and FNV-1a checksumming are byte-for-byte the same machinery as
-//! the JSON stream — only the entry rendition differs: a binary chunk is
-//! `u32 entry count ‖ concatenated entry encodings`.
+//! the JSON rendition on disk — only the entry encoding differs: a binary
+//! chunk is `u32 entry count ‖ concatenated entry encodings`.
 //!
 //! [`FrameKind::TuneOk`]: super::FrameKind::TuneOk
 //! [`FrameKind::StatsOk`]: super::FrameKind::StatsOk
@@ -44,18 +45,10 @@ use stencil_model::{DType, GridSize, InstanceKey, Offset, StencilPattern, Tuning
 // TopK
 // ---------------------------------------------------------------------------
 
-/// Whether `top` holds only values the binary codec can carry (every
-/// tuning component fits `u16`).
-pub fn top_k_fits(top: &TopK) -> bool {
-    top.entries.iter().all(|(t, _)| tuning_fits(t))
-}
-
 /// Encodes a [`TopK`]:
 /// `u32 n ‖ n × (tuning ‖ f64 score) ‖ u64 candidates ‖ f64 seconds`.
-/// Call [`top_k_fits`] first; out-of-range components saturate (and
-/// debug-assert) rather than panic.
 pub fn encode_top_k(top: &TopK) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + top.entries.len() * 18);
+    let mut out = Vec::with_capacity(20 + top.entries.len() * 18);
     put_u32_len(&mut out, top.entries.len());
     for (t, score) in &top.entries {
         put_tuning(&mut out, t);
@@ -76,7 +69,7 @@ pub fn decode_top_k(payload: &[u8]) -> Result<TopK, ServeError> {
 
 fn read_top_k(r: &mut Reader<'_>) -> Result<TopK, String> {
     let n = r.len()?;
-    let mut entries = Vec::with_capacity(n.min(4096));
+    let mut entries = Vec::with_capacity(r.capacity_for(n));
     for _ in 0..n {
         let t = read_tuning(r)?;
         let score = r.f64()?;
@@ -95,8 +88,7 @@ fn read_top_k(r: &mut Reader<'_>) -> Result<TopK, String> {
 /// Encodes a [`ServeStats`]: the eleven `u64` counters in declaration
 /// order, the recent-p99 gauge, the length-prefixed batch-size histogram,
 /// the three all-time latency percentiles, then the length-prefixed
-/// latency histogram. All fields are fixed-width, so this encoder is
-/// total — no `*_fits` needed.
+/// latency histogram.
 pub fn encode_stats(stats: &ServeStats) -> Vec<u8> {
     let mut out = Vec::with_capacity(136 + 8 * (BATCH_SIZE_BUCKETS + LATENCY_BUCKETS));
     for counter in [
@@ -195,26 +187,19 @@ fn read_hist(r: &mut Reader<'_>, out: &mut [u64], what: &str) -> Result<(), Stri
 // Snapshot entries and chunks
 // ---------------------------------------------------------------------------
 
-/// Whether every entry of `snapshot` fits the binary codec's compact
-/// ranges (stencil offsets in `i16`, tuning components in `u16`).
-pub fn snapshot_fits(snapshot: &CacheSnapshot) -> bool {
-    snapshot.entries.iter().all(entry_fits)
-}
-
-fn entry_fits(entry: &SnapshotEntry) -> bool {
-    entry.key.pattern().iter().all(|(o, _)| offset_fits(o))
-        && entry.entries.iter().all(|(t, _)| tuning_fits(t))
+/// Whether `snapshot` can travel in this codec: always — the codec is
+/// total. Kept for callers that still ask.
+pub fn snapshot_fits(_snapshot: &CacheSnapshot) -> bool {
+    true
 }
 
 /// Chunks `snapshot` with binary entry payloads — same chunk boundaries,
 /// byte budget and FNV-1a checksums as [`CacheSnapshot::to_chunks`], only
-/// the rendition differs. Callers check [`snapshot_fits`] first
-/// (debug-asserted here); out-of-range values saturate rather than panic.
+/// the rendition differs.
 pub fn snapshot_to_chunks(
     snapshot: &CacheSnapshot,
     entries_per_chunk: usize,
 ) -> (SnapshotHeader, Vec<SnapshotChunk>) {
-    debug_assert!(snapshot_fits(snapshot), "caller must fall back to JSON when values overflow");
     snapshot.to_chunks_with(entries_per_chunk, encode_entry, seal_chunk)
 }
 
@@ -243,7 +228,7 @@ fn seal_chunk(pending: &[Vec<u8>]) -> Vec<u8> {
 fn decode_chunk(payload: &[u8]) -> Result<Vec<SnapshotEntry>, String> {
     let mut r = Reader::new(payload);
     let n = r.len()?;
-    let mut entries = Vec::with_capacity(n.min(4096));
+    let mut entries = Vec::with_capacity(r.capacity_for(n));
     for _ in 0..n {
         entries.push(read_entry(&mut r)?);
     }
@@ -252,19 +237,12 @@ fn decode_chunk(payload: &[u8]) -> Result<Vec<SnapshotEntry>, String> {
 }
 
 /// One entry:
-/// `key (pattern cells ‖ buffers u8 ‖ dtype u8 ‖ size 3×u32) ‖
-///  u32 n ‖ n × (tuning ‖ f64 score) ‖ u64 candidates ‖ u64 last_used`
-/// where pattern cells are `u32 count ‖ count × (3×i16 offset ‖ u16 n)`.
+/// `key (pattern ‖ buffers u8 ‖ dtype u8 ‖ size 3×u32) ‖
+///  u32 n ‖ n × (tuning ‖ f64 score) ‖ u64 candidates ‖ u64 last_used`.
 fn encode_entry(entry: &SnapshotEntry) -> Vec<u8> {
     let pattern = entry.key.pattern();
-    let mut out = Vec::with_capacity(40 + pattern.len() * 8 + entry.entries.len() * 18);
-    put_u32_len(&mut out, pattern.len());
-    for (o, c) in pattern.iter() {
-        put_i16(&mut out, o.dx);
-        put_i16(&mut out, o.dy);
-        put_i16(&mut out, o.dz);
-        out.extend_from_slice(&c.to_le_bytes());
-    }
+    let mut out = Vec::with_capacity(40 + pattern.len() * 5 + entry.entries.len() * 13);
+    put_pattern(&mut out, pattern);
     out.push(entry.key.buffers());
     out.push(match entry.key.dtype() {
         DType::F32 => 0,
@@ -285,15 +263,7 @@ fn encode_entry(entry: &SnapshotEntry) -> Vec<u8> {
 }
 
 fn read_entry(r: &mut Reader<'_>) -> Result<SnapshotEntry, String> {
-    let cells = r.len()?;
-    let mut pattern = StencilPattern::new();
-    for _ in 0..cells {
-        let dx = i32::from(r.i16()?);
-        let dy = i32::from(r.i16()?);
-        let dz = i32::from(r.i16()?);
-        let count = r.u16()?;
-        pattern.add_count(Offset::new(dx, dy, dz), count);
-    }
+    let pattern = read_pattern(r)?;
     let buffers = r.u8()?;
     let dtype = match r.u8()? {
         0 => DType::F32,
@@ -303,7 +273,7 @@ fn read_entry(r: &mut Reader<'_>) -> Result<SnapshotEntry, String> {
     let size = GridSize { x: r.u32()?, y: r.u32()?, z: r.u32()? };
     let key = InstanceKey::from_parts(pattern, buffers, dtype, size);
     let n = r.len()?;
-    let mut entries = Vec::with_capacity(n.min(4096));
+    let mut entries = Vec::with_capacity(r.capacity_for(n));
     for _ in 0..n {
         let t = read_tuning(r)?;
         let score = r.f64()?;
@@ -315,42 +285,63 @@ fn read_entry(r: &mut Reader<'_>) -> Result<SnapshotEntry, String> {
     Ok(SnapshotEntry { key, entries, candidates, last_used })
 }
 
+/// `u32 cells ‖ cells × (zigzag dx ‖ zigzag dy ‖ zigzag dz ‖ u16 count)`,
+/// in the pattern's ascending offset order.
+fn put_pattern(out: &mut Vec<u8>, pattern: &StencilPattern) {
+    put_u32_len(out, pattern.len());
+    for (o, count) in pattern.iter() {
+        for v in [o.dx, o.dy, o.dz] {
+            // Zigzag: 0, -1, 1, -2, … become 0, 1, 2, 3, …
+            put_varint(out, (v.wrapping_shl(1) ^ (v >> 31)).cast_unsigned());
+        }
+        out.extend_from_slice(&count.to_le_bytes());
+    }
+}
+
+fn read_pattern(r: &mut Reader<'_>) -> Result<StencilPattern, String> {
+    let cells = r.len()?;
+    let mut pattern = StencilPattern::new();
+    let mut last: Option<Offset> = None;
+    for _ in 0..cells {
+        let offset = Offset::new(r.zigzag()?, r.zigzag()?, r.zigzag()?);
+        let count = r.u16()?;
+        // Strictly ascending, nonzero cells are what `put_pattern` writes;
+        // anything else would merge or drop cells on the way in.
+        if last.is_some_and(|prev| prev >= offset) {
+            return Err(format!("pattern offset {offset:?} out of order"));
+        }
+        if count == 0 {
+            return Err(format!("pattern offset {offset:?} has a zero count"));
+        }
+        pattern.add_count(offset, count);
+        last = Some(offset);
+    }
+    Ok(pattern)
+}
+
 // ---------------------------------------------------------------------------
 // Shared pieces
 // ---------------------------------------------------------------------------
 
-fn tuning_fits(t: &TuningVector) -> bool {
-    t.as_array().iter().all(|&v| u16::try_from(v).is_ok())
-}
-
-fn offset_fits(o: Offset) -> bool {
-    [o.dx, o.dy, o.dz].iter().all(|&v| i16::try_from(v).is_ok())
-}
-
-/// Five `u16`s in canonical `(bx, by, bz, u, c)` order.
+/// Five LEB128 varints in canonical `(bx, by, bz, u, c)` order.
 fn put_tuning(out: &mut Vec<u8>, t: &TuningVector) {
-    debug_assert!(tuning_fits(t), "caller must fall back to JSON when components overflow u16");
     for v in t.as_array() {
-        out.extend_from_slice(&u16::try_from(v).unwrap_or(u16::MAX).to_le_bytes());
+        put_varint(out, v);
     }
 }
 
 fn read_tuning(r: &mut Reader<'_>) -> Result<TuningVector, String> {
-    let bx = u32::from(r.u16()?);
-    let by = u32::from(r.u16()?);
-    let bz = u32::from(r.u16()?);
-    let u = u32::from(r.u16()?);
-    let c = u32::from(r.u16()?);
-    Ok(TuningVector::new(bx, by, bz, u, c))
+    Ok(TuningVector::new(r.varint()?, r.varint()?, r.varint()?, r.varint()?, r.varint()?))
 }
 
-fn put_i16(out: &mut Vec<u8>, v: i32) {
-    debug_assert!(
-        i16::try_from(v).is_ok(),
-        "caller must fall back to JSON when offsets overflow i16"
-    );
-    let clamped = i16::try_from(v).unwrap_or(if v < 0 { i16::MIN } else { i16::MAX });
-    out.extend_from_slice(&clamped.to_le_bytes());
+/// Minimal unsigned LEB128: seven bits per byte, low bits first, the high
+/// bit set on every byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut v: u32) {
+    while v >= 0x80 {
+        out.push(u8::try_from(v & 0x7f).unwrap_or(0) | 0x80);
+        v >>= 7;
+    }
+    out.push(u8::try_from(v).unwrap_or(0));
 }
 
 fn put_u32_len(out: &mut Vec<u8>, len: usize) {
@@ -390,10 +381,6 @@ impl<'a> Reader<'a> {
         Ok(u16::from_le_bytes(self.take::<2>()?))
     }
 
-    fn i16(&mut self) -> Result<i16, String> {
-        Ok(i16::from_le_bytes(self.take::<2>()?))
-    }
-
     fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take::<4>()?))
     }
@@ -405,12 +392,45 @@ impl<'a> Reader<'a> {
         usize::try_from(n).map_err(|_| format!("count {n} does not fit usize"))
     }
 
+    /// How many of `n` claimed items to reserve room for: every item
+    /// takes at least one of the bytes left, so a lying count cannot
+    /// reserve more than the payload could hold.
+    fn capacity_for(&self, n: usize) -> usize {
+        n.min(self.buf.len())
+    }
+
     fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take::<8>()?))
     }
 
     fn f64(&mut self) -> Result<f64, String> {
         Ok(f64::from_le_bytes(self.take::<8>()?))
+    }
+
+    /// One minimal LEB128 varint of at most five bytes that fits `u32`.
+    fn varint(&mut self) -> Result<u32, String> {
+        let mut value = 0u32;
+        for shift in [0u32, 7, 14, 21, 28] {
+            let byte = self.u8()?;
+            let bits = u32::from(byte & 0x7f);
+            if shift == 28 && bits > 0x0f {
+                return Err("varint exceeds u32".into());
+            }
+            value |= bits << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err("overlong varint".into());
+                }
+                return Ok(value);
+            }
+        }
+        Err("varint longer than 5 bytes".into())
+    }
+
+    /// A zigzag varint (see [`put_pattern`]).
+    fn zigzag(&mut self) -> Result<i32, String> {
+        let z = self.varint()?;
+        Ok((z >> 1).cast_signed() ^ (z & 1).cast_signed().wrapping_neg())
     }
 
     /// Rejects trailing bytes — a payload must decode exactly.
@@ -535,20 +555,43 @@ mod tests {
     }
 
     #[test]
-    fn truncated_payloads_fault_at_every_length() {
-        let top = encode_top_k(&sample_top_k());
-        for cut in 0..top.len() {
-            assert!(decode_top_k(&top[..cut]).is_err(), "cut at {cut} must fault");
+    fn extreme_components_and_offsets_round_trip() {
+        // Values far outside the paper's tuning space and stencil radii
+        // travel in the same codec as everything else.
+        let wide = TuningVector::new(u32::MAX, 0, 1 << 31, 127, 128);
+        let top = TopK { entries: vec![(wide, -0.0)], candidates: usize::MAX, seconds: 1.5 };
+        let back = decode_top_k(&encode_top_k(&top)).unwrap();
+        assert_eq!(back.entries[0].0, wide);
+        assert_eq!(back.entries[0].1.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(back.candidates, usize::MAX);
+
+        let far = StencilPattern::from_points([
+            (i32::MIN, 0, i32::MAX),
+            (0, 0, 0),
+            (i32::MAX, -1, i32::MIN),
+        ]);
+        let mut snap = sample_snapshot();
+        snap.entries[0].key =
+            InstanceKey::from_parts(far, 1, DType::F64, GridSize { x: u32::MAX, y: 1, z: 1 });
+        snap.entries[0].entries.push((wide, f64::MAX));
+        let (header, chunks) = snapshot_to_chunks(&snap, 3);
+        assert_eq!(snapshot_from_chunks(&header, &chunks).unwrap(), snap);
+    }
+
+    #[test]
+    fn varints_are_minimal_for_small_values() {
+        for (v, len) in [(0, 1), (127, 1), (128, 2), (16_383, 2), (16_384, 3), (u32::MAX, 5)] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            assert_eq!(out.len(), len, "{v}");
+            assert_eq!(Reader::new(&out).varint().unwrap(), v);
         }
-        let stats = encode_stats(&sample_stats());
-        for cut in 0..stats.len() {
-            assert!(decode_stats(&stats[..cut]).is_err(), "cut at {cut} must fault");
-        }
-        let (_, chunks) = snapshot_to_chunks(&sample_snapshot(), 100);
-        let chunk = &chunks[0].payload;
-        for cut in 0..chunk.len() {
-            assert!(decode_chunk(&chunk[..cut]).is_err(), "cut at {cut} must fault");
-        }
+        // Zigzag keeps small magnitudes of either sign in one byte.
+        let mut p = StencilPattern::new();
+        p.add_count(Offset::new(-1, 1, 0), 1);
+        let mut out = Vec::new();
+        put_pattern(&mut out, &p);
+        assert_eq!(out.len(), 4 + 3 + 2);
     }
 
     #[test]
@@ -560,41 +603,22 @@ mod tests {
     }
 
     #[test]
-    fn garbage_counts_fault_instead_of_allocating() {
-        // A payload whose entry count claims u32::MAX must fail on the
-        // missing bytes, not try to materialize four billion entries.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&u32::MAX.to_le_bytes());
-        payload.extend_from_slice(&[0u8; 64]);
-        assert!(decode_top_k(&payload).is_err());
-        assert!(decode_chunk(&payload).is_err());
-    }
-
-    #[test]
-    fn unknown_dtype_byte_faults() {
+    fn malformed_keys_fault() {
         let entry = sample_entry(64, 1);
+        let mut pattern = Vec::new();
+        put_pattern(&mut pattern, entry.key.pattern());
+        // The dtype byte sits right after the pattern and buffer count.
         let mut bytes = encode_entry(&entry);
-        // The dtype byte sits right after the pattern cells and buffer
-        // count.
-        let dtype_at = 4 + entry.key.pattern().len() * 8 + 1;
-        bytes[dtype_at] = 9;
-        let mut r = Reader::new(&bytes);
-        let err = read_entry(&mut r).unwrap_err();
+        bytes[pattern.len() + 1] = 9;
+        let err = read_entry(&mut Reader::new(&bytes)).unwrap_err();
         assert!(err.contains("dtype"), "{err}");
-    }
 
-    #[test]
-    fn fits_checks_spot_overflowing_values() {
-        assert!(top_k_fits(&sample_top_k()));
-        let mut top = sample_top_k();
-        top.entries.push((TuningVector::new(70_000, 1, 1, 0, 1), 0.0));
-        assert!(!top_k_fits(&top));
-
-        let mut snap = sample_snapshot();
-        assert!(snapshot_fits(&snap));
-        let far = StencilPattern::from_points([(40_000, 0, 0), (0, 0, 0)]);
-        snap.entries[0].key = InstanceKey::from_parts(far, 1, DType::F32, GridSize::cube(64));
-        assert!(!snapshot_fits(&snap));
+        // Two cells in descending order, then a zero-count cell.
+        for cells in [&[0x00, 0x00, 0x02, 1, 0, 0x00, 0x00, 0x00, 1, 0][..], &[0, 0, 0, 0, 0]] {
+            let mut bytes = u32::try_from(cells.len() / 5).unwrap().to_le_bytes().to_vec();
+            bytes.extend_from_slice(cells);
+            assert!(read_pattern(&mut Reader::new(&bytes)).is_err(), "{cells:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Wire-protocol v2 (multiplexing) integration tests: request-id routing
-//! under shuffled completion orders, rejection of responses for ids that
-//! were never issued, v1 interop in both directions, and the dial-retry
-//! backoff surface.
+//! Multiplexed-link integration tests: request-id routing under shuffled
+//! completion orders, poisoning on responses for ids that were never
+//! issued or of the wrong kind, the client's in-flight cap, and the
+//! dial-retry backoff surface.
 //!
 //! Everything here binds `127.0.0.1:0` only — no external network. The
 //! fake peers are raw `TcpListener` loops speaking hand-rolled frames, so
@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use sorl::tuner::TopK;
 use sorl::StencilRanker;
 use sorl_serve::{ServeConfig, ServeError, TuneRequest, TuneService};
-use sorl_shard::wire::{self, FrameKind, PayloadCodec, PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V4};
+use sorl_shard::wire::{self, bin, FrameKind};
 use sorl_shard::{ReconnectPolicy, ShardServer, ShardTransport, TcpShard};
 use stencil_model::{GridSize, StencilInstance, StencilKernel};
 
@@ -36,22 +36,11 @@ fn marked_answer(marker: usize) -> TopK {
     TopK { entries: Vec::new(), candidates: marker, seconds: 0.0 }
 }
 
-/// Answers the client's negotiation probe (a `Fingerprint` request with
-/// id 0, sent in v4 first) like a real v4 server would.
-fn answer_probe(stream: &mut TcpStream) {
-    let probe = wire::read_frame(stream).expect("negotiation probe");
-    assert_eq!(probe.kind, FrameKind::Fingerprint);
-    assert_eq!(probe.version, PROTOCOL_V4);
-    assert_eq!(probe.request_id, 0);
-    write_v4_json(stream, FrameKind::FingerprintOk, 0, probe.trace_id, &wire::to_payload(&0u64));
-}
-
-/// Writes one v4 frame with a JSON payload — the fake servers' reply
-/// helper (real v4 servers may also answer hot kinds in binary; JSON is
-/// always legal, the codec byte says which was sent).
-fn write_v4_json(stream: &mut TcpStream, kind: FrameKind, id: u64, trace: u64, payload: &[u8]) {
-    wire::write_frame_coded(stream, PROTOCOL_V4, kind, id, trace, PayloadCodec::Json, payload)
-        .unwrap();
+/// Answers request `id` with a binary `TuneOk` carrying `marker`, like a
+/// real server would.
+fn answer_marked(stream: &mut TcpStream, id: u64, trace: u64, marker: usize) {
+    let payload = bin::encode_top_k(&marked_answer(marker));
+    wire::write_frame(stream, FrameKind::TuneOk, id, trace, &payload).unwrap();
 }
 
 /// Tiny deterministic xorshift64* — the vendored proptest shim has no
@@ -86,21 +75,18 @@ fn interleaved_completions_resolve_to_their_own_tickets() {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            answer_probe(&mut stream);
-            // Gather the whole in-flight window before answering anything.
+            // Gather the whole in-flight window before answering anything:
+            // the link needs no handshake, so the first frame is a request.
             let mut pending = Vec::new();
             for _ in 0..M {
                 let frame = wire::read_frame(&mut stream).unwrap();
                 assert_eq!(frame.kind, FrameKind::Tune);
-                assert_eq!(frame.version, PROTOCOL_V4);
-                assert_eq!(frame.codec, PayloadCodec::Json, "requests stay JSON in every version");
                 let req: TuneRequest = wire::from_payload(&frame.payload).unwrap();
                 pending.push((frame.request_id, frame.trace_id, req.k));
             }
             XorShift(seed).shuffle(&mut pending);
             for (id, trace, k) in pending {
-                let payload = wire::to_payload(&marked_answer(k));
-                write_v4_json(&mut stream, FrameKind::TuneOk, id, trace, &payload);
+                answer_marked(&mut stream, id, trace, k);
             }
         });
 
@@ -132,17 +118,9 @@ fn response_for_an_unknown_request_id_poisons_the_link() {
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
-        answer_probe(&mut stream);
         let frame = wire::read_frame(&mut stream).unwrap();
-        let payload = wire::to_payload(&marked_answer(1));
         // Reply to a request nobody made.
-        write_v4_json(
-            &mut stream,
-            FrameKind::TuneOk,
-            frame.request_id + 999,
-            frame.trace_id,
-            &payload,
-        );
+        answer_marked(&mut stream, frame.request_id + 999, frame.trace_id, 1);
     });
     let shard = TcpShard::connect(addr).unwrap();
     let err = shard.tune(lap(64), 1).unwrap_err();
@@ -161,86 +139,14 @@ fn wrong_kind_for_a_known_request_id_poisons_the_link() {
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
-        answer_probe(&mut stream);
         let frame = wire::read_frame(&mut stream).unwrap();
         // StatsOk is a fine frame kind — for somebody else's request.
-        write_v4_json(&mut stream, FrameKind::StatsOk, frame.request_id, frame.trace_id, &[]);
+        wire::write_frame(&mut stream, FrameKind::StatsOk, frame.request_id, frame.trace_id, &[])
+            .unwrap();
     });
     let shard = TcpShard::connect(addr).unwrap();
     let err = shard.tune(lap(64), 1).unwrap_err();
     assert!(matches!(err, ServeError::Transport(ref m) if m.contains("StatsOk")), "{err}");
-    server.join().unwrap();
-}
-
-/// Interop, old client → new server: a forced-v1 `TcpShard` lock-steps
-/// against the multiplexing server and gets bit-identical answers to a v2
-/// link, and the server replies to v1 frames *in* v1.
-#[test]
-fn v1_client_interoperates_with_the_v2_server() {
-    let ranker = dense_ranker(0xfeed_f00d);
-    let server = ShardServer::spawn(TuneService::spawn(ranker, config()), "127.0.0.1:0").unwrap();
-
-    let v1 = TcpShard::connect_v1(server.local_addr()).unwrap();
-    let v2 = TcpShard::connect(server.local_addr()).unwrap();
-    for k in [1usize, 3] {
-        let a = v1.tune(lap(96), k).unwrap();
-        let b = v2.tune(lap(96), k).unwrap();
-        assert_eq!(a.entries, b.entries, "k={k}");
-    }
-    assert_eq!(v1.ranker_fingerprint().unwrap(), v2.ranker_fingerprint().unwrap());
-
-    // At the wire level: a raw v1 request must be answered with a v1 frame
-    // (id 0), a raw v2 request in v2 with its id echoed.
-    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    wire::write_frame(&mut raw, FrameKind::Stats, &[]).unwrap();
-    let reply = wire::read_frame(&mut raw).unwrap();
-    assert_eq!(reply.kind, FrameKind::StatsOk);
-    assert_eq!(reply.version, PROTOCOL_V1, "v1 requests are answered in v1");
-    assert_eq!(reply.request_id, 0);
-    wire::write_frame_v2(&mut raw, FrameKind::Stats, 42, &[]).unwrap();
-    let reply = wire::read_frame(&mut raw).unwrap();
-    assert_eq!(reply.kind, FrameKind::StatsOk);
-    assert_eq!(reply.version, PROTOCOL_V2, "v2 requests are answered in v2");
-    assert_eq!(reply.request_id, 42, "the request id is echoed");
-}
-
-/// Interop, new client → old server: a v1-only peer faults the v4, v3
-/// and v2 negotiation probes with its version error; the client walks the
-/// ladder down, redialing per rung, and speaks lock-step v1 on the last
-/// connection.
-#[test]
-fn new_client_downgrades_against_a_v1_only_server() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server = std::thread::spawn(move || {
-        // Connections 1–3: reject the v4, v3 then v2 probes exactly
-        // like the shipped v1 server rejected unknown versions — a v1
-        // error frame, then hang up.
-        for probed in [4u16, 3, 2] {
-            let (mut stream, _) = listener.accept().unwrap();
-            let fault = ServeError::Transport(format!(
-                "peer speaks protocol version {probed}, this build speaks 1"
-            ));
-            wire::write_frame(&mut stream, FrameKind::Error, &wire::encode_fault(&fault)).unwrap();
-            drop(stream);
-        }
-        // Connection 4: the downgraded client, speaking plain v1 lock-step.
-        let (mut stream, _) = listener.accept().unwrap();
-        for marker in [11usize, 22] {
-            let frame = wire::read_frame(&mut stream).unwrap();
-            assert_eq!(frame.kind, FrameKind::Tune, "downgraded client sends requests directly");
-            assert_eq!(frame.version, PROTOCOL_V1, "downgraded client speaks v1");
-            assert_eq!(frame.request_id, 0);
-            let payload = wire::to_payload(&marked_answer(marker));
-            wire::write_frame(&mut stream, FrameKind::TuneOk, &payload).unwrap();
-        }
-    });
-
-    let shard = TcpShard::connect(addr).unwrap();
-    // Two calls over ONE downgraded link (no re-negotiation per call).
-    assert_eq!(shard.tune(lap(48), 1).unwrap().candidates, 11);
-    assert_eq!(shard.tune(lap(56), 1).unwrap().candidates, 22);
     server.join().unwrap();
 }
 
@@ -261,8 +167,8 @@ fn redial_backoff_is_bounded_and_reported() {
     let shard = TcpShard::connect(addr).unwrap().with_reconnect(policy);
     drop(listener);
 
-    // First call: the pre-dialed stream is dead, negotiation fails fast
-    // with a plain transport error (no redial yet — the stream existed).
+    // First call: the pre-dialed link was reset with the listener, so the
+    // call fails with a plain transport error and the link is dropped.
     let err = shard.tune(lap(64), 1).unwrap_err();
     assert!(matches!(err, ServeError::Transport(_)), "{err}");
 
@@ -283,7 +189,7 @@ fn redial_backoff_is_bounded_and_reported() {
     let eager = listener.local_addr().unwrap();
     let shard = TcpShard::connect(eager).unwrap().with_reconnect(ReconnectPolicy::NO_RETRY);
     drop(listener);
-    let _ = shard.tune(lap(64), 1).unwrap_err(); // consume the raw stream
+    let _ = shard.tune(lap(64), 1).unwrap_err(); // drop the reset link
     let started = Instant::now();
     let err = shard.tune(lap(64), 1).unwrap_err();
     assert!(
@@ -295,7 +201,8 @@ fn redial_backoff_is_bounded_and_reported() {
 }
 
 /// The client-side in-flight cap is backpressure, not a shed: with a cap
-/// of 1, concurrent callers serialize but all complete.
+/// of 1 (a lock-step link), concurrent callers serialize but all
+/// complete.
 #[test]
 fn client_in_flight_cap_serializes_instead_of_failing() {
     let ranker = dense_ranker(0xabcd_ef01);

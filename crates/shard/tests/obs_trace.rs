@@ -1,19 +1,16 @@
-//! Observability integration tests: trace propagation over wire v3, v2↔v3
-//! interop in both directions, link stats, and fleet-wide stats merging
-//! over a loopback TCP fleet.
+//! Observability integration tests: trace propagation over the wire,
+//! trace echo and fresh server traces for untraced requests, link stats,
+//! and fleet-wide stats merging over a loopback TCP fleet.
 //!
-//! Everything binds `127.0.0.1:0` only. The "old peer" halves are raw
-//! `TcpListener`/`TcpStream` loops speaking hand-rolled v2 frames, so the
-//! compatibility tests pin actual wire behavior against a peer that has
-//! never heard of trace ids.
+//! Everything binds `127.0.0.1:0` only. The raw-socket halves speak
+//! hand-rolled frames, so the trace tests pin actual wire behavior.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::time::Duration;
 
-use sorl::tuner::TopK;
 use sorl_obs::{EventKind, TraceId};
-use sorl_serve::{ServeConfig, ServeError, TuneRequest, TuneService};
-use sorl_shard::wire::{self, FrameKind, PROTOCOL_V2, PROTOCOL_V3};
+use sorl_serve::{ServeConfig, TuneRequest, TuneService};
+use sorl_shard::wire::{self, bin, FrameKind};
 use sorl_shard::{ShardRouter, ShardServer, ShardTransport, TcpShard};
 use stencil_model::{GridSize, StencilInstance, StencilKernel};
 
@@ -30,12 +27,12 @@ fn lap(n: u32) -> StencilInstance {
     StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(n)).unwrap()
 }
 
-/// The tentpole acceptance test: one tune over a v3 link leaves client-
-/// and server-side spans that share a single `TraceId` — the client's
-/// `tune` span and the server's `queue_wait`/`score_batch` spans joined
-/// by the trace id the frame carried.
+/// One tune over a link leaves client- and server-side spans that share a
+/// single `TraceId` — the client's `tune` span and the server's
+/// `queue_wait`/`score_batch` spans joined by the trace id the frame
+/// carried.
 #[test]
-fn v3_tune_round_trip_shares_one_trace_across_both_recorders() {
+fn tune_round_trip_shares_one_trace_across_both_recorders() {
     let server = spawn_server(0x0b5e_7ace);
     let shard = TcpShard::connect(server.local_addr()).unwrap();
     shard.tune(lap(64), 2).unwrap();
@@ -97,91 +94,25 @@ fn cache_hits_are_recorded_under_the_requests_trace() {
     );
 }
 
-/// Interop, new client → old v2 server: the fake peer rejects the v4 and
-/// v3 probes with the stock version fault and answers the v2 probe. The
-/// client walks the ladder down (each rung counted), completes tunes over
-/// the v2 link, its client-side spans still close, and the link is never
-/// poisoned — the trace simply does not cross the wire.
+/// An untraced request (trace id 0) is answered, and the server's spans
+/// still open and close — under a *fresh* trace (the absent wire trace
+/// degrades to a local one, never to trace id 0).
 #[test]
-fn new_client_downgrades_cleanly_against_a_v2_only_server() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server = std::thread::spawn(move || {
-        // Connections 1 and 2: reject the v4 then v3 probes like a
-        // shipped v2 build (which faults any version it doesn't speak).
-        for rejected in [4u16, 3] {
-            let (mut stream, _) = listener.accept().unwrap();
-            let fault = ServeError::Transport(format!(
-                "peer speaks protocol version {rejected}, this build speaks 2"
-            ));
-            wire::write_frame_v2(&mut stream, FrameKind::Error, 0, &wire::encode_fault(&fault))
-                .unwrap();
-            drop(stream);
-        }
-        // Connection 3: answer the v2 probe, then serve two v2 tunes.
-        let (mut stream, _) = listener.accept().unwrap();
-        let probe = wire::read_frame(&mut stream).unwrap();
-        assert_eq!(probe.kind, FrameKind::Fingerprint);
-        assert_eq!(probe.version, PROTOCOL_V2, "third probe walks down to v2");
-        wire::write_frame_v2(&mut stream, FrameKind::FingerprintOk, 0, &wire::to_payload(&0u64))
-            .unwrap();
-        for marker in [7usize, 8] {
-            let frame = wire::read_frame(&mut stream).unwrap();
-            assert_eq!(frame.kind, FrameKind::Tune);
-            assert_eq!(frame.version, PROTOCOL_V2, "downgraded link speaks v2");
-            assert_eq!(frame.trace_id, 0, "a v2 frame has no trace to carry");
-            let answer = TopK { entries: Vec::new(), candidates: marker, seconds: 0.0 };
-            wire::write_frame_v2(
-                &mut stream,
-                FrameKind::TuneOk,
-                frame.request_id,
-                &wire::to_payload(&answer),
-            )
-            .unwrap();
-        }
-    });
-
-    let shard = TcpShard::connect(addr).unwrap();
-    assert_eq!(shard.tune(lap(40), 1).unwrap().candidates, 7);
-    assert_eq!(shard.tune(lap(44), 1).unwrap().candidates, 8);
-    server.join().unwrap();
-
-    let stats = shard.link_stats();
-    assert_eq!(stats.v3_downgrades, 1, "the v4 probe was rejected once: {stats:?}");
-    assert_eq!(stats.v2_downgrades, 1, "the v3 probe was rejected once: {stats:?}");
-    assert_eq!(stats.v1_downgrades, 0, "{stats:?}");
-    assert_eq!(stats.poisoned, 0, "a version downgrade is not a poisoning: {stats:?}");
-    assert_eq!(stats.dials, 3, "initial dial plus one redial per rejected rung: {stats:?}");
-
-    // Client-side spans close even though the trace never crossed.
-    let events = shard.flight_recorder().snapshot();
-    let begins = events.iter().filter(|e| e.kind == EventKind::SpanBegin).count();
-    let ends = events.iter().filter(|e| e.kind == EventKind::SpanEnd).count();
-    assert_eq!((begins, ends), (2, 2), "both tune spans closed\n{events:#?}");
-}
-
-/// Interop, old v2 client → new server: raw v2 frames are answered in v2,
-/// the tune completes, and the server's spans still open and close — under
-/// a *fresh* trace (the absent wire trace degrades to a local one, never
-/// to trace id 0).
-#[test]
-fn v2_client_against_the_v3_server_gets_answers_and_fresh_server_traces() {
+fn untraced_requests_get_answers_and_fresh_server_traces() {
     let server = spawn_server(0x0dd5_0c4e);
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
 
     let req = TuneRequest { instance: lap(56), k: 1 };
-    wire::write_frame_v2(&mut raw, FrameKind::Tune, 9, &wire::to_payload(&req)).unwrap();
+    wire::write_frame(&mut raw, FrameKind::Tune, 9, 0, &wire::to_payload(&req)).unwrap();
     let reply = wire::read_frame(&mut raw).unwrap();
     assert_eq!(reply.kind, FrameKind::TuneOk);
-    assert_eq!(reply.version, PROTOCOL_V2, "v2 requests are answered in v2");
     assert_eq!(reply.request_id, 9);
-    assert_eq!(reply.trace_id, 0, "a v2 reply has no trace field to carry");
-    let top: TopK = wire::from_payload(&reply.payload).unwrap();
-    assert_eq!(top.entries.len(), 1);
+    assert_eq!(reply.trace_id, 0, "the reply echoes the absent trace");
+    assert_eq!(bin::decode_top_k(&reply.payload).unwrap().entries.len(), 1);
 
     // The link is healthy, not poisoned: a second request still answers.
-    wire::write_frame_v2(&mut raw, FrameKind::Stats, 10, &[]).unwrap();
+    wire::write_frame(&mut raw, FrameKind::Stats, 10, 0, &[]).unwrap();
     assert_eq!(wire::read_frame(&mut raw).unwrap().kind, FrameKind::StatsOk);
 
     let events = server.service().flight_recorder().snapshot();
@@ -198,22 +129,24 @@ fn v2_client_against_the_v3_server_gets_answers_and_fresh_server_traces() {
     );
 }
 
-/// A v3 frame round-trips its trace id through the real server: the reply
-/// frame echoes the request's trace on the wire.
+/// A frame round-trips its trace id through the real server: the reply
+/// frame echoes the request's trace on the wire, and its binary answer is
+/// the one the client returns.
 #[test]
-fn v3_replies_echo_the_request_trace_on_the_wire() {
+fn replies_echo_the_request_trace_on_the_wire() {
     let server = spawn_server(0xec40_7ace);
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
 
-    let req = TuneRequest { instance: lap(72), k: 1 };
-    wire::write_frame_v3(&mut raw, FrameKind::Tune, 5, 0xabad_cafe, &wire::to_payload(&req))
-        .unwrap();
+    let req = TuneRequest { instance: lap(72), k: 2 };
+    wire::write_frame(&mut raw, FrameKind::Tune, 5, 0xabad_cafe, &wire::to_payload(&req)).unwrap();
     let reply = wire::read_frame(&mut raw).unwrap();
     assert_eq!(reply.kind, FrameKind::TuneOk);
-    assert_eq!(reply.version, PROTOCOL_V3);
     assert_eq!(reply.request_id, 5);
     assert_eq!(reply.trace_id, 0xabad_cafe, "the reply echoes the request's trace");
+    let on_the_wire = bin::decode_top_k(&reply.payload).unwrap();
+    let via_client = TcpShard::connect(server.local_addr()).unwrap().tune(lap(72), 2).unwrap();
+    assert_eq!(on_the_wire.entries, via_client.entries);
 }
 
 /// Fleet aggregation over loopback TCP: `fleet_stats()` merged totals
@@ -395,8 +328,8 @@ fn sorl_trace_cli_renders_waterfalls_for_a_live_fleet() {
     assert!(String::from_utf8_lossy(&unknown.stderr).contains("--slowest"));
 }
 
-/// Link stats on a healthy eager link: one dial, no redials, no
-/// downgrades against a current server, and in-flight returns to zero.
+/// Link stats on a healthy eager link: one dial, no redials, nothing
+/// poisoned, and in-flight returns to zero.
 #[test]
 fn link_stats_count_a_healthy_links_lifecycle() {
     let server = spawn_server(0x11fe_c1c1);
@@ -404,9 +337,8 @@ fn link_stats_count_a_healthy_links_lifecycle() {
     assert_eq!(shard.link_stats().dials, 1, "the eager connect dialed once");
     shard.tune(lap(36), 1).unwrap();
     let stats = shard.link_stats();
-    assert_eq!(stats.dials, 1, "negotiation reuses the eager stream");
+    assert_eq!(stats.dials, 1, "the first call rides the eager link");
     assert_eq!(stats.reconnects, 0);
-    assert_eq!(stats.v3_downgrades + stats.v2_downgrades + stats.v1_downgrades, 0, "{stats:?}");
     assert_eq!(stats.poisoned, 0);
     assert_eq!(stats.in_flight, 0, "the answered tune left the window");
 }

@@ -1,20 +1,18 @@
-//! Wire-protocol v4 (binary payloads) integration tests: codec bytes on
-//! the live wire, binary↔JSON equivalence of every v4 payload kind under
-//! generated values, snapshot streams in both codecs and both directions,
-//! and interop against older peers.
+//! Binary payload integration tests: snapshot streams ship binary chunks
+//! in both directions over live sockets, and every binary payload kind
+//! round-trips generated values exactly as its JSON rendition does.
 //!
 //! Everything binds `127.0.0.1:0` only. The raw halves speak hand-rolled
 //! frames over a plain `TcpStream`, so these tests pin what the *bytes*
-//! say — which payloads really go out binary, which stay JSON — not just
-//! two library halves agreeing with each other.
+//! say, not just two library halves agreeing with each other.
 
 use std::net::TcpStream;
 use std::time::Duration;
 
 use proptest::prelude::*;
 use sorl::tuner::TopK;
-use sorl_serve::{ServeConfig, TuneRequest, TuneService};
-use sorl_shard::wire::{self, bin, FrameKind, PayloadCodec, PROTOCOL_V2, PROTOCOL_V4};
+use sorl_serve::{ServeConfig, TuneService};
+use sorl_shard::wire::{self, bin, FrameKind};
 use sorl_shard::{CacheSlice, ShardServer, ShardTransport, TcpShard};
 use stencil_model::{GridSize, StencilInstance, StencilKernel, TuningVector};
 
@@ -37,125 +35,53 @@ fn raw_connect(server: &ShardServer) -> TcpStream {
     stream
 }
 
-/// Sends one v4 request frame (requests are JSON in every version).
-fn send_v4(stream: &mut TcpStream, kind: FrameKind, id: u64, payload: &[u8]) {
-    wire::write_frame_coded(stream, PROTOCOL_V4, kind, id, 0, PayloadCodec::Json, payload).unwrap();
-}
-
-/// A v4 tune is answered in v4 with a **binary** `TuneOk` payload — and
-/// the identical request sent as v2 is answered with the JSON twin. Both
-/// decode to bit-identical answers: the codec changes bytes, never
-/// results.
+/// A snapshot export streams a JSON header frame followed by binary chunk
+/// frames; reassembled by hand off a raw socket they equal what the
+/// client returns, in under half the bytes of the JSON rendition.
 #[test]
-fn v4_tune_answers_are_binary_and_decode_identically_to_v2_json() {
-    let server = spawn_server(0xb14a_a4b1);
-    let mut raw = raw_connect(&server);
-
-    let req = wire::to_payload(&TuneRequest::new(lap(64), 2));
-    send_v4(&mut raw, FrameKind::Tune, 7, &req);
-    let reply = wire::read_frame(&mut raw).unwrap();
-    assert_eq!(reply.kind, FrameKind::TuneOk);
-    assert_eq!(reply.version, PROTOCOL_V4, "v4 requests are answered in v4");
-    assert_eq!(reply.request_id, 7);
-    assert_eq!(reply.codec, PayloadCodec::Binary, "the hot tune answer goes out binary");
-    let via_bin = bin::decode_top_k(&reply.payload).unwrap();
-    assert_eq!(via_bin.entries.len(), 2);
-
-    wire::write_frame_v2(&mut raw, FrameKind::Tune, 8, &req).unwrap();
-    let reply = wire::read_frame(&mut raw).unwrap();
-    assert_eq!(reply.version, PROTOCOL_V2, "v2 requests are answered in v2");
-    assert_eq!(reply.codec, PayloadCodec::Json, "pre-v4 frames can only carry JSON");
-    let via_json: TopK = wire::from_payload(&reply.payload).unwrap();
-
-    assert_eq!(via_json.candidates, via_bin.candidates);
-    for ((tb, sb), (tj, sj)) in via_bin.entries.iter().zip(&via_json.entries) {
-        assert_eq!(tb, tj);
-        assert_eq!(sb.to_bits(), sj.to_bits(), "scores agree bitwise across codecs");
-    }
-}
-
-/// Stats over v4 arrive binary and decode to exactly the stats a JSON
-/// (v2) request reports.
-#[test]
-fn v4_stats_arrive_binary_and_match_the_json_stats() {
-    let server = spawn_server(0x57a7_57a7);
-    let shard = TcpShard::connect(server.local_addr()).unwrap();
-    shard.tune(lap(48), 1).unwrap(); // some traffic so the stats are not all zero
-
-    let mut raw = raw_connect(&server);
-    send_v4(&mut raw, FrameKind::Stats, 1, &[]);
-    let reply = wire::read_frame(&mut raw).unwrap();
-    assert_eq!(reply.kind, FrameKind::StatsOk);
-    assert_eq!(reply.codec, PayloadCodec::Binary, "v4 stats go out binary");
-    let via_bin = bin::decode_stats(&reply.payload).unwrap();
-
-    wire::write_frame_v2(&mut raw, FrameKind::Stats, 2, &[]).unwrap();
-    let reply = wire::read_frame(&mut raw).unwrap();
-    assert_eq!(reply.codec, PayloadCodec::Json);
-    let via_json: sorl_serve::ServeStats = wire::from_payload(&reply.payload).unwrap();
-
-    assert_eq!(via_bin, via_json, "one idle service, two codecs, one truth");
-    assert_eq!(via_bin.requests, 1, "the tune that warmed the stats");
-
-    // The high-level client on a v4 link takes the binary path end to end.
-    assert_eq!(shard.stats().unwrap(), via_bin);
-}
-
-/// A v4 snapshot export streams a JSON header frame followed by **binary**
-/// chunk frames, and the reassembled snapshot equals what a forced-v1
-/// client receives over the all-JSON stream.
-#[test]
-fn v4_snapshot_export_ships_binary_chunks_that_reassemble_exactly() {
+fn snapshot_export_ships_binary_chunks_that_reassemble_exactly() {
     let server = spawn_server(0x5a45_b00c);
     let shard = TcpShard::connect(server.local_addr()).unwrap();
     for n in [40u32, 48, 56, 64] {
         shard.tune(lap(n), 2).unwrap();
     }
     let slice = CacheSlice::everything("solo");
-    let via_v4 = shard.export_cache(&slice).unwrap();
-    assert_eq!(via_v4.entries.len(), 4, "every tune left a cached decision");
+    let exported = shard.export_cache(&slice).unwrap();
+    assert_eq!(exported.entries.len(), 4, "every tune left a cached decision");
 
-    let v1 = TcpShard::connect_v1(server.local_addr()).unwrap();
-    let via_v1 = v1.export_cache(&slice).unwrap();
-    assert_eq!(via_v4, via_v1, "binary and JSON streams reassemble to one snapshot");
-
-    // At the byte level: header JSON, every chunk binary, and the binary
-    // chunk bytes stay under half of the JSON stream's (the bench
-    // tripwire pins the same bound).
+    // At the byte level: a JSON header (the stream prologue stays
+    // inspectable), then binary chunks whose bytes stay under half of the
+    // JSON rendition's (the bench tripwire pins the same bound).
     let mut raw = raw_connect(&server);
-    send_v4(&mut raw, FrameKind::ExportCache, 3, &wire::to_payload(&slice));
+    wire::write_frame(&mut raw, FrameKind::ExportCache, 3, 0, &wire::to_payload(&slice)).unwrap();
     let header_frame = wire::read_frame(&mut raw).unwrap();
-    assert_eq!(header_frame.kind, FrameKind::SnapshotHeader);
-    assert_eq!(header_frame.codec, PayloadCodec::Json, "the stream prologue stays inspectable");
+    assert_eq!((header_frame.kind, header_frame.request_id), (FrameKind::SnapshotHeader, 3));
     let header: sorl_serve::SnapshotHeader = wire::from_payload(&header_frame.payload).unwrap();
-    let mut assembler = wire::SnapshotAssembler::new(header).unwrap();
+    let mut assembler = wire::SnapshotAssembler::new(header, 3).unwrap();
     let mut binary_bytes = 0usize;
     while !assembler.is_complete() {
         let frame = wire::read_frame(&mut raw).unwrap();
-        assert_eq!(frame.kind, FrameKind::SnapshotChunk);
-        assert_eq!(frame.codec, PayloadCodec::Binary, "v4 snapshot chunks go out binary");
         binary_bytes += frame.payload.len();
-        assembler.push_chunk_coded(frame.codec, &frame.payload).unwrap();
+        assembler.push(&frame).unwrap();
     }
-    assert_eq!(assembler.finish().unwrap(), via_v4);
+    assert_eq!(assembler.finish().unwrap(), exported);
     let json_bytes: usize =
-        via_v4.to_chunks(wire::CHUNK_ENTRIES).1.iter().map(|c| c.payload.len()).sum();
+        exported.to_chunks(wire::CHUNK_ENTRIES).1.iter().map(|c| c.payload.len()).sum();
     assert!(binary_bytes * 2 <= json_bytes, "binary {binary_bytes}B vs JSON {json_bytes}B");
 }
 
-/// The import direction ships binary chunks over a v4 link too: a
-/// snapshot exported from one shard imports into a second, the applied
-/// count matches, and the warmed cache answers the imported instances
-/// without rescoring them.
+/// The import direction ships binary chunks too: a snapshot exported
+/// from one shard imports into a second, the applied count matches, and
+/// the warmed cache answers the imported instances without rescoring
+/// them.
 #[test]
-fn v4_import_ships_binary_chunks_the_server_applies() {
+fn import_ships_binary_chunks_the_server_applies() {
     let source = spawn_server(0x1345_0044);
     let shard_a = TcpShard::connect(source.local_addr()).unwrap();
     for n in [40u32, 48, 56] {
         shard_a.tune(lap(n), 2).unwrap();
     }
     let snapshot = shard_a.export_cache(&CacheSlice::everything("solo")).unwrap();
-    assert!(bin::snapshot_fits(&snapshot), "real cache contents fit the compact ranges");
 
     let target = spawn_server(0x1345_0044); // same seed: same ranker fingerprint
     let shard_b = TcpShard::connect(target.local_addr()).unwrap();
@@ -168,27 +94,8 @@ fn v4_import_ships_binary_chunks_the_server_applies() {
     assert_eq!(stats.cache_misses, 0, "nothing was rescored");
 }
 
-/// A v4 client against a v4 server and a forced-v1 client get
-/// bit-identical tuning answers end to end — binary payloads change the
-/// bytes on the wire, never the decision.
-#[test]
-fn v4_and_v1_clients_agree_bit_for_bit_end_to_end() {
-    let server = spawn_server(0xe4d5_a33e);
-    let v4 = TcpShard::connect(server.local_addr()).unwrap();
-    let v1 = TcpShard::connect_v1(server.local_addr()).unwrap();
-    for k in [1usize, 3] {
-        let a = v4.tune(lap(96), k).unwrap();
-        let b = v1.tune(lap(96), k).unwrap();
-        assert_eq!(a.entries, b.entries, "k={k}");
-        for ((_, sa), (_, sb)) in a.entries.iter().zip(&b.entries) {
-            assert_eq!(sa.to_bits(), sb.to_bits());
-        }
-    }
-    assert_eq!(v4.ranker_fingerprint().unwrap(), v1.ranker_fingerprint().unwrap());
-}
-
 // ---------------------------------------------------------------------------
-// Generated binary↔JSON equivalence, one property per v4 payload kind
+// Generated binary↔JSON equivalence, one property per binary payload kind
 // ---------------------------------------------------------------------------
 
 /// Deterministic xorshift64* for case-local value generation.
@@ -215,14 +122,18 @@ impl XorShift {
         }
     }
 
-    /// A tuning vector within the binary codec's u16 component ranges.
+    /// A tuning component of any magnitude, up to `u32::MAX`.
+    fn component(&mut self) -> u32 {
+        (self.next() as u32) >> (self.next() % 32)
+    }
+
     fn tuning(&mut self) -> TuningVector {
         TuningVector::new(
-            (self.next() % 1025) as u32,
-            (self.next() % 1025) as u32,
-            (self.next() % 1025) as u32,
-            (self.next() % 9) as u32,
-            (self.next() % 257) as u32,
+            self.component(),
+            self.component(),
+            self.component(),
+            self.component(),
+            self.component(),
         )
     }
 }
@@ -240,7 +151,6 @@ proptest! {
             candidates: (rng.next() % 10_000) as usize,
             seconds: rng.score().abs(),
         };
-        prop_assert!(bin::top_k_fits(&top));
         let via_bin = bin::decode_top_k(&bin::encode_top_k(&top)).unwrap();
         let via_json: TopK = wire::from_payload(&wire::to_payload(&top)).unwrap();
         prop_assert_eq!(via_bin.candidates, top.candidates);
@@ -321,7 +231,6 @@ proptest! {
                 })
                 .collect(),
         };
-        prop_assert!(bin::snapshot_fits(&snap));
         let (json_header, json_chunks) = snap.to_chunks(per_chunk);
         let (bin_header, bin_chunks) = bin::snapshot_to_chunks(&snap, per_chunk);
         prop_assert_eq!(&json_header, &bin_header, "chunk boundaries must not fork by codec");

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use sorl::StencilRanker;
 use sorl_serve::{ServeConfig, ServeError, TuneService};
-use sorl_shard::wire::{self, FrameKind};
+use sorl_shard::wire::{self, bin, FrameKind};
 use sorl_shard::{LocalShard, ShardError, ShardRouter, ShardServer, ShardTransport, TcpShard};
 use stencil_model::{GridSize, StencilInstance, StencilKernel};
 
@@ -386,13 +386,16 @@ fn wrong_protocol_version_from_the_peer_is_rejected() {
         let mut header = Vec::new();
         header.extend_from_slice(&wire::MAGIC);
         header.extend_from_slice(&7u16.to_le_bytes());
-        header.push(0x20); // TuneOk
+        header.push(0x21); // StatsOk
         header.extend_from_slice(&0u32.to_le_bytes());
+        header.extend_from_slice(&[0u8; 16]); // request id, trace id
         let _ = stream.write_all(&header);
     });
     let shard = TcpShard::connect(addr).unwrap();
     let err = shard.stats().unwrap_err();
     assert!(matches!(err, ServeError::Transport(ref m) if m.contains("version 7")), "{err}");
+    // A version mismatch fails the call outright: no redial follows.
+    assert_eq!(shard.link_stats().dials, 1, "{:?}", shard.link_stats());
 }
 
 #[test]
@@ -400,20 +403,26 @@ fn server_rejects_wrong_version_and_garbage_without_panicking() {
     let ranker = dense_ranker(0x2545_f491_4f6c_dd1d);
     let (server, _shard) = tcp_shard(&ranker);
 
-    // Wrong protocol version, well-formed otherwise: the server answers
-    // with an error frame naming the mismatch, then hangs up.
+    // A well-formed frame of the previous protocol version (its 28-byte
+    // header ends in a payload-codec byte): the server answers with one
+    // error frame in the current layout naming the mismatch, then hangs up.
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut frame = Vec::new();
     frame.extend_from_slice(&wire::MAGIC);
-    frame.extend_from_slice(&9u16.to_le_bytes());
+    frame.extend_from_slice(&4u16.to_le_bytes());
     frame.push(0x02); // Stats
     frame.extend_from_slice(&0u32.to_le_bytes());
+    frame.extend_from_slice(&1u64.to_le_bytes()); // request id
+    frame.extend_from_slice(&0u64.to_le_bytes()); // trace id
+    frame.push(0); // payload codec
     raw.write_all(&frame).unwrap();
     let reply = wire::read_frame(&mut raw).unwrap();
-    assert_eq!(reply.kind, FrameKind::Error);
+    assert_eq!((reply.kind, reply.request_id), (FrameKind::Error, 0));
     let fault = wire::decode_fault(&reply.payload);
-    assert!(matches!(fault, ServeError::Transport(ref m) if m.contains("version 9")), "{fault}");
+    assert!(matches!(fault, ServeError::Transport(ref m) if m.contains("version 4")), "{fault}");
+    let mut rest = [0u8; 1];
+    assert!(!matches!(raw.read(&mut rest), Ok(n) if n > 0), "one fault, then the server hangs up");
 
     // Pure garbage: the connection is dropped (error frame best-effort);
     // the server survives and keeps serving real clients.
@@ -441,17 +450,17 @@ fn corrupted_snapshot_chunk_rejects_the_import_without_partial_apply() {
         donor.client().tune(q, 2).unwrap();
     }
     let snapshot = donor.cache_snapshot().unwrap();
-    let (header, mut chunks) = snapshot.to_chunks(1);
+    let (header, mut chunks) = bin::snapshot_to_chunks(&snapshot, 1);
     let mid = chunks[1].payload.len() / 2;
     chunks[1].payload[mid] ^= 0x08;
 
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    wire::write_frame(&mut raw, FrameKind::ImportCache, &wire::to_payload(&header)).unwrap();
+    wire::write_frame(&mut raw, FrameKind::ImportCache, 1, 0, &wire::to_payload(&header)).unwrap();
     // The shipped encoder happily frames the corrupted chunk — its stored
     // checksum no longer matches the payload, which is exactly the damage
     // the receiver must catch.
-    wire::write_chunk_frames(&mut raw, &chunks).unwrap();
+    wire::write_chunk_frames(&mut raw, 1, &chunks).unwrap();
     let reply = wire::read_frame(&mut raw).unwrap();
     assert_eq!(reply.kind, FrameKind::Error, "corrupted chunk must be rejected");
     let fault = wire::decode_fault(&reply.payload);
