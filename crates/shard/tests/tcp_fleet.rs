@@ -2,9 +2,9 @@
 //! over `TcpShard`s must be indistinguishable from one over `LocalShard`s
 //! (bit-for-bit answers, identical warm-up shipping), warm restarts must
 //! work across the wire, and every wire fault — peer gone, garbage bytes,
-//! wrong protocol version, corrupted snapshot chunks — must surface as a
-//! clean `ShardError::Transport` / `ServeError::Transport`, never a panic
-//! or a partial cache mutation.
+//! wrong protocol version, corrupted snapshot chunks, JSON nested too
+//! deep — must surface as a clean `ShardError::Transport` /
+//! `ServeError::Transport`, never a panic or a partial cache mutation.
 //!
 //! Everything here binds `127.0.0.1:0` only — no external network.
 
@@ -432,6 +432,40 @@ fn server_rejects_wrong_version_and_garbage_without_panicking() {
     let _ = raw.read_to_end(&mut sink); // server closes on us
     let shard = TcpShard::connect(server.local_addr()).unwrap();
     assert!(shard.ranker_fingerprint().is_ok(), "server survived the garbage");
+}
+
+#[test]
+fn deeply_nested_request_gets_a_fault_and_the_server_keeps_serving() {
+    let ranker = dense_ranker(0x2545_f491_4f6c_dd1d);
+    let (server, shard) = tcp_shard(&ranker);
+
+    // A megabyte of `[` as a tune request: the JSON parser stops at its
+    // depth limit instead of recursing until the connection thread's
+    // stack overflows and takes the whole server process down.
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    wire::write_frame(&mut raw, FrameKind::Tune, 1, 0, &b"[".repeat(1 << 20)).unwrap();
+    let reply = wire::read_frame(&mut raw).unwrap();
+    assert_eq!((reply.kind, reply.request_id), (FrameKind::Error, 1));
+    let fault = wire::decode_fault(&reply.payload);
+    assert!(matches!(fault, ServeError::Transport(ref m) if m.contains("128 levels")), "{fault}");
+
+    assert!(shard.tune(lap(96), 2).is_ok(), "a second connection still tunes");
+}
+
+#[test]
+fn deeply_nested_error_frame_from_the_peer_is_a_transport_error() {
+    // The client decodes error frames on its mux reader thread; a fault
+    // nested 100k deep must fail the call, not overflow that thread.
+    let addr = rogue_server(|mut stream| {
+        let Ok(request) = wire::read_frame(&mut stream) else { return };
+        let nest = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        let (id, trace) = (request.request_id, request.trace_id);
+        let _ = wire::write_frame(&mut stream, FrameKind::Error, id, trace, nest.as_bytes());
+    });
+    let shard = TcpShard::connect(addr).unwrap();
+    let err = shard.tune(lap(96), 2).unwrap_err();
+    assert!(matches!(err, ServeError::Transport(ref m) if m.contains("undecodable")), "{err}");
 }
 
 #[test]
