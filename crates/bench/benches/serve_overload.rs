@@ -62,7 +62,6 @@ fn overload_config(max_queue: usize) -> ServeConfig {
         threads: 1,
         max_batch: 8,
         gather_window: Duration::ZERO,
-        adaptive_gather: false,
         cache_capacity: 0,
         max_queue,
         ..Default::default()

@@ -46,14 +46,13 @@ fn workload() -> Vec<TuneRequest> {
 /// Service config for the benches: inline scoring (the comparison against
 /// the sequential loop must not be confounded by extra threads) and a
 /// short gather window — `tune_many` enqueues the whole burst before the
-/// worker drains, so the window only needs to cover submission jitter; a
-/// wide one would sit fully on the cache-hit latency path.
+/// worker drains, so the window only needs to cover submission jitter. The
+/// cache-hot variant never waits it out: hits skip the window.
 fn serve_config(cache_capacity: usize) -> ServeConfig {
     ServeConfig {
         threads: 1,
         max_batch: 64,
         gather_window: Duration::from_micros(200),
-        adaptive_gather: false,
         cache_capacity,
         cache_k_floor: 8,
         ..Default::default()

@@ -14,6 +14,11 @@
 //! baseline vs. CI runner), where absolute medians are not comparable but
 //! wild relative swings are still worth a look.
 //!
+//! Both snapshots' provenance stamps (git revision, scoring kernel,
+//! thread count) are printed first, with a note naming every stamp that
+//! differs: medians from another kernel or thread count compare machines
+//! as well as code.
+//!
 //! A *missing baseline file* is the expected first-run state of a freshly
 //! added bench, not an error: the tool prints how to start the trajectory
 //! and exits successfully (`--fail` included — there is nothing to
@@ -69,6 +74,26 @@ fn diff(base: &PerfReport, fresh: &PerfReport) -> (Vec<DiffLine>, Vec<String>) {
     (lines, unmatched)
 }
 
+/// The stamps that differ between the two snapshots, one phrase each. A
+/// stamp one snapshot predates is reported as unstamped, not as a
+/// mismatch.
+fn stamp_differences(base: &PerfReport, fresh: &PerfReport) -> Vec<String> {
+    let mut out = Vec::new();
+    for (stamp, b, f) in
+        [("rev", &base.git_rev, &fresh.git_rev), ("kernel", &base.kernel, &fresh.kernel)]
+    {
+        if b.is_empty() || f.is_empty() {
+            out.push(format!("{stamp} unstamped"));
+        } else if b != f {
+            out.push(format!("{stamp} {b} -> {f}"));
+        }
+    }
+    if base.available_threads != fresh.available_threads {
+        out.push(format!("threads {} -> {}", base.available_threads, fresh.available_threads));
+    }
+    out
+}
+
 /// The friendly first-run message for a bench with no committed baseline
 /// yet. Not a warning: a brand-new bench *cannot* have a trajectory, and
 /// failing (or even annotating) would punish adding coverage.
@@ -121,14 +146,15 @@ fn main() -> ExitCode {
 
     let base = load(base_path);
     let fresh = load(fresh_path);
-    println!(
-        "perf diff `{}`: baseline {} ({} threads) vs fresh ({} threads), threshold {:.0}%",
-        fresh.name,
-        base_path,
-        base.available_threads,
-        fresh.available_threads,
-        threshold * 100.0
-    );
+    println!("perf diff `{}`, threshold {:.0}%", fresh.name, threshold * 100.0);
+    println!("  baseline {base_path}: {}", base.stamp());
+    println!("  fresh    {fresh_path}: {}", fresh.stamp());
+    let differences = stamp_differences(&base, &fresh);
+    if differences.is_empty() {
+        println!("  stamps match");
+    } else {
+        println!("  stamps differ: {}", differences.join(", "));
+    }
 
     let (lines, unmatched) = diff(&base, &fresh);
     let mut regressions = 0usize;
@@ -186,6 +212,8 @@ mod tests {
             created_unix_s: 0,
             available_threads: 1,
             quick: true,
+            git_rev: "0123abc".into(),
+            kernel: "avx2".into(),
             entries,
         }
     }
@@ -224,6 +252,40 @@ mod tests {
         assert!(note.contains("first run"), "{note}");
         assert!(note.contains("commit fresh/BENCH_new.json"), "{note}");
         assert!(!note.contains("::warning::"), "first runs are not warnings: {note}");
+    }
+
+    #[test]
+    fn identical_stamps_match() {
+        assert!(stamp_differences(&report(vec![]), &report(vec![])).is_empty());
+    }
+
+    #[test]
+    fn mismatched_stamps_are_each_named() {
+        let base = report(vec![]);
+        let fresh = PerfReport {
+            git_rev: "a1b2c3d-dirty".into(),
+            kernel: "portable".into(),
+            available_threads: 2,
+            ..report(vec![])
+        };
+        assert_eq!(
+            stamp_differences(&base, &fresh),
+            vec!["rev 0123abc -> a1b2c3d-dirty", "kernel avx2 -> portable", "threads 1 -> 2"]
+        );
+    }
+
+    #[test]
+    fn a_stampless_baseline_is_unstamped_not_mismatched() {
+        // A snapshot written before the stamps existed parses, and the
+        // diff says what it cannot compare.
+        let json = r#"{"name": "unit", "created_unix_s": 0, "available_threads": 1,
+            "quick": true, "entries": [{"id": "a", "median_s": 0.01, "min_s": 0.01,
+            "max_s": 0.01, "samples": 3}]}"#;
+        let base: PerfReport = serde_json::from_str(json).unwrap();
+        assert_eq!(base.stamp(), "rev ?, kernel ?, 1 threads");
+        let fresh = report(vec![entry("a", 0.01)]);
+        assert_eq!(stamp_differences(&base, &fresh), vec!["rev unstamped", "kernel unstamped"]);
+        assert_eq!(diff(&base, &fresh).0.len(), 1, "the medians still compare");
     }
 
     #[test]

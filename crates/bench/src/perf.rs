@@ -41,6 +41,16 @@ pub struct PerfReport {
     pub available_threads: usize,
     /// Whether the quick (CI) sample budget was used.
     pub quick: bool,
+    /// `git describe --always --dirty` of the measured tree, or
+    /// `"unknown"` where git is not available. Empty in snapshots that
+    /// predate the stamp.
+    #[serde(default)]
+    pub git_rev: String,
+    /// The batch-scoring kernel the run dispatched to
+    /// ([`ranksvm::kernel::active_kernel`]). Empty in snapshots that
+    /// predate the stamp.
+    #[serde(default)]
+    pub kernel: String,
     /// The measured variants.
     pub entries: Vec<PerfEntry>,
 }
@@ -57,14 +67,53 @@ impl PerfReport {
             created_unix_s,
             available_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             quick: quick_mode(),
+            git_rev: git_rev(),
+            kernel: ranksvm::kernel::active_kernel().to_string(),
             entries: Vec::new(),
         }
+    }
+
+    /// The provenance stamp compared across snapshots: git revision,
+    /// scoring kernel and thread count, with `?` for a stamp the snapshot
+    /// predates.
+    pub fn stamp(&self) -> String {
+        let or_unknown = |s: &str| if s.is_empty() { "?".to_string() } else { s.to_string() };
+        format!(
+            "rev {}, kernel {}, {} threads",
+            or_unknown(&self.git_rev),
+            or_unknown(&self.kernel),
+            self.available_threads
+        )
     }
 
     /// Times `f` for `samples` iterations and records the statistics under
     /// `id`, echoing a one-line summary to stdout.
     pub fn record<F: FnMut()>(&mut self, id: &str, samples: usize, f: F) {
-        let entry = measure(id, samples, f);
+        self.push(measure(id, samples, f));
+    }
+
+    /// Like [`record`](Self::record) for two variants whose ratio is
+    /// asserted: their samples alternate, so drifting host load lands on
+    /// both alike instead of on whichever ran second.
+    pub fn record_alternating<A: FnMut(), B: FnMut()>(
+        &mut self,
+        [id_a, id_b]: [&str; 2],
+        samples: usize,
+        mut a: A,
+        mut b: B,
+    ) {
+        assert!(samples > 0, "need at least one sample");
+        let (mut times_a, mut times_b) = (Vec::with_capacity(samples), Vec::with_capacity(samples));
+        for _ in 0..samples {
+            times_a.push(time(&mut a));
+            times_b.push(time(&mut b));
+        }
+        self.push(entry(id_a, times_a));
+        self.push(entry(id_b, times_b));
+    }
+
+    /// Adds a measured entry, echoing a one-line summary to stdout.
+    fn push(&mut self, entry: PerfEntry) {
         println!(
             "  perf {}: median {:.3} ms (min {:.3}, max {:.3}, {} samples)",
             entry.id,
@@ -99,21 +148,40 @@ impl PerfReport {
 /// returns the per-iteration statistics.
 pub fn measure<F: FnMut()>(id: &str, samples: usize, mut f: F) -> PerfEntry {
     assert!(samples > 0, "need at least one sample");
-    let mut times: Vec<f64> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        f();
-        times.push(t0.elapsed().as_secs_f64());
-    }
+    entry(id, (0..samples).map(|_| time(&mut f)).collect())
+}
+
+/// Seconds one call of `f` takes.
+fn time(f: &mut impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64()
+}
+
+/// The statistics of a non-empty set of per-iteration times.
+fn entry(id: &str, mut times: Vec<f64>) -> PerfEntry {
     times.sort_by(f64::total_cmp);
-    let median = stencil_model::stats::median_sorted(&times);
     PerfEntry {
         id: id.to_string(),
-        median_s: median,
+        median_s: stencil_model::stats::median_sorted(&times),
         min_s: times[0],
         max_s: times[times.len() - 1],
-        samples,
+        samples: times.len(),
     }
+}
+
+/// `git describe --always --dirty` run in the current directory, or
+/// `"unknown"` when git is missing or the directory is not a checkout.
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Whether the quick (CI) sample budget is requested via
@@ -176,6 +244,21 @@ mod tests {
     }
 
     #[test]
+    fn alternating_variants_are_recorded_in_order() {
+        let calls = std::cell::RefCell::new(String::new());
+        let mut r = PerfReport::new("unit_test");
+        r.record_alternating(
+            ["a", "b"],
+            3,
+            || calls.borrow_mut().push('a'),
+            || calls.borrow_mut().push('b'),
+        );
+        assert_eq!(calls.into_inner(), "ababab");
+        let ids: Vec<_> = r.entries.iter().map(|e| (e.id.as_str(), e.samples)).collect();
+        assert_eq!(ids, [("a", 3), ("b", 3)]);
+    }
+
+    #[test]
     fn report_roundtrips_through_json() {
         let mut r = PerfReport::new("unit_test");
         r.record("noop", 3, || {});
@@ -188,6 +271,20 @@ mod tests {
         assert!(json.contains("\"samples\": 3"));
         assert!(json.contains("\"median_s\""));
         assert!(json.contains("\"available_threads\""));
+        let back: PerfReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.git_rev, r.git_rev);
+        assert_eq!(back.kernel, ranksvm::kernel::active_kernel());
+        assert!(!back.git_rev.is_empty(), "a fresh report is always stamped");
+    }
+
+    #[test]
+    fn stampless_snapshots_still_parse() {
+        // A snapshot written before the stamps existed.
+        let json = r#"{"name": "old", "created_unix_s": 1, "available_threads": 1,
+            "quick": true, "entries": []}"#;
+        let old: PerfReport = serde_json::from_str(json).unwrap();
+        assert_eq!((old.git_rev.as_str(), old.kernel.as_str()), ("", ""));
+        assert_eq!(old.stamp(), "rev ?, kernel ?, 1 threads");
     }
 
     #[test]

@@ -45,6 +45,14 @@ struct CachedDecision {
     last_used: u64,
 }
 
+impl CachedDecision {
+    /// Whether this decision answers a request for `k` entries: it must
+    /// hold `min(k, candidates)` of them.
+    fn answers(&self, k: usize) -> bool {
+        self.entries.len() >= k.min(self.candidates)
+    }
+}
+
 /// A bounded LRU cache of top-k tuning decisions keyed by [`InstanceKey`].
 ///
 /// Owned by the service worker (no interior locking); the service exposes
@@ -92,7 +100,7 @@ impl DecisionCache {
     ) -> Option<(Vec<(TuningVector, f64)>, usize)> {
         self.tick += 1;
         match self.map.get_mut(key) {
-            Some(d) if d.entries.len() >= k.min(d.candidates) => {
+            Some(d) if d.answers(k) => {
                 self.order.remove(&d.last_used);
                 d.last_used = self.tick;
                 self.order.insert(self.tick, key.clone());
@@ -105,6 +113,12 @@ impl DecisionCache {
                 None
             }
         }
+    }
+
+    /// Whether [`lookup`](Self::lookup) of `key` for `k` entries would
+    /// hit — a peek that counts nothing and leaves the LRU order alone.
+    pub fn would_hit(&self, key: &InstanceKey, k: usize) -> bool {
+        self.map.get(key).is_some_and(|d| d.answers(k))
     }
 
     /// Inserts (or replaces) the decision for `key`, evicting the least
@@ -330,6 +344,26 @@ mod tests {
         assert!(c.lookup(&key(32), 1).is_some());
         assert!(c.lookup(&key(48), 1).is_none(), "LRU entry evicted");
         assert!(c.lookup(&key(64), 1).is_some());
+    }
+
+    #[test]
+    fn would_hit_agrees_with_lookup_and_touches_nothing() {
+        let filled = || {
+            let mut c = DecisionCache::new(2);
+            c.insert(key(32), entries(3), 8640);
+            c.insert(key(48), entries(2), 2);
+            c
+        };
+        let (mut looked, mut peeked) = (filled(), filled());
+        for (n, k) in [(32, 0), (32, 3), (32, 4), (48, 10), (64, 1)] {
+            let hit = looked.lookup(&key(n), k).is_some();
+            assert_eq!(peeked.would_hit(&key(n), k), hit, "n {n} k {k}");
+        }
+        assert_eq!((peeked.hits(), peeked.misses()), (0, 0), "a peek counts nothing");
+        // The peeks at 32 did not refresh it: it is still the LRU victim.
+        peeked.insert(key(64), entries(1), 8640);
+        assert!(!peeked.would_hit(&key(32), 1), "the peeked entry was evicted");
+        assert!(peeked.would_hit(&key(48), 1));
     }
 
     #[test]

@@ -44,9 +44,10 @@
 //!   selected by key fingerprint can be exported/extracted and imported
 //!   across services, which is how the `sorl-shard` router ships warm-up
 //!   state on topology changes.
-//! * **Adaptive micro-batching** ([`ServeConfig::adaptive_gather`]) — the
-//!   gather window follows the observed arrival rate: immediate answers
-//!   when idle, up to the configured window under load.
+//! * **Hits never wait** ([`ServeConfig::gather_window`]) — a batch the
+//!   cache answers in full is served as soon as the queue is drained; only
+//!   a batch holding a miss waits, up to the window, for company to share
+//!   its scoring pass.
 //!
 //! And two keep it standing under overload:
 //!
@@ -78,7 +79,6 @@
 //!   latency+error SLO, exported as `sorl_slo_*` gauges; sheds count as
 //!   budget spent.
 
-pub mod batching;
 pub mod cache;
 pub mod exemplar;
 pub mod service;

@@ -43,7 +43,6 @@ use sorl_obs::{EventKind, FlightRecorder, SloConfig, SloTracker, SpanId, TraceId
 use stencil_exec::SharedPool;
 use stencil_model::{InstanceKey, StencilInstance};
 
-use crate::batching::AdaptiveGather;
 use crate::cache::DecisionCache;
 use crate::exemplar::ExemplarStore;
 use crate::snapshot::{CacheSnapshot, SnapshotError};
@@ -141,19 +140,13 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Largest micro-batch drained from the queue in one pass.
     pub max_batch: usize,
-    /// How long the worker keeps polling for more requests after the first
-    /// one arrived, to let a burst coalesce into one batch. Zero drains
-    /// only what is already queued. With
-    /// [`adaptive_gather`](Self::adaptive_gather) this is the *maximum*
-    /// window; the worker picks the actual window per drain from the
-    /// observed arrival rate.
+    /// How long a batch holding a cache miss waits for company: after
+    /// draining the queue, the worker keeps the batch open until this long
+    /// past its first request's dequeue, so a burst in flight shares the
+    /// miss's scoring pass. Hits never wait: a batch the cache answers in
+    /// full is served as soon as the queue is empty. Zero drains only what
+    /// is already queued.
     pub gather_window: Duration,
-    /// Adapt the gather window to the arrival rate: a lone request in a
-    /// quiet period is answered immediately, a sustained burst gets up to
-    /// [`gather_window`](Self::gather_window) to coalesce (and less when
-    /// the batch fills faster). Off by default — the fixed window is the
-    /// established behavior.
-    pub adaptive_gather: bool,
     /// Decision-cache capacity in entries (`0` disables caching).
     pub cache_capacity: usize,
     /// Minimum `k` computed (and cached) per pipeline pass, so follow-up
@@ -193,7 +186,6 @@ impl Default for ServeConfig {
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             max_batch: 64,
             gather_window: Duration::from_micros(50),
-            adaptive_gather: false,
             cache_capacity: 1024,
             cache_k_floor: 8,
             max_queue: 4096,
@@ -559,9 +551,16 @@ impl TuneClient {
     }
 }
 
-/// One queue drain: requests, their completion slots, their traces, and
-/// their submission times (for end-to-end latency accounting).
-type Batch = Vec<(TuneRequest, TicketCompleter, TraceId, Instant)>;
+/// A dequeued tuning request: its canonical key (built once, at dequeue),
+/// its completion slot, its trace, and its submission time (for
+/// end-to-end latency accounting).
+struct Queued {
+    req: TuneRequest,
+    key: InstanceKey,
+    reply: TicketCompleter,
+    trace: TraceId,
+    submitted: Instant,
+}
 
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
@@ -576,87 +575,72 @@ fn worker_loop(
 ) {
     let mut cache = DecisionCache::new(config.cache_capacity);
     let max_batch = config.max_batch.max(1);
-    let mut adaptive = config.adaptive_gather.then(AdaptiveGather::new);
     let mut recent = RecentLatencies::new();
-    let mut last_drain = Instant::now();
     let mut live = true;
-    // Every dequeued Tune releases one admission slot (the depth gauge
-    // counts requests admitted but not yet drained into a batch) and
-    // closes the queue-wait span the submitter opened.
-    let dequeued = |trace: TraceId, span: SpanId| {
-        counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        recorder.record(EventKind::SpanEnd, trace, span, "queue_wait");
-    };
-    'serve: while live {
-        let mut batch: Batch = Vec::new();
-        // Block for the first tuning request; cache-control messages are
-        // handled inline (they never join a batch).
-        let started = loop {
-            match rx.recv() {
-                Ok(Msg::Tune { req, reply, trace, span, submitted }) => {
-                    dequeued(trace, span);
-                    batch.push((req, reply, trace, submitted));
-                    break Instant::now();
-                }
-                Ok(Msg::Shutdown) | Err(_) => break 'serve,
-                Ok(control) => handle_control(control, &mut cache, counters, fingerprint),
-            }
-        };
-        // Micro-batch gather: drain what is queued, then sleep (not spin)
-        // inside the gather window so a burst in flight coalesces into
-        // this batch without stealing cycles from the submitting clients.
-        let window = match &adaptive {
-            Some(a) => a.window(config.gather_window, max_batch),
-            None => config.gather_window,
-        };
-        let deadline = started + window;
+    while live {
+        let mut batch: Vec<Queued> = Vec::new();
+        let mut started = Instant::now();
+        // Whether the cache misses a request of the batch: only a miss has
+        // scoring to share, so only a batch holding one waits for company.
+        let mut has_miss = false;
+        // Open while the worker holds the gather window.
+        let mut gather_wait = None;
         while batch.len() < max_batch {
-            match rx.try_recv() {
-                Ok(Msg::Tune { req, reply, trace, span, submitted }) => {
-                    dequeued(trace, span);
-                    batch.push((req, reply, trace, submitted));
-                }
-                Ok(Msg::Shutdown) => {
-                    live = false;
-                    break;
-                }
-                Ok(control) => handle_control(control, &mut cache, counters, fingerprint),
-                Err(mpsc::TryRecvError::Empty) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    match rx.recv_timeout(deadline - now) {
-                        Ok(Msg::Tune { req, reply, trace, span, submitted }) => {
-                            dequeued(trace, span);
-                            batch.push((req, reply, trace, submitted));
-                        }
-                        Ok(Msg::Shutdown) => {
-                            live = false;
+            // Block for the first tuning request, then drain what is
+            // queued. A disconnected queue means the same as a shutdown:
+            // answer what is drained, then stop.
+            let msg = if batch.is_empty() {
+                rx.recv().unwrap_or(Msg::Shutdown)
+            } else {
+                match rx.try_recv() {
+                    Ok(msg) => msg,
+                    Err(mpsc::TryRecvError::Disconnected) => Msg::Shutdown,
+                    Err(mpsc::TryRecvError::Empty) => {
+                        // Hits never wait. A batch holding a miss sleeps
+                        // (not spins) until the window closes, so a burst
+                        // in flight joins its scoring pass without
+                        // stealing cycles from the submitting clients.
+                        let now = Instant::now();
+                        let deadline = started + config.gather_window;
+                        if !has_miss || now >= deadline {
                             break;
                         }
-                        Ok(control) => handle_control(control, &mut cache, counters, fingerprint),
-                        Err(mpsc::RecvTimeoutError::Timeout) => break,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => {
-                            live = false;
-                            break;
+                        if gather_wait.is_none() {
+                            gather_wait =
+                                batch.first().map(|q| recorder.span(q.trace, "gather_wait"));
+                        }
+                        match rx.recv_timeout(deadline - now) {
+                            Ok(msg) => msg,
+                            Err(mpsc::RecvTimeoutError::Timeout) => break,
+                            Err(mpsc::RecvTimeoutError::Disconnected) => Msg::Shutdown,
                         }
                     }
                 }
-                Err(mpsc::TryRecvError::Disconnected) => {
+            };
+            match msg {
+                Msg::Tune { req, reply, trace, span, submitted } => {
+                    // Dequeue releases one admission slot (the depth gauge
+                    // counts requests admitted but not yet drained into a
+                    // batch) and closes the submitter's queue-wait span.
+                    counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    recorder.record(EventKind::SpanEnd, trace, span, "queue_wait");
+                    if batch.is_empty() {
+                        started = Instant::now();
+                    }
+                    let key = req.instance.key();
+                    has_miss |= !cache.would_hit(&key, req.k);
+                    batch.push(Queued { req, key, reply, trace, submitted });
+                }
+                Msg::Shutdown => {
                     live = false;
                     break;
                 }
+                // Cache-control messages are handled inline; they never
+                // join a batch.
+                control => handle_control(control, &mut cache, counters, fingerprint),
             }
         }
-        if let Some(a) = &mut adaptive {
-            // One rate sample per drain: the batch arrived over the time
-            // since the previous drain ended (idle gaps included — that is
-            // exactly what makes the rate drop when traffic goes quiet).
-            let now = Instant::now();
-            a.observe(batch.len(), now.saturating_duration_since(last_drain));
-            last_drain = now;
-        }
+        drop(gather_wait);
         serve_batch(
             &mut session,
             &mut cache,
@@ -703,7 +687,6 @@ fn handle_control(msg: Msg, cache: &mut DecisionCache, counters: &Counters, fing
 /// Requests of one micro-batch sharing an [`InstanceKey`]: scored once,
 /// answered many times.
 struct Group {
-    key: InstanceKey,
     /// Index (into the batch) of the request whose instance is encoded.
     representative: usize,
     /// Depth to compute: max requested `k` of the members, at least the
@@ -723,7 +706,7 @@ fn serve_batch(
     exemplars: &ExemplarStore,
     slo: &SloTracker,
     recent: &mut RecentLatencies,
-    batch: Batch,
+    batch: Vec<Queued>,
     started: Instant,
 ) {
     if batch.is_empty() {
@@ -737,7 +720,7 @@ fn serve_batch(
     // trace (a joined timeline shows which batch carried the request);
     // per-request cache hits/misses are instants inside it, each under
     // its own request's trace.
-    let batch_trace = batch.first().map(|(_, _, t, _)| *t).unwrap_or_else(TraceId::fresh);
+    let batch_trace = batch.first().map(|q| q.trace).unwrap_or_else(TraceId::fresh);
     let batch_span = recorder.span(batch_trace, "score_batch");
 
     // Pass 1: answer from the cache; group the misses by canonical key so
@@ -745,10 +728,9 @@ fn serve_batch(
     let k_floor = if config.cache_capacity == 0 { 0 } else { config.cache_k_floor };
     let mut answers: Vec<Option<TopK>> = batch.iter().map(|_| None).collect();
     let mut groups: Vec<Group> = Vec::new();
-    let mut group_of: HashMap<InstanceKey, usize> = HashMap::new();
-    for (i, (req, _, trace, _)) in batch.iter().enumerate() {
-        let key = req.instance.key();
-        if let Some((entries, candidates)) = cache.lookup(&key, req.k) {
+    let mut group_of: HashMap<&InstanceKey, usize> = HashMap::new();
+    for (i, Queued { req, key, trace, .. }) in batch.iter().enumerate() {
+        if let Some((entries, candidates)) = cache.lookup(key, req.k) {
             recorder.event(*trace, batch_span.span_id(), "cache_hit");
             if let Some(slot) = answers.get_mut(i) {
                 *slot = Some(TopK { entries, candidates, seconds: 0.0 });
@@ -756,19 +738,14 @@ fn serve_batch(
             continue;
         }
         recorder.event(*trace, batch_span.span_id(), "cache_miss");
-        match group_of.get(&key).and_then(|&g| groups.get_mut(g)) {
+        match group_of.get(key).and_then(|&g| groups.get_mut(g)) {
             Some(group) => {
                 group.k = group.k.max(req.k);
                 group.members.push(i);
             }
             None => {
-                group_of.insert(key.clone(), groups.len());
-                groups.push(Group {
-                    key,
-                    representative: i,
-                    k: req.k.max(k_floor),
-                    members: vec![i],
-                });
+                group_of.insert(key, groups.len());
+                groups.push(Group { representative: i, k: req.k.max(k_floor), members: vec![i] });
             }
         }
     }
@@ -780,18 +757,20 @@ fn serve_batch(
         // groups (checked below before the zip relies on it).
         let queries: Vec<(&StencilInstance, usize)> = groups
             .iter()
-            .filter_map(|g| batch.get(g.representative).map(|(req, ..)| (&req.instance, g.k)))
+            .filter_map(|g| batch.get(g.representative).map(|q| (&q.req.instance, g.k)))
             .collect();
         debug_assert_eq!(queries.len(), groups.len());
         let results = session.top_k_batch(&queries);
         counters.scored_instances.fetch_add(groups.len() as u64, Ordering::Relaxed);
         for (g, top) in groups.iter().zip(results) {
-            cache.insert(g.key.clone(), top.entries.clone(), top.candidates);
+            if let Some(q) = batch.get(g.representative) {
+                cache.insert(q.key.clone(), top.entries.clone(), top.candidates);
+            }
             for &i in &g.members {
-                let Some((req, ..)) = batch.get(i) else { continue };
+                let Some(q) = batch.get(i) else { continue };
                 let Some(slot) = answers.get_mut(i) else { continue };
                 *slot = Some(TopK {
-                    entries: top.entries.iter().take(req.k).cloned().collect(),
+                    entries: top.entries.iter().take(q.req.k).cloned().collect(),
                     candidates: top.candidates,
                     seconds: top.seconds,
                 });
@@ -822,7 +801,7 @@ fn serve_batch(
     // completion because `on_ready` callbacks fire on this thread — a
     // transport's reply span has already closed by the time the
     // exemplar snapshot is taken, so the captured chain is complete.
-    for ((_, reply, trace, submitted), answer) in batch.into_iter().zip(answers) {
+    for (Queued { reply, trace, submitted, .. }, answer) in batch.into_iter().zip(answers) {
         // sorl-lint: allow(panic, "pass 1 or pass 2 filled every slot: each miss joined a group and every group was scored")
         reply.complete(Ok(answer.expect("every request answered")));
         let latency = submitted.elapsed();

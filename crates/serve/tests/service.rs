@@ -2,11 +2,12 @@
 //! identical to direct `TuningSession` queries, under concurrency, caching
 //! and shutdown.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ranksvm::LinearRanker;
 use sorl::session::TuningSession;
 use sorl::StencilRanker;
+use sorl_obs::{EventKind, TraceId};
 use sorl_serve::{ServeConfig, TuneRequest, TuneService};
 use stencil_model::{FeatureEncoder, GridSize, StencilInstance, StencilKernel};
 
@@ -149,25 +150,91 @@ fn concurrent_clients_all_get_correct_answers() {
 }
 
 #[test]
-fn adaptive_gather_serves_identical_answers() {
-    // The adaptive window is a latency policy, never a correctness knob:
-    // answers must be bit-for-bit the same as the fixed-window service's.
-    let ranker = dense_ranker();
-    let mut reference = TuningSession::new(ranker.clone());
-    let cfg =
-        ServeConfig { adaptive_gather: true, gather_window: Duration::from_millis(2), ..config() };
-    let service = TuneService::spawn(ranker, cfg);
+fn a_lone_hit_skips_the_gather_window() {
+    // A window far longer than any answer: the miss waits it out for
+    // company, the hits must not.
+    const WINDOW: Duration = Duration::from_millis(250);
+    let service =
+        TuneService::spawn(dense_ranker(), ServeConfig { gather_window: WINDOW, ..config() });
     let client = service.client();
-    for round in 0..3 {
-        for (q, k) in [(lap(128), 1), (blur(1024), 3), (lap(96), 5)] {
-            let got = client.tune(q.clone(), k).unwrap();
-            let want = reference.top_k_predefined(&q, k);
-            assert_eq!(got.entries, want.entries, "{q} k = {k} round {round}");
-        }
+    let warm_up = Instant::now();
+    let first = client.tune(lap(128), 3).unwrap();
+    assert!(warm_up.elapsed() >= WINDOW, "a lone miss holds the window: {:?}", warm_up.elapsed());
+    for i in 0..5 {
+        let asked = Instant::now();
+        let again = client.tune(lap(128), 3).unwrap();
+        let took = asked.elapsed();
+        assert_eq!(again.entries, first.entries);
+        assert!(took < Duration::from_millis(50), "hit {i} waited: {took:?}");
     }
     let stats = service.stats();
-    assert_eq!(stats.requests, 9);
-    assert!(stats.cache_hits >= 6, "repeats hit the cache: {stats}");
+    assert_eq!(stats.requests, 6);
+    assert_eq!(stats.cache_hits, 5);
+    assert_eq!(stats.cache_misses, 1);
+    assert_eq!(stats.scored_instances, 1);
+}
+
+#[test]
+fn a_mixed_burst_of_hits_misses_and_duplicates_matches_direct_queries() {
+    let ranker = dense_ranker();
+    let mut reference = TuningSession::new(ranker.clone());
+    let service = TuneService::spawn(ranker, config());
+    let client = service.client();
+    client.tune(lap(96), 4).unwrap();
+    client.tune(blur(640), 4).unwrap();
+    let burst = [
+        (lap(96), 2),    // hit
+        (lap(128), 1),   // miss
+        (blur(640), 4),  // hit
+        (lap(128), 5),   // duplicate miss, deeper k
+        (blur(1024), 3), // miss
+        (lap(96), 1),    // hit
+        (blur(1024), 3), // duplicate miss
+        (lap(96), 20),   // deeper than the cached depth: a miss
+    ];
+    let requests = burst.iter().map(|(q, k)| TuneRequest::new(q.clone(), *k)).collect();
+    let answers = client.tune_many(requests).unwrap();
+    for ((q, k), got) in burst.iter().zip(&answers) {
+        let want = reference.top_k_predefined(q, *k);
+        assert_eq!(got.entries, want.entries, "{q} k = {k}");
+        assert_eq!(got.candidates, want.candidates, "{q} k = {k}");
+    }
+    let stats = service.stats();
+    assert_eq!(stats.requests, 2 + burst.len() as u64);
+    assert_eq!(stats.cache_hits + stats.cache_misses, stats.requests, "one lookup per request");
+}
+
+#[test]
+fn gather_wait_is_recorded_only_when_a_miss_holds_the_window() {
+    const WINDOW: Duration = Duration::from_millis(20);
+    let service =
+        TuneService::spawn(dense_ranker(), ServeConfig { gather_window: WINDOW, ..config() });
+    let client = service.client();
+    let (miss, hit) = (TraceId::fresh(), TraceId::fresh());
+    client.submit_traced(lap(64), 2, miss).unwrap().wait().unwrap();
+    client.submit_traced(lap(64), 2, hit).unwrap().wait().unwrap();
+
+    let events = service.flight_recorder().snapshot();
+    // A span's (begin, end) on the recorder's clock, in nanoseconds.
+    let span = |trace: TraceId, name: &str| -> Option<(u64, u64)> {
+        let begin = events
+            .iter()
+            .find(|e| e.trace == trace && e.name == name && e.kind == EventKind::SpanBegin)?;
+        let end = events.iter().find(|e| e.span == begin.span && e.kind == EventKind::SpanEnd)?;
+        Some((begin.t_ns, end.t_ns))
+    };
+    for name in ["queue_wait", "score_batch"] {
+        assert!(span(miss, name).is_some(), "the miss recorded {name}\n{events:#?}");
+        assert!(span(hit, name).is_some(), "the hit recorded {name}\n{events:#?}");
+    }
+    assert!(span(hit, "gather_wait").is_none(), "a hit never holds the window\n{events:#?}");
+    let (begin, end) = span(miss, "gather_wait").expect("the lone miss held the window");
+    let waited = Duration::from_nanos(end - begin);
+    assert!(waited <= WINDOW + Duration::from_millis(100), "gather_wait {waited:?} overran");
+    // The window runs from the dequeue, which closed the queue-wait span.
+    let (_, dequeued) = span(miss, "queue_wait").unwrap();
+    let held = Duration::from_nanos(end - dequeued);
+    assert!(held >= WINDOW, "the window was held to its end: {held:?} of {WINDOW:?}");
 }
 
 #[test]

@@ -129,7 +129,6 @@ fn main() {
         threads: 1,
         max_batch: 8,
         gather_window: Duration::ZERO,
-        adaptive_gather: false,
         cache_capacity: 0,
         max_queue: 4,
         // Under saturation nearly every served request clears 1ms, so the
