@@ -11,7 +11,8 @@
 //! * the *legacy* per-candidate path (instance clone + `StencilExecution`
 //!   plus a fresh `TuningSpace` per candidate — the pre-batching baseline,
 //!   reproduced inline so the speedup stays measurable),
-//! * the batched path (`StandaloneTuner` over the cached predefined set),
+//! * the batched path (a sequential `TuningSession` over the cached
+//!   predefined set),
 //! * the batched + parallel path (`TuningSession` with a persistent
 //!   thread pool).
 //!
@@ -26,7 +27,6 @@ use std::hint::black_box;
 use ranksvm::kernel;
 use sorl::pipeline::{PipelineConfig, TrainingPipeline};
 use sorl::session::{predefined_candidates, TuningSession};
-use sorl::tuner::StandaloneTuner;
 use sorl::StencilRanker;
 use sorl_bench::perf::{quick_mode, PerfReport};
 use stencil_model::{
@@ -56,7 +56,6 @@ fn legacy_tune(
 
 struct Ctx {
     ranker: StencilRanker,
-    tuner: StandaloneTuner,
     q3: StencilInstance,
     q2: StencilInstance,
 }
@@ -80,8 +79,7 @@ impl Ctx {
             TrainingPipeline::new(PipelineConfig { training_size: 960, ..Default::default() })
                 .run();
         Ctx {
-            ranker: out.ranker.clone(),
-            tuner: StandaloneTuner::new(out.ranker),
+            ranker: out.ranker,
             q3: StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(128)).unwrap(),
             q2: StencilInstance::new(StencilKernel::blur(), GridSize::square(1024)).unwrap(),
         }
@@ -91,7 +89,6 @@ impl Ctx {
 fn bench_rank_latency(c: &mut Criterion, ctx: &Ctx) {
     let mut g = c.benchmark_group("rank_latency");
     let set3 = predefined_candidates(3);
-    let set2 = predefined_candidates(2);
 
     // Single-candidate scoring on a pre-encoded feature row.
     let exec = StencilExecution::new(ctx.q3.clone(), TuningVector::new(64, 16, 8, 2, 2)).unwrap();
@@ -127,11 +124,6 @@ fn bench_rank_latency(c: &mut Criterion, ctx: &Ctx) {
         b.iter(|| black_box(legacy_tune(&ctx.ranker, &ctx.q3, set3)))
     });
 
-    // Batched one-shot tuner (8640 3-D candidates).
-    g.bench_function("tune_3d_predefined_8640", |b| {
-        b.iter(|| black_box(ctx.tuner.tune_over(&ctx.q3, set3)))
-    });
-
     // Batched session, sequential and parallel.
     let mut seq = TuningSession::new(ctx.ranker.clone());
     g.bench_function("tune_3d_session_batched", |b| b.iter(|| black_box(seq.tune(&ctx.q3))));
@@ -142,9 +134,7 @@ fn bench_rank_latency(c: &mut Criterion, ctx: &Ctx) {
     g.bench_function("tune_3d_session_parallel", |b| b.iter(|| black_box(par.tune(&ctx.q3))));
 
     // The 2-D set (1600 candidates), batched vs. parallel.
-    g.bench_function("tune_2d_predefined_1600", |b| {
-        b.iter(|| black_box(ctx.tuner.tune_over(&ctx.q2, set2)))
-    });
+    g.bench_function("tune_2d_session_batched", |b| b.iter(|| black_box(seq.tune(&ctx.q2))));
     g.bench_function("tune_2d_session_parallel", |b| b.iter(|| black_box(par.tune(&ctx.q2))));
 
     g.finish();
@@ -160,9 +150,6 @@ fn emit_perf_snapshot(ctx: &Ctx) {
 
     report.record("tune_3d_legacy_per_candidate", samples, || {
         black_box(legacy_tune(&ctx.ranker, &ctx.q3, set3));
-    });
-    report.record("tune_3d_batched_oneshot", samples, || {
-        black_box(ctx.tuner.tune_over(&ctx.q3, set3));
     });
     let mut seq = TuningSession::new(ctx.ranker.clone());
     report.record("tune_3d_session_batched", samples, || {

@@ -9,7 +9,8 @@
 //! * `tune_loop_8x3d` — the pre-service baseline: answer each request with
 //!   its own sequential `TuningSession::tune` pass.
 //! * `session_tune_batch_8x3d` — the core batch pipeline without the
-//!   service (one scoring pass over all rows, no dedup).
+//!   service (one `TuningSession::top_k_batch` scoring pass over all rows,
+//!   no dedup).
 //! * `service_microbatch_8x3d_cold` — the full service with the decision
 //!   cache disabled: queue → micro-batch → within-batch dedup → one
 //!   pipelined pass → top-k replies.
@@ -81,6 +82,11 @@ fn per_request_loop(session: &mut TuningSession, requests: &[TuneRequest]) -> f6
     acc
 }
 
+/// The requests as one `top_k_batch` call's queries.
+fn batch_queries(requests: &[TuneRequest]) -> Vec<(&StencilInstance, usize)> {
+    requests.iter().map(|r| (&r.instance, r.k)).collect()
+}
+
 fn bench_serve(c: &mut Criterion, ctx: &Ctx) {
     let mut g = c.benchmark_group("serve_throughput");
 
@@ -90,9 +96,9 @@ fn bench_serve(c: &mut Criterion, ctx: &Ctx) {
     });
 
     let mut batch_session = TuningSession::new(ctx.ranker.clone());
-    let instances: Vec<StencilInstance> = ctx.requests.iter().map(|r| r.instance.clone()).collect();
+    let queries = batch_queries(&ctx.requests);
     g.bench_function("session_tune_batch_8x3d", |b| {
-        b.iter(|| black_box(batch_session.tune_batch(&instances)))
+        b.iter(|| black_box(batch_session.top_k_batch(&queries)))
     });
 
     let cold = TuneService::spawn(ctx.ranker.clone(), serve_config(0));
@@ -123,9 +129,9 @@ fn emit_perf_snapshot(ctx: &Ctx) {
     });
 
     let mut batch_session = TuningSession::new(ctx.ranker.clone());
-    let instances: Vec<StencilInstance> = ctx.requests.iter().map(|r| r.instance.clone()).collect();
+    let queries = batch_queries(&ctx.requests);
     report.record("session_tune_batch_8x3d", samples, || {
-        black_box(batch_session.tune_batch(&instances));
+        black_box(batch_session.top_k_batch(&queries));
     });
 
     let cold = TuneService::spawn(ctx.ranker.clone(), serve_config(0));

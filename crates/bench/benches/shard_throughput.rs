@@ -44,27 +44,16 @@ use criterion::Criterion;
 use std::hint::black_box;
 use std::time::Duration;
 
-use ranksvm::LinearRanker;
 use sorl::StencilRanker;
 use sorl_bench::perf::{quick_mode, PerfReport};
 use sorl_serve::{DecisionCache, ServeConfig, TuneService};
 use sorl_shard::wire::{self, bin};
 use sorl_shard::{LocalShard, ShardRouter, ShardServer, ShardTransport, TcpShard, Topology};
-use stencil_model::{FeatureEncoder, GridSize, StencilInstance, StencilKernel, TuningVector};
+use stencil_model::{GridSize, StencilInstance, StencilKernel, TuningVector};
 
 /// Deterministic dense synthetic ranker (no training run needed).
 fn dense_ranker() -> StencilRanker {
-    let encoder = FeatureEncoder::default_interaction();
-    let mut state = 0x2545_f491_4f6c_dd1du64;
-    let w: Vec<f64> = (0..encoder.dim())
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state as f64 / u64::MAX as f64) - 0.5
-        })
-        .collect();
-    StencilRanker::new(encoder, LinearRanker::from_weights(w))
+    sorl::synthetic_ranker(0x2545_f491_4f6c_dd1d)
 }
 
 /// 24 requests over 12 distinct 3-D instances, each instance twice.
@@ -242,15 +231,21 @@ fn emit_perf_snapshot(ranker: &StencilRanker, queries: &[StencilInstance]) {
     let samples = if quick_mode() { 10 } else { 30 };
     let mut report = PerfReport::new("shard_throughput");
 
+    // The routing contract below compares these two, so their samples
+    // alternate: a slow stretch of the shared host lands on both sides
+    // instead of on whichever variant happened to run through it.
     let single = TuneService::spawn(ranker.clone(), serve_config(0));
-    report.record("single_service_24x3d", samples, || {
-        black_box(run_single(&single, queries));
-    });
-
     let cold = spawn_fleet(ranker, 0);
-    report.record("fleet_3shards_24x3d_cold", samples, || {
-        black_box(run_fleet(&cold, queries));
-    });
+    report.record_alternating(
+        ["single_service_24x3d", "fleet_3shards_24x3d_cold"],
+        samples,
+        || {
+            black_box(run_single(&single, queries));
+        },
+        || {
+            black_box(run_fleet(&cold, queries));
+        },
+    );
 
     let hot = spawn_fleet(ranker, 1024);
     run_fleet(&hot, queries);

@@ -135,10 +135,8 @@ fn main() {
             kendall_per_group(&holdout.dataset, &model).iter().map(|(_, t)| *t).collect();
         let q = quartiles(&taus);
         // Top-1 quality over the predefined set for a probe benchmark.
-        let tuner = sorl::tuner::StandaloneTuner::new(sorl::ranker::StencilRanker::new(
-            encoder.clone(),
-            model,
-        ));
+        let mut tuner =
+            sorl::TuningSession::new(sorl::ranker::StencilRanker::new(encoder.clone(), model));
         let machine = Machine::xeon_e5_2680_v3();
         let probe = sorl::benchmarks::table3_benchmarks();
         let mean_regret: f64 = probe

@@ -15,7 +15,7 @@
 use sorl::benchmarks::table3_benchmarks;
 use sorl::experiments::{measure_config, orl_choice, run_baselines};
 use sorl::pipeline::{PipelineConfig, TrainingPipeline};
-use sorl::tuner::StandaloneTuner;
+use sorl::session::TuningSession;
 use sorl_bench::FIG4_SIZES;
 use stencil_machine::Machine;
 use stencil_model::TuningSpace;
@@ -29,13 +29,13 @@ fn main() {
 
     // Train the four ORL models once; they serve all benchmarks.
     eprintln!("training ORL models at sizes {FIG4_SIZES:?}...");
-    let tuners: Vec<(usize, StandaloneTuner)> = FIG4_SIZES
+    let mut tuners: Vec<(usize, TuningSession)> = FIG4_SIZES
         .iter()
         .map(|&size| {
             let out =
                 TrainingPipeline::new(PipelineConfig { training_size: size, ..Default::default() })
                     .run();
-            (size, StandaloneTuner::new(out.ranker))
+            (size, TuningSession::new(out.ranker))
         })
         .collect();
 
@@ -58,7 +58,7 @@ fn main() {
         let base = entries[0].1;
 
         // ORL models.
-        for (size, tuner) in &tuners {
+        for (size, tuner) in &mut tuners {
             let (_t, runtime, _rank_s) = orl_choice(tuner, &machine, &b.instance);
             entries.push((format!("ord.regression size={size}"), runtime));
         }

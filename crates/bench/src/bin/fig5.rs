@@ -9,7 +9,7 @@
 use sorl::benchmarks::table3_benchmarks;
 use sorl::experiments::{gflops, orl_choice, run_baselines};
 use sorl::pipeline::{PipelineConfig, TrainingPipeline};
-use sorl::tuner::StandaloneTuner;
+use sorl::session::TuningSession;
 use sorl_bench::{fmt_seconds, FIG4_SIZES};
 use stencil_machine::Machine;
 
@@ -23,13 +23,13 @@ fn main() {
     let benchmarks = table3_benchmarks();
 
     eprintln!("training ORL models at sizes {FIG4_SIZES:?}...");
-    let tuners: Vec<(usize, StandaloneTuner)> = FIG4_SIZES
+    let mut tuners: Vec<(usize, TuningSession)> = FIG4_SIZES
         .iter()
         .map(|&size| {
             let out =
                 TrainingPipeline::new(PipelineConfig { training_size: size, ..Default::default() })
                     .run();
-            (size, StandaloneTuner::new(out.ranker))
+            (size, TuningSession::new(out.ranker))
         })
         .collect();
 
@@ -43,7 +43,7 @@ fn main() {
 
         // ORL horizontal lines + their time-to-solution.
         let orl: Vec<(usize, f64, f64)> = tuners
-            .iter()
+            .iter_mut()
             .map(|(size, tuner)| {
                 let (_t, runtime, rank_seconds) = orl_choice(tuner, &machine, &b.instance);
                 (*size, gflops(&b.instance, runtime), rank_seconds)

@@ -13,7 +13,7 @@
 //!   candidate; the paper reports < 1 ms for scoring.
 
 use sorl::pipeline::{PipelineConfig, TrainingPipeline};
-use sorl::tuner::StandaloneTuner;
+use sorl::session::TuningSession;
 use sorl_bench::{fmt_seconds, write_csv, TABLE2_SIZES};
 use stencil_model::{GridSize, StencilInstance, StencilKernel};
 
@@ -30,7 +30,7 @@ fn main() {
         let out =
             TrainingPipeline::new(PipelineConfig { training_size: size, ..Default::default() })
                 .run();
-        let tuner = StandaloneTuner::new(out.ranker);
+        let mut tuner = TuningSession::new(out.ranker);
 
         // Regression latency: median of several rank-the-predefined-set
         // calls, and the per-candidate cost derived from it.

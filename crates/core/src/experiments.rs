@@ -6,7 +6,7 @@ use stencil_search::runner::paper_baselines;
 use stencil_search::SearchResult;
 
 use crate::objective::MachineObjective;
-use crate::tuner::StandaloneTuner;
+use crate::session::TuningSession;
 
 /// Denoised runtime of one configuration: median of 5 simulated
 /// repetitions — what a careful harness would report when validating a
@@ -55,11 +55,11 @@ pub fn run_baselines(
 /// The tuning the ordinal-regression tuner picks, its denoised runtime and
 /// the ranking latency in seconds.
 pub fn orl_choice(
-    tuner: &StandaloneTuner,
+    session: &mut TuningSession,
     machine: &Machine,
     instance: &StencilInstance,
 ) -> (TuningVector, f64, f64) {
-    let decision = tuner.tune(instance);
+    let decision = session.tune(instance);
     let runtime = measure_config(machine, instance, decision.tuning);
     (decision.tuning, runtime, decision.seconds)
 }

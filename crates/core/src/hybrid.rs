@@ -12,12 +12,12 @@ use stencil_search::{GenerationalGa, SearchResult};
 
 use crate::objective::MachineObjective;
 use crate::ranker::StencilRanker;
-use crate::tuner::StandaloneTuner;
+use crate::session::TuningSession;
 
 /// Ranker-seeded genetic search.
 #[derive(Debug, Clone)]
 pub struct HybridTuner {
-    tuner: StandaloneTuner,
+    ranker: StencilRanker,
     /// Number of top-ranked configurations injected into the population.
     pub seeds: usize,
     /// The GA used for the search part.
@@ -27,12 +27,7 @@ pub struct HybridTuner {
 impl HybridTuner {
     /// Wraps a trained ranker with default GA parameters and 8 seeds.
     pub fn new(ranker: StencilRanker) -> Self {
-        HybridTuner { tuner: StandaloneTuner::new(ranker), seeds: 8, ga: GenerationalGa::default() }
-    }
-
-    /// The wrapped standalone tuner.
-    pub fn standalone(&self) -> &StandaloneTuner {
-        &self.tuner
+        HybridTuner { ranker, seeds: 8, ga: GenerationalGa::default() }
     }
 
     /// Runs a seeded GA of `budget` evaluations against `machine`.
@@ -46,7 +41,7 @@ impl HybridTuner {
         let space = TuningSpace::for_dim(instance.dim()).expect("valid dims");
         // Partial select: seeding needs the top handful, not a full sort of
         // the 1600/8640-candidate set.
-        let top = self.tuner.top_k(instance, self.seeds);
+        let top = TuningSession::new(self.ranker.clone()).top_k_predefined(instance, self.seeds);
         let seeds: Vec<Vec<i64>> = top.tunings().map(|t| space.to_genome(&t)).collect();
         let mut objective = MachineObjective::new(machine, instance.clone());
         let search_space = objective.search_space();

@@ -23,9 +23,9 @@
 //! .run();
 //!
 //! // Tune an unseen stencil: rank the predefined candidate set.
-//! let tuner = sorl::tuner::StandaloneTuner::new(outcome.ranker);
+//! let mut session = sorl::TuningSession::new(outcome.ranker);
 //! let q = StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(128)).unwrap();
-//! let decision = tuner.tune(&q);
+//! let decision = session.tune(&q);
 //! println!("run {} with {}", q, decision.tuning);
 //! ```
 //!
@@ -35,11 +35,13 @@
 //!   timings (Table II),
 //! * [`ranker`] — the trained model: feature encoding + linear scoring,
 //!   with JSON persistence,
-//! * [`tuner`] — the standalone autotuner over the hierarchical predefined
-//!   configuration sets (1600 / 8640 candidates),
-//! * [`session`] — [`session::TuningSession`], the batched, optionally
-//!   multi-threaded hot path for serving many tuning queries back-to-back
-//!   with cached candidate sets and zero steady-state allocation,
+//! * [`session`] — [`session::TuningSession`], the one way to rank: the
+//!   standalone tuner's top-1 over the hierarchical predefined
+//!   configuration sets (1600 / 8640 candidates), top-k, batches of
+//!   queries through one pipelined scoring pass, and explicit candidate
+//!   lists — batched, optionally multi-threaded, with cached candidate
+//!   sets and zero steady-state allocation,
+//! * [`tuner`] — the tuner's answers ([`TunerDecision`], [`TopK`]),
 //! * [`hybrid`] — ranker-seeded iterative search (the paper's future-work
 //!   coupling of the model with search),
 //! * [`benchmarks`] — the 17 Table III evaluation benchmarks,
@@ -61,6 +63,6 @@ pub use benchmarks::{table3_benchmarks, Benchmark};
 pub use hybrid::HybridTuner;
 pub use objective::MachineObjective;
 pub use pipeline::{PhaseTimings, PipelineConfig, PipelineOutcome, TrainingPipeline};
-pub use ranker::StencilRanker;
+pub use ranker::{synthetic_ranker, StencilRanker};
 pub use session::{predefined_candidates, TuningSession};
-pub use tuner::{RankedPredefined, StandaloneTuner, TopK, TunerDecision};
+pub use tuner::{TopK, TunerDecision};

@@ -1,4 +1,8 @@
 //! The trained stencil ranker: feature encoder + linear ranking model.
+//!
+//! A [`StencilRanker`] scores one execution and persists itself; ranking a
+//! candidate set for an instance is a [`TuningSession`](crate::TuningSession)
+//! query, so the library has one candidate-scoring loop.
 
 use std::io::Write;
 use std::path::Path;
@@ -6,10 +10,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use ranksvm::LinearRanker;
-use stencil_model::{
-    CandidateMatrix, FeatureEncoder, ModelError, QueryFeatures, StencilExecution, StencilInstance,
-    TuningVector,
-};
+use stencil_model::{FeatureEncoder, ModelError, QueryFeatures, StencilExecution, TuningVector};
 
 /// A ranking function over stencil executions: encodes `(q, t)` and scores
 /// it with a linear model; higher scores predict faster executions.
@@ -42,84 +43,6 @@ impl StencilRanker {
     /// Scores one admissible execution (higher = predicted faster).
     pub fn score(&self, exec: &StencilExecution) -> f64 {
         self.model.score(&self.encoder.encode(exec))
-    }
-
-    /// Precomputes the per-instance query block for batch scoring.
-    pub fn query_features(&self, instance: &StencilInstance) -> QueryFeatures {
-        self.encoder.query_features(instance)
-    }
-
-    /// Scores `candidates` for `instance` on the batched path: the query
-    /// block is encoded once, every candidate is validated up front (an
-    /// inadmissible one yields [`ModelError::InadmissibleCandidate`] naming
-    /// its index), and rows are completed block-wise into a reused
-    /// [`CandidateMatrix`] scored by the batch kernel — no `StencilInstance`
-    /// clone, no per-candidate `TuningSpace` construction, no per-row
-    /// allocation. Scores are bit-for-bit identical to per-row
-    /// [`score`](Self::score) calls.
-    pub fn scores(
-        &self,
-        instance: &StencilInstance,
-        candidates: &[TuningVector],
-    ) -> Result<Vec<f64>, ModelError> {
-        const BLOCK: usize = 64;
-        let qf = self.encoder.query_features(instance);
-        validate_candidates(&qf, candidates)?;
-        let mut out = vec![0.0; candidates.len()];
-        let mut block = CandidateMatrix::with_row_capacity(self.encoder.dim(), BLOCK);
-        let mut start = 0;
-        while start < candidates.len() {
-            let n = (candidates.len() - start).min(BLOCK);
-            block.clear();
-            for &t in &candidates[start..start + n] {
-                block.push_row_with(|row| self.encoder.append_candidate(&qf, t, row));
-            }
-            self.model.score_rows_into(
-                block.rows_data(),
-                block.stride(),
-                &mut out[start..start + n],
-            );
-            start += n;
-        }
-        Ok(out)
-    }
-
-    /// Ranks `candidates` best-first; ties break towards the lower index so
-    /// the ranking is deterministic.
-    pub fn rank(
-        &self,
-        instance: &StencilInstance,
-        candidates: &[TuningVector],
-    ) -> Result<Vec<usize>, ModelError> {
-        Ok(ranksvm::argsort_desc(&self.scores(instance, candidates)?))
-    }
-
-    /// The `k` best candidates with their scores, best-first — a partial
-    /// select (`O(n + k log k)`), not a full sort, so heavy-traffic callers
-    /// asking for a handful of alternatives never pay for ranking the whole
-    /// set. The result (order and tie-breaks included) is exactly the first
-    /// `k` entries of [`rank`](Self::rank); fewer than `k` candidates yield
-    /// all of them.
-    pub fn top_k(
-        &self,
-        instance: &StencilInstance,
-        candidates: &[TuningVector],
-        k: usize,
-    ) -> Result<Vec<(TuningVector, f64)>, ModelError> {
-        let scores = self.scores(instance, candidates)?;
-        Ok(ranksvm::top_k_desc(&scores, k)
-            .into_iter()
-            .map(|i| (candidates[i], scores[i]))
-            .collect())
-    }
-
-    /// The top-ranked candidate (`None` for an empty candidate list).
-    pub fn top1(
-        &self,
-        instance: &StencilInstance,
-        candidates: &[TuningVector],
-    ) -> Result<Option<TuningVector>, ModelError> {
-        Ok(self.rank(instance, candidates)?.first().map(|&i| candidates[i]))
     }
 
     /// A stable 64-bit fingerprint of the whole ranking function: the
@@ -183,10 +106,38 @@ pub fn validate_candidates(
     Ok(())
 }
 
+/// A deterministic dense ranker from a seed: xorshift weights over the
+/// default interaction encoder — same seed, same weights, same
+/// fingerprint, in every process and on every host. This is what
+/// `sorl-shardd --synthetic-ranker SEED` serves; tests and supervisors
+/// that need to predict a daemon's fingerprint must use *this* function
+/// rather than re-deriving the weights (two drifted copies would break
+/// the cross-process "same seed, same model" contract silently).
+///
+/// Not a trained model — real deployments train once and ship the saved
+/// ranker ([`StencilRanker::save_json`]) to every shard.
+pub fn synthetic_ranker(seed: u64) -> StencilRanker {
+    let encoder = FeatureEncoder::default_interaction();
+    // Only state 0 is degenerate for xorshift (it would freeze at zero
+    // weights); remap just that one seed so every other u64 gets its own
+    // model — an `| 1` style floor would silently alias each even seed
+    // with its odd successor, halving the seed space.
+    let mut state = seed.max(1);
+    let w: Vec<f64> = (0..encoder.dim())
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state as f64 / u64::MAX as f64) - 0.5
+        })
+        .collect();
+    StencilRanker::new(encoder, LinearRanker::from_weights(w))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_model::{GridSize, StencilKernel};
+    use stencil_model::{GridSize, StencilInstance, StencilKernel};
 
     /// A hand-made ranker whose only non-zero weight sits on the unroll
     /// feature of the concatenated block, so candidates with higher u rank
@@ -211,59 +162,16 @@ mod tests {
             TuningVector::new(8, 8, 8, 8, 1),
             TuningVector::new(8, 8, 8, 0, 1),
         ];
-        let order = r.rank(&lap128(), &cands).unwrap();
-        assert_eq!(order, vec![1, 0, 2]);
-        assert_eq!(r.top1(&lap128(), &cands).unwrap(), Some(cands[1]));
-    }
-
-    #[test]
-    fn ties_break_deterministically() {
-        let r = unroll_loving_ranker();
-        let cands = vec![TuningVector::new(16, 8, 8, 4, 1), TuningVector::new(8, 16, 8, 4, 2)];
-        assert_eq!(r.rank(&lap128(), &cands).unwrap(), vec![0, 1]);
-    }
-
-    #[test]
-    fn empty_candidates() {
-        let r = unroll_loving_ranker();
-        assert_eq!(r.top1(&lap128(), &[]).unwrap(), None);
-        assert!(r.rank(&lap128(), &[]).unwrap().is_empty());
-        assert!(r.top_k(&lap128(), &[], 3).unwrap().is_empty());
-    }
-
-    #[test]
-    fn top_k_matches_rank_prefix() {
-        let r = unroll_loving_ranker();
-        let cands = vec![
-            TuningVector::new(8, 8, 8, 2, 1),
-            TuningVector::new(8, 8, 8, 8, 1),
-            TuningVector::new(8, 8, 8, 0, 1),
-            TuningVector::new(16, 8, 8, 8, 1), // ties with #1 on the unroll feature
-        ];
-        let order = r.rank(&lap128(), &cands).unwrap();
-        let scores = r.scores(&lap128(), &cands).unwrap();
-        for k in 0..=cands.len() + 1 {
-            let top = r.top_k(&lap128(), &cands, k).unwrap();
-            assert_eq!(top.len(), k.min(cands.len()));
-            for (got, &want) in top.iter().zip(&order) {
-                assert_eq!(got.0, cands[want], "k = {k}");
-                assert_eq!(got.1, scores[want], "k = {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn inadmissible_candidate_is_an_error() {
-        let r = unroll_loving_ranker();
-        // bz > 1 for a 2-D instance.
-        let blur = StencilInstance::new(StencilKernel::blur(), GridSize::square(512)).unwrap();
-        assert!(r.scores(&blur, &[TuningVector::new(8, 8, 8, 0, 1)]).is_err());
+        let mut session = crate::TuningSession::new(r);
+        let scores = session.scores(&lap128(), &cands).unwrap();
+        assert_eq!(ranksvm::argsort_desc(scores), vec![1, 0, 2]);
     }
 
     #[test]
     fn inadmissible_candidate_error_reports_its_index() {
         let r = unroll_loving_ranker();
         let blur = StencilInstance::new(StencilKernel::blur(), GridSize::square(512)).unwrap();
+        let qf = r.encoder().query_features(&blur);
         // Candidates 0 and 1 are fine; #2 has bz != 1, #3 has bx out of range.
         let cands = [
             TuningVector::new(8, 8, 1, 0, 1),
@@ -271,7 +179,8 @@ mod tests {
             TuningVector::new(8, 8, 8, 0, 1),
             TuningVector::new(1, 8, 1, 0, 1),
         ];
-        let err = r.scores(&blur, &cands).unwrap_err();
+        assert!(validate_candidates(&qf, &cands[..2]).is_ok());
+        let err = validate_candidates(&qf, &cands).unwrap_err();
         match &err {
             ModelError::InadmissibleCandidate { index, source } => {
                 assert_eq!(*index, 2, "first offending candidate wins");
@@ -334,8 +243,17 @@ mod tests {
         let path = dir.join("ranker.json");
         r.save_json(&path).unwrap();
         let back = StencilRanker::load_json(&path).unwrap();
-        let cands = vec![TuningVector::new(8, 8, 8, 3, 1)];
-        assert_eq!(r.scores(&lap128(), &cands).unwrap(), back.scores(&lap128(), &cands).unwrap());
+        let exec = StencilExecution::new(lap128(), TuningVector::new(8, 8, 8, 3, 1)).unwrap();
+        assert_eq!(r.score(&exec), back.score(&exec));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn synthetic_rankers_are_pinned_by_their_seed() {
+        assert_eq!(synthetic_ranker(42).fingerprint(), synthetic_ranker(42).fingerprint());
+        assert_ne!(synthetic_ranker(42).fingerprint(), synthetic_ranker(43).fingerprint());
+        // Only the degenerate zero state is remapped (to 1).
+        assert_eq!(synthetic_ranker(0).fingerprint(), synthetic_ranker(1).fingerprint());
+        assert_ne!(synthetic_ranker(1).fingerprint(), synthetic_ranker(2).fingerprint());
     }
 }

@@ -1,4 +1,4 @@
-//! The standalone autotuner (paper Section VI-A).
+//! The standalone autotuner's answers (paper Section VI-A).
 //!
 //! Given an unseen stencil instance, the tuner ranks the *predefined*
 //! hierarchically sampled configuration set (1600 candidates for 2-D
@@ -6,14 +6,13 @@
 //! top-ranked tuning vector — no execution, no compilation, sub-millisecond
 //! latency. The achievable performance is bounded by the best configuration
 //! inside the predefined set, exactly as the paper notes.
-
-use std::time::Instant;
+//!
+//! The queries themselves are [`TuningSession`](crate::TuningSession)
+//! calls: [`tune`](crate::TuningSession::tune) answers with a
+//! [`TunerDecision`], the top-k queries with [`TopK`].
 
 use serde::{Deserialize, Serialize};
-use stencil_model::{StencilInstance, TuningVector};
-
-use crate::ranker::StencilRanker;
-use crate::session::predefined_candidates;
+use stencil_model::TuningVector;
 
 /// The tuner's answer for one instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,8 +33,8 @@ pub struct TunerDecision {
 /// configurations seed iterative searches (see
 /// [`HybridTuner`](crate::hybrid::HybridTuner)) and give fallbacks when the
 /// top choice is rejected downstream, and the entries come from a partial
-/// select, never a full `rank()` sort. Serializable, so answers can cross
-/// a shard-transport process boundary.
+/// select, never a full sort. Serializable, so answers can cross a
+/// shard-transport process boundary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TopK {
     /// `(configuration, score)` pairs, best first. Exactly the first
@@ -43,7 +42,8 @@ pub struct TopK {
     pub entries: Vec<(TuningVector, f64)>,
     /// Number of candidates that were scored.
     pub candidates: usize,
-    /// Selection latency in seconds.
+    /// Scoring latency in seconds (of the whole pass, when the answer came
+    /// out of a batch).
     pub seconds: f64,
 }
 
@@ -67,211 +67,5 @@ impl TopK {
     /// The returned configurations, best first, without scores.
     pub fn tunings(&self) -> impl Iterator<Item = TuningVector> + '_ {
         self.entries.iter().map(|&(t, _)| t)
-    }
-}
-
-/// A full best-first ranking over the process-wide cached predefined set:
-/// ranked *indices* into the cached slice, so no candidate vectors are
-/// cloned — iterate (or index) on demand.
-#[derive(Debug, Clone)]
-pub struct RankedPredefined {
-    set: &'static [TuningVector],
-    order: Vec<usize>,
-}
-
-impl RankedPredefined {
-    /// Number of ranked candidates.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Whether the ranking is empty (never for the predefined sets).
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// The candidate at rank `r` (0 = best).
-    pub fn get(&self, r: usize) -> TuningVector {
-        self.set[self.order[r]]
-    }
-
-    /// All candidates, best first.
-    pub fn iter(&self) -> impl Iterator<Item = TuningVector> + '_ {
-        self.order.iter().map(|&i| self.set[i])
-    }
-
-    /// The underlying cached candidate slice (unordered).
-    pub fn set(&self) -> &'static [TuningVector] {
-        self.set
-    }
-
-    /// Ranked indices into [`set`](Self::set), best first.
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-}
-
-/// Ranks predefined candidate sets with a trained [`StencilRanker`].
-#[derive(Debug, Clone)]
-pub struct StandaloneTuner {
-    ranker: StencilRanker,
-}
-
-impl StandaloneTuner {
-    /// Wraps a trained ranker.
-    pub fn new(ranker: StencilRanker) -> Self {
-        StandaloneTuner { ranker }
-    }
-
-    /// The underlying ranker.
-    pub fn ranker(&self) -> &StencilRanker {
-        &self.ranker
-    }
-
-    /// Tunes `instance` over the paper's predefined set for its
-    /// dimensionality (cached process-wide, so repeated calls never
-    /// re-materialize the 1600/8640 candidate vectors).
-    pub fn tune(&self, instance: &StencilInstance) -> TunerDecision {
-        self.tune_over(instance, predefined_candidates(instance.dim()))
-    }
-
-    /// Tunes `instance` over an explicit candidate list (e.g. user-supplied
-    /// settings, or samples proposed by a higher-level search).
-    ///
-    /// # Panics
-    /// Panics on an empty candidate list or inadmissible candidates.
-    pub fn tune_over(
-        &self,
-        instance: &StencilInstance,
-        candidates: &[TuningVector],
-    ) -> TunerDecision {
-        assert!(!candidates.is_empty(), "candidate set must not be empty");
-        let t0 = Instant::now();
-        let scores = self.ranker.scores(instance, candidates).expect("admissible candidates");
-        let mut best = 0usize;
-        for i in 1..scores.len() {
-            if scores[i] > scores[best] {
-                best = i;
-            }
-        }
-        TunerDecision {
-            tuning: candidates[best],
-            score: scores[best],
-            candidates: candidates.len(),
-            seconds: t0.elapsed().as_secs_f64(),
-        }
-    }
-
-    /// The `k` best predefined configurations with scores, best-first, via
-    /// a partial select over the cached set (no full sort, no cloning of
-    /// the candidate set).
-    pub fn top_k(&self, instance: &StencilInstance, k: usize) -> TopK {
-        let set = predefined_candidates(instance.dim());
-        let t0 = Instant::now();
-        let entries = self.ranker.top_k(instance, set, k).expect("predefined set is admissible");
-        TopK { entries, candidates: set.len(), seconds: t0.elapsed().as_secs_f64() }
-    }
-
-    /// Full ranking of the predefined set, best first (used by the
-    /// ranking-quality experiments). Returns ranked indices over the cached
-    /// process-wide slice — the candidate set itself is never cloned;
-    /// callers that only need the first few entries should prefer
-    /// [`top_k`](Self::top_k).
-    pub fn rank_predefined(&self, instance: &StencilInstance) -> RankedPredefined {
-        let set = predefined_candidates(instance.dim());
-        let order = self.ranker.rank(instance, set).expect("predefined set is admissible");
-        RankedPredefined { set, order }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pipeline::{PipelineConfig, TrainingPipeline};
-    use stencil_model::{GridSize, StencilKernel, TuningSpace};
-
-    fn trained_tuner() -> StandaloneTuner {
-        let out =
-            TrainingPipeline::new(PipelineConfig { training_size: 960, ..Default::default() })
-                .run();
-        StandaloneTuner::new(out.ranker)
-    }
-
-    #[test]
-    fn tunes_2d_and_3d_instances() {
-        let tuner = trained_tuner();
-        let lap = StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(128)).unwrap();
-        let d = tuner.tune(&lap);
-        assert_eq!(d.candidates, 8640);
-        assert!(TuningSpace::d3().contains(&d.tuning));
-
-        let blur = StencilInstance::new(StencilKernel::blur(), GridSize::square(1024)).unwrap();
-        let d2 = tuner.tune(&blur);
-        assert_eq!(d2.candidates, 1600);
-        assert_eq!(d2.tuning.bz, 1);
-    }
-
-    #[test]
-    fn ranking_latency_is_fast() {
-        // The paper reports < 1 ms; allow a loose bound for debug builds
-        // and noisy CI machines.
-        let tuner = trained_tuner();
-        let lap = StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(128)).unwrap();
-        let d = tuner.tune(&lap);
-        assert!(d.seconds < 2.0, "ranking took {}s", d.seconds);
-    }
-
-    #[test]
-    fn rank_predefined_returns_full_permutation() {
-        let tuner = trained_tuner();
-        let lap = StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(128)).unwrap();
-        let ranked = tuner.rank_predefined(&lap);
-        assert_eq!(ranked.len(), 8640);
-        assert!(!ranked.is_empty());
-        assert_eq!(ranked.get(0), tuner.tune(&lap).tuning);
-        // The ranking borrows the process-wide cached slice: no clone.
-        assert!(std::ptr::eq(ranked.set(), predefined_candidates(3)));
-        let mut sorted: Vec<_> = ranked.iter().collect();
-        assert_eq!(sorted[0], ranked.get(0));
-        sorted.sort_by_key(|t| t.as_array());
-        sorted.dedup();
-        assert_eq!(sorted.len(), 8640, "ranking must be a permutation");
-    }
-
-    #[test]
-    fn top_k_is_the_prefix_of_the_full_ranking() {
-        let tuner = trained_tuner();
-        let lap = StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(128)).unwrap();
-        let ranked = tuner.rank_predefined(&lap);
-        for k in [0usize, 1, 8, 37] {
-            let top = tuner.top_k(&lap, k);
-            assert_eq!(top.len(), k);
-            assert_eq!(top.candidates, 8640);
-            for (r, t) in top.tunings().enumerate() {
-                assert_eq!(t, ranked.get(r), "rank {r} of k = {k}");
-            }
-        }
-        assert_eq!(tuner.top_k(&lap, 1).best(), Some(tuner.tune(&lap).tuning));
-        assert!(tuner.top_k(&lap, 0).is_empty());
-        // k past the set size returns the whole ranking.
-        assert_eq!(tuner.top_k(&lap, 100_000).len(), 8640);
-    }
-
-    #[test]
-    fn tune_over_explicit_candidates() {
-        let tuner = trained_tuner();
-        let lap = StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(128)).unwrap();
-        let cands = vec![TuningVector::new(2, 2, 2, 0, 64), TuningVector::new(64, 16, 8, 2, 2)];
-        let d = tuner.tune_over(&lap, &cands);
-        assert!(cands.contains(&d.tuning));
-        assert_eq!(d.candidates, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "must not be empty")]
-    fn empty_candidates_panic() {
-        let tuner = trained_tuner();
-        let lap = StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(64)).unwrap();
-        tuner.tune_over(&lap, &[]);
     }
 }

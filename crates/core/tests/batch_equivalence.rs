@@ -57,13 +57,14 @@ fn instances() -> Vec<StencilInstance> {
 fn batched_path_matches_legacy_on_full_predefined_sets() {
     for kind in [EncodingKind::PaperConcat, EncodingKind::Interaction] {
         let ranker = dense_ranker(kind);
+        let mut session = TuningSession::new(ranker.clone());
         for q in instances() {
             let candidates = predefined_candidates(q.dim());
             assert_eq!(candidates.len(), if q.dim() == 2 { 1600 } else { 8640 });
             let legacy = legacy_scores(&ranker, &q, candidates);
-            let batched = ranker.scores(&q, candidates).unwrap();
+            let batched = session.scores(&q, candidates).unwrap();
             // Bit-for-bit: exact f64 equality, no tolerance.
-            assert_eq!(batched, legacy, "{kind:?} / {q}");
+            assert_eq!(batched, &legacy[..], "{kind:?} / {q}");
         }
     }
 }

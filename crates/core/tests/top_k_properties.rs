@@ -1,36 +1,35 @@
-//! Property tests for the top-k serving path and the batch pipeline.
+//! Property tests for the ranking queries of `TuningSession`.
 //!
 //! Two invariants carry the serving layer's correctness:
 //!
-//! 1. `top_k(k)` is **exactly** the first `k` entries of the full `rank()`
-//!    ordering — same order, same tie-breaks — on both predefined sets,
-//!    for any `k` and any instance. (The partial select must be
-//!    indistinguishable from sort-then-truncate.)
-//! 2. `tune_batch` / `top_k_batch` are bit-for-bit equal to per-instance
-//!    loops: pipelining queries through one scoring pass must not change a
+//! 1. **Rank fidelity**: on both predefined sets and under both feature
+//!    encodings, `tune`, `top_k_predefined(k)`, `top_k_batch` and the
+//!    first `k` entries of `argsort_desc(scores)` agree bit for bit — same
+//!    picks, same order, same tie-breaks, same score bits — for any `k`
+//!    and any instance. (The partial select must be indistinguishable from
+//!    sort-then-truncate, and the argmax from its first entry.)
+//! 2. **Batching**: a batch of queries pipelined through one scoring pass
+//!    answers bit-for-bit like one-query calls: batching must not change a
 //!    single score, pick or tie-break.
 
 use proptest::prelude::*;
 
-use ranksvm::LinearRanker;
+use ranksvm::{argsort_desc, LinearRanker};
 use sorl::session::{predefined_candidates, TuningSession};
-use sorl::tuner::StandaloneTuner;
-use sorl::StencilRanker;
-use stencil_model::{FeatureEncoder, GridSize, StencilInstance, StencilKernel};
+use sorl::{synthetic_ranker, StencilRanker};
+use stencil_model::{FeatureEncoder, GridSize, StencilInstance, StencilKernel, TuningVector};
 
-/// Deterministic dense synthetic ranker seeded per case, so different
-/// cases exercise different score landscapes without a training run.
-fn dense_ranker(seed: u64) -> StencilRanker {
-    let encoder = FeatureEncoder::default_interaction();
-    let mut state = seed | 1;
-    let w: Vec<f64> = (0..encoder.dim())
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state as f64 / u64::MAX as f64) - 0.5
-        })
-        .collect();
+/// A dense ranker seeded per case under either encoding, so different
+/// cases exercise different score landscapes without a training run: the
+/// synthetic ranker itself for the interaction encoding, its weights cut to
+/// the paper encoding's shorter layout otherwise.
+fn dense_ranker(seed: u64, interaction: bool) -> StencilRanker {
+    let synthetic = synthetic_ranker(seed | 1);
+    if interaction {
+        return synthetic;
+    }
+    let encoder = FeatureEncoder::paper_concat();
+    let w = synthetic.model().weights()[..encoder.dim()].to_vec();
     StencilRanker::new(encoder, LinearRanker::from_weights(w))
 }
 
@@ -56,83 +55,100 @@ fn instance(dim: u8, step: u32) -> StencilInstance {
     }
 }
 
+/// Entries with their scores as IEEE-754 bit patterns, so comparisons are
+/// bitwise (`-0.0` vs `0.0` would differ), not numeric.
+fn bits(entries: &[(TuningVector, f64)]) -> Vec<(TuningVector, u64)> {
+    entries.iter().map(|&(t, s)| (t, s.to_bits())).collect()
+}
+
+/// Checks invariant 1 for one instance: every ranking query of `session`
+/// agrees with the argsort of `reference`'s scores over the predefined set.
+fn assert_rank_fidelity(
+    reference: &mut TuningSession,
+    session: &mut TuningSession,
+    q: &StencilInstance,
+    k: usize,
+) -> Result<(), String> {
+    let set = predefined_candidates(q.dim());
+    let scores = reference.scores(q, set).unwrap().to_vec();
+    let order = argsort_desc(&scores);
+    let want: Vec<(TuningVector, u64)> =
+        order.iter().take(k).map(|&i| (set[i], scores[i].to_bits())).collect();
+
+    let top = session.top_k_predefined(q, k);
+    prop_assert_eq!(bits(&top.entries), want.clone(), "top_k_predefined, {} k = {}", q, k);
+    prop_assert_eq!(top.candidates, set.len());
+    let batch = session.top_k_batch(&[(q, k)]);
+    prop_assert_eq!(bits(&batch[0].entries), want, "top_k_batch, {} k = {}", q, k);
+    let d = session.tune(q);
+    prop_assert_eq!((d.tuning, d.score.to_bits()), (set[order[0]], scores[order[0]].to_bits()));
+    prop_assert_eq!(d.candidates, set.len());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Invariant 1, dense scores: `top_k(k)` == `rank()[..k]` on both
-    /// predefined sets for arbitrary k (including 0 and past-the-end).
+    /// Invariant 1, dense scores under either encoding: the four ranking
+    /// queries agree on both predefined sets for arbitrary k (including 0
+    /// and past-the-end), in sequential and parallel sessions alike.
     #[test]
-    fn top_k_equals_rank_prefix_on_both_predefined_sets(
+    fn ranking_queries_agree_bitwise_on_both_sets_and_encodings(
         seed in 1u64..u64::MAX,
+        interaction in proptest::bool::ANY,
         step in 0u32..8,
         k in 0usize..12_000,
+        threads in 1usize..5,
     ) {
-        let tuner = StandaloneTuner::new(dense_ranker(seed));
+        let ranker = dense_ranker(seed, interaction);
+        let mut reference = TuningSession::new(ranker.clone());
+        let mut session = TuningSession::parallel(ranker, threads);
         for dim in [2u8, 3] {
-            let q = instance(dim, step);
-            let set = predefined_candidates(dim);
-            let ranked = tuner.rank_predefined(&q);
-            let scores = tuner.ranker().scores(&q, set).unwrap();
-            let top = tuner.top_k(&q, k);
-            prop_assert_eq!(top.len(), k.min(set.len()));
-            prop_assert_eq!(top.candidates, set.len());
-            for (r, &(t, s)) in top.entries.iter().enumerate() {
-                prop_assert_eq!(t, ranked.get(r), "dim {} rank {}", dim, r);
-                prop_assert_eq!(s, scores[ranked.order()[r]], "dim {} rank {}", dim, r);
-            }
+            assert_rank_fidelity(&mut reference, &mut session, &instance(dim, step), k)?;
         }
     }
 
     /// Invariant 1 under massive ties: with only 9 distinct score values
-    /// the prefix property holds only if the partial select breaks ties
-    /// exactly like the full sort (ascending candidate index).
+    /// the queries agree only if the partial select and the argmax break
+    /// ties exactly like the full sort (ascending candidate index).
     #[test]
-    fn top_k_breaks_ties_exactly_like_rank(
+    fn ranking_queries_break_ties_exactly_like_argsort(
         step in 0u32..8,
         k in 1usize..2_000,
     ) {
-        let tuner = StandaloneTuner::new(tie_heavy_ranker());
+        let mut reference = TuningSession::new(tie_heavy_ranker());
+        let mut session = TuningSession::parallel(tie_heavy_ranker(), 3);
         for dim in [2u8, 3] {
-            let q = instance(dim, step);
-            let ranked = tuner.rank_predefined(&q);
-            let top = tuner.top_k(&q, k);
-            for (r, t) in top.tunings().enumerate() {
-                prop_assert_eq!(t, ranked.get(r), "dim {} rank {}", dim, r);
-            }
+            assert_rank_fidelity(&mut reference, &mut session, &instance(dim, step), k)?;
         }
     }
 
     /// Invariant 2: a batch of mixed-dimensionality queries pipelined
-    /// through one scoring pass answers bit-for-bit like per-instance
-    /// loops, in sequential and parallel sessions alike.
+    /// through one scoring pass answers bit-for-bit like one-query calls,
+    /// in sequential and parallel sessions alike.
     #[test]
-    fn tune_batch_is_bit_for_bit_equal_to_tune_loops(
+    fn top_k_batch_is_bit_for_bit_equal_to_single_queries(
         seed in 1u64..u64::MAX,
         steps in prop::collection::vec((0u32..6, any::<bool>()), 1..7),
         threads in 1usize..5,
         k in 1usize..24,
     ) {
-        let ranker = dense_ranker(seed);
+        let ranker = dense_ranker(seed, true);
         let mut batched = TuningSession::parallel(ranker.clone(), threads);
         let mut looped = TuningSession::new(ranker);
         let instances: Vec<StencilInstance> =
             steps.iter().map(|&(s, is_2d)| instance(if is_2d { 2 } else { 3 }, s)).collect();
-
-        let batch = batched.tune_batch(&instances);
-        prop_assert_eq!(batch.len(), instances.len());
-        for (q, d) in instances.iter().zip(&batch) {
-            let reference = looped.tune(q);
-            prop_assert_eq!(d.tuning, reference.tuning, "{}", q);
-            prop_assert_eq!(d.score, reference.score, "{}", q);
-            prop_assert_eq!(d.candidates, reference.candidates, "{}", q);
-        }
-
         let queries: Vec<(&StencilInstance, usize)> =
             instances.iter().map(|q| (q, k)).collect();
+
         let tops = batched.top_k_batch(&queries);
+        prop_assert_eq!(tops.len(), instances.len());
         for (q, top) in instances.iter().zip(&tops) {
             let reference = looped.top_k_predefined(q, k);
-            prop_assert_eq!(&top.entries, &reference.entries, "{} k = {}", q, k);
+            prop_assert_eq!(bits(&top.entries), bits(&reference.entries), "{} k = {}", q, k);
+            prop_assert_eq!(top.candidates, reference.candidates, "{}", q);
+            let best = looped.tune(q);
+            prop_assert_eq!(top.entries[0], (best.tuning, best.score), "{}", q);
         }
     }
 }

@@ -95,15 +95,14 @@ impl Engine {
         Engine { pool: SharedPool::with_default_threads() }
     }
 
-    /// An engine running sweeps on an existing shared pool — the seam that
-    /// lets tune → run → re-tune loops (and the serving layer) drive
-    /// measurement and ranking off one set of worker threads.
+    /// An engine running sweeps on an existing shared pool, so several
+    /// engines measure on one set of worker threads.
     pub fn with_shared_pool(pool: SharedPool) -> Self {
         Engine { pool }
     }
 
-    /// A cloneable handle to the engine's pool, for sharing with other
-    /// subsystems (e.g. `sorl::session::TuningSession::with_shared_pool`).
+    /// A cloneable handle to the engine's pool, for a second engine or any
+    /// other parallel job ([`SharedPool::run`]) on the same threads.
     pub fn shared_pool(&self) -> SharedPool {
         self.pool.clone()
     }

@@ -147,8 +147,8 @@ impl std::fmt::Debug for ThreadPool {
 ///
 /// `ThreadPool::run` takes `&mut self` (one job in flight is what makes its
 /// lifetime erasure sound), which means an owned pool cannot be used from
-/// several places — the execution engine, a `TuningSession`, a serving
-/// worker — without threading `&mut` through all of them. A `SharedPool`
+/// several places — say, two execution engines — without threading `&mut`
+/// through all of them. A `SharedPool`
 /// wraps the pool in an `Arc<Mutex<..>>` so any holder can submit jobs
 /// through a shared reference; the mutex serializes submissions (jobs still
 /// run on all pool threads), which is exactly the one-job-at-a-time

@@ -223,7 +223,7 @@ impl FeatureEncoder {
 
     /// Like [`encode_candidate`](Self::encode_candidate) but appends to
     /// `out` instead of clearing it — the building block for row-major
-    /// feature matrices handed to `LinearRanker::score_batch`.
+    /// feature matrices handed to `LinearRanker::score_rows_into`.
     pub fn append_candidate(&self, qf: &QueryFeatures, t: TuningVector, out: &mut Vec<f64>) {
         out.extend_from_slice(&qf.prefix);
         self.write_tuning_block(t, out);

@@ -47,60 +47,18 @@ impl LinearRanker {
         dot(&self.w, x)
     }
 
-    /// Scores many rows given as a flat row-major matrix.
-    pub fn score_rows(&self, rows: &[f64]) -> Vec<f64> {
-        self.score_batch(rows, self.w.len())
-    }
-
-    /// Scores a row-major feature matrix of `dim`-wide rows, returning one
-    /// score per row.
-    ///
-    /// # Panics
-    /// Panics when `dim` differs from the model dimension or `rows` is not a
-    /// whole number of rows.
-    pub fn score_batch(&self, rows: &[f64], dim: usize) -> Vec<f64> {
-        let mut out = vec![0.0; rows.len() / dim.max(1)];
-        self.score_batch_into(rows, dim, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`score_batch`](Self::score_batch):
-    /// writes one score per row into `out`. Dispatches to the SIMD batch
-    /// kernel when available (see [`crate::kernel`]); scores are bit-for-bit
-    /// identical either way.
-    ///
-    /// # Panics
-    /// Panics when `dim` differs from the model dimension, `rows` is not a
-    /// whole number of rows, or `out` is not exactly one slot per row.
-    pub fn score_batch_into(&self, rows: &[f64], dim: usize, out: &mut [f64]) {
-        assert_eq!(dim, self.w.len(), "feature dimension mismatch");
-        assert_eq!(rows.len() % dim.max(1), 0, "row matrix not a multiple of dim");
-        assert_eq!(out.len(), rows.len() / dim.max(1), "output length must match row count");
-        self.score_rows_into(rows, dim, out);
-    }
-
     /// Scores rows laid out `stride` values apart — the lane-padded layout
     /// of `stencil_model::CandidateMatrix` — writing one score per row.
     /// Only the first `dim` values of each row are read; pad cells are
     /// never touched, so padded and unpadded layouts score identically.
+    /// Dispatches to the SIMD batch kernel when available (see
+    /// [`crate::kernel`]); scores are bit-for-bit identical either way.
     ///
     /// # Panics
     /// Panics when `stride` is narrower than the model dimension or `rows`
     /// is not exactly `out.len()` rows of `stride` values.
     pub fn score_rows_into(&self, rows: &[f64], stride: usize, out: &mut [f64]) {
         crate::kernel::score_rows_into(&self.w, rows, stride, out);
-    }
-
-    /// Returns candidate indices sorted best-first (descending score, ties
-    /// broken by index for determinism).
-    pub fn rank(&self, rows: &[&[f64]]) -> Vec<usize> {
-        let scores: Vec<f64> = rows.iter().map(|r| self.score(r)).collect();
-        argsort_desc(&scores)
-    }
-
-    /// Index of the best-scoring row.
-    pub fn top1(&self, rows: &[&[f64]]) -> Option<usize> {
-        self.rank(rows).first().copied()
     }
 
     /// Euclidean norm of the weights.
@@ -205,50 +163,20 @@ mod tests {
     }
 
     #[test]
-    fn score_rows_matches_score() {
+    fn score_rows_into_matches_score_padded_or_not() {
         let m = LinearRanker::from_weights(vec![0.5, 0.25]);
-        let rows = [1.0, 2.0, 3.0, 4.0, 0.0, 8.0];
-        let s = m.score_rows(&rows);
-        assert_eq!(s, vec![1.0, 2.5, 2.0]);
-    }
-
-    #[test]
-    fn score_batch_matches_per_row_score() {
-        let m = LinearRanker::from_weights(vec![0.5, 0.25, -1.0]);
-        let rows = [1.0, 2.0, 3.0, 4.0, 0.0, 8.0, -1.0, 2.0, 0.5];
-        let batch = m.score_batch(&rows, 3);
-        let singles: Vec<f64> = rows.chunks_exact(3).map(|r| m.score(r)).collect();
-        assert_eq!(batch, singles);
         let mut out = [0.0; 3];
-        m.score_batch_into(&rows, 3, &mut out);
-        assert_eq!(out.to_vec(), singles);
+        m.score_rows_into(&[1.0, 2.0, 3.0, 4.0, 0.0, 8.0], 2, &mut out);
+        assert_eq!(out, [1.0, 2.5, 2.0]);
+        // Stride 3: the pad cell (here 99) is never read.
+        m.score_rows_into(&[1.0, 2.0, 99.0, 3.0, 4.0, 99.0, 0.0, 8.0, 99.0], 3, &mut out);
+        assert_eq!(out, [m.score(&[1.0, 2.0]), m.score(&[3.0, 4.0]), m.score(&[0.0, 8.0])]);
     }
 
     #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn score_batch_rejects_wrong_dim() {
-        LinearRanker::zeros(3).score_batch(&[1.0, 2.0], 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of dim")]
-    fn score_batch_rejects_ragged_matrix() {
-        LinearRanker::zeros(3).score_batch(&[1.0, 2.0, 3.0, 4.0], 3);
-    }
-
-    #[test]
-    fn rank_is_descending_with_stable_ties() {
-        let m = LinearRanker::from_weights(vec![1.0]);
-        let rows: Vec<Vec<f64>> = vec![vec![1.0], vec![3.0], vec![3.0], vec![2.0]];
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        assert_eq!(m.rank(&refs), vec![1, 2, 3, 0]);
-        assert_eq!(m.top1(&refs), Some(1));
-    }
-
-    #[test]
-    fn top1_of_empty_is_none() {
-        let m = LinearRanker::zeros(1);
-        assert_eq!(m.top1(&[]), None);
+    fn argsort_is_descending_with_stable_ties() {
+        assert_eq!(argsort_desc(&[1.0, 3.0, 3.0, 2.0]), vec![1, 2, 3, 0]);
+        assert!(argsort_desc(&[]).is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!                                  ▼
 //!                        dedup misses by key ──▶ one pipelined pass:
 //!                        encode each unique instance once, score all
-//!                        candidate rows over one shared ThreadPool,
+//!                        candidate rows over the session's ThreadPool,
 //!                        partial-select the k best per instance
 //!                                  │
 //!                                  ▼
@@ -63,10 +63,6 @@
 //!   nanoseconds instead of letting requests pile up into timeouts.
 //!   [`ServeStats`] reports shed counts, live queue depth, and the
 //!   rolling p99 the shedder acts on.
-//!
-//! The scoring pool is a [`stencil_exec::SharedPool`] handle, so one set
-//! of worker threads can serve the tuning service *and* the execution
-//! engine of the same process ([`TuneService::spawn_with_pool`]).
 //!
 //! Per-request observability rides on top of the counters:
 //!

@@ -1,14 +1,15 @@
 //! The tuning service: an MPSC request queue, a micro-batching worker,
 //! cloneable client handles, and admission control.
 //!
-//! One worker thread owns the [`TuningSession`] (scratch buffers + shared
+//! One worker thread owns the [`TuningSession`] (scratch buffers + scoring
 //! thread pool) and the [`DecisionCache`]. Clients submit
 //! [`TuneRequest`]s through a cloneable [`TuneClient`]; the worker drains
 //! the queue into a micro-batch, answers what it can from the cache,
 //! deduplicates the remaining requests by [`InstanceKey`], and pushes the
 //! unique instances through **one** pipelined encode/score pass
-//! ([`TuningSession::top_k_batch`]) over the shared pool. Every answer is a
-//! [`TopK`]: the k best tuning vectors with scores, from a partial select.
+//! ([`TuningSession::top_k_batch`]) over the session's pool. Every answer
+//! is a [`TopK`]: the k best tuning vectors with scores, from a partial
+//! select.
 //!
 //! Submission is non-blocking: [`TuneClient::submit`] returns a
 //! [`TuneTicket`] (a poll-/callback-capable completion slot — see
@@ -40,7 +41,6 @@ use sorl::session::TuningSession;
 use sorl::tuner::TopK;
 use sorl::StencilRanker;
 use sorl_obs::{EventKind, FlightRecorder, SloConfig, SloTracker, SpanId, TraceId};
-use stencil_exec::SharedPool;
 use stencil_model::{InstanceKey, StencilInstance};
 
 use crate::cache::DecisionCache;
@@ -134,9 +134,7 @@ impl From<SnapshotError> for ServeError {
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Scoring threads (ignored by
-    /// [`TuneService::spawn_with_pool`]; `<= 1` scores inline on the
-    /// worker thread).
+    /// Scoring threads (`<= 1` scores inline on the worker thread).
     pub threads: usize,
     /// Largest micro-batch drained from the queue in one pass.
     pub max_batch: usize,
@@ -306,21 +304,9 @@ pub struct TuneService {
 }
 
 impl TuneService {
-    /// Spawns a service with its own scoring pool of `config.threads`
-    /// threads.
+    /// Spawns a service whose worker scores on a session of
+    /// `config.threads` threads.
     pub fn spawn(ranker: StencilRanker, config: ServeConfig) -> Self {
-        let pool = (config.threads > 1).then(|| SharedPool::new(config.threads));
-        Self::spawn_inner(ranker, config, pool)
-    }
-
-    /// Spawns a service scoring over an existing shared pool — e.g. the
-    /// execution engine's (`Engine::shared_pool`), so tuning and
-    /// measurement share one set of worker threads.
-    pub fn spawn_with_pool(ranker: StencilRanker, config: ServeConfig, pool: SharedPool) -> Self {
-        Self::spawn_inner(ranker, config, Some(pool))
-    }
-
-    fn spawn_inner(ranker: StencilRanker, config: ServeConfig, pool: Option<SharedPool>) -> Self {
         let (tx, rx) = mpsc::channel();
         let counters = Arc::new(Counters::default());
         let admission = Arc::new(Admission::new(&config));
@@ -336,10 +322,7 @@ impl TuneService {
         let worker_exemplars = Arc::clone(&exemplars);
         let worker_slo = Arc::clone(&slo);
         let fingerprint = ranker.fingerprint();
-        let session = match pool {
-            Some(pool) => TuningSession::with_shared_pool(ranker, pool),
-            None => TuningSession::new(ranker),
-        };
+        let session = TuningSession::parallel(ranker, config.threads);
         let worker = std::thread::Builder::new()
             .name("sorl-serve-worker".into())
             .spawn(move || {

@@ -6,25 +6,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use ranksvm::LinearRanker;
 use sorl::session::TuningSession;
 use sorl::StencilRanker;
 use sorl_serve::{ServeConfig, ServeError, ShedReason, TuneService};
-use stencil_model::{FeatureEncoder, GridSize, StencilInstance, StencilKernel};
+use stencil_model::{GridSize, StencilInstance, StencilKernel};
 
 /// Deterministic dense synthetic ranker (no training run needed).
 fn dense_ranker() -> StencilRanker {
-    let encoder = FeatureEncoder::default_interaction();
-    let mut state = 0x2545f4914f6cdd1du64;
-    let w: Vec<f64> = (0..encoder.dim())
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state as f64 / u64::MAX as f64) - 0.5
-        })
-        .collect();
-    StencilRanker::new(encoder, LinearRanker::from_weights(w))
+    sorl::synthetic_ranker(0x2545_f491_4f6c_dd1d)
 }
 
 fn lap(n: u32) -> StencilInstance {

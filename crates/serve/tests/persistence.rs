@@ -6,27 +6,16 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use ranksvm::LinearRanker;
 use sorl::StencilRanker;
 use sorl_serve::{
     CacheSnapshot, DecisionCache, ServeConfig, ServeError, SnapshotError, TuneService,
     SNAPSHOT_FORMAT_VERSION,
 };
-use stencil_model::{FeatureEncoder, GridSize, StencilInstance, StencilKernel, TuningVector};
+use stencil_model::{GridSize, StencilInstance, StencilKernel, TuningVector};
 
 /// Deterministic dense synthetic ranker (no training run needed).
 fn dense_ranker(seed: u64) -> StencilRanker {
-    let encoder = FeatureEncoder::default_interaction();
-    let mut state = seed | 1;
-    let w: Vec<f64> = (0..encoder.dim())
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state as f64 / u64::MAX as f64) - 0.5
-        })
-        .collect();
-    StencilRanker::new(encoder, LinearRanker::from_weights(w))
+    sorl::synthetic_ranker(seed | 1)
 }
 
 fn lap(n: u32) -> StencilInstance {

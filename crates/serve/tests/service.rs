@@ -4,26 +4,15 @@
 
 use std::time::{Duration, Instant};
 
-use ranksvm::LinearRanker;
 use sorl::session::TuningSession;
 use sorl::StencilRanker;
 use sorl_obs::{EventKind, TraceId};
 use sorl_serve::{ServeConfig, TuneRequest, TuneService};
-use stencil_model::{FeatureEncoder, GridSize, StencilInstance, StencilKernel};
+use stencil_model::{GridSize, StencilInstance, StencilKernel};
 
 /// Deterministic dense synthetic ranker (no training run needed).
 fn dense_ranker() -> StencilRanker {
-    let encoder = FeatureEncoder::default_interaction();
-    let mut state = 0x2545f4914f6cdd1du64;
-    let w: Vec<f64> = (0..encoder.dim())
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state as f64 / u64::MAX as f64) - 0.5
-        })
-        .collect();
-    StencilRanker::new(encoder, LinearRanker::from_weights(w))
+    sorl::synthetic_ranker(0x2545_f491_4f6c_dd1d)
 }
 
 fn lap(n: u32) -> StencilInstance {
@@ -270,22 +259,6 @@ fn shutdown_rejects_later_submissions() {
     drop(service);
     assert!(client.tune(lap(64), 1).is_err());
     assert!(client.submit(lap(64), 1).is_err());
-}
-
-#[test]
-fn service_shares_an_external_pool() {
-    let pool = stencil_exec::SharedPool::new(2);
-    let service = TuneService::spawn_with_pool(dense_ranker(), config(), pool.clone());
-    let client = service.client();
-    let mut reference = TuningSession::new(dense_ranker());
-    let got = client.tune(blur(1024), 4).unwrap();
-    assert_eq!(got.entries, reference.top_k_predefined(&blur(1024), 4).entries);
-    // The pool handle stays usable by other subsystems while serving.
-    let hits = std::sync::atomic::AtomicU64::new(0);
-    pool.run(5, &|_| {
-        hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    });
-    assert_eq!(hits.load(std::sync::atomic::Ordering::Relaxed), 5);
 }
 
 #[test]

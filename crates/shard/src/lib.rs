@@ -57,14 +57,15 @@
 
 pub mod router;
 pub mod routing;
-pub mod synthetic;
 pub mod tcp;
 pub mod transport;
 pub mod wire;
 
 pub use router::{FleetStats, FleetTrace, ShardError, ShardRouter, WarmupReport};
 pub use routing::{rendezvous_owner, rendezvous_weight, shard_seed, CacheSlice, Topology};
-pub use synthetic::synthetic_ranker;
+/// The deterministic seeded ranker `sorl-shardd --synthetic-ranker SEED`
+/// serves (see [`sorl::synthetic_ranker`]).
+pub use sorl::synthetic_ranker;
 pub use tcp::{LinkStats, ReconnectPolicy, ShardServer, ShardServerConfig, TcpShard};
 pub use transport::{LocalShard, ShardTransport};
 pub use wire::{TraceDumpReply, TraceQuery};

@@ -12,17 +12,7 @@ use stencil_model::{FeatureEncoder, GridSize, StencilInstance, StencilKernel};
 
 /// Deterministic dense synthetic ranker (no training run needed).
 fn dense_ranker() -> StencilRanker {
-    let encoder = FeatureEncoder::default_interaction();
-    let mut state = 0x2545_f491_4f6c_dd1du64;
-    let w: Vec<f64> = (0..encoder.dim())
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state as f64 / u64::MAX as f64) - 0.5
-        })
-        .collect();
-    StencilRanker::new(encoder, LinearRanker::from_weights(w))
+    sorl::synthetic_ranker(0x2545_f491_4f6c_dd1d)
 }
 
 /// Single-threaded scoring and a tiny gather window: these tests exercise

@@ -11,7 +11,7 @@ use stencil_autotune::exec::reference::reference_sweep;
 use stencil_autotune::exec::{Engine, Grid, WeightedKernel};
 use stencil_autotune::model::{DType, GridSize, StencilInstance, TuningVector};
 use stencil_autotune::sorl::pipeline::{PipelineConfig, TrainingPipeline};
-use stencil_autotune::sorl::tuner::StandaloneTuner;
+use stencil_autotune::sorl::session::TuningSession;
 
 const N: usize = 64;
 const STEPS: usize = 20;
@@ -56,7 +56,7 @@ fn main() {
     println!("training the autotuner...");
     let outcome =
         TrainingPipeline::new(PipelineConfig { training_size: 1920, ..Default::default() }).run();
-    let tuner = StandaloneTuner::new(outcome.ranker);
+    let mut tuner = TuningSession::new(outcome.ranker);
     let decision = tuner.tune(&instance);
     println!("autotuned {instance}: {}\n", decision.tuning);
 

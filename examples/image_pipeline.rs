@@ -9,7 +9,7 @@
 use stencil_autotune::exec::{Blur, Edge, Engine, Grid, StencilFn};
 use stencil_autotune::model::{GridSize, StencilInstance};
 use stencil_autotune::sorl::pipeline::{PipelineConfig, TrainingPipeline};
-use stencil_autotune::sorl::tuner::StandaloneTuner;
+use stencil_autotune::sorl::session::TuningSession;
 
 const W: usize = 1024;
 const H: usize = 768;
@@ -27,7 +27,7 @@ fn main() {
     println!("training the autotuner...");
     let outcome =
         TrainingPipeline::new(PipelineConfig { training_size: 1920, ..Default::default() }).run();
-    let tuner = StandaloneTuner::new(outcome.ranker);
+    let mut tuner = TuningSession::new(outcome.ranker);
 
     let size = GridSize::d2(W as u32, H as u32);
     let blur = Blur::new();

@@ -16,7 +16,7 @@ use stencil_autotune::machine::{Machine, MachineSpec, NoiseModel};
 use stencil_autotune::model::{GridSize, StencilInstance, StencilKernel, TuningVector};
 use stencil_autotune::sorl::experiments::measure_config;
 use stencil_autotune::sorl::pipeline::{PipelineConfig, TrainingPipeline};
-use stencil_autotune::sorl::tuner::StandaloneTuner;
+use stencil_autotune::sorl::session::TuningSession;
 
 fn main() {
     let machines: Vec<(&str, Machine)> = vec![
@@ -36,7 +36,7 @@ fn main() {
                 TrainingPipeline::new(PipelineConfig { training_size: 3840, ..Default::default() })
                     .with_machine(machine.clone())
                     .run();
-            let tuner = StandaloneTuner::new(out.ranker);
+            let mut tuner = TuningSession::new(out.ranker);
             let t = tuner.tune(&q).tuning;
             println!("  model[{name}] picks {t} for {q}");
             (*name, t)

@@ -12,7 +12,7 @@ use stencil_autotune::model::{
     GridSize, StencilExecution, StencilInstance, StencilKernel, TuningVector,
 };
 use stencil_autotune::sorl::pipeline::{PipelineConfig, TrainingPipeline};
-use stencil_autotune::sorl::tuner::StandaloneTuner;
+use stencil_autotune::sorl::session::TuningSession;
 
 fn main() {
     // 1. Pre-processing: generate the training corpus, "run" it on the
@@ -30,7 +30,7 @@ fn main() {
     );
 
     // 2. Tune an unseen stencil: a 7-point laplacian on a 256^3 grid.
-    let tuner = StandaloneTuner::new(outcome.ranker);
+    let mut tuner = TuningSession::new(outcome.ranker);
     let q = StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(256)).unwrap();
     let decision = tuner.tune(&q);
     println!(

@@ -10,7 +10,7 @@
 use stencil_autotune::model::{GridSize, StencilInstance, StencilKernel};
 use stencil_autotune::sorl::pipeline::{PipelineConfig, TrainingPipeline};
 use stencil_autotune::sorl::ranker::StencilRanker;
-use stencil_autotune::sorl::tuner::StandaloneTuner;
+use stencil_autotune::sorl::session::TuningSession;
 
 fn main() {
     let path = std::env::temp_dir().join("sorl-model.json");
@@ -25,8 +25,8 @@ fn main() {
 
     // Phase 2 (every compile): load and tune — no training data needed.
     let loaded = StencilRanker::load_json(&path).expect("load model");
-    let tuner_fresh = StandaloneTuner::new(outcome.ranker);
-    let tuner_loaded = StandaloneTuner::new(loaded);
+    let mut tuner_fresh = TuningSession::new(outcome.ranker);
+    let mut tuner_loaded = TuningSession::new(loaded);
 
     for kernel in [StencilKernel::laplacian(), StencilKernel::wave(), StencilKernel::blur()] {
         let size = if kernel.dim() == 2 { GridSize::square(1024) } else { GridSize::cube(128) };

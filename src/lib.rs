@@ -17,7 +17,7 @@
 //! | [`ranking`] | `ranksvm`         | linear ranking SVM, Kendall τ, baseline learners |
 //! | [`search`]  | `stencil-search`  | GA, steady-state GA, differential evolution, ES |
 //! | [`gen`]     | `stencil-gen`     | training corpus, C emitter, training-set builder |
-//! | [`sorl`]    | `sorl`            | the autotuner: pipeline, ranker, tuners, benchmarks |
+//! | [`sorl`]    | `sorl`            | the autotuner: pipeline, ranker, tuning sessions, benchmarks |
 //! | [`serve`]   | `sorl-serve`      | multi-tenant tuning service: micro-batching, top-k, decision cache |
 //! | [`shard`]   | `sorl-shard`      | fingerprint-sharded fleet: rendezvous routing, warm cache shipping |
 //! | [`obs`]     | `sorl-obs`        | observability: traces, flight recorder, Prometheus metrics |
@@ -26,25 +26,26 @@
 //!
 //! ```no_run
 //! use stencil_autotune::sorl::pipeline::{PipelineConfig, TrainingPipeline};
-//! use stencil_autotune::sorl::tuner::StandaloneTuner;
+//! use stencil_autotune::sorl::session::TuningSession;
 //! use stencil_autotune::model::{GridSize, StencilInstance, StencilKernel};
 //!
 //! // One-off training phase (pre-processing; seconds on the simulator).
 //! let outcome = TrainingPipeline::new(PipelineConfig::default()).run();
-//! let tuner = StandaloneTuner::new(outcome.ranker);
+//! let mut session = TuningSession::new(outcome.ranker);
 //!
 //! // Tune any unseen stencil instantly.
 //! let q = StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(256)).unwrap();
-//! let decision = tuner.tune(&q);
+//! let decision = session.tune(&q);
 //! println!("{} -> {} ({} candidates in {:.2} ms)",
 //!          q, decision.tuning, decision.candidates, decision.seconds * 1e3);
 //! ```
 //!
-//! When tuning sits on a hot path (many instances, repeated queries), use
-//! [`sorl::session::TuningSession`] instead of `StandaloneTuner`: it
-//! caches the predefined candidate sets, reuses scratch buffers (zero
-//! per-candidate heap allocation in steady state) and optionally fans
-//! candidate chunks across a persistent thread pool.
+//! Every ranking query is a [`sorl::session::TuningSession`] call: the
+//! paper's top-1 (`tune`), top-k, batches of queries through one scoring
+//! pass, and explicit candidate lists. A session caches the predefined
+//! candidate sets, reuses scratch buffers (zero per-candidate heap
+//! allocation in steady state) and optionally fans candidate chunks across
+//! a persistent thread pool (`TuningSession::parallel`).
 //!
 //! When many *concurrent* callers tune many (often repeated) instances,
 //! run a [`serve::TuneService`]: queued requests are micro-batched through

@@ -20,7 +20,7 @@ use stencil_autotune::gen::emit_c_kernel;
 use stencil_autotune::model::{GridSize, StencilInstance, StencilKernel, TuningVector};
 use stencil_autotune::sorl::pipeline::{PipelineConfig, TrainingPipeline};
 use stencil_autotune::sorl::ranker::StencilRanker;
-use stencil_autotune::sorl::tuner::StandaloneTuner;
+use stencil_autotune::sorl::session::TuningSession;
 
 const USAGE: &str = "\
 stencil-autotune: ordinal-regression autotuner for stencil computations
@@ -159,7 +159,7 @@ fn cmd_tune(flags: &Flags) -> Result<(), String> {
     let instance = StencilInstance::new(kernel, grid).map_err(|e| e.to_string())?;
     let ranker = StencilRanker::load_json(&model_path)
         .map_err(|e| format!("loading {}: {e}", model_path.display()))?;
-    let tuner = StandaloneTuner::new(ranker);
+    let mut tuner = TuningSession::new(ranker);
     let d = tuner.tune(&instance);
     println!(
         "{instance}: {} (ranked {} candidates in {:.2} ms)",

@@ -7,7 +7,7 @@ use stencil_autotune::sorl::benchmarks::table3_benchmarks;
 use stencil_autotune::sorl::experiments::measure_config;
 use stencil_autotune::sorl::pipeline::{PipelineConfig, TrainingPipeline};
 use stencil_autotune::sorl::ranker::StencilRanker;
-use stencil_autotune::sorl::tuner::StandaloneTuner;
+use stencil_autotune::sorl::session::TuningSession;
 
 fn small_pipeline() -> stencil_autotune::sorl::pipeline::PipelineOutcome {
     TrainingPipeline::new(PipelineConfig { training_size: 960, ..Default::default() }).run()
@@ -16,7 +16,7 @@ fn small_pipeline() -> stencil_autotune::sorl::pipeline::PipelineOutcome {
 #[test]
 fn pipeline_to_tuner_produces_admissible_configs_for_all_benchmarks() {
     let out = small_pipeline();
-    let tuner = StandaloneTuner::new(out.ranker);
+    let mut tuner = TuningSession::new(out.ranker);
     for b in table3_benchmarks() {
         let d = tuner.tune(&b.instance);
         let space = TuningSpace::for_dim(b.instance.dim()).unwrap();
@@ -33,7 +33,7 @@ fn whole_experiment_stack_is_deterministic() {
 
     let run = || {
         let out = small_pipeline();
-        let tuner = StandaloneTuner::new(out.ranker);
+        let mut tuner = TuningSession::new(out.ranker);
         let d = tuner.tune(&q);
         (d.tuning, measure_config(&machine, &q, d.tuning))
     };
@@ -51,7 +51,7 @@ fn tuned_configs_beat_the_median_random_config() {
     let machine = Machine::xeon_e5_2680_v3();
     let out =
         TrainingPipeline::new(PipelineConfig { training_size: 1920, ..Default::default() }).run();
-    let tuner = StandaloneTuner::new(out.ranker);
+    let mut tuner = TuningSession::new(out.ranker);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
     for b in table3_benchmarks() {
         let tuned = measure_config(&machine, &b.instance, tuner.tune(&b.instance).tuning);
@@ -78,8 +78,8 @@ fn model_persistence_survives_the_full_decision_path() {
     out.ranker.save_json(&path).unwrap();
     let loaded = StencilRanker::load_json(&path).unwrap();
 
-    let a = StandaloneTuner::new(out.ranker);
-    let b = StandaloneTuner::new(loaded);
+    let mut a = TuningSession::new(out.ranker);
+    let mut b = TuningSession::new(loaded);
     for bench in table3_benchmarks().into_iter().take(5) {
         assert_eq!(
             a.tune(&bench.instance).tuning,
