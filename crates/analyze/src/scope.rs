@@ -61,6 +61,7 @@ pub fn classify(path: &str) -> Scope {
             | "crates/shard/src/wire/bin.rs"
             | "crates/shard/src/tcp.rs"
             | "crates/serve/src/stats.rs"
+            | "crates/obs/src/metrics.rs"
             | "crates/serve/src/snapshot.rs"
             | "crates/serve/src/cache.rs"
             | "crates/serve/src/service.rs"
@@ -92,6 +93,7 @@ mod tests {
         assert!(classify("crates/shard/src/wire.rs").cast_path);
         assert!(classify("crates/shard/src/wire/bin.rs").cast_path, "the binary codec too");
         assert!(classify("crates/serve/src/stats.rs").cast_path);
+        assert!(classify("crates/obs/src/metrics.rs").cast_path, "the one latency-bucket home");
         assert!(!classify("crates/exec/src/kernels.rs").cast_path);
     }
 

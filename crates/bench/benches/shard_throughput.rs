@@ -21,8 +21,8 @@
 //! * `snapshot_ship_binary_256` — the same cache through the wire's
 //!   binary chunk codec (encode → chunk → reassemble → restore): the
 //!   warm-up shipping path between shards. The perf snapshot also trips
-//!   if the binary chunk stream is not <= 0.5x the JSON rendition's
-//!   bytes.
+//!   if the binary chunk stream is not <= 0.5x the bytes of the entries
+//!   serialized as one JSON array.
 //! * `tcp_lockstep_24x3d_hot` / `tcp_pipelined_24x3d_hot` — the warmed
 //!   workload over ONE loopback TCP connection, 4 concurrent callers: a
 //!   link capped at one request in flight (each caller waits for the
@@ -327,12 +327,11 @@ fn emit_perf_snapshot(ranker: &StencilRanker, queries: &[StencilInstance]) {
     );
 
     // The binary-payload contract: on a realistic 256-decision snapshot,
-    // the binary chunk stream must be at most half the JSON rendition's
-    // bytes (identical chunk boundaries, so the comparison is codec-only).
+    // the binary chunk stream must be at most half the bytes of the
+    // entries' JSON.
     let snap = cache.snapshot(42);
-    let (_, json_chunks) = snap.to_chunks(wire::CHUNK_ENTRIES);
     let (_, bin_chunks) = bin::snapshot_to_chunks(&snap, wire::CHUNK_ENTRIES);
-    let json_bytes: usize = json_chunks.iter().map(|c| c.payload.len()).sum();
+    let json_bytes = serde_json::to_string(&snap.entries).unwrap().len();
     let bin_bytes: usize = bin_chunks.iter().map(|c| c.payload.len()).sum();
     println!(
         "  snapshot chunk bytes: binary {bin_bytes} vs JSON {json_bytes} ({:.2}x smaller)",

@@ -6,7 +6,7 @@ use stencil_model::{GridSize, StencilInstance, TuningVector};
 
 use crate::grid::Grid;
 use crate::kernels::StencilFn;
-use crate::pool::SharedPool;
+use crate::pool::ThreadPool;
 use crate::tiles::{Tile, TileGrid};
 
 /// Measurement protocol: warmup runs followed by timed repetitions; the
@@ -60,7 +60,8 @@ struct SendPtr<T>(*mut T);
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
 
-/// The execution engine: a thread pool plus the blocked/unrolled sweep.
+/// The execution engine: an owned thread pool plus the blocked/unrolled
+/// sweep.
 ///
 /// ```
 /// use stencil_exec::{Engine, Grid, WeightedKernel};
@@ -81,30 +82,18 @@ unsafe impl<T> Sync for SendPtr<T> {}
 /// assert_eq!(out.get(3, 5, 0), 3.0); // (2 + 4) / 2
 /// ```
 pub struct Engine {
-    pool: SharedPool,
+    pool: ThreadPool,
 }
 
 impl Engine {
     /// An engine running on `threads` threads.
     pub fn new(threads: usize) -> Self {
-        Engine { pool: SharedPool::new(threads) }
+        Engine { pool: ThreadPool::new(threads) }
     }
 
     /// An engine using all available parallelism.
     pub fn with_default_threads() -> Self {
-        Engine { pool: SharedPool::with_default_threads() }
-    }
-
-    /// An engine running sweeps on an existing shared pool, so several
-    /// engines measure on one set of worker threads.
-    pub fn with_shared_pool(pool: SharedPool) -> Self {
-        Engine { pool }
-    }
-
-    /// A cloneable handle to the engine's pool, for a second engine or any
-    /// other parallel job ([`SharedPool::run`]) on the same threads.
-    pub fn shared_pool(&self) -> SharedPool {
-        self.pool.clone()
+        Engine { pool: ThreadPool::with_default_threads() }
     }
 
     /// Threads used per sweep.
@@ -385,24 +374,6 @@ mod tests {
         let input: Grid<f64> = Grid::new(4, 4, 1, 0, 0, 0); // no halo!
         let mut out: Grid<f64> = Grid::new(4, 4, 1, 0, 0, 0);
         Engine::new(1).sweep(&k, &[&input], &mut out, &TuningVector::new(2, 2, 1, 0, 1));
-    }
-
-    #[test]
-    fn engines_can_share_one_pool() {
-        let k = identity_kernel();
-        let mut input: Grid<f64> = Grid::new(8, 8, 1, 0, 0, 0);
-        input.fill_with(|x, y, _| (x * 10 + y) as f64);
-
-        let primary = Engine::new(3);
-        let pool = primary.shared_pool();
-        let mut secondary = Engine::with_shared_pool(pool.clone());
-        assert_eq!(secondary.threads(), 3);
-        // The handle is shared, not copied: primary + its clone + secondary.
-        assert_eq!(pool.handle_count(), 3);
-
-        let mut out: Grid<f64> = Grid::new(8, 8, 1, 0, 0, 0);
-        secondary.sweep(&k, &[&input], &mut out, &TuningVector::new(4, 4, 1, 0, 1));
-        assert_eq!(out.max_abs_diff(&input), 0.0);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * **loop unrolling** — the innermost (x) loop is specialized for unroll
 //!   factors 0..=8 via const generics ([`engine`]),
 //! * **chunked multi-threading** — `c` consecutive tiles form a chunk;
-//!   chunks are claimed dynamically by the workers of a persistent
-//!   thread pool ([`pool`]).
+//!   chunks are claimed dynamically by the workers of the persistent
+//!   thread pool each [`Engine`] owns ([`pool`]).
 //!
 //! The nine Table III benchmark kernels are implemented in [`kernels`],
 //! together with a [`kernels::WeightedKernel`] for arbitrary linear
@@ -37,6 +37,6 @@ pub use kernels::{
     BenchmarkKernel, Blur, Divergence, Edge, GameOfLife, Gradient, Laplacian, Laplacian6,
     StencilFn, Tricubic, Wave, WeightedKernel,
 };
-pub use pool::{SharedPool, ThreadPool};
+pub use pool::ThreadPool;
 pub use simulation::Simulation;
 pub use tiles::{Tile, TileGrid};

@@ -143,77 +143,6 @@ impl std::fmt::Debug for ThreadPool {
     }
 }
 
-/// A cloneable handle to a [`ThreadPool`], shareable across subsystems.
-///
-/// `ThreadPool::run` takes `&mut self` (one job in flight is what makes its
-/// lifetime erasure sound), which means an owned pool cannot be used from
-/// several places — say, two execution engines — without threading `&mut`
-/// through all of them. A `SharedPool`
-/// wraps the pool in an `Arc<Mutex<..>>` so any holder can submit jobs
-/// through a shared reference; the mutex serializes submissions (jobs still
-/// run on all pool threads), which is exactly the one-job-at-a-time
-/// discipline `run` demands.
-///
-/// Cloning the handle is cheap and never spawns threads.
-#[derive(Clone)]
-pub struct SharedPool {
-    inner: Arc<Mutex<ThreadPool>>,
-    threads: usize,
-}
-
-impl SharedPool {
-    /// A shared pool of `threads` threads (see [`ThreadPool::new`]).
-    pub fn new(threads: usize) -> Self {
-        Self::from_pool(ThreadPool::new(threads))
-    }
-
-    /// A shared pool using all available parallelism.
-    pub fn with_default_threads() -> Self {
-        Self::from_pool(ThreadPool::with_default_threads())
-    }
-
-    /// Wraps an existing pool into a shareable handle.
-    pub fn from_pool(pool: ThreadPool) -> Self {
-        let threads = pool.threads();
-        SharedPool { inner: Arc::new(Mutex::new(pool)), threads }
-    }
-
-    /// Total threads participating in runs (workers + submitting caller).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Executes `f(i)` for every `i in 0..n_chunks` on the shared pool,
-    /// blocking until every chunk completed. Concurrent submitters queue on
-    /// the internal mutex; the pool executes one job at a time.
-    ///
-    /// # Panics
-    /// Propagates (as a panic) any panic raised inside `f`.
-    pub fn run(&self, n_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
-        self.inner.lock().run(n_chunks, f);
-    }
-
-    /// Number of live handles to the underlying pool (diagnostic).
-    pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.inner)
-    }
-}
-
-impl From<ThreadPool> for SharedPool {
-    fn from(pool: ThreadPool) -> Self {
-        Self::from_pool(pool)
-    }
-}
-
-impl std::fmt::Debug for SharedPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedPool")
-            .field("threads", &self.threads)
-            .field("handles", &self.handle_count())
-            .finish()
-    }
-}
-
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         {
@@ -395,51 +324,6 @@ mod tests {
             total.fetch_add(i as u64, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 2 * 45);
-    }
-
-    #[test]
-    fn shared_pool_runs_jobs_from_shared_references() {
-        let pool = SharedPool::new(3);
-        assert_eq!(pool.threads(), 3);
-        let sum = AtomicU64::new(0);
-        // No `&mut` anywhere: submission goes through a shared handle.
-        pool.run(17, &|i| {
-            sum.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 16 * 17 / 2);
-    }
-
-    #[test]
-    fn shared_pool_clones_use_one_underlying_pool() {
-        let a = SharedPool::new(2);
-        let b = a.clone();
-        assert_eq!(a.handle_count(), 2);
-        let total = Arc::new(AtomicU64::new(0));
-        // Concurrent submitters from different threads serialize on the
-        // mutex; every chunk of both jobs must still run exactly once.
-        let (a2, t2) = (a.clone(), Arc::clone(&total));
-        let submitter = std::thread::spawn(move || {
-            a2.run(100, &|_| {
-                t2.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        b.run(100, &|_| {
-            total.fetch_add(1, Ordering::Relaxed);
-        });
-        submitter.join().unwrap();
-        assert_eq!(total.load(Ordering::Relaxed), 200);
-    }
-
-    #[test]
-    fn shared_pool_from_existing_pool_keeps_thread_count() {
-        let owned = ThreadPool::new(4);
-        let shared: SharedPool = owned.into();
-        assert_eq!(shared.threads(), 4);
-        let n = AtomicU64::new(0);
-        shared.run(8, &|_| {
-            n.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(n.load(Ordering::Relaxed), 8);
     }
 
     #[test]

@@ -192,7 +192,7 @@ impl FeatureEncoder {
     /// Precomputes everything about `q` that candidate encoding needs:
     /// the instance feature prefix, the `sigma` descriptor and the scalar
     /// kernel/size facts feeding the per-tuning `pi` descriptor. Build this
-    /// once per query, then call [`encode_candidate`](Self::encode_candidate)
+    /// once per query, then call [`append_candidate`](Self::append_candidate)
     /// per tuning vector — the batch hot path pays neither a
     /// [`StencilInstance`] clone nor a [`TuningSpace`] construction per
     /// candidate.
@@ -210,20 +210,14 @@ impl FeatureEncoder {
         }
     }
 
-    /// Completes a precomputed query block with one tuning vector, reusing
-    /// `out` (cleared first). Bit-for-bit identical to
-    /// [`encode_into`](Self::encode_into) on `StencilExecution::new(q, t)`.
+    /// Completes a precomputed query block with one tuning vector,
+    /// appending the row to `out` — the building block for row-major
+    /// feature matrices handed to `LinearRanker::score_rows_into`. The row
+    /// is bit-for-bit identical to [`encode_into`](Self::encode_into) on
+    /// `StencilExecution::new(q, t)`.
     ///
     /// Admissibility is *not* checked here — validate the batch up front
     /// with [`QueryFeatures::space`].
-    pub fn encode_candidate(&self, qf: &QueryFeatures, t: TuningVector, out: &mut Vec<f64>) {
-        out.clear();
-        self.append_candidate(qf, t, out);
-    }
-
-    /// Like [`encode_candidate`](Self::encode_candidate) but appends to
-    /// `out` instead of clearing it — the building block for row-major
-    /// feature matrices handed to `LinearRanker::score_rows_into`.
     pub fn append_candidate(&self, qf: &QueryFeatures, t: TuningVector, out: &mut Vec<f64>) {
         out.extend_from_slice(&qf.prefix);
         self.write_tuning_block(t, out);
@@ -418,7 +412,7 @@ impl FeatureEncoder {
 /// Precomputed per-instance encoding state: the concat feature prefix plus
 /// the scalar facts the per-candidate completion needs. Produced by
 /// [`FeatureEncoder::query_features`]; consumed by
-/// [`FeatureEncoder::encode_candidate`].
+/// [`FeatureEncoder::append_candidate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryFeatures {
     /// Instance-dependent concat prefix (pattern + buffers + dtype + size).
@@ -620,13 +614,15 @@ mod tests {
     }
 
     #[test]
-    fn encode_candidate_matches_encode_into_bit_for_bit() {
+    fn append_candidate_matches_encode_into_bit_for_bit() {
         for enc in [FeatureEncoder::paper_concat(), FeatureEncoder::default_interaction()] {
+            let (mut fast, mut slow) = (Vec::new(), Vec::new());
             for e in executions_for_tests() {
                 let qf = enc.query_features(e.instance());
-                let mut fast = Vec::new();
-                enc.encode_candidate(&qf, e.tuning(), &mut fast);
-                assert_eq!(fast, enc.encode(&e), "mismatch for {e}");
+                fast.clear();
+                enc.append_candidate(&qf, e.tuning(), &mut fast);
+                enc.encode_into(&e, &mut slow);
+                assert_eq!(fast, slow, "mismatch for {e}");
             }
         }
     }

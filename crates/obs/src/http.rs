@@ -11,12 +11,13 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::metrics::{MetricsSource, PromWriter};
 
-/// Per-connection socket timeout: a stuck scraper must not wedge the
-/// accept thread for longer than this.
+/// Deadline for a whole request head, and the timeout of each response
+/// write: a stuck or trickling scraper must not wedge the accept thread
+/// for longer than this.
 const SCRAPE_IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Longest request head we bother reading before answering.
@@ -77,7 +78,6 @@ fn accept_loop(listener: TcpListener, source: Arc<dyn MetricsSource>, closing: A
 }
 
 fn serve_scrape(mut stream: TcpStream, source: &dyn MetricsSource) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(SCRAPE_IO_TIMEOUT))?;
     stream.set_write_timeout(Some(SCRAPE_IO_TIMEOUT))?;
     let head = read_request_head(&mut stream)?;
     let (status, body) = match parse_request_line(&head) {
@@ -98,11 +98,22 @@ fn serve_scrape(mut stream: TcpStream, source: &dyn MetricsSource) -> std::io::R
     stream.flush()
 }
 
-/// Reads until the blank line ending the request head (or the size cap).
+/// Reads until the blank line ending the request head (or the size cap),
+/// all within one [`SCRAPE_IO_TIMEOUT`]: a per-read timeout alone would let
+/// a client sending one byte per timeout hold the thread for 4096 reads.
 fn read_request_head(stream: &mut TcpStream) -> std::io::Result<String> {
+    let deadline = Instant::now() + SCRAPE_IO_TIMEOUT;
     let mut head = Vec::new();
     let mut chunk = [0u8; 512];
     while !head.windows(4).any(|w| w == b"\r\n\r\n") && head.len() < MAX_REQUEST_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "request head incomplete at the scrape deadline",
+            ));
+        }
+        stream.set_read_timeout(Some(left))?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             break;
@@ -123,7 +134,17 @@ fn parse_request_line(head: &str) -> Option<(&str, &str)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
+    use std::sync::atomic::AtomicU64;
+
+    /// A one-counter page whose value the test sets between scrapes.
+    #[derive(Default)]
+    struct Scrapes(AtomicU64);
+
+    impl MetricsSource for Scrapes {
+        fn collect(&self, w: &mut PromWriter) {
+            w.counter("sorl_scrapes_total", "How many.", self.0.load(Ordering::Relaxed));
+        }
+    }
 
     fn scrape(addr: SocketAddr, request: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect scrape");
@@ -135,35 +156,62 @@ mod tests {
 
     #[test]
     fn serves_a_fresh_page_per_scrape() {
-        let reg = Arc::new(Registry::new());
-        let c = reg.counter("sorl_scrapes_total", "How many.");
-        let server = MetricsServer::spawn("127.0.0.1:0", reg).expect("spawn metrics");
+        let page = Arc::new(Scrapes::default());
+        let server = MetricsServer::spawn("127.0.0.1:0", page.clone()).expect("spawn metrics");
         let addr = server.local_addr();
 
-        c.add(5);
+        page.0.store(5, Ordering::Relaxed);
         let first = scrape(addr, "GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n");
         assert!(first.starts_with("HTTP/1.0 200 OK"), "{first}");
         assert!(first.contains("text/plain; version=0.0.4"), "{first}");
         assert!(first.contains("sorl_scrapes_total 5"), "{first}");
 
-        c.add(1);
+        page.0.store(6, Ordering::Relaxed);
         let second = scrape(addr, "GET / HTTP/1.0\r\n\r\n");
         assert!(second.contains("sorl_scrapes_total 6"), "page must be rebuilt: {second}");
     }
 
     #[test]
     fn rejects_unknown_paths_and_methods() {
-        let server =
-            MetricsServer::spawn("127.0.0.1:0", Arc::new(Registry::new())).expect("spawn metrics");
+        let server = MetricsServer::spawn("127.0.0.1:0", Arc::new(Scrapes::default()))
+            .expect("spawn metrics");
         let addr = server.local_addr();
         assert!(scrape(addr, "GET /nope HTTP/1.0\r\n\r\n").starts_with("HTTP/1.0 404"));
         assert!(scrape(addr, "POST /metrics HTTP/1.0\r\n\r\n").starts_with("HTTP/1.0 405"));
     }
 
     #[test]
+    fn a_trickling_client_cannot_hold_the_endpoint() {
+        let server = MetricsServer::spawn("127.0.0.1:0", Arc::new(Scrapes::default()))
+            .expect("spawn metrics");
+        let addr = server.local_addr();
+        // One byte every 500 ms — each read well inside the timeout — for
+        // four timeouts. Connected and sending before the scrape, so the
+        // single accept thread takes it first.
+        let mut slow = TcpStream::connect(addr).expect("connect trickler");
+        slow.set_nodelay(true).expect("nodelay");
+        slow.write_all(b"G").expect("first byte");
+        let trickler = std::thread::spawn(move || {
+            let started = Instant::now();
+            for byte in b"ET /metrics HTTP/1.0\r\nX-Slow: yes" {
+                if started.elapsed() >= 4 * SCRAPE_IO_TIMEOUT || slow.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(500));
+            }
+        });
+        let t0 = Instant::now();
+        let page = scrape(addr, "GET /metrics HTTP/1.0\r\n\r\n");
+        let waited = t0.elapsed();
+        trickler.join().expect("trickler thread");
+        assert!(page.starts_with("HTTP/1.0 200 OK"), "{page}");
+        assert!(waited < 2 * SCRAPE_IO_TIMEOUT, "scrape waited {waited:?} behind a trickler");
+    }
+
+    #[test]
     fn drop_stops_the_listener() {
-        let server =
-            MetricsServer::spawn("127.0.0.1:0", Arc::new(Registry::new())).expect("spawn metrics");
+        let server = MetricsServer::spawn("127.0.0.1:0", Arc::new(Scrapes::default()))
+            .expect("spawn metrics");
         let addr = server.local_addr();
         drop(server);
         // The port is released: either connects fail, or an accepted

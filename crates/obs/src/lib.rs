@@ -1,7 +1,7 @@
 //! `sorl-obs` — fleet observability for the stencil-autotune serving
 //! stack: trace identities, a lock-free flight recorder, cross-process
-//! trace assembly, SLO burn-rate tracking, a typed metrics registry,
-//! and a Prometheus-text scrape endpoint.
+//! trace assembly, SLO burn-rate tracking, and a Prometheus-text scrape
+//! endpoint that renders snapshots.
 //!
 //! Pure std plus the workspace's in-tree serde shim (recorder dumps
 //! must cross the wire): this crate is linked into every daemon and
@@ -22,11 +22,11 @@
 //!   span [`Waterfall`], tolerating clock skew and ring overwrite.
 //! * [`slo`] — [`SloTracker`]: multi-window rolling burn-rate tracking
 //!   over a latency+error SLO, exported as `sorl_slo_*` gauges.
-//! * [`metrics`] + [`http`] — [`Registry`]
-//!   (counter/gauge/histogram with the serving stack's log2-µs buckets),
-//!   [`PromWriter`] for rendering external snapshots, and
-//!   [`MetricsServer`], a blocking HTTP/1.0 responder for
-//!   `curl http://host:port/metrics`.
+//! * [`metrics`] + [`http`] — the log2-µs latency buckets
+//!   ([`latency_bucket`]) the serving stack records with,
+//!   [`PromWriter`] for rendering point-in-time snapshots through a
+//!   [`MetricsSource`], and [`MetricsServer`], a blocking HTTP/1.0
+//!   responder for `curl http://host:port/metrics`.
 
 pub mod assemble;
 pub mod http;
@@ -38,8 +38,8 @@ pub mod trace;
 pub use assemble::{assemble, AssembledSpan, Waterfall};
 pub use http::MetricsServer;
 pub use metrics::{
-    escape_label, latency_bucket, latency_bucket_upper_s, unescape_label, Counter, Gauge,
-    Histogram, MetricsSource, PromWriter, Registry, LATENCY_BUCKETS,
+    escape_label, latency_bucket, latency_bucket_upper_s, unescape_label, MetricsSource,
+    PromWriter, LATENCY_BUCKETS,
 };
 pub use recorder::{Event, EventKind, FlightRecorder, RecorderDump, SpanGuard, WireEvent};
 pub use slo::{BurnReading, SloConfig, SloTracker};

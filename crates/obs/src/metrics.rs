@@ -1,109 +1,34 @@
-//! Typed metrics and Prometheus-text exposition.
+//! Prometheus-text exposition and the log2-µs latency bucket scheme.
 //!
-//! Two halves, composable through [`MetricsSource`]:
-//!
-//! * A [`Registry`] of live instruments ([`Counter`], [`Gauge`],
-//!   [`Histogram`]) for code that owns its own numbers. The histogram
-//!   reuses the serving stack's log2-µs bucket scheme (bucket `i` covers
-//!   latencies up to `2^i` µs) so fleet dashboards see one latency axis
-//!   everywhere.
-//! * A [`PromWriter`] for code that already keeps counters elsewhere
-//!   (`ServeStats`, mux link stats) and only needs to *render* a
-//!   point-in-time snapshot in exposition format 0.0.4.
-//!
-//! All instrument updates are relaxed atomics — these are diagnostics,
-//! never synchronization.
+//! Every page is rendered from snapshots: a [`MetricsSource`] (say, a
+//! shard's `ServeStats` and link counters) writes point-in-time numbers
+//! through a [`PromWriter`] in exposition format 0.0.4 on each scrape.
+//! [`latency_bucket`] is the one bucket function — the serving stack
+//! records its batch latencies with it, and [`PromWriter::histogram`]
+//! labels the same buckets — so fleet dashboards see one latency axis.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// Number of log2-µs histogram buckets (mirrors `sorl-serve`'s scheme:
-/// bucket `i` has upper bound `2^i` µs, spanning 1 µs to ~36 minutes).
+/// Number of log2-µs latency histogram buckets. Bucket `i` covers
+/// latencies up to `2^i` µs, so the range spans 1 µs to ~36 minutes with
+/// 2x resolution — plenty for percentile diagnostics of a micro-batching
+/// loop.
 pub const LATENCY_BUCKETS: usize = 32;
 
-/// Histogram bucket index for a duration (saturating, never wrapping).
+/// The latency-histogram bucket of `d` (bucket upper bound `2^i` µs).
 pub fn latency_bucket(d: Duration) -> usize {
+    // Saturate the u128 microsecond count instead of truncating: a
+    // pathological duration (> ~584k years) must land in the top bucket,
+    // not wrap into a low one.
     let us = u64::try_from(d.as_micros()).unwrap_or(u64::MAX).max(1);
+    // sorl-lint: allow(cast, "a bit count is at most 64; always fits usize")
     if us <= 1 { 0 } else { (u64::BITS - (us - 1).leading_zeros()) as usize }
         .min(LATENCY_BUCKETS - 1)
 }
 
-/// The upper bound of a bucket index, in seconds.
+/// The latency a bucket index reports: its upper bound, in seconds.
 pub fn latency_bucket_upper_s(bucket: usize) -> f64 {
     (1u64 << bucket.min(LATENCY_BUCKETS - 1)) as f64 * 1e-6
-}
-
-/// Monotonically increasing count.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A value that goes up and down.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Sets the current value.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Log2-µs latency histogram with exact count and sum.
-#[derive(Debug, Default)]
-pub struct Histogram {
-    buckets: [AtomicU64; LATENCY_BUCKETS],
-    count: AtomicU64,
-    sum_us: AtomicU64,
-}
-
-impl Histogram {
-    /// Records one observation.
-    pub fn observe(&self, d: Duration) {
-        self.buckets[latency_bucket(d)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(u64::try_from(d.as_micros()).unwrap_or(u64::MAX), Ordering::Relaxed);
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Per-bucket counts (non-cumulative).
-    pub fn buckets(&self) -> [u64; LATENCY_BUCKETS] {
-        let mut out = [0u64; LATENCY_BUCKETS];
-        for (o, b) in out.iter_mut().zip(&self.buckets) {
-            *o = b.load(Ordering::Relaxed);
-        }
-        out
-    }
-
-    fn sum_s(&self) -> f64 {
-        self.sum_us.load(Ordering::Relaxed) as f64 * 1e-6
-    }
 }
 
 /// Anything that can contribute metrics to an exposition page. The
@@ -112,112 +37,6 @@ impl Histogram {
 pub trait MetricsSource: Send + Sync {
     /// Appends this source's metric families to the page.
     fn collect(&self, w: &mut PromWriter);
-}
-
-enum Instrument {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-struct Entry {
-    name: String,
-    help: String,
-    instrument: Instrument,
-}
-
-/// A set of named live instruments, renderable as one exposition page.
-#[derive(Default)]
-pub struct Registry {
-    entries: Mutex<Vec<Entry>>,
-}
-
-impl Registry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers and returns a counter. Names must be unique; a repeated
-    /// name returns the existing instrument (so idempotent setup code
-    /// never double-renders a family).
-    pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        for e in entries.iter() {
-            if e.name == name {
-                if let Instrument::Counter(c) = &e.instrument {
-                    return Arc::clone(c);
-                }
-            }
-        }
-        let c = Arc::new(Counter::default());
-        entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            instrument: Instrument::Counter(Arc::clone(&c)),
-        });
-        c
-    }
-
-    /// Registers and returns a gauge (same idempotence as [`counter`](Self::counter)).
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        for e in entries.iter() {
-            if e.name == name {
-                if let Instrument::Gauge(g) = &e.instrument {
-                    return Arc::clone(g);
-                }
-            }
-        }
-        let g = Arc::new(Gauge::default());
-        entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            instrument: Instrument::Gauge(Arc::clone(&g)),
-        });
-        g
-    }
-
-    /// Registers and returns a histogram (same idempotence as [`counter`](Self::counter)).
-    pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        for e in entries.iter() {
-            if e.name == name {
-                if let Instrument::Histogram(h) = &e.instrument {
-                    return Arc::clone(h);
-                }
-            }
-        }
-        let h = Arc::new(Histogram::default());
-        entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            instrument: Instrument::Histogram(Arc::clone(&h)),
-        });
-        h
-    }
-
-    /// Renders every registered instrument.
-    pub fn render(&self) -> String {
-        let mut w = PromWriter::new();
-        self.collect(&mut w);
-        w.into_string()
-    }
-}
-
-impl MetricsSource for Registry {
-    fn collect(&self, w: &mut PromWriter) {
-        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        for e in entries.iter() {
-            match &e.instrument {
-                Instrument::Counter(c) => w.counter(&e.name, &e.help, c.get()),
-                Instrument::Gauge(g) => w.gauge(&e.name, &e.help, g.get() as f64),
-                Instrument::Histogram(h) => {
-                    w.histogram(&e.name, &e.help, &h.buckets(), Some(h.sum_s()));
-                }
-            }
-        }
-    }
 }
 
 /// Incremental builder for one Prometheus text-format 0.0.4 page.
@@ -281,21 +100,12 @@ impl PromWriter {
         }
     }
 
-    /// A gauge family with one sample per label set.
-    pub fn gauge_per(&mut self, name: &str, help: &str, samples: &[(&[(&str, &str)], f64)]) {
-        self.family(name, help, "gauge");
-        for (labels, value) in samples {
-            self.sample(name, labels, *value);
-        }
-    }
-
     /// A complete histogram family from non-cumulative log2-µs bucket
     /// counts: cumulative `_bucket{le=...}` lines, `+Inf`, `_sum` and
-    /// `_count`. When the caller only has bucket counts (no exact sum),
-    /// pass `None` and the sum is approximated by bucket upper bounds —
-    /// an overestimate of at most 2x, consistent with the scheme's
-    /// percentile resolution.
-    pub fn histogram(&mut self, name: &str, help: &str, buckets: &[u64], sum_s: Option<f64>) {
+    /// `_count`. Bucket counts carry no exact sum, so `_sum` is
+    /// approximated by bucket upper bounds — an overestimate of at most
+    /// 2x, consistent with the scheme's percentile resolution.
+    pub fn histogram(&mut self, name: &str, help: &str, buckets: &[u64]) {
         use std::fmt::Write;
         self.family(name, help, "histogram");
         let mut cumulative = 0u64;
@@ -310,13 +120,14 @@ impl PromWriter {
             );
         }
         let _ = writeln!(self.buf, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-        let _ = writeln!(self.buf, "{name}_sum {}", fmt_value(sum_s.unwrap_or(approx_sum)));
+        let _ = writeln!(self.buf, "{name}_sum {}", fmt_value(approx_sum));
         let _ = writeln!(self.buf, "{name}_count {cumulative}");
     }
 }
 
 fn fmt_value(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e15 {
+        // sorl-lint: allow(cast, "an integral f64 below 1e15 in magnitude is exact in i64")
         return format!("{}", v as i64);
     }
     // Nanosecond-fixed, then trimmed: accumulated float error must not
@@ -373,58 +184,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_scheme_matches_the_serve_side() {
+    fn latency_buckets_are_log_scaled_upper_bounds() {
         assert_eq!(latency_bucket(Duration::ZERO), 0);
         assert_eq!(latency_bucket(Duration::from_micros(1)), 0);
         assert_eq!(latency_bucket(Duration::from_micros(2)), 1);
-        assert_eq!(latency_bucket(Duration::from_micros(1000)), 10);
-        assert_eq!(latency_bucket(Duration::MAX), LATENCY_BUCKETS - 1);
+        assert_eq!(latency_bucket(Duration::from_micros(3)), 2);
+        assert_eq!(latency_bucket(Duration::from_micros(1000)), 10, "1 ms in the 1024 us bucket");
+        assert_eq!(latency_bucket(Duration::from_secs(3600)), LATENCY_BUCKETS - 1);
         assert_eq!(latency_bucket_upper_s(10), 1024e-6);
     }
 
     #[test]
-    fn registry_renders_all_instrument_kinds() {
-        let reg = Registry::new();
-        let c = reg.counter("sorl_requests_total", "Requests answered.");
-        let g = reg.gauge("sorl_queue_depth", "Admitted, not yet drained.");
-        let h = reg.histogram("sorl_batch_latency_seconds", "Batch latency.");
-        c.add(41);
-        c.inc();
-        g.set(7);
-        h.observe(Duration::from_micros(100));
-        let page = reg.render();
-        assert!(page.contains("# TYPE sorl_requests_total counter"), "{page}");
-        assert!(page.contains("sorl_requests_total 42"), "{page}");
-        assert!(page.contains("sorl_queue_depth 7"), "{page}");
-        // 100 us lands in the 128 us bucket; cumulative from there on.
-        assert!(page.contains("sorl_batch_latency_seconds_bucket{le=\"0.000128\"} 1"), "{page}");
-        assert!(page.contains("sorl_batch_latency_seconds_bucket{le=\"+Inf\"} 1"), "{page}");
-        assert!(page.contains("sorl_batch_latency_seconds_count 1"), "{page}");
-        assert!(page.contains("sorl_batch_latency_seconds_sum 0.0001"), "{page}");
-    }
-
-    #[test]
-    fn registry_reuse_by_name_is_idempotent() {
-        let reg = Registry::new();
-        let a = reg.counter("sorl_x_total", "X.");
-        let b = reg.counter("sorl_x_total", "X.");
-        a.inc();
-        b.inc();
-        let page = reg.render();
-        assert_eq!(page.matches("# TYPE sorl_x_total counter").count(), 1, "{page}");
-        assert!(page.contains("sorl_x_total 2"), "{page}");
+    fn pathological_durations_saturate_into_the_top_bucket() {
+        // `Duration::MAX.as_micros()` exceeds u64; a truncating `as` cast
+        // would wrap it into a low bucket. It must saturate to the top.
+        assert_eq!(latency_bucket(Duration::MAX), LATENCY_BUCKETS - 1);
+        // A duration engineered so the low 64 bits of its microsecond
+        // count are tiny (u64::MAX + 1 µs worth of time): wrapped, it
+        // would land in bucket 0.
+        let wrap = Duration::from_micros(u64::MAX)
+            .checked_add(Duration::from_micros(1))
+            .expect("fits in Duration");
+        assert_eq!(latency_bucket(wrap), LATENCY_BUCKETS - 1);
     }
 
     #[test]
     fn labeled_samples_and_escaping() {
         let mut w = PromWriter::new();
-        w.gauge_per(
-            "sorl_shard_hit_rate",
-            "Per-shard cache hit rate.",
-            &[(&[("shard", "alpha")], 0.75), (&[("shard", "we\"ird\\x")], 0.5)],
+        w.counter_per(
+            "sorl_shard_requests_total",
+            "Requests per shard.",
+            &[(&[("shard", "alpha")], 75), (&[("shard", "we\"ird\\x")], 5)],
         );
         let page = w.into_string();
-        assert!(page.contains("sorl_shard_hit_rate{shard=\"alpha\"} 0.75"), "{page}");
+        assert!(page.contains("sorl_shard_requests_total{shard=\"alpha\"} 75"), "{page}");
         assert!(page.contains("shard=\"we\\\"ird\\\\x\""), "{page}");
     }
 
@@ -434,7 +227,7 @@ mod tests {
         buckets[0] = 2; // <= 1 us
         buckets[3] = 1; // <= 8 us
         let mut w = PromWriter::new();
-        w.histogram("sorl_lat_seconds", "L.", &buckets, None);
+        w.histogram("sorl_lat_seconds", "L.", &buckets);
         let page = w.into_string();
         assert!(page.contains("sorl_lat_seconds_bucket{le=\"0.000001\"} 2"), "{page}");
         assert!(page.contains("sorl_lat_seconds_bucket{le=\"0.000008\"} 3"), "{page}");
@@ -463,7 +256,7 @@ mod tests {
         }
         // A malformed label value must stay on one sample line.
         let mut w = PromWriter::new();
-        w.gauge_per("sorl_x", "X.", &[(&[("shard", "evil\"} 1\nsorl_forged 2")], 1.0)]);
+        w.counter_per("sorl_x", "X.", &[(&[("shard", "evil\"} 1\nsorl_forged 2")], 1)]);
         let page = w.into_string();
         assert!(!page.contains("sorl_forged 2\n"), "label injection forged a sample:\n{page}");
         assert_eq!(page.lines().count(), 3, "{page}");

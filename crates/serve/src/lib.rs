@@ -87,9 +87,6 @@ pub use exemplar::{Exemplar, ExemplarStore};
 pub use service::{
     KeyFilter, ServeConfig, ServeError, ShedReason, TuneClient, TuneRequest, TuneService,
 };
-pub use snapshot::{
-    CacheSnapshot, SnapshotChunk, SnapshotEntry, SnapshotError, SnapshotHeader, CHUNK_BYTE_BUDGET,
-    SNAPSHOT_FORMAT_VERSION,
-};
+pub use snapshot::{CacheSnapshot, SnapshotEntry, SnapshotError, SNAPSHOT_FORMAT_VERSION};
 pub use stats::ServeStats;
 pub use ticket::TuneTicket;

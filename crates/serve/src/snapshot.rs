@@ -1,6 +1,6 @@
-//! Durable decision-cache snapshots: the wire/disk format that makes a
-//! tuning service restartable *warm* and lets shards ship cache slices to
-//! each other on topology changes.
+//! Durable decision-cache snapshots: the image that makes a tuning
+//! service restartable *warm* and lets shards ship cache slices to each
+//! other on topology changes.
 //!
 //! A [`CacheSnapshot`] carries three things:
 //!
@@ -19,14 +19,12 @@
 //!   first and the restored cache evicts in the same order the live one
 //!   would have.
 //!
-//! The serialized form on disk is JSON (everything in the workspace
-//! persists as JSON — rankers, perf snapshots). Over the wire the chunked
-//! form is codec-generic: [`CacheSnapshot::to_chunks_with`] /
-//! [`CacheSnapshot::from_chunks_with`] parameterize the per-entry
-//! encoding while keeping chunk boundaries, checksumming and torn-transfer
-//! validation identical — the shard transport's binary payload codec
-//! (`sorl_shard::wire::bin`) plugs in there for every snapshot stream on
-//! the wire.
+//! This module owns the one durable form: a JSON file (everything in the
+//! workspace persists as JSON — rankers, perf snapshots), written
+//! atomically by [`CacheSnapshot::save_json`]. Snapshots cross the wire
+//! in the shard transport's binary chunk stream
+//! (`sorl_shard::wire::bin::snapshot_to_chunks`), whose torn or corrupted
+//! transfers are reported with this module's [`SnapshotError`] variants.
 
 use std::path::Path;
 
@@ -36,13 +34,6 @@ use stencil_model::{InstanceKey, TuningVector};
 /// Version of the snapshot entry layout. Bump on any incompatible change
 /// to [`SnapshotEntry`] or [`CacheSnapshot`]; restores check it first.
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
-
-/// Byte budget at which [`CacheSnapshot::to_chunks`] closes a chunk even
-/// below its entry-count limit. Far under any transport frame cap (the
-/// TCP wire caps frames at 64 MiB), with one-entry chunks as the floor —
-/// a single decision is bounded by the candidate-set size (≤ 8640
-/// entries, well under a megabyte).
-pub const CHUNK_BYTE_BUDGET: usize = 4 * 1024 * 1024;
 
 /// One persisted decision: everything the cache knows about a key.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -157,226 +148,6 @@ impl CacheSnapshot {
         let json = std::fs::read_to_string(path)?;
         Self::from_json(&json)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
-
-    /// Splits the snapshot into a [`SnapshotHeader`] plus per-chunk
-    /// checksummed [`SnapshotChunk`]s — the streaming wire format for
-    /// shipping big caches: no single giant JSON string is materialized,
-    /// and a receiver can verify each chunk independently before
-    /// assembling anything.
-    ///
-    /// A chunk closes at `entries_per_chunk` entries *or* at
-    /// [`CHUNK_BYTE_BUDGET`] serialized bytes, whichever comes first (one
-    /// entry minimum) — entry counts alone would let a cache of deep
-    /// top-k decisions produce a chunk bigger than a transport's frame
-    /// cap, wedging cache shipping for that shard permanently.
-    ///
-    /// An empty snapshot yields zero chunks (the header alone carries the
-    /// version and fingerprint). Reassemble with
-    /// [`from_chunks`](Self::from_chunks).
-    pub fn to_chunks(&self, entries_per_chunk: usize) -> (SnapshotHeader, Vec<SnapshotChunk>) {
-        self.to_chunks_with(
-            entries_per_chunk,
-            |entry| {
-                // sorl-lint: allow(panic, "serializing our own derive(Serialize) types cannot fail")
-                serde_json::to_string(entry).expect("snapshot entry serializes").into_bytes()
-            },
-            seal_json_chunk,
-        )
-    }
-
-    /// Codec-generic core of [`to_chunks`](Self::to_chunks): `render`
-    /// serializes one entry, `seal` turns a chunk's rendered entries into
-    /// one payload (the JSON path wraps them into a JSON array; a binary
-    /// codec would count-prefix and concatenate). Chunk boundaries (the
-    /// entry-count limit and [`CHUNK_BYTE_BUDGET`]) and checksumming are
-    /// identical for every codec — the checksum is always the pinned
-    /// FNV-1a over the sealed payload bytes, whatever the encoding.
-    ///
-    /// Each entry is rendered exactly once and peak memory is one chunk's
-    /// worth of rendered entries, never the whole snapshot.
-    pub fn to_chunks_with(
-        &self,
-        entries_per_chunk: usize,
-        render: impl Fn(&SnapshotEntry) -> Vec<u8>,
-        seal: impl Fn(&[Vec<u8>]) -> Vec<u8>,
-    ) -> (SnapshotHeader, Vec<SnapshotChunk>) {
-        let per = entries_per_chunk.max(1);
-        let mut chunks: Vec<SnapshotChunk> = Vec::new();
-        let mut pending: Vec<Vec<u8>> = Vec::new();
-        let mut bytes = 0usize;
-        for entry in &self.entries {
-            let rendered = render(entry);
-            if !pending.is_empty()
-                && (pending.len() >= per || bytes + rendered.len() > CHUNK_BYTE_BUDGET)
-            {
-                close_chunk(&mut chunks, &mut pending, &seal);
-                bytes = 0;
-            }
-            bytes += rendered.len();
-            pending.push(rendered);
-        }
-        close_chunk(&mut chunks, &mut pending, &seal);
-        let header = SnapshotHeader {
-            format_version: self.format_version,
-            ranker_fingerprint: self.ranker_fingerprint,
-            entries: self.entries.len(),
-            chunks: chunks.len(),
-        };
-        (header, chunks)
-    }
-
-    /// Reassembles a snapshot from a header and its chunks, verifying the
-    /// transfer *before* constructing anything: the chunk count must match
-    /// the header, the chunks must arrive in index order, every chunk's
-    /// FNV-1a checksum must verify, and the total entry count must match
-    /// the header. A torn or corrupted transfer is rejected
-    /// deterministically ([`SnapshotError::ChunkChecksum`] /
-    /// [`SnapshotError::Truncated`]) — never assembled partially.
-    pub fn from_chunks(
-        header: &SnapshotHeader,
-        chunks: &[SnapshotChunk],
-    ) -> Result<Self, SnapshotError> {
-        Self::from_chunks_with(header, chunks, |i, payload| {
-            let text = std::str::from_utf8(payload)
-                .map_err(|e| SnapshotError::Parse(format!("chunk {i}: {e}")))?;
-            serde_json::from_str(text).map_err(|e| SnapshotError::Parse(format!("chunk {i}: {e}")))
-        })
-    }
-
-    /// Codec-generic core of [`from_chunks`](Self::from_chunks):
-    /// `parse_chunk(index, payload)` decodes one verified chunk payload
-    /// back into its entries. Count/order/checksum validation happens here,
-    /// identically for every codec, *before* `parse_chunk` ever sees a
-    /// byte — a decoder only runs on payloads whose FNV-1a digest checked
-    /// out.
-    pub fn from_chunks_with(
-        header: &SnapshotHeader,
-        chunks: &[SnapshotChunk],
-        parse_chunk: impl Fn(usize, &[u8]) -> Result<Vec<SnapshotEntry>, SnapshotError>,
-    ) -> Result<Self, SnapshotError> {
-        if chunks.len() != header.chunks {
-            return Err(SnapshotError::Truncated {
-                what: "chunks",
-                found: chunks.len(),
-                expected: header.chunks,
-            });
-        }
-        // `header.entries` is peer-supplied and unvalidated at this point —
-        // cap the pre-allocation so a garbage count cannot provoke a giant
-        // allocation (the real count is enforced against the header below).
-        let mut entries = Vec::with_capacity(header.entries.min(4096));
-        for (i, chunk) in chunks.iter().enumerate() {
-            if chunk.index != i {
-                return Err(SnapshotError::Truncated {
-                    what: "chunk index",
-                    found: chunk.index,
-                    expected: i,
-                });
-            }
-            if !chunk.verify() {
-                return Err(SnapshotError::ChunkChecksum { index: i });
-            }
-            entries.extend(parse_chunk(i, &chunk.payload)?);
-        }
-        if entries.len() != header.entries {
-            return Err(SnapshotError::Truncated {
-                what: "entries",
-                found: entries.len(),
-                expected: header.entries,
-            });
-        }
-        Ok(CacheSnapshot {
-            format_version: header.format_version,
-            ranker_fingerprint: header.ranker_fingerprint,
-            entries,
-        })
-    }
-}
-
-/// Seals the pending entry renditions into one checksummed chunk.
-fn close_chunk(
-    chunks: &mut Vec<SnapshotChunk>,
-    pending: &mut Vec<Vec<u8>>,
-    seal: &impl Fn(&[Vec<u8>]) -> Vec<u8>,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let payload = seal(pending);
-    let checksum = SnapshotChunk::digest(&payload);
-    chunks.push(SnapshotChunk { index: chunks.len(), checksum, payload });
-    pending.clear();
-}
-
-/// The JSON chunk seal: joins the per-entry renditions into one JSON array
-/// — byte-identical input to what `from_chunks` parses, without
-/// re-serializing the entries.
-fn seal_json_chunk(pending: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = pending.iter().map(|p| p.len()).sum();
-    let mut payload = Vec::with_capacity(total + pending.len() + 1);
-    payload.push(b'[');
-    for (i, rendered) in pending.iter().enumerate() {
-        if i > 0 {
-            payload.push(b',');
-        }
-        payload.extend_from_slice(rendered);
-    }
-    payload.push(b']');
-    payload
-}
-
-/// The fixed-size prologue of a chunked snapshot transfer: everything a
-/// receiver needs to validate the stream that follows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SnapshotHeader {
-    /// Entry-layout version of the snapshot being shipped.
-    pub format_version: u32,
-    /// Fingerprint of the ranking function the decisions came from.
-    pub ranker_fingerprint: u64,
-    /// Total entries across all chunks.
-    pub entries: usize,
-    /// Number of chunks that follow.
-    pub chunks: usize,
-}
-
-/// One checksummed slice of a chunked snapshot transfer.
-///
-/// The payload is the JSON serialization of a `Vec<SnapshotEntry>`; the
-/// checksum is FNV-1a ([`stencil_model::fingerprint::Fnv1a`] — pinned, so
-/// sender and receiver agree across builds and hosts) over exactly those
-/// payload bytes. A flipped bit anywhere in transit fails
-/// [`verify`](Self::verify) deterministically.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotChunk {
-    /// Position of this chunk in the stream (`0..header.chunks`).
-    pub index: usize,
-    /// FNV-1a digest of `payload`.
-    pub checksum: u64,
-    /// JSON bytes of this chunk's `Vec<SnapshotEntry>`.
-    pub payload: Vec<u8>,
-}
-
-impl SnapshotChunk {
-    /// Serializes `entries` into a chunk, stamping the checksum.
-    pub fn encode(index: usize, entries: &[SnapshotEntry]) -> Self {
-        // sorl-lint: allow(panic, "serializing our own derive(Serialize) types cannot fail")
-        let json = serde_json::to_string(entries).expect("snapshot entries serialize");
-        let payload = json.into_bytes();
-        let checksum = Self::digest(&payload);
-        SnapshotChunk { index, checksum, payload }
-    }
-
-    /// Whether the payload still matches the stamped checksum.
-    pub fn verify(&self) -> bool {
-        Self::digest(&self.payload) == self.checksum
-    }
-
-    /// The pinned FNV-1a digest of a chunk payload.
-    pub fn digest(payload: &[u8]) -> u64 {
-        let mut h = stencil_model::fingerprint::Fnv1a::new();
-        h.write_bytes(payload);
-        h.finish()
     }
 }
 
@@ -551,108 +322,6 @@ mod tests {
         let err = CacheSnapshot::load_json(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn chunk_roundtrip_is_exact() {
-        let snap = CacheSnapshot {
-            format_version: SNAPSHOT_FORMAT_VERSION,
-            ranker_fingerprint: 0x1234_5678_9abc_def0,
-            entries: vec![entry(64, 1), entry(96, 2), entry(128, 3), entry(160, 4), entry(192, 5)],
-        };
-        for per_chunk in [1, 2, 3, 5, 100] {
-            let (header, chunks) = snap.to_chunks(per_chunk);
-            assert_eq!(header.entries, 5);
-            assert_eq!(header.chunks, chunks.len());
-            assert_eq!(chunks.len(), 5usize.div_ceil(per_chunk));
-            let back = CacheSnapshot::from_chunks(&header, &chunks).unwrap();
-            assert_eq!(back, snap, "per_chunk={per_chunk}");
-        }
-    }
-
-    #[test]
-    fn chunking_splits_on_byte_budget_before_entry_count() {
-        // Deep top-k decisions (the candidate-set-sized worst case) must
-        // not produce chunks beyond the byte budget just because the
-        // entry-count limit was not reached — an oversized chunk would
-        // exceed a transport's frame cap and wedge cache shipping.
-        let deep = |n: u32, last_used: u64| {
-            let mut e = entry(n, last_used);
-            e.entries = (0..8640u32)
-                .map(|i| (TuningVector::new(8, 8, 8, i % 9, 1 + i % 4), -f64::from(i)))
-                .collect();
-            e
-        };
-        let snap = CacheSnapshot {
-            format_version: SNAPSHOT_FORMAT_VERSION,
-            ranker_fingerprint: 21,
-            entries: (0..12).map(|i| deep(64 + 8 * i, u64::from(i))).collect(),
-        };
-        let (header, chunks) = snap.to_chunks(256);
-        assert!(chunks.len() > 1, "byte budget must split despite the 256-entry limit");
-        for c in &chunks {
-            assert!(
-                c.payload.len() < 2 * CHUNK_BYTE_BUDGET,
-                "chunk {} is {} bytes — way past the budget",
-                c.index,
-                c.payload.len()
-            );
-        }
-        assert_eq!(CacheSnapshot::from_chunks(&header, &chunks).unwrap(), snap);
-    }
-
-    #[test]
-    fn empty_snapshot_chunks_to_header_only() {
-        let snap = CacheSnapshot::empty(9);
-        let (header, chunks) = snap.to_chunks(64);
-        assert_eq!(header.chunks, 0);
-        assert!(chunks.is_empty());
-        assert_eq!(CacheSnapshot::from_chunks(&header, &chunks).unwrap(), snap);
-    }
-
-    #[test]
-    fn corrupted_chunk_is_rejected_by_checksum() {
-        let snap = CacheSnapshot {
-            format_version: SNAPSHOT_FORMAT_VERSION,
-            ranker_fingerprint: 7,
-            entries: vec![entry(64, 1), entry(96, 2), entry(128, 3)],
-        };
-        let (header, mut chunks) = snap.to_chunks(1);
-        // Flip one byte in the middle chunk's payload.
-        let mid = chunks[1].payload.len() / 2;
-        chunks[1].payload[mid] ^= 0x40;
-        assert_eq!(
-            CacheSnapshot::from_chunks(&header, &chunks),
-            Err(SnapshotError::ChunkChecksum { index: 1 })
-        );
-    }
-
-    #[test]
-    fn torn_chunk_streams_are_rejected() {
-        let snap = CacheSnapshot {
-            format_version: SNAPSHOT_FORMAT_VERSION,
-            ranker_fingerprint: 7,
-            entries: vec![entry(64, 1), entry(96, 2), entry(128, 3)],
-        };
-        let (header, chunks) = snap.to_chunks(1);
-        // Missing chunk.
-        assert!(matches!(
-            CacheSnapshot::from_chunks(&header, &chunks[..2]),
-            Err(SnapshotError::Truncated { what: "chunks", .. })
-        ));
-        // Out-of-order chunks.
-        let swapped = vec![chunks[1].clone(), chunks[0].clone(), chunks[2].clone()];
-        assert!(matches!(
-            CacheSnapshot::from_chunks(&header, &swapped),
-            Err(SnapshotError::Truncated { what: "chunk index", .. })
-        ));
-        // Header promising more entries than the chunks carry.
-        let mut lying = header;
-        lying.entries = 99;
-        assert!(matches!(
-            CacheSnapshot::from_chunks(&lying, &chunks),
-            Err(SnapshotError::Truncated { what: "entries", .. })
-        ));
     }
 
     #[test]

@@ -6,39 +6,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use sorl_obs::PromWriter;
+use sorl_obs::{latency_bucket, latency_bucket_upper_s, PromWriter};
+
+/// The latency histogram's bucket count: `sorl-obs`'s log2-µs scheme, the
+/// one the metrics page labels its buckets with.
+pub use sorl_obs::LATENCY_BUCKETS;
 
 /// Number of batch-size histogram buckets: `1`, `2`, `3-4`, `5-8`, `9-16`,
 /// `17-32`, `33-64`, `>64`.
 pub const BATCH_SIZE_BUCKETS: usize = 8;
-
-/// Number of latency histogram buckets. Bucket `i` covers latencies up to
-/// `2^i` microseconds, so the range spans 1 µs to ~36 minutes with 2x
-/// resolution — plenty for percentile diagnostics of a micro-batching
-/// loop.
-pub const LATENCY_BUCKETS: usize = 32;
 
 /// Histogram bucket for a batch of `n` requests.
 fn batch_size_bucket(n: usize) -> usize {
     // sorl-lint: allow(cast, "a bit count is at most 64; always fits usize")
     if n <= 1 { 0 } else { (usize::BITS - (n - 1).leading_zeros()) as usize }
         .min(BATCH_SIZE_BUCKETS - 1)
-}
-
-/// Histogram bucket for a batch latency (bucket upper bound `2^i` µs).
-fn latency_bucket(d: Duration) -> usize {
-    // Saturate the u128 microsecond count instead of truncating: a
-    // pathological duration (> ~584k years) must land in the top bucket,
-    // not wrap into a low one.
-    let us = u64::try_from(d.as_micros()).unwrap_or(u64::MAX).max(1);
-    // sorl-lint: allow(cast, "a bit count is at most 64; always fits usize")
-    if us <= 1 { 0 } else { (u64::BITS - (us - 1).leading_zeros()) as usize }
-        .min(LATENCY_BUCKETS - 1)
-}
-
-/// The latency a bucket index reports: its upper bound, in seconds.
-fn latency_bucket_upper_s(bucket: usize) -> f64 {
-    (1u64 << bucket) as f64 * 1e-6
 }
 
 /// Number of batches the rolling shed-control latency window spans.
@@ -374,7 +356,6 @@ impl ServeStats {
             "sorl_serve_batch_latency_seconds",
             "Per-batch latency, first dequeue to answers ready.",
             &self.batch_latency_hist,
-            None,
         );
         // Batch sizes form a cumulative histogram over request counts:
         // bucket uppers 1, 2, 4, ..., 64, with the `>64` bucket as the
@@ -492,31 +473,6 @@ mod tests {
         assert_eq!(batch_size_bucket(64), 6);
         assert_eq!(batch_size_bucket(65), 7);
         assert_eq!(batch_size_bucket(10_000), 7, "everything huge lands in the last bucket");
-    }
-
-    #[test]
-    fn latency_buckets_are_log_scaled_upper_bounds() {
-        assert_eq!(latency_bucket(Duration::ZERO), 0);
-        assert_eq!(latency_bucket(Duration::from_micros(1)), 0);
-        assert_eq!(latency_bucket(Duration::from_micros(2)), 1);
-        assert_eq!(latency_bucket(Duration::from_micros(3)), 2);
-        assert_eq!(latency_bucket(Duration::from_micros(1000)), 10, "1 ms in the 1024 us bucket");
-        assert_eq!(latency_bucket(Duration::from_secs(3600)), LATENCY_BUCKETS - 1);
-        assert_eq!(latency_bucket_upper_s(10), 1024e-6);
-    }
-
-    #[test]
-    fn pathological_durations_saturate_into_the_top_bucket() {
-        // `Duration::MAX.as_micros()` exceeds u64; a truncating `as` cast
-        // would wrap it into a low bucket. It must saturate to the top.
-        assert_eq!(latency_bucket(Duration::MAX), LATENCY_BUCKETS - 1);
-        // A duration engineered so the low 64 bits of its microsecond
-        // count are tiny (u64::MAX + 1 µs worth of time): wrapped, it
-        // would land in bucket 0.
-        let wrap = Duration::from_micros(u64::MAX)
-            .checked_add(Duration::from_micros(1))
-            .expect("fits in Duration");
-        assert_eq!(latency_bucket(wrap), LATENCY_BUCKETS - 1);
     }
 
     #[test]

@@ -241,17 +241,6 @@ impl ShardRouter {
         ShardRouter { shards: Vec::new() }
     }
 
-    /// A router over the given `(id, transport)` pairs.
-    pub fn with_shards(
-        shards: impl IntoIterator<Item = (String, Box<dyn ShardTransport>)>,
-    ) -> Result<Self, ShardError> {
-        let mut router = Self::new();
-        for (id, transport) in shards {
-            router.add_shard_boxed(id, transport)?;
-        }
-        Ok(router)
-    }
-
     /// Number of attached shards.
     pub fn len(&self) -> usize {
         self.shards.len()

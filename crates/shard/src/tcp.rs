@@ -57,14 +57,12 @@ use sorl::tuner::TopK;
 use sorl_obs::{
     EventKind, FlightRecorder, MetricsServer, MetricsSource, PromWriter, SpanId, TraceId,
 };
-use sorl_serve::{
-    CacheSnapshot, ServeError, ServeStats, ShedReason, SnapshotHeader, TuneRequest, TuneService,
-};
+use sorl_serve::{CacheSnapshot, ServeError, ServeStats, ShedReason, TuneRequest, TuneService};
 use stencil_model::StencilInstance;
 
 use crate::routing::CacheSlice;
 use crate::transport::ShardTransport;
-use crate::wire::{self, bin, FrameKind, WireError};
+use crate::wire::{self, bin, FrameKind, SnapshotHeader, WireError};
 
 /// Locks `m`, recovering from poisoning instead of panicking: every
 /// state these mutexes protect (the connection slot, [`MuxState`],

@@ -45,11 +45,13 @@
 //! snapshot stream is a [`FrameKind::SnapshotHeader`] frame (JSON
 //! [`SnapshotHeader`], so the stream prologue stays humanly inspectable)
 //! followed by `header.chunks` [`FrameKind::SnapshotChunk`] frames, each
-//! `8-byte FNV-1a checksum ‖ binary chunk` (see [`sorl_serve::SnapshotChunk`]
-//! — the checksum is the pinned [`stencil_model::fingerprint::Fnv1a`] over
-//! exactly the chunk bytes). Big caches stream chunk by chunk, and a torn
-//! or corrupted transfer is rejected deterministically before anything is
-//! assembled ([`SnapshotAssembler`]).
+//! `8-byte FNV-1a checksum ‖ binary chunk` (see [`SnapshotChunk`] — the
+//! checksum is the pinned [`stencil_model::fingerprint::Fnv1a`] over
+//! exactly the chunk bytes). This module owns the stream's types and
+//! limits; [`bin::snapshot_to_chunks`] and [`bin::snapshot_from_chunks`]
+//! are its one chunker and validator. Big caches stream chunk by chunk,
+//! and a torn or corrupted transfer is rejected deterministically before
+//! anything is assembled ([`SnapshotAssembler`]).
 //!
 //! Failures travel as [`FrameKind::Error`] frames whose payload is a
 //! [`WireFault`] — a flat encoding of [`ServeError`] that reconstructs the
@@ -63,7 +65,7 @@ use std::io::{self, Read, Write};
 
 use serde::{Deserialize, Serialize};
 use sorl_obs::RecorderDump;
-use sorl_serve::{Exemplar, ServeError, ShedReason, SnapshotChunk, SnapshotError, SnapshotHeader};
+use sorl_serve::{Exemplar, ServeError, ShedReason, SnapshotError};
 
 pub mod bin;
 
@@ -85,6 +87,12 @@ pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 
 /// Entries per snapshot chunk used by the TCP transport and server.
 pub const CHUNK_ENTRIES: usize = 256;
+
+/// Encoded entry bytes at which [`bin::snapshot_to_chunks`] closes a chunk
+/// even below its entry-count limit. Far under [`MAX_PAYLOAD`], with
+/// one-entry chunks as the floor — a single decision is bounded by the
+/// candidate-set size (≤ 8640 entries, well under a megabyte).
+pub const CHUNK_BYTE_BUDGET: usize = 4 * 1024 * 1024;
 
 /// Upper bound on the total payload bytes of one snapshot stream. The
 /// per-frame [`MAX_PAYLOAD`] cap alone would still let a peer stream an
@@ -348,6 +356,51 @@ pub fn to_payload<T: Serialize>(value: &T) -> Vec<u8> {
 // ---------------------------------------------------------------------------
 // Snapshot streaming
 // ---------------------------------------------------------------------------
+
+/// The prologue of a chunked snapshot stream: everything a receiver needs
+/// to validate the chunks that follow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SnapshotHeader {
+    /// Entry-layout version of the snapshot being shipped.
+    pub format_version: u32,
+    /// Fingerprint of the ranking function the decisions came from.
+    pub ranker_fingerprint: u64,
+    /// Total entries across all chunks.
+    pub entries: usize,
+    /// Number of chunks that follow.
+    pub chunks: usize,
+}
+
+/// One checksummed slice of a chunked snapshot stream.
+///
+/// The payload is a binary chunk ([`bin::snapshot_to_chunks`]); the
+/// checksum is FNV-1a ([`stencil_model::fingerprint::Fnv1a`] — pinned, so
+/// sender and receiver agree across builds and hosts) over exactly those
+/// payload bytes. A flipped bit anywhere in transit fails
+/// [`verify`](Self::verify) deterministically.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotChunk {
+    /// Position of this chunk in the stream (`0..header.chunks`).
+    pub index: usize,
+    /// FNV-1a digest of `payload`.
+    pub checksum: u64,
+    /// The binary chunk: `u32 entry count ‖ concatenated entries`.
+    pub payload: Vec<u8>,
+}
+
+impl SnapshotChunk {
+    /// Whether the payload still matches the stamped checksum.
+    pub fn verify(&self) -> bool {
+        Self::digest(&self.payload) == self.checksum
+    }
+
+    /// The pinned FNV-1a digest of a chunk payload.
+    pub fn digest(payload: &[u8]) -> u64 {
+        let mut h = stencil_model::fingerprint::Fnv1a::new();
+        h.write_bytes(payload);
+        h.finish()
+    }
+}
 
 /// Streams a snapshot answering (or, for imports, opening) request
 /// `request_id`: a JSON header frame, then binary chunk frames.

@@ -23,11 +23,12 @@
 //!   must come in strictly increasing offset order with nonzero counts,
 //!   so a payload a decoder accepts re-encodes to exactly its bytes.
 //!
-//! Snapshot chunks use [`CacheSnapshot::to_chunks_with`] /
-//! [`CacheSnapshot::from_chunks_with`], so chunk boundaries, the byte
-//! budget and FNV-1a checksumming are byte-for-byte the same machinery as
-//! the JSON rendition on disk — only the entry encoding differs: a binary
-//! chunk is `u32 entry count ‖ concatenated entry encodings`.
+//! This module is also the one snapshot chunker and chunk validator:
+//! [`snapshot_to_chunks`] cuts a snapshot into checksummed
+//! [`SnapshotChunk`]s of `u32 entry count ‖ concatenated entry encodings`,
+//! and [`snapshot_from_chunks`] checks a received stream's counts, order
+//! and FNV-1a checksums before it decodes a byte. The durable JSON file
+//! ([`CacheSnapshot::save_json`]) is the only other snapshot form.
 //!
 //! [`FrameKind::TuneOk`]: super::FrameKind::TuneOk
 //! [`FrameKind::StatsOk`]: super::FrameKind::StatsOk
@@ -35,11 +36,10 @@
 
 use sorl::TopK;
 use sorl_serve::stats::{BATCH_SIZE_BUCKETS, LATENCY_BUCKETS};
-use sorl_serve::{
-    CacheSnapshot, ServeError, ServeStats, SnapshotChunk, SnapshotEntry, SnapshotError,
-    SnapshotHeader,
-};
+use sorl_serve::{CacheSnapshot, ServeError, ServeStats, SnapshotEntry, SnapshotError};
 use stencil_model::{DType, GridSize, InstanceKey, Offset, StencilPattern, TuningVector};
+
+use super::{SnapshotChunk, SnapshotHeader, CHUNK_BYTE_BUDGET};
 
 // ---------------------------------------------------------------------------
 // TopK
@@ -193,56 +193,128 @@ pub fn snapshot_fits(_snapshot: &CacheSnapshot) -> bool {
     true
 }
 
-/// Chunks `snapshot` with binary entry payloads — same chunk boundaries,
-/// byte budget and FNV-1a checksums as [`CacheSnapshot::to_chunks`], only
-/// the rendition differs.
+/// Splits `snapshot` into a [`SnapshotHeader`] plus checksummed
+/// [`SnapshotChunk`]s, the streaming wire form for shipping caches: no
+/// single giant payload is materialized, and a receiver verifies each
+/// chunk before it decodes anything.
+///
+/// A chunk closes at `entries_per_chunk` entries *or* at
+/// [`CHUNK_BYTE_BUDGET`] encoded entry bytes, whichever comes first (one
+/// entry minimum): entry counts alone would let a cache of deep top-k
+/// decisions produce a chunk bigger than the frame cap, wedging cache
+/// shipping for that shard. An empty snapshot yields zero chunks (the
+/// header alone carries the version and fingerprint).
 pub fn snapshot_to_chunks(
     snapshot: &CacheSnapshot,
     entries_per_chunk: usize,
 ) -> (SnapshotHeader, Vec<SnapshotChunk>) {
-    snapshot.to_chunks_with(entries_per_chunk, encode_entry, seal_chunk)
+    let per = entries_per_chunk.max(1);
+    let mut chunks = Vec::new();
+    // The open chunk's entries, already encoded, and how many there are.
+    let mut pending = Vec::new();
+    let mut count = 0;
+    let mut entry = Vec::new();
+    for e in &snapshot.entries {
+        entry.clear();
+        put_entry(&mut entry, e);
+        if count > 0 && (count >= per || pending.len() + entry.len() > CHUNK_BYTE_BUDGET) {
+            push_chunk(&mut chunks, &pending, count);
+            pending.clear();
+            count = 0;
+        }
+        pending.extend_from_slice(&entry);
+        count += 1;
+    }
+    push_chunk(&mut chunks, &pending, count);
+    let header = SnapshotHeader {
+        format_version: snapshot.format_version,
+        ranker_fingerprint: snapshot.ranker_fingerprint,
+        entries: snapshot.entries.len(),
+        chunks: chunks.len(),
+    };
+    (header, chunks)
 }
 
-/// Reassembles a snapshot from binary-codec chunks, with the same
-/// count/order/checksum validation as [`CacheSnapshot::from_chunks`].
+/// Seals `count` encoded entries into the next checksummed chunk.
+fn push_chunk(chunks: &mut Vec<SnapshotChunk>, entries: &[u8], count: usize) {
+    if count == 0 {
+        return;
+    }
+    let mut payload = Vec::with_capacity(4 + entries.len());
+    put_u32_len(&mut payload, count);
+    payload.extend_from_slice(entries);
+    let checksum = SnapshotChunk::digest(&payload);
+    chunks.push(SnapshotChunk { index: chunks.len(), checksum, payload });
+}
+
+/// Reassembles a snapshot from a header and its chunks, verifying the
+/// transfer *before* constructing anything: the chunk count must match
+/// the header, the chunks must arrive in index order, every chunk's
+/// FNV-1a checksum must verify before its bytes are decoded, and the
+/// total entry count must match the header. A torn or corrupted transfer
+/// is rejected deterministically ([`SnapshotError::ChunkChecksum`] /
+/// [`SnapshotError::Truncated`]), never assembled partially.
 pub fn snapshot_from_chunks(
     header: &SnapshotHeader,
     chunks: &[SnapshotChunk],
 ) -> Result<CacheSnapshot, SnapshotError> {
-    CacheSnapshot::from_chunks_with(header, chunks, |i, payload| {
-        decode_chunk(payload).map_err(|m| SnapshotError::Parse(format!("binary chunk {i}: {m}")))
+    if chunks.len() != header.chunks {
+        return Err(SnapshotError::Truncated {
+            what: "chunks",
+            found: chunks.len(),
+            expected: header.chunks,
+        });
+    }
+    // `header.entries` is peer-supplied and unvalidated at this point —
+    // cap the pre-allocation so a garbage count cannot provoke a giant
+    // allocation (the real count is enforced against the header below).
+    let mut entries = Vec::with_capacity(header.entries.min(4096));
+    for (i, chunk) in chunks.iter().enumerate() {
+        if chunk.index != i {
+            return Err(SnapshotError::Truncated {
+                what: "chunk index",
+                found: chunk.index,
+                expected: i,
+            });
+        }
+        if !chunk.verify() {
+            return Err(SnapshotError::ChunkChecksum { index: i });
+        }
+        read_chunk(&chunk.payload, &mut entries)
+            .map_err(|m| SnapshotError::Parse(format!("binary chunk {i}: {m}")))?;
+    }
+    if entries.len() != header.entries {
+        return Err(SnapshotError::Truncated {
+            what: "entries",
+            found: entries.len(),
+            expected: header.entries,
+        });
+    }
+    Ok(CacheSnapshot {
+        format_version: header.format_version,
+        ranker_fingerprint: header.ranker_fingerprint,
+        entries,
     })
 }
 
-/// One chunk payload: `u32 entry count ‖ concatenated entry encodings`.
-fn seal_chunk(pending: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = pending.iter().map(|p| p.len()).sum();
-    let mut out = Vec::with_capacity(4 + total);
-    put_u32_len(&mut out, pending.len());
-    for rendered in pending {
-        out.extend_from_slice(rendered);
-    }
-    out
-}
-
-fn decode_chunk(payload: &[u8]) -> Result<Vec<SnapshotEntry>, String> {
+/// Decodes one verified chunk payload, appending its entries to `out`.
+fn read_chunk(payload: &[u8], out: &mut Vec<SnapshotEntry>) -> Result<(), String> {
     let mut r = Reader::new(payload);
     let n = r.len()?;
-    let mut entries = Vec::with_capacity(r.capacity_for(n));
+    out.reserve(r.capacity_for(n));
     for _ in 0..n {
-        entries.push(read_entry(&mut r)?);
+        out.push(read_entry(&mut r)?);
     }
-    r.finish()?;
-    Ok(entries)
+    r.finish()
 }
 
 /// One entry:
 /// `key (pattern ‖ buffers u8 ‖ dtype u8 ‖ size 3×u32) ‖
 ///  u32 n ‖ n × (tuning ‖ f64 score) ‖ u64 candidates ‖ u64 last_used`.
-fn encode_entry(entry: &SnapshotEntry) -> Vec<u8> {
+fn put_entry(out: &mut Vec<u8>, entry: &SnapshotEntry) {
     let pattern = entry.key.pattern();
-    let mut out = Vec::with_capacity(40 + pattern.len() * 5 + entry.entries.len() * 13);
-    put_pattern(&mut out, pattern);
+    out.reserve(40 + pattern.len() * 5 + entry.entries.len() * 13);
+    put_pattern(out, pattern);
     out.push(entry.key.buffers());
     out.push(match entry.key.dtype() {
         DType::F32 => 0,
@@ -252,14 +324,13 @@ fn encode_entry(entry: &SnapshotEntry) -> Vec<u8> {
     out.extend_from_slice(&size.x.to_le_bytes());
     out.extend_from_slice(&size.y.to_le_bytes());
     out.extend_from_slice(&size.z.to_le_bytes());
-    put_u32_len(&mut out, entry.entries.len());
+    put_u32_len(out, entry.entries.len());
     for (t, score) in &entry.entries {
-        put_tuning(&mut out, t);
+        put_tuning(out, t);
         out.extend_from_slice(&score.to_le_bytes());
     }
     out.extend_from_slice(&u64::try_from(entry.candidates).unwrap_or(u64::MAX).to_le_bytes());
     out.extend_from_slice(&entry.last_used.to_le_bytes());
-    out
 }
 
 fn read_entry(r: &mut Reader<'_>) -> Result<SnapshotEntry, String> {
@@ -531,13 +602,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_chunks_roundtrip_and_match_json_semantics() {
+    fn chunk_roundtrip_is_exact() {
         let snap = sample_snapshot();
-        for per_chunk in [1, 2, 3, 100] {
+        for per_chunk in [1, 2, 3, 7, 100] {
             let (header, chunks) = snapshot_to_chunks(&snap, per_chunk);
-            assert_eq!(header, snap.to_chunks(per_chunk).0, "chunk boundaries must not fork");
-            for c in &chunks {
-                assert!(c.verify(), "binary chunks carry real FNV-1a checksums");
+            assert_eq!(header.entries, 7);
+            assert_eq!(header.chunks, chunks.len());
+            assert_eq!(chunks.len(), 7usize.div_ceil(per_chunk));
+            for (i, c) in chunks.iter().enumerate() {
+                assert_eq!(c.index, i);
+                assert!(c.verify(), "chunks carry real FNV-1a checksums");
             }
             let back = snapshot_from_chunks(&header, &chunks).unwrap();
             assert_eq!(back, snap, "per_chunk={per_chunk}");
@@ -545,11 +619,110 @@ mod tests {
     }
 
     #[test]
+    fn chunk_stream_bytes_are_pinned() {
+        // Values recorded from the protocol-5 chunker: any change here is
+        // a wire change and needs a protocol version bump.
+        let (header, chunks) = snapshot_to_chunks(&sample_snapshot(), 3);
+        assert_eq!(
+            String::from_utf8(crate::wire::to_payload(&header)).unwrap(),
+            r#"{"format_version":1,"ranker_fingerprint":18369602397475290863,"entries":7,"chunks":3}"#
+        );
+        let pinned = [
+            (0x2062_95c2_c96d_54dd, 301),
+            (0x8171_5e38_4858_6632, 301),
+            (0xfcf4_e8ac_69cd_bd78, 103),
+        ];
+        assert_eq!(chunks.len(), pinned.len());
+        for (c, (checksum, len)) in chunks.iter().zip(pinned) {
+            assert_eq!((c.checksum, c.payload.len()), (checksum, len), "chunk {}", c.index);
+            assert_eq!(SnapshotChunk::digest(&c.payload), checksum, "chunk {}", c.index);
+        }
+    }
+
+    #[test]
+    fn chunking_splits_on_byte_budget_before_entry_count() {
+        // Deep top-k decisions (the candidate-set-sized worst case) must
+        // not produce chunks beyond the byte budget just because the
+        // entry-count limit was not reached — an oversized chunk would
+        // exceed a transport's frame cap and wedge cache shipping. One
+        // deep entry encodes to ~112 KB, so 40 of them cross the budget.
+        let deep = |n: u32, last_used: u64| {
+            let mut e = sample_entry(n, last_used);
+            e.entries = (0..8640u32)
+                .map(|i| (TuningVector::new(8, 8, 8, i % 9, 1 + i % 4), -f64::from(i)))
+                .collect();
+            e
+        };
+        let snap = CacheSnapshot {
+            format_version: SNAPSHOT_FORMAT_VERSION,
+            ranker_fingerprint: 21,
+            entries: (0..40).map(|i| deep(64 + 8 * i, u64::from(i))).collect(),
+        };
+        let (header, chunks) = snapshot_to_chunks(&snap, 256);
+        assert!(chunks.len() > 1, "byte budget must split despite the 256-entry limit");
+        for c in &chunks {
+            assert!(
+                c.payload.len() <= 4 + CHUNK_BYTE_BUDGET,
+                "chunk {} is {} bytes — past the budget",
+                c.index,
+                c.payload.len()
+            );
+        }
+        // The split point is part of the wire: pinned like the golden stream.
+        let pinned: Vec<_> = chunks.iter().map(|c| (c.checksum, c.payload.len())).collect();
+        assert_eq!(pinned, [(0x6ef5_1ddf_c0d6_4857, 4_158_545), (0x5f11_9166_5ffe_b12b, 337_183)]);
+        assert_eq!(snapshot_from_chunks(&header, &chunks).unwrap(), snap);
+    }
+
+    #[test]
+    fn empty_snapshot_chunks_to_header_only() {
+        let snap = CacheSnapshot::empty(9);
+        let (header, chunks) = snapshot_to_chunks(&snap, 64);
+        assert_eq!((header.entries, header.chunks), (0, 0));
+        assert!(chunks.is_empty());
+        assert_eq!(snapshot_from_chunks(&header, &chunks).unwrap(), snap);
+    }
+
+    #[test]
+    fn corrupted_chunk_is_rejected_by_checksum() {
+        let (header, mut chunks) = snapshot_to_chunks(&sample_snapshot(), 1);
+        // Flip one byte in the middle chunk's payload.
+        let mid = chunks[1].payload.len() / 2;
+        chunks[1].payload[mid] ^= 0x40;
+        assert_eq!(
+            snapshot_from_chunks(&header, &chunks),
+            Err(SnapshotError::ChunkChecksum { index: 1 })
+        );
+    }
+
+    #[test]
+    fn torn_chunk_streams_are_rejected() {
+        let (header, chunks) = snapshot_to_chunks(&sample_snapshot(), 3);
+        // Missing chunk.
+        assert!(matches!(
+            snapshot_from_chunks(&header, &chunks[..2]),
+            Err(SnapshotError::Truncated { what: "chunks", .. })
+        ));
+        // Out-of-order chunks.
+        let swapped = vec![chunks[1].clone(), chunks[0].clone(), chunks[2].clone()];
+        assert!(matches!(
+            snapshot_from_chunks(&header, &swapped),
+            Err(SnapshotError::Truncated { what: "chunk index", .. })
+        ));
+        // Header promising more entries than the chunks carry.
+        let lying = SnapshotHeader { entries: 99, ..header };
+        assert!(matches!(
+            snapshot_from_chunks(&lying, &chunks),
+            Err(SnapshotError::Truncated { what: "entries", .. })
+        ));
+    }
+
+    #[test]
     fn binary_chunks_are_less_than_half_the_json_bytes() {
         // The codec exists for exactly this; the benchmark tripwire pins
         // the same bound on the live transport.
         let snap = sample_snapshot();
-        let json: usize = snap.to_chunks(64).1.iter().map(|c| c.payload.len()).sum();
+        let json = serde_json::to_string(&snap.entries).unwrap().len();
         let bin: usize = snapshot_to_chunks(&snap, 64).1.iter().map(|c| c.payload.len()).sum();
         assert!(bin * 2 <= json, "binary {bin} bytes vs JSON {json} bytes");
     }
@@ -608,7 +781,8 @@ mod tests {
         let mut pattern = Vec::new();
         put_pattern(&mut pattern, entry.key.pattern());
         // The dtype byte sits right after the pattern and buffer count.
-        let mut bytes = encode_entry(&entry);
+        let mut bytes = Vec::new();
+        put_entry(&mut bytes, &entry);
         bytes[pattern.len() + 1] = 9;
         let err = read_entry(&mut Reader::new(&bytes)).unwrap_err();
         assert!(err.contains("dtype"), "{err}");
@@ -622,12 +796,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_top_k_and_snapshot_encode() {
+    fn empty_top_k_encodes() {
         let top = TopK { entries: Vec::new(), candidates: 0, seconds: 0.0 };
         assert_eq!(decode_top_k(&encode_top_k(&top)).unwrap().entries.len(), 0);
-        let snap = CacheSnapshot::empty(3);
-        let (header, chunks) = snapshot_to_chunks(&snap, 64);
-        assert!(chunks.is_empty());
-        assert_eq!(snapshot_from_chunks(&header, &chunks).unwrap(), snap);
     }
 }

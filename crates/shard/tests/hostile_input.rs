@@ -1,7 +1,7 @@
 //! Hostile input for every decoder that meets bytes from a peer or from
 //! disk: the frame reader, the snapshot-stream assembler and the binary
 //! payload decoders, then every JSON decoder — wire requests and replies,
-//! error frames, snapshot files and chunks, and ranker files.
+//! error frames, snapshot files and ranker files.
 //!
 //! Two deterministic seeded tests (nothing shrinks offline, so a fixed
 //! seed keeps any failure reproducible) feed them random bytes,
@@ -19,12 +19,13 @@ use sorl::{StencilRanker, TopK};
 use sorl_obs::{RecorderDump, WireEvent};
 use sorl_serve::snapshot::SNAPSHOT_FORMAT_VERSION;
 use sorl_serve::{
-    CacheSnapshot, DecisionCache, Exemplar, ServeError, ServeStats, ShedReason, SnapshotChunk,
-    SnapshotEntry, SnapshotError, SnapshotHeader, TuneRequest,
+    CacheSnapshot, DecisionCache, Exemplar, ServeError, ServeStats, ShedReason, SnapshotEntry,
+    SnapshotError, TuneRequest,
 };
 use sorl_shard::wire::{
     self, bin, read_frame, read_snapshot_chunks, write_chunk_frames, write_frame, Frame, FrameKind,
-    SnapshotAssembler, WireError, WireFault, MAGIC, MAX_PAYLOAD, PROTOCOL_VERSION,
+    SnapshotAssembler, SnapshotChunk, SnapshotHeader, WireError, WireFault, MAGIC, MAX_PAYLOAD,
+    PROTOCOL_VERSION,
 };
 use sorl_shard::{CacheSlice, Topology, TraceDumpReply, TraceQuery};
 use stencil_model::{
@@ -411,7 +412,6 @@ fn json_decoders(
     for entry in &mut snap.entries {
         entry.entries.iter_mut().for_each(|(_, score)| *score = rng.finite());
     }
-    let (chunk_header, chunks) = snap.to_chunks(usize::MAX);
     let ranker = sorl_shard::synthetic_ranker(rng.next());
 
     // `decode_fault` never fails: bytes it cannot decode become this
@@ -446,21 +446,6 @@ fn json_decoders(
                 CacheSnapshot::from_json(text).ok().map(|s| json(&s, true))
             }),
             snap.to_json().into_bytes(),
-        ),
-        (
-            "CacheSnapshot::from_chunks",
-            // Re-seals the checksum, so the JSON decoder — not the
-            // FNV check — is what meets the bytes.
-            Box::new(move |bytes| {
-                let chunk = SnapshotChunk {
-                    index: 0,
-                    checksum: SnapshotChunk::digest(bytes),
-                    payload: bytes.to_vec(),
-                };
-                let snap = CacheSnapshot::from_chunks(&chunk_header, &[chunk]).ok()?;
-                Some(json(&snap.entries, false))
-            }),
-            chunks[0].payload.clone(),
         ),
         (
             "StencilRanker::load_json",
@@ -520,7 +505,7 @@ fn costs(decode: &Decode, small: &[u8], large: &[u8]) -> (f64, f64) {
 
 /// Drives every JSON decoder that reads bytes from a peer or from disk —
 /// `from_payload` for each JSON frame payload, `decode_fault`, snapshot
-/// files and JSON chunks, and ranker files — with random bytes,
+/// files and ranker files — with random bytes,
 /// truncations and single-bit flips of valid encodings (all of them for
 /// small encodings, a sample for large ones), deep nesting, and long
 /// strings, long arrays and objects with 100k unknown keys. No call may

@@ -37,7 +37,7 @@ fn raw_connect(server: &ShardServer) -> TcpStream {
 
 /// A snapshot export streams a JSON header frame followed by binary chunk
 /// frames; reassembled by hand off a raw socket they equal what the
-/// client returns, in under half the bytes of the JSON rendition.
+/// client returns, in under half the bytes of the entries' JSON.
 #[test]
 fn snapshot_export_ships_binary_chunks_that_reassemble_exactly() {
     let server = spawn_server(0x5a45_b00c);
@@ -51,12 +51,12 @@ fn snapshot_export_ships_binary_chunks_that_reassemble_exactly() {
 
     // At the byte level: a JSON header (the stream prologue stays
     // inspectable), then binary chunks whose bytes stay under half of the
-    // JSON rendition's (the bench tripwire pins the same bound).
+    // entries' JSON (the bench tripwire pins the same bound).
     let mut raw = raw_connect(&server);
     wire::write_frame(&mut raw, FrameKind::ExportCache, 3, 0, &wire::to_payload(&slice)).unwrap();
     let header_frame = wire::read_frame(&mut raw).unwrap();
     assert_eq!((header_frame.kind, header_frame.request_id), (FrameKind::SnapshotHeader, 3));
-    let header: sorl_serve::SnapshotHeader = wire::from_payload(&header_frame.payload).unwrap();
+    let header: wire::SnapshotHeader = wire::from_payload(&header_frame.payload).unwrap();
     let mut assembler = wire::SnapshotAssembler::new(header, 3).unwrap();
     let mut binary_bytes = 0usize;
     while !assembler.is_complete() {
@@ -65,8 +65,7 @@ fn snapshot_export_ships_binary_chunks_that_reassemble_exactly() {
         assembler.push(&frame).unwrap();
     }
     assert_eq!(assembler.finish().unwrap(), exported);
-    let json_bytes: usize =
-        exported.to_chunks(wire::CHUNK_ENTRIES).1.iter().map(|c| c.payload.len()).sum();
+    let json_bytes = serde_json::to_string(&exported.entries).unwrap().len();
     assert!(binary_bytes * 2 <= json_bytes, "binary {binary_bytes}B vs JSON {json_bytes}B");
 }
 
@@ -203,11 +202,11 @@ proptest! {
         prop_assert_eq!(&via_json, &stats);
     }
 
-    /// Snapshot chunks: generated snapshots chunk to identical headers
-    /// under both codecs (boundaries must not fork), reassemble exactly
-    /// under both, and the binary rendition is always the smaller one.
+    /// Snapshot chunks: generated snapshots chunk at the entry-count
+    /// limit and reassemble exactly, as their entries' JSON does, and the
+    /// binary chunks are never larger than that JSON.
     #[test]
-    fn snapshot_binary_and_json_chunkings_agree(
+    fn snapshot_binary_chunks_roundtrip_under_the_json_bytes(
         seed in 1u64..u64::MAX,
         entries in 0usize..12,
         per_chunk in 1usize..6,
@@ -231,15 +230,15 @@ proptest! {
                 })
                 .collect(),
         };
-        let (json_header, json_chunks) = snap.to_chunks(per_chunk);
-        let (bin_header, bin_chunks) = bin::snapshot_to_chunks(&snap, per_chunk);
-        prop_assert_eq!(&json_header, &bin_header, "chunk boundaries must not fork by codec");
-        let via_json = sorl_serve::CacheSnapshot::from_chunks(&json_header, &json_chunks).unwrap();
-        let via_bin = bin::snapshot_from_chunks(&bin_header, &bin_chunks).unwrap();
-        prop_assert_eq!(&via_json, &snap);
-        prop_assert_eq!(&via_bin, &snap);
-        let json_bytes: usize = json_chunks.iter().map(|c| c.payload.len()).sum();
-        let bin_bytes: usize = bin_chunks.iter().map(|c| c.payload.len()).sum();
+        let (header, chunks) = bin::snapshot_to_chunks(&snap, per_chunk);
+        prop_assert_eq!((header.entries, header.chunks), (entries, entries.div_ceil(per_chunk)));
+        let back = bin::snapshot_from_chunks(&header, &chunks).unwrap();
+        prop_assert_eq!(&back, &snap);
+        let json = serde_json::to_string(&snap.entries).unwrap();
+        let via_json: Vec<sorl_serve::SnapshotEntry> = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(&via_json, &snap.entries);
+        let json_bytes = json.len();
+        let bin_bytes: usize = chunks.iter().map(|c| c.payload.len()).sum();
         prop_assert!(bin_bytes <= json_bytes, "binary {} vs JSON {}", bin_bytes, json_bytes);
     }
 }
