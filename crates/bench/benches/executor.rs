@@ -3,12 +3,10 @@
 //! simulated) counterpart of the machine model, demonstrating that the
 //! tuning parameters act on a real runtime.
 //!
-//! Besides the criterion output, the run writes a machine-readable
-//! `BENCH_executor.json` snapshot (see `sorl_bench::perf`) so the repo's
-//! perf trajectory covers the engine, not just ranking. Set
-//! `SORL_BENCH_QUICK=1` for the CI sample budget.
+//! The run writes a machine-readable `BENCH_executor.json` snapshot (see
+//! `sorl_bench::perf`) so the repo's perf trajectory covers the engine,
+//! not just ranking. Set `SORL_BENCH_QUICK=1` for the CI sample budget.
 
-use criterion::{BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use sorl_bench::perf::{quick_mode, PerfReport};
@@ -42,20 +40,7 @@ const CASES: [(&str, BenchmarkKernel, GridSize, TuningVector); 4] = [
     ),
 ];
 
-fn bench_executor(c: &mut Criterion) {
-    let mut g = c.benchmark_group("executor");
-    let mut engine = Engine::new(4);
-    let cfg = MeasureConfig { warmup: 0, reps: 1 };
-    for (name, kernel, size, tuning) in CASES {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &(), |b, _| {
-            b.iter(|| black_box(kernel.measure(&mut engine, size, &tuning, cfg)))
-        });
-    }
-    g.finish();
-}
-
-/// JSON snapshot pass with fixed sample counts, comparable run-over-run.
-fn emit_perf_snapshot() {
+fn main() {
     let samples = if quick_mode() { 8 } else { 25 };
     let mut report = PerfReport::new("executor");
     let mut engine = Engine::new(4);
@@ -66,11 +51,4 @@ fn emit_perf_snapshot() {
         });
     }
     report.write();
-}
-
-fn main() {
-    let samples = if quick_mode() { 5 } else { 10 };
-    let mut criterion = Criterion::default().sample_size(samples);
-    bench_executor(&mut criterion);
-    emit_perf_snapshot();
 }

@@ -1,14 +1,18 @@
 //! Simulated machine throughput: cost-model evaluations per second. The
 //! whole evaluation methodology rests on the simulator being orders of
 //! magnitude cheaper than real execution, so regressions here matter.
+//!
+//! The run writes a machine-readable `BENCH_machine_model.json` snapshot
+//! (see `sorl_bench::perf`). Set `SORL_BENCH_QUICK=1` for the quick sample
+//! budget.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use sorl_bench::perf::{quick_mode, PerfReport};
 use stencil_machine::Machine;
 use stencil_model::{GridSize, StencilExecution, StencilInstance, StencilKernel, TuningVector};
 
-fn bench_machine(c: &mut Criterion) {
+fn main() {
     let machine = Machine::xeon_e5_2680_v3();
     let sparse = StencilExecution::new(
         StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(256)).unwrap(),
@@ -21,18 +25,16 @@ fn bench_machine(c: &mut Criterion) {
     )
     .unwrap();
 
-    let mut g = c.benchmark_group("machine_model");
-    g.bench_function("simulate_sparse_7pt", |b| {
-        b.iter(|| black_box(machine.execute(black_box(&sparse))))
+    let samples = if quick_mode() { 20 } else { 60 };
+    let mut report = PerfReport::new("machine_model");
+    report.record("simulate_sparse_7pt", samples, || {
+        black_box(machine.execute(black_box(&sparse)));
     });
-    g.bench_function("simulate_dense_64pt", |b| {
-        b.iter(|| black_box(machine.execute(black_box(&dense))))
+    report.record("simulate_dense_64pt", samples, || {
+        black_box(machine.execute(black_box(&dense)));
     });
-    g.bench_function("cost_breakdown_noiseless", |b| {
-        b.iter(|| black_box(machine.cost(black_box(&sparse))))
+    report.record("cost_breakdown_noiseless", samples, || {
+        black_box(machine.cost(black_box(&sparse)));
     });
-    g.finish();
+    report.write();
 }
-
-criterion_group!(benches, bench_machine);
-criterion_main!(benches);

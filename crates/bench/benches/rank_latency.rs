@@ -16,12 +16,11 @@
 //! * the batched + parallel path (`TuningSession` with a persistent
 //!   thread pool).
 //!
-//! Besides the criterion output, the run writes a machine-readable
-//! `BENCH_rank_latency.json` snapshot (see `sorl_bench::perf`) so the
-//! repo accumulates a perf trajectory; CI archives one per run. Set
-//! `SORL_BENCH_QUICK=1` for the CI sample budget.
+//! The run writes a machine-readable `BENCH_rank_latency.json` snapshot
+//! (see `sorl_bench::perf`) so the repo accumulates a perf trajectory; CI
+//! archives one per run. Set `SORL_BENCH_QUICK=1` for the CI sample
+//! budget.
 
-use criterion::Criterion;
 use std::hint::black_box;
 
 use ranksvm::kernel;
@@ -86,63 +85,8 @@ impl Ctx {
     }
 }
 
-fn bench_rank_latency(c: &mut Criterion, ctx: &Ctx) {
-    let mut g = c.benchmark_group("rank_latency");
-    let set3 = predefined_candidates(3);
-
-    // Single-candidate scoring on a pre-encoded feature row.
-    let exec = StencilExecution::new(ctx.q3.clone(), TuningVector::new(64, 16, 8, 2, 2)).unwrap();
-    let features = ctx.ranker.encoder().encode(&exec);
-    g.bench_function("score_single_candidate", |b| {
-        b.iter(|| black_box(ctx.ranker.model().score(black_box(&features))))
-    });
-
-    // Encoding + scoring one candidate.
-    g.bench_function("encode_and_score_single", |b| {
-        b.iter(|| black_box(ctx.ranker.score(black_box(&exec))))
-    });
-
-    // The raw scoring kernel over the packed 8640-row matrix: dispatched
-    // (AVX2 where the host has it) vs. the portable reference loop.
-    let (matrix, w) = packed_matrix(ctx);
-    let mut scores = vec![0.0f64; matrix.rows()];
-    g.bench_function("score_matrix_8640_kernel", |b| {
-        b.iter(|| {
-            kernel::score_rows_into(&w, matrix.rows_data(), matrix.stride(), &mut scores);
-            black_box(scores[0])
-        })
-    });
-    g.bench_function("score_matrix_8640_portable", |b| {
-        b.iter(|| {
-            kernel::score_rows_portable(&w, matrix.rows_data(), matrix.stride(), &mut scores);
-            black_box(scores[0])
-        })
-    });
-
-    // Legacy per-candidate baseline on the 3-D set.
-    g.bench_function("tune_3d_legacy_per_candidate", |b| {
-        b.iter(|| black_box(legacy_tune(&ctx.ranker, &ctx.q3, set3)))
-    });
-
-    // Batched session, sequential and parallel.
-    let mut seq = TuningSession::new(ctx.ranker.clone());
-    g.bench_function("tune_3d_session_batched", |b| b.iter(|| black_box(seq.tune(&ctx.q3))));
-    let mut par = TuningSession::parallel(
-        ctx.ranker.clone(),
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-    );
-    g.bench_function("tune_3d_session_parallel", |b| b.iter(|| black_box(par.tune(&ctx.q3))));
-
-    // The 2-D set (1600 candidates), batched vs. parallel.
-    g.bench_function("tune_2d_session_batched", |b| b.iter(|| black_box(seq.tune(&ctx.q2))));
-    g.bench_function("tune_2d_session_parallel", |b| b.iter(|| black_box(par.tune(&ctx.q2))));
-
-    g.finish();
-}
-
-/// JSON snapshot pass: fixed sample counts (independent of criterion's
-/// adaptive iteration sizing) so medians are comparable run-over-run.
-fn emit_perf_snapshot(ctx: &Ctx) {
+fn main() {
+    let ctx = &Ctx::new();
     let samples = if quick_mode() { 15 } else { 60 };
     let mut report = PerfReport::new("rank_latency");
     let set3 = predefined_candidates(3);
@@ -183,6 +127,18 @@ fn emit_perf_snapshot(ctx: &Ctx) {
         black_box(scores[0]);
     });
 
+    // Single-candidate scoring on a pre-encoded feature row, and encoding
+    // plus scoring one candidate: the numbers comparable to svm_rank's
+    // per-example cost.
+    let exec = StencilExecution::new(ctx.q3.clone(), TuningVector::new(64, 16, 8, 2, 2)).unwrap();
+    let features = ctx.ranker.encoder().encode(&exec);
+    report.record("score_single_candidate", ksamples, || {
+        black_box(ctx.ranker.model().score(black_box(&features)));
+    });
+    report.record("encode_and_score_single", ksamples, || {
+        black_box(ctx.ranker.score(black_box(&exec)));
+    });
+
     let legacy = report.median_of("tune_3d_legacy_per_candidate").unwrap();
     let batched = report.median_of("tune_3d_session_batched").unwrap();
     let parallel = report.median_of("tune_3d_session_parallel").unwrap();
@@ -212,12 +168,4 @@ fn emit_perf_snapshot(ctx: &Ctx) {
              {kernel_s} vs {portable_s}"
         );
     }
-}
-
-fn main() {
-    let ctx = Ctx::new();
-    let samples = if quick_mode() { 5 } else { 20 };
-    let mut criterion = Criterion::default().sample_size(samples);
-    bench_rank_latency(&mut criterion, &ctx);
-    emit_perf_snapshot(&ctx);
 }

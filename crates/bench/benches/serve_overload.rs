@@ -21,12 +21,10 @@
 //! The ranker is synthetic (dense pinned-PRNG weights): overload dynamics
 //! do not depend on how the weights were obtained.
 //!
-//! Besides the criterion output, the run writes a machine-readable
-//! `BENCH_serve_overload.json` snapshot (see `sorl_bench::perf`). Set
-//! `SORL_BENCH_QUICK=1` for the CI sample budget.
+//! The run writes a machine-readable `BENCH_serve_overload.json` snapshot
+//! (see `sorl_bench::perf`). Set `SORL_BENCH_QUICK=1` for the CI sample
+//! budget.
 
-use criterion::Criterion;
-use std::hint::black_box;
 use std::time::Duration;
 
 use sorl::StencilRanker;
@@ -105,37 +103,7 @@ fn burst_200(service: &TuneService) -> (u64, u64) {
     (admitted, sheds)
 }
 
-fn bench_overload(c: &mut Criterion) {
-    let ranker = dense_ranker();
-    let mut g = c.benchmark_group("serve_overload");
-
-    let saturated = TuneService::spawn(ranker.clone(), overload_config(4));
-    let mut backlog = Vec::new();
-    let mut salt = 0u32;
-    g.bench_function("submit_reject_1k_saturated", |b| {
-        b.iter(|| {
-            saturate(&saturated, salt, &mut backlog);
-            salt = salt.wrapping_add(2000);
-            black_box(reject_1k(&saturated, salt.wrapping_add(1000), &mut backlog))
-        })
-    });
-    for t in backlog.drain(..) {
-        t.wait().expect("backlogged request answered");
-    }
-
-    g.bench_function("burst_200req_tiny_queue", |b| {
-        b.iter(|| {
-            let service = TuneService::spawn(ranker.clone(), overload_config(16));
-            black_box(burst_200(&service))
-        })
-    });
-
-    g.finish();
-}
-
-/// JSON snapshot pass: fixed sample counts (independent of criterion's
-/// adaptive iteration sizing) so medians are comparable run-over-run.
-fn emit_perf_snapshot() {
+fn main() {
     let ranker = dense_ranker();
     let samples = if quick_mode() { 10 } else { 30 };
     let mut report = PerfReport::new("serve_overload");
@@ -191,11 +159,4 @@ fn emit_perf_snapshot() {
         "shedding must be a fast path: {:.2} µs per rejection",
         reject_s * 1e6
     );
-}
-
-fn main() {
-    let samples = if quick_mode() { 5 } else { 10 };
-    let mut criterion = Criterion::default().sample_size(samples);
-    bench_overload(&mut criterion);
-    emit_perf_snapshot();
 }

@@ -17,17 +17,15 @@
 //! * `service_cache_hot_8x3d` — the same workload after warmup with the
 //!   cache enabled: 100% hits, no scoring at all.
 //!
-//! Besides the criterion output, the run writes a machine-readable
-//! `BENCH_serve_throughput.json` snapshot (see `sorl_bench::perf`). Set
-//! `SORL_BENCH_QUICK=1` for the CI sample budget.
+//! The run writes a machine-readable `BENCH_serve_throughput.json`
+//! snapshot (see `sorl_bench::perf`). Set `SORL_BENCH_QUICK=1` for the CI
+//! sample budget.
 
-use criterion::Criterion;
 use std::hint::black_box;
 use std::time::Duration;
 
 use sorl::pipeline::{PipelineConfig, TrainingPipeline};
 use sorl::session::TuningSession;
-use sorl::StencilRanker;
 use sorl_bench::perf::{quick_mode, PerfReport};
 use sorl_serve::{ServeConfig, TuneRequest, TuneService};
 use stencil_model::{GridSize, StencilInstance, StencilKernel};
@@ -60,20 +58,6 @@ fn serve_config(cache_capacity: usize) -> ServeConfig {
     }
 }
 
-struct Ctx {
-    ranker: StencilRanker,
-    requests: Vec<TuneRequest>,
-}
-
-impl Ctx {
-    fn new() -> Self {
-        let out =
-            TrainingPipeline::new(PipelineConfig { training_size: 960, ..Default::default() })
-                .run();
-        Ctx { ranker: out.ranker, requests: workload() }
-    }
-}
-
 fn per_request_loop(session: &mut TuningSession, requests: &[TuneRequest]) -> f64 {
     let mut acc = 0.0;
     for r in requests {
@@ -87,66 +71,38 @@ fn batch_queries(requests: &[TuneRequest]) -> Vec<(&StencilInstance, usize)> {
     requests.iter().map(|r| (&r.instance, r.k)).collect()
 }
 
-fn bench_serve(c: &mut Criterion, ctx: &Ctx) {
-    let mut g = c.benchmark_group("serve_throughput");
-
-    let mut loop_session = TuningSession::new(ctx.ranker.clone());
-    g.bench_function("tune_loop_8x3d", |b| {
-        b.iter(|| black_box(per_request_loop(&mut loop_session, &ctx.requests)))
-    });
-
-    let mut batch_session = TuningSession::new(ctx.ranker.clone());
-    let queries = batch_queries(&ctx.requests);
-    g.bench_function("session_tune_batch_8x3d", |b| {
-        b.iter(|| black_box(batch_session.top_k_batch(&queries)))
-    });
-
-    let cold = TuneService::spawn(ctx.ranker.clone(), serve_config(0));
-    let cold_client = cold.client();
-    g.bench_function("service_microbatch_8x3d_cold", |b| {
-        b.iter(|| black_box(cold_client.tune_many(ctx.requests.clone()).unwrap()))
-    });
-
-    let hot = TuneService::spawn(ctx.ranker.clone(), serve_config(1024));
-    let hot_client = hot.client();
-    hot_client.tune_many(ctx.requests.clone()).unwrap(); // warmup: fill the cache
-    g.bench_function("service_cache_hot_8x3d", |b| {
-        b.iter(|| black_box(hot_client.tune_many(ctx.requests.clone()).unwrap()))
-    });
-
-    g.finish();
-}
-
-/// JSON snapshot pass: fixed sample counts (independent of criterion's
-/// adaptive iteration sizing) so medians are comparable run-over-run.
-fn emit_perf_snapshot(ctx: &Ctx) {
+fn main() {
+    let ranker = TrainingPipeline::new(PipelineConfig { training_size: 960, ..Default::default() })
+        .run()
+        .ranker;
+    let requests = workload();
     let samples = if quick_mode() { 12 } else { 40 };
     let mut report = PerfReport::new("serve_throughput");
 
-    let mut loop_session = TuningSession::new(ctx.ranker.clone());
+    let mut loop_session = TuningSession::new(ranker.clone());
     report.record("tune_loop_8x3d", samples, || {
-        black_box(per_request_loop(&mut loop_session, &ctx.requests));
+        black_box(per_request_loop(&mut loop_session, &requests));
     });
 
-    let mut batch_session = TuningSession::new(ctx.ranker.clone());
-    let queries = batch_queries(&ctx.requests);
+    let mut batch_session = TuningSession::new(ranker.clone());
+    let queries = batch_queries(&requests);
     report.record("session_tune_batch_8x3d", samples, || {
         black_box(batch_session.top_k_batch(&queries));
     });
 
-    let cold = TuneService::spawn(ctx.ranker.clone(), serve_config(0));
+    let cold = TuneService::spawn(ranker.clone(), serve_config(0));
     let cold_client = cold.client();
     report.record("service_microbatch_8x3d_cold", samples, || {
-        black_box(cold_client.tune_many(ctx.requests.clone()).unwrap());
+        black_box(cold_client.tune_many(requests.clone()).unwrap());
     });
     let cold_stats = cold.stats();
     println!("  cold service: {cold_stats}");
 
-    let hot = TuneService::spawn(ctx.ranker.clone(), serve_config(1024));
+    let hot = TuneService::spawn(ranker.clone(), serve_config(1024));
     let hot_client = hot.client();
-    hot_client.tune_many(ctx.requests.clone()).unwrap();
+    hot_client.tune_many(requests.clone()).unwrap();
     report.record("service_cache_hot_8x3d", samples, || {
-        black_box(hot_client.tune_many(ctx.requests.clone()).unwrap());
+        black_box(hot_client.tune_many(requests.clone()).unwrap());
     });
     let hot_stats = hot.stats();
     println!("  hot service:  {hot_stats}");
@@ -171,12 +127,4 @@ fn emit_perf_snapshot(ctx: &Ctx) {
         hot_s * 10.0 <= cold_s,
         "a 100% cache-hit workload must be >= 10x faster than cold: {hot_s} vs {cold_s}"
     );
-}
-
-fn main() {
-    let ctx = Ctx::new();
-    let samples = if quick_mode() { 5 } else { 15 };
-    let mut criterion = Criterion::default().sample_size(samples);
-    bench_serve(&mut criterion, &ctx);
-    emit_perf_snapshot(&ctx);
 }

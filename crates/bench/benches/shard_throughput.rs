@@ -36,11 +36,10 @@
 //! measures the serving and sharding layers, whose cost is independent of
 //! how the weights were obtained, so no training run is needed.
 //!
-//! Besides the criterion output, the run writes a machine-readable
-//! `BENCH_shard_throughput.json` snapshot (see `sorl_bench::perf`). Set
-//! `SORL_BENCH_QUICK=1` for the CI sample budget.
+//! The run writes a machine-readable `BENCH_shard_throughput.json`
+//! snapshot (see `sorl_bench::perf`). Set `SORL_BENCH_QUICK=1` for the CI
+//! sample budget.
 
-use criterion::Criterion;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -176,58 +175,9 @@ fn snapshot_ship_binary(cache: &DecisionCache) -> usize {
     restored.restore(&parsed, 42).unwrap()
 }
 
-fn bench_shard(c: &mut Criterion, ranker: &StencilRanker, queries: &[StencilInstance]) {
-    let mut g = c.benchmark_group("shard_throughput");
-
-    let single = TuneService::spawn(ranker.clone(), serve_config(0));
-    g.bench_function("single_service_24x3d", |b| {
-        b.iter(|| black_box(run_single(&single, queries)))
-    });
-
-    let cold = spawn_fleet(ranker, 0);
-    g.bench_function("fleet_3shards_24x3d_cold", |b| {
-        b.iter(|| black_box(run_fleet(&cold, queries)))
-    });
-
-    let hot = spawn_fleet(ranker, 1024);
-    run_fleet(&hot, queries); // warmup: fill every shard's cache
-    g.bench_function("fleet_3shards_24x3d_hot", |b| b.iter(|| black_box(run_fleet(&hot, queries))));
-
-    let topo = Topology::new(["alpha", "beta", "gamma"]);
-    g.bench_function("route_only_1k", |b| {
-        b.iter(|| {
-            let mut owned = 0usize;
-            for fp in 0..1000u64 {
-                owned += topo.owner_of_fingerprint(black_box(fp)).unwrap().len();
-            }
-            black_box(owned)
-        })
-    });
-
-    let cache = populated_cache();
-    g.bench_function("snapshot_roundtrip_256", |b| {
-        b.iter(|| black_box(snapshot_roundtrip(&cache)))
-    });
-    g.bench_function("snapshot_ship_binary_256", |b| {
-        b.iter(|| black_box(snapshot_ship_binary(&cache)))
-    });
-
-    let server = spawn_warm_tcp_server(ranker, queries);
-    let lockstep = lockstep_link(&server);
-    g.bench_function("tcp_lockstep_24x3d_hot", |b| {
-        b.iter(|| black_box(run_tcp(&lockstep, queries, 4)))
-    });
-    let pipelined = TcpShard::connect(server.local_addr()).expect("connect loopback");
-    g.bench_function("tcp_pipelined_24x3d_hot", |b| {
-        b.iter(|| black_box(run_tcp(&pipelined, queries, 4)))
-    });
-
-    g.finish();
-}
-
-/// JSON snapshot pass: fixed sample counts (independent of criterion's
-/// adaptive iteration sizing) so medians are comparable run-over-run.
-fn emit_perf_snapshot(ranker: &StencilRanker, queries: &[StencilInstance]) {
+fn main() {
+    let ranker = &dense_ranker();
+    let queries = &workload();
     let samples = if quick_mode() { 10 } else { 30 };
     let mut report = PerfReport::new("shard_throughput");
 
@@ -341,13 +291,4 @@ fn emit_perf_snapshot(ranker: &StencilRanker, queries: &[StencilInstance]) {
         bin_bytes * 2 <= json_bytes,
         "binary snapshot chunks must be <= 0.5x the JSON bytes: {bin_bytes} vs {json_bytes}"
     );
-}
-
-fn main() {
-    let ranker = dense_ranker();
-    let queries = workload();
-    let samples = if quick_mode() { 5 } else { 15 };
-    let mut criterion = Criterion::default().sample_size(samples);
-    bench_shard(&mut criterion, &ranker, &queries);
-    emit_perf_snapshot(&ranker, &queries);
 }

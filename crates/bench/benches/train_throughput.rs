@@ -2,38 +2,18 @@
 //! at two training-set sizes, measured over prebuilt datasets so only the
 //! solver is timed.
 //!
-//! Besides the criterion output, the run writes a machine-readable
-//! `BENCH_train_throughput.json` snapshot (see `sorl_bench::perf`) so the
-//! repo's perf trajectory covers the training phase too. Set
-//! `SORL_BENCH_QUICK=1` for the CI sample budget.
+//! The run writes a machine-readable `BENCH_train_throughput.json`
+//! snapshot (see `sorl_bench::perf`) so the repo's perf trajectory covers
+//! the training phase too. Set `SORL_BENCH_QUICK=1` for the CI sample
+//! budget.
 
-use criterion::{BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ranksvm::{RankSvmTrainer, TrainConfig};
 use sorl_bench::perf::{quick_mode, PerfReport};
 use stencil_gen::TrainingSetBuilder;
 
-fn bench_train(c: &mut Criterion) {
-    let mut g = c.benchmark_group("train_throughput");
-    g.sample_size(10);
-    for size in [960usize, 3840] {
-        let ts = TrainingSetBuilder::paper().build_size(size);
-        g.bench_with_input(BenchmarkId::new("rank_svm", size), &ts, |b, ts| {
-            let trainer = RankSvmTrainer::new(TrainConfig::paper());
-            b.iter(|| black_box(trainer.train(&ts.dataset)))
-        });
-    }
-    // Pair generation alone (the data preparation part of training).
-    let ts = TrainingSetBuilder::paper().build_size(3840);
-    g.bench_function("pair_generation_3840", |b| {
-        b.iter(|| black_box(ts.dataset.pairs(1e-4).len()))
-    });
-    g.finish();
-}
-
-/// JSON snapshot pass with fixed sample counts, comparable run-over-run.
-fn emit_perf_snapshot() {
+fn main() {
     let samples = if quick_mode() { 3 } else { 10 };
     let mut report = PerfReport::new("train_throughput");
     let trainer = RankSvmTrainer::new(TrainConfig::paper());
@@ -48,11 +28,4 @@ fn emit_perf_snapshot() {
         black_box(ts.dataset.pairs(1e-4).len());
     });
     report.write();
-}
-
-fn main() {
-    let samples = if quick_mode() { 5 } else { 10 };
-    let mut criterion = Criterion::default().sample_size(samples);
-    bench_train(&mut criterion);
-    emit_perf_snapshot();
 }

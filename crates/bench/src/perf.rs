@@ -1,25 +1,32 @@
 //! Machine-readable perf snapshots: `BENCH_*.json` files accumulating the
 //! repo's performance trajectory.
 //!
-//! Criterion (and our offline shim) prints human-readable timings; this
-//! module additionally records each benchmark's statistics as JSON so CI
-//! can archive one snapshot per run and regressions become diffable. A
-//! bench builds a [`PerfReport`], timing closures with [`measure`], and
-//! writes it next to the workspace root (override the path with the
-//! `SORL_BENCH_JSON` environment variable; set `SORL_BENCH_QUICK=1` to cut
-//! sample counts in CI).
+//! This module is the benches' one timing harness. Each bench under
+//! `benches/` builds one [`PerfReport`], records every variant once with
+//! [`PerfReport::record`] (or [`PerfReport::record_alternating`] for a pair
+//! whose ratio it asserts), and writes the report as JSON next to the
+//! workspace root, so CI can archive one snapshot per run and regressions
+//! become diffable. Override the path with the `SORL_BENCH_JSON`
+//! environment variable; set `SORL_BENCH_QUICK=1` to cut sample counts in
+//! CI.
+//!
+//! A sample is one call of the measured closure, unless that call takes
+//! less than a fixed 10 µs minimum: then every sample runs enough
+//! back-to-back calls to span the minimum and records the mean per call,
+//! so the clock's resolution and the cost of reading it stay small against
+//! what is measured.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-/// Statistics for one measured benchmark variant (seconds per iteration).
+/// Statistics for one measured benchmark variant (seconds per call).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PerfEntry {
     /// Variant id, e.g. `"tune_3d_session_parallel"`.
     pub id: String,
-    /// Median seconds per iteration.
+    /// Median seconds per call.
     pub median_s: f64,
     /// Fastest sample.
     pub min_s: f64,
@@ -86,8 +93,8 @@ impl PerfReport {
         )
     }
 
-    /// Times `f` for `samples` iterations and records the statistics under
-    /// `id`, echoing a one-line summary to stdout.
+    /// Takes `samples` samples of `f` (see [`measure`]) and records the
+    /// statistics under `id`, echoing a one-line summary to stdout.
     pub fn record<F: FnMut()>(&mut self, id: &str, samples: usize, f: F) {
         self.push(measure(id, samples, f));
     }
@@ -99,27 +106,27 @@ impl PerfReport {
         &mut self,
         [id_a, id_b]: [&str; 2],
         samples: usize,
-        mut a: A,
-        mut b: B,
+        a: A,
+        b: B,
     ) {
         assert!(samples > 0, "need at least one sample");
-        let (mut times_a, mut times_b) = (Vec::with_capacity(samples), Vec::with_capacity(samples));
-        for _ in 0..samples {
-            times_a.push(time(&mut a));
-            times_b.push(time(&mut b));
+        let (mut a, mut b) = (Sampler::new(a), Sampler::new(b));
+        for _ in 1..samples {
+            a.sample();
+            b.sample();
         }
-        self.push(entry(id_a, times_a));
-        self.push(entry(id_b, times_b));
+        self.push(entry(id_a, a.times));
+        self.push(entry(id_b, b.times));
     }
 
     /// Adds a measured entry, echoing a one-line summary to stdout.
     fn push(&mut self, entry: PerfEntry) {
         println!(
-            "  perf {}: median {:.3} ms (min {:.3}, max {:.3}, {} samples)",
+            "  perf {}: median {:.3} µs (min {:.3}, max {:.3}, {} samples)",
             entry.id,
-            entry.median_s * 1e3,
-            entry.min_s * 1e3,
-            entry.max_s * 1e3,
+            entry.median_s * 1e6,
+            entry.min_s * 1e6,
+            entry.max_s * 1e6,
             entry.samples
         );
         self.entries.push(entry);
@@ -144,21 +151,62 @@ impl PerfReport {
     }
 }
 
-/// Times `f` for `samples` iterations (each sample is one call) and
-/// returns the per-iteration statistics.
-pub fn measure<F: FnMut()>(id: &str, samples: usize, mut f: F) -> PerfEntry {
+/// Takes `samples` samples of `f` (see the module docs for how many calls
+/// one sample is) and returns the per-call statistics.
+pub fn measure<F: FnMut()>(id: &str, samples: usize, f: F) -> PerfEntry {
     assert!(samples > 0, "need at least one sample");
-    entry(id, (0..samples).map(|_| time(&mut f)).collect())
+    let mut sampler = Sampler::new(f);
+    for _ in 1..samples {
+        sampler.sample();
+    }
+    entry(id, sampler.times)
 }
 
-/// Seconds one call of `f` takes.
-fn time(f: &mut impl FnMut()) -> f64 {
+/// The shortest span one sample times.
+const MIN_SAMPLE_S: f64 = 10e-6;
+
+/// Where the calls per sample stop doubling: a closure the optimizer
+/// reduced to nothing never spans [`MIN_SAMPLE_S`].
+const MAX_CALLS: u32 = 1 << 20;
+
+/// One variant's samples, in seconds per call.
+struct Sampler<F> {
+    f: F,
+    /// Back-to-back calls each sample times.
+    calls: u32,
+    times: Vec<f64>,
+}
+
+impl<F: FnMut()> Sampler<F> {
+    /// Times one call of `f` as the first sample. A call shorter than
+    /// [`MIN_SAMPLE_S`] doubles the calls per sample until one batch spans
+    /// the minimum, and that batch is the first sample instead.
+    fn new(mut f: F) -> Self {
+        let mut calls = 1;
+        let mut span = time(&mut f, calls);
+        while span < MIN_SAMPLE_S && calls < MAX_CALLS {
+            calls *= 2;
+            span = time(&mut f, calls);
+        }
+        Sampler { f, calls, times: vec![span / f64::from(calls)] }
+    }
+
+    /// Takes one more sample.
+    fn sample(&mut self) {
+        self.times.push(time(&mut self.f, self.calls) / f64::from(self.calls));
+    }
+}
+
+/// Seconds `calls` back-to-back calls of `f` take.
+fn time(f: &mut impl FnMut(), calls: u32) -> f64 {
     let t0 = Instant::now();
-    f();
+    for _ in 0..calls {
+        f();
+    }
     t0.elapsed().as_secs_f64()
 }
 
-/// The statistics of a non-empty set of per-iteration times.
+/// The statistics of a non-empty set of per-call times.
 fn entry(id: &str, mut times: Vec<f64>) -> PerfEntry {
     times.sort_by(f64::total_cmp);
     PerfEntry {
@@ -243,17 +291,61 @@ mod tests {
         assert!(e.min_s <= e.median_s && e.median_s <= e.max_s);
     }
 
+    /// A busy-wait of about 100 ns, far under the sample minimum.
+    fn spin_100ns() {
+        let mut acc = 0u64;
+        for i in 0..50u64 {
+            acc = acc.wrapping_add(std::hint::black_box(i));
+        }
+        std::hint::black_box(acc);
+    }
+
+    #[test]
+    fn calls_at_or_above_the_minimum_are_one_per_sample() {
+        let mut calls = 0usize;
+        let e = measure("slow", 4, || {
+            calls += 1;
+            std::thread::sleep(std::time::Duration::from_micros(20));
+        });
+        assert_eq!((calls, e.samples), (4, 4), "no extra call");
+        assert!(e.min_s >= 20e-6);
+    }
+
+    #[test]
+    fn calls_under_the_minimum_are_batched_per_sample() {
+        let mut calls = 0usize;
+        let e = measure("fast", 5, || {
+            calls += 1;
+            spin_100ns();
+        });
+        assert_eq!(e.samples, 5);
+        assert!(calls > 2 * e.samples, "{calls} calls for {} samples", e.samples);
+        assert!(e.median_s < MIN_SAMPLE_S, "the mean per call, not per batch");
+    }
+
     #[test]
     fn alternating_variants_are_recorded_in_order() {
+        // `a` outlasts the minimum, so each of its samples is one call;
+        // `b` does not, so each of its samples is a run of calls.
         let calls = std::cell::RefCell::new(String::new());
         let mut r = PerfReport::new("unit_test");
         r.record_alternating(
             ["a", "b"],
             3,
-            || calls.borrow_mut().push('a'),
-            || calls.borrow_mut().push('b'),
+            || {
+                calls.borrow_mut().push('a');
+                std::thread::sleep(std::time::Duration::from_micros(20));
+            },
+            || {
+                calls.borrow_mut().push('b');
+                spin_100ns();
+            },
         );
-        assert_eq!(calls.into_inner(), "ababab");
+        let calls = calls.into_inner();
+        let runs: Vec<usize> = calls.split('a').skip(1).map(str::len).collect();
+        assert!(calls.starts_with('a'), "{calls}");
+        assert_eq!(runs.len(), 3, "one call of `a` per sample: {calls}");
+        assert!(runs.iter().all(|&n| n > 1), "a run of `b` after each `a`: {calls}");
         let ids: Vec<_> = r.entries.iter().map(|e| (e.id.as_str(), e.samples)).collect();
         assert_eq!(ids, [("a", 3), ("b", 3)]);
     }

@@ -127,11 +127,6 @@ impl<T: Copy + Default> Grid<T> {
         &self.data
     }
 
-    /// Mutable raw storage.
-    pub fn raw_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Raw pointer to the storage (for disjoint-tile parallel writes).
     pub(crate) fn raw_ptr(&mut self) -> *mut T {
         self.data.as_mut_ptr()

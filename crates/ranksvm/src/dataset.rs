@@ -11,18 +11,6 @@ use serde::{Deserialize, Serialize};
 /// Identifier of a comparability group (a "query" in ranking terms).
 pub type GroupId = u32;
 
-/// One training sample: a feature row, its target value and its group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RankingSample {
-    /// Feature vector (dense).
-    pub features: Vec<f64>,
-    /// Target to be *minimized* (e.g. runtime in seconds). Within a group,
-    /// smaller target means higher rank.
-    pub target: f64,
-    /// Comparability group.
-    pub group: GroupId,
-}
-
 /// A dense, grouped learning-to-rank dataset.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RankingDataset {
@@ -62,11 +50,6 @@ impl RankingDataset {
         self.features.extend_from_slice(features);
         self.targets.push(target);
         self.groups.push(group);
-    }
-
-    /// Appends a [`RankingSample`].
-    pub fn push_sample(&mut self, s: &RankingSample) {
-        self.push(&s.features, s.target, s.group);
     }
 
     /// The `i`-th feature row.

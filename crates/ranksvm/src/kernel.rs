@@ -6,8 +6,8 @@
 //!
 //! * [`score_rows_portable`] — the four-accumulator unrolled loop LLVM has
 //!   always auto-vectorized well; the reference semantics.
-//! * an AVX2 path (`x86_64` only, behind the `simd` cargo feature) using
-//!   `core::arch` intrinsics, selected **once per process** via runtime CPU
+//! * an AVX2 path, compiled into every `x86_64` build, using `core::arch`
+//!   intrinsics and selected **once per process** via runtime CPU
 //!   detection.
 //!
 //! Both paths are **bit-for-bit identical** by construction, not merely
@@ -35,16 +35,15 @@
 ///
 /// `rows` holds `out.len()` rows laid out `stride` values apart; only the
 /// first `w.len()` values of each row are read, so `stride` may include
-/// lane padding. Dispatches to the AVX2 kernel when compiled with the
-/// `simd` feature on `x86_64` and the CPU supports it (detected once per
-/// process), the portable kernel otherwise.
+/// lane padding. Dispatches to the AVX2 kernel on an `x86_64` CPU that
+/// supports it (detected once per process), the portable kernel otherwise.
 ///
 /// # Panics
 /// Panics when `stride < w.len()`, `w` is empty with a non-zero `stride`
 /// requirement unmet, or `rows.len() != out.len() * stride`.
 pub fn score_rows_into(w: &[f64], rows: &[f64], stride: usize, out: &mut [f64]) {
     check_layout(w, rows, stride, out);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
         // SAFETY: `avx2_enabled` verified AVX2 support on this CPU, and
         // `check_layout` established the slice geometry the kernel assumes.
@@ -65,14 +64,14 @@ pub fn score_rows_portable(w: &[f64], rows: &[f64], stride: usize, out: &mut [f6
 /// Which kernel [`score_rows_into`] dispatches to on this process:
 /// `"avx2"` or `"portable"`. Stable for the process lifetime.
 pub fn active_kernel() -> &'static str {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
         return "avx2";
     }
     "portable"
 }
 
-/// True when the SIMD path is compiled in *and* the host CPU supports it.
+/// True when the host is `x86_64` and its CPU supports AVX2.
 pub fn simd_active() -> bool {
     active_kernel() != "portable"
 }
@@ -95,16 +94,15 @@ fn portable_rows(w: &[f64], rows: &[f64], stride: usize, out: &mut [f64]) {
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn avx2_enabled() -> bool {
     use std::sync::OnceLock;
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2"))
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
-    #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::{
         _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_setzero_pd, _mm256_storeu_pd,
     };

@@ -30,7 +30,7 @@ pub mod model_selection;
 pub mod scaler;
 pub mod train;
 
-pub use dataset::{GroupId, RankingDataset, RankingSample};
+pub use dataset::{GroupId, RankingDataset};
 pub use kendall::{gamma, kendall_tau, tau_a, tau_b};
 pub use metrics::{pairwise_accuracy, top1_regret};
 pub use model::{argsort_desc, top_k_desc, LinearRanker};

@@ -6,7 +6,6 @@
 //! users porting the tuner to new machines.
 
 use crate::dataset::RankingDataset;
-use crate::kendall::tau_b;
 use crate::train::{RankSvmTrainer, TrainConfig};
 
 /// Mean per-group Kendall τ of a model on a dataset.
@@ -76,18 +75,6 @@ pub fn select_c(
         }
     }
     (candidates[best], scores)
-}
-
-/// Convenience: τ-b between model scores and negated targets of a dataset
-/// slice given by indices.
-pub fn tau_of_indices(
-    data: &RankingDataset,
-    model: &crate::model::LinearRanker,
-    idx: &[usize],
-) -> f64 {
-    let scores: Vec<f64> = idx.iter().map(|&i| model.score(data.row(i))).collect();
-    let neg: Vec<f64> = idx.iter().map(|&i| -data.target(i)).collect();
-    tau_b(&scores, &neg)
 }
 
 #[cfg(test)]

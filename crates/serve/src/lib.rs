@@ -52,10 +52,9 @@
 //! And two keep it standing under overload:
 //!
 //! * **Non-blocking tickets** ([`TuneTicket`]) — a submission returns a
-//!   completion slot the caller can block on ([`TuneTicket::wait`]), poll
-//!   ([`TuneTicket::poll`]), or hang a callback/waker on
-//!   ([`TuneTicket::on_ready`]), so event-loop embedders never park a
-//!   thread per pending answer.
+//!   completion slot the caller can block on ([`TuneTicket::wait`]) or
+//!   hang a callback/waker on ([`TuneTicket::on_ready`]), so event-loop
+//!   embedders never park a thread per pending answer.
 //! * **Admission control** ([`ServeConfig::max_queue`] /
 //!   [`ServeConfig::shed_p99`]) — the submission queue is bounded and a
 //!   rolling p99 batch-latency threshold sheds load early; both
@@ -70,8 +69,8 @@
 //!   chain of the slowest recent requests (over
 //!   [`ServeConfig::exemplar_threshold`] or the rolling p99), exported
 //!   as `sorl_exemplar_*` metrics and shipped in wire trace dumps.
-//! * **SLO burn rates** ([`ServeConfig::slo`] /
-//!   [`sorl_obs::SloTracker`]) — multi-window error-budget burn over a
+//! * **SLO burn rates** ([`sorl_obs::SloTracker`], with the default
+//!   [`sorl_obs::SloConfig`]) — multi-window error-budget burn over a
 //!   latency+error SLO, exported as `sorl_slo_*` gauges; sheds count as
 //!   budget spent.
 

@@ -12,8 +12,8 @@
 //! select.
 //!
 //! Submission is non-blocking: [`TuneClient::submit`] returns a
-//! [`TuneTicket`] (a poll-/callback-capable completion slot — see
-//! [`crate::ticket`]) without ever parking on the tuning work, and the
+//! [`TuneTicket`] (a completion slot to wait on or hang a callback on —
+//! see [`crate::ticket`]) without ever parking on the tuning work, and the
 //! blocking [`TuneClient::tune`] is a thin `submit + wait` wrapper.
 //!
 //! Submission is also *bounded*: the queue has a configurable depth cap
@@ -165,17 +165,12 @@ pub struct ServeConfig {
     /// never sheds, and once the backlog drains admission resumes.
     /// `Duration::ZERO` disables latency shedding.
     pub shed_p99: Duration,
-    /// Slow-request exemplar slots: the service keeps the full span
-    /// chain of its `exemplar_capacity` slowest recent requests
-    /// (`0` disables capture). See [`crate::ExemplarStore`].
-    pub exemplar_capacity: usize,
-    /// Absolute latency at/above which a request is exemplar-worthy.
+    /// Absolute latency at/above which a request is exemplar-worthy: the
+    /// service keeps the full span chain of its 8 slowest recent worthy
+    /// requests (see [`crate::ExemplarStore`]).
     /// `Duration::ZERO` switches to the rolling-p99 trigger: any request
     /// slower than the p99 of recent request latencies is captured.
     pub exemplar_threshold: Duration,
-    /// The latency+error SLO tracked by the service's burn-rate monitor
-    /// (exported as `sorl_slo_*` gauges; see [`sorl_obs::SloTracker`]).
-    pub slo: SloConfig,
 }
 
 impl Default for ServeConfig {
@@ -188,9 +183,7 @@ impl Default for ServeConfig {
             cache_k_floor: 8,
             max_queue: 4096,
             shed_p99: Duration::ZERO,
-            exemplar_capacity: 8,
             exemplar_threshold: Duration::ZERO,
-            slo: SloConfig::default(),
         }
     }
 }
@@ -245,6 +238,10 @@ pub type KeyFilter = Box<dyn Fn(u64) -> bool + Send>;
 /// few seconds of a busy service": at 3 events per request, 4096 slots
 /// cover the most recent ~1300 requests.
 const FLIGHT_RECORDER_EVENTS: usize = 4096;
+
+/// Slow-request exemplars a service keeps: the full span chains of its
+/// slowest recent worthy requests (see [`ServeConfig::exemplar_threshold`]).
+const EXEMPLAR_SLOTS: usize = 8;
 
 enum Msg {
     Tune {
@@ -311,12 +308,11 @@ impl TuneService {
         let counters = Arc::new(Counters::default());
         let admission = Arc::new(Admission::new(&config));
         let recorder = Arc::new(FlightRecorder::new(FLIGHT_RECORDER_EVENTS));
-        let exemplars =
-            Arc::new(ExemplarStore::new(config.exemplar_capacity, config.exemplar_threshold));
+        let exemplars = Arc::new(ExemplarStore::new(EXEMPLAR_SLOTS, config.exemplar_threshold));
         // SLO threshold crossings land in the same recorder as the
         // request spans, so a trace dump shows when the budget started
         // burning next to the requests that burned it.
-        let slo = Arc::new(SloTracker::with_recorder(config.slo, Arc::clone(&recorder)));
+        let slo = Arc::new(SloTracker::with_recorder(SloConfig::default(), Arc::clone(&recorder)));
         let worker_counters = Arc::clone(&counters);
         let worker_recorder = Arc::clone(&recorder);
         let worker_exemplars = Arc::clone(&exemplars);
@@ -470,8 +466,8 @@ pub struct TuneClient {
 }
 
 impl TuneClient {
-    /// Enqueues a query and returns a ticket to wait on (or poll, or hang a
-    /// callback on — see [`TuneTicket`]). Submitting never blocks on the
+    /// Enqueues a query and returns a ticket to wait on (or hang a callback
+    /// on — see [`TuneTicket`]). Submitting never blocks on the
     /// tuning work itself, and never queues past the admission limits: an
     /// overloaded service answers here, immediately, with
     /// [`ServeError::Overloaded`].

@@ -2,11 +2,10 @@
 //!
 //! A [`TuneTicket`] is a one-shot completion slot shared with the service
 //! worker. Embedders with their own event loops never have to park a
-//! thread on it: [`TuneTicket::poll`] is a non-blocking readiness probe
-//! and [`TuneTicket::on_ready`] registers a callback/waker hook that the
-//! worker invokes the moment the answer (or failure) lands. The blocking
-//! [`TuneTicket::wait`] of the original API is a thin wrapper over the
-//! same slot.
+//! thread on it: [`TuneTicket::on_ready`] registers a callback/waker hook
+//! that the worker invokes the moment the answer (or failure) lands. The
+//! blocking [`TuneTicket::wait`] of the original API is a thin wrapper
+//! over the same slot.
 //!
 //! The worker side is a `TicketCompleter`: completing it fills the slot
 //! exactly once, and *dropping* it without completing (worker shut down
@@ -54,13 +53,10 @@ pub(crate) fn pair() -> (TuneTicket, TicketCompleter) {
 
 /// A pending answer for one submitted query.
 ///
-/// Three ways to consume it, all observing the same completion exactly
-/// once per ticket:
+/// Two ways to consume it, each observing the completion exactly once:
 ///
 /// * [`wait`](Self::wait) — block until the answer lands (the original
 ///   blocking API).
-/// * [`poll`](Self::poll) / [`is_ready`](Self::is_ready) — non-blocking
-///   probes for poll-driven embedders.
 /// * [`on_ready`](Self::on_ready) — register a callback; the worker runs
 ///   it when the answer lands (immediately, on the calling thread, if it
 ///   already has). This is the waker hook: an event-loop embedder wakes
@@ -71,23 +67,11 @@ pub struct TuneTicket {
 
 impl std::fmt::Debug for TuneTicket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TuneTicket").field("ready", &self.is_ready()).finish()
+        f.debug_struct("TuneTicket").finish_non_exhaustive()
     }
 }
 
 impl TuneTicket {
-    /// Whether the answer (or failure) has landed. Never blocks.
-    pub fn is_ready(&self) -> bool {
-        self.slot.state().outcome.is_some()
-    }
-
-    /// The outcome, if it has landed — `None` while still pending. Never
-    /// blocks; the outcome stays in the ticket (polling again, or
-    /// [`wait`](Self::wait)ing after a successful poll, sees it again).
-    pub fn poll(&self) -> Option<Result<TopK, ServeError>> {
-        self.slot.state().outcome.clone()
-    }
-
     /// Blocks until the service answers (or reports it shut down without
     /// answering).
     pub fn wait(self) -> Result<TopK, ServeError> {
@@ -147,20 +131,18 @@ impl TicketCompleter {
     }
 
     fn fill(slot: &Slot, outcome: Result<TopK, ServeError>) {
-        let callback = {
-            let mut state = slot.state();
-            match state.callback.take() {
-                Some(callback) => Some(callback),
-                None => {
-                    state.outcome = Some(outcome.clone());
-                    slot.ready.notify_all();
-                    None
-                }
+        let mut state = slot.state();
+        match state.callback.take() {
+            Some(callback) => {
+                // Run the hook outside the lock: it may be arbitrary user
+                // code.
+                drop(state);
+                callback(outcome);
             }
-        };
-        // Run the hook outside the lock: it may be arbitrary user code.
-        if let Some(callback) = callback {
-            callback(outcome);
+            None => {
+                state.outcome = Some(outcome);
+                slot.ready.notify_all();
+            }
         }
     }
 }
@@ -179,19 +161,6 @@ mod tests {
 
     fn answer() -> TopK {
         TopK { entries: Vec::new(), candidates: 7, seconds: 0.0 }
-    }
-
-    #[test]
-    fn poll_is_nonblocking_and_nondestructive() {
-        let (ticket, completer) = pair();
-        assert!(!ticket.is_ready());
-        assert!(ticket.poll().is_none());
-        completer.complete(Ok(answer()));
-        assert!(ticket.is_ready());
-        assert_eq!(ticket.poll().unwrap().unwrap().candidates, 7);
-        // Polling does not consume: wait still sees the same outcome.
-        assert_eq!(ticket.poll().unwrap().unwrap().candidates, 7);
-        assert_eq!(ticket.wait().unwrap().candidates, 7);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Admission-control and non-blocking-ticket tests against a live
 //! service: bounded-queue sheds, latency sheds (and recovery), and the
-//! poll/callback ticket paths.
+//! callback ticket path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -115,29 +115,6 @@ fn latency_shedding_trips_under_backlog_and_recovers() {
     assert_eq!(stats.queue_depth, 0);
     assert_eq!(stats.shed_latency, sheds);
     client.tune(lap(48), 1).expect("admission recovers once the backlog drains");
-}
-
-#[test]
-fn tickets_poll_to_completion_against_a_live_service() {
-    let ranker = dense_ranker();
-    let mut reference = TuningSession::new(ranker.clone());
-    let service = TuneService::spawn(ranker, ServeConfig { threads: 2, ..Default::default() });
-    let client = service.client();
-
-    let ticket = client.submit(lap(128), 3).unwrap();
-    // Poll-driven consumption: spin (with a yield) until ready, then read
-    // the outcome without blocking.
-    let mut polls = 0u32;
-    let top = loop {
-        if let Some(outcome) = ticket.poll() {
-            break outcome.unwrap();
-        }
-        polls += 1;
-        assert!(polls < 1_000_000, "service never completed the ticket");
-        std::thread::yield_now();
-    };
-    assert_eq!(top.entries, reference.top_k_predefined(&lap(128), 3).entries);
-    assert!(ticket.is_ready(), "polling does not consume the outcome");
 }
 
 #[test]

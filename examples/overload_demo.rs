@@ -132,8 +132,7 @@ fn main() {
         cache_capacity: 0,
         max_queue: 4,
         // Under saturation nearly every served request clears 1ms, so the
-        // exemplar store demonstrably fills; the bound keeps it cheap.
-        exemplar_capacity: 8,
+        // exemplar store demonstrably fills.
         exemplar_threshold: Duration::from_millis(1),
         ..Default::default()
     };
