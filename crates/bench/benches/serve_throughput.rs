@@ -8,12 +8,12 @@
 //!
 //! * `tune_loop_8x3d` — the pre-service baseline: answer each request with
 //!   its own sequential `TuningSession::tune` pass.
-//! * `session_tune_batch_8x3d` — the core batch pipeline without the
-//!   service (one `TuningSession::top_k_batch` scoring pass over all rows,
+//! * `session_tune_batch_8x3d` — the session's batch call without the
+//!   service (one `TuningSession::top_k_batch` call: eight folded queries,
 //!   no dedup).
 //! * `service_microbatch_8x3d_cold` — the full service with the decision
-//!   cache disabled: queue → micro-batch → within-batch dedup → one
-//!   pipelined pass → top-k replies.
+//!   cache disabled: queue → micro-batch → within-batch dedup → one folded
+//!   query per unique instance → top-k replies.
 //! * `service_cache_hot_8x3d` — the same workload after warmup with the
 //!   cache enabled: 100% hits, no scoring at all.
 //!

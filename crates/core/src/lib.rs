@@ -37,10 +37,11 @@
 //!   with JSON persistence,
 //! * [`session`] — [`session::TuningSession`], the one way to rank: the
 //!   standalone tuner's top-1 over the hierarchical predefined
-//!   configuration sets (1600 / 8640 candidates), top-k, batches of
-//!   queries through one pipelined scoring pass, and explicit candidate
-//!   lists — batched, optionally multi-threaded, with cached candidate
-//!   sets and zero steady-state allocation,
+//!   configuration sets (1600 / 8640 candidates, scored from a per-query
+//!   fold with near-ties rescored exactly), top-k, batches of queries,
+//!   and explicit candidate lists (full feature rows, optionally
+//!   multi-threaded) — with cached candidate sets and zero steady-state
+//!   allocation,
 //! * [`tuner`] — the tuner's answers ([`TunerDecision`], [`TopK`]),
 //! * [`hybrid`] — ranker-seeded iterative search (the paper's future-work
 //!   coupling of the model with search),

@@ -2,35 +2,44 @@
 //!
 //! A [`TuningSession`] answers the paper's standalone-tuner question (rank
 //! the predefined set for an unseen instance, return the best) and its
-//! serving variants — top-k, and whole batches of queries back-to-back,
-//! the deployment shape the paper's sub-millisecond "Regression" latency
-//! is about. A session owns
+//! serving variants — top-k, and batches of queries — the deployment shape
+//! the paper's sub-millisecond "Regression" latency is about.
 //!
-//! * the cached predefined candidate sets (materialized once per process,
-//!   see [`predefined_candidates`]),
-//! * per-thread scratch buffers for feature rows and the score vector
-//!   (steady-state queries perform **zero** per-candidate heap
-//!   allocations), and
-//! * an optional [`ThreadPool`] that fans contiguous candidate chunks
-//!   across worker threads.
+//! **Predefined-set queries** ([`TuningSession::tune`],
+//! [`TuningSession::top_k_predefined`], [`TuningSession::top_k_batch`]) are
+//! folded: the linear score of every candidate is `c(q) + u(q) . pi(q, t)`,
+//! evaluated from a few thousand separable terms per query
+//! ([`FeatureEncoder::fold_predefined`](stencil_model::FeatureEncoder::fold_predefined))
+//! instead of 8640 feature rows. Folded values and full-row dot products
+//! approximate the same real score, and features lie in `[0, 1]`, so they
+//! differ by at most `eps = 2 gamma_n ||w||_1` (`gamma_n = n u / (1 - n u)`,
+//! `u` the unit roundoff, `n` = 600 terms). The session rescores on
+//! full rows every candidate whose folded value lies within `2 eps` of the
+//! k-th largest (the band) and selects from those exact scores with the
+//! query's tie rule. A candidate outside the band scores strictly below k
+//! candidates inside it, so every served tuning and score bit is the
+//! full-row answer's; a ranking flat relative to `||w||_1` widens the band
+//! toward the whole set and costs time, never an answer. A fold belongs to
+//! one query, so the queries of a batch share no scoring work.
 //!
-//! Scoring is batched: the per-instance query block is encoded once
-//! ([`stencil_model::QueryFeatures`]), each candidate only completes the
-//! tuning-dependent suffix into a lane-padded
-//! [`stencil_model::CandidateMatrix`] block, and blocks are scored with
-//! [`ranksvm::LinearRanker::score_rows_into`] — which dispatches to the
-//! explicit AVX2 kernel when the host supports it. Sequential and parallel
-//! sessions produce bit-for-bit identical scores: every row's dot product
-//! is computed independently (and the SIMD kernel reproduces the scalar
-//! reduction exactly), so neither threading nor dispatch reorders floating
-//! point reductions.
+//! **Full rows** serve [`TuningSession::scores`] over explicit candidates
+//! (the reference the tests compare against) and the predefined queries the
+//! fold cannot take: an instance with a `sigma` entry outside `[0, 1]` (a
+//! pattern wider than `max_offset`, where the interaction clamp fires),
+//! weights whose `eps` is not finite, and a `k` that asks for the whole set.
+//! The per-instance query block is encoded once
+//! ([`stencil_model::QueryFeatures`]), each candidate completes the
+//! tuning-dependent suffix into a lane-padded [`CandidateMatrix`] block, and
+//! blocks are scored with [`ranksvm::LinearRanker::score_rows_into`] (the
+//! explicit AVX2 kernel when the host supports it), in contiguous chunks
+//! across the session's [`ThreadPool`] when it has one. Every row's dot
+//! product is independent and the SIMD kernel reproduces the scalar
+//! reduction exactly, so neither threads nor dispatch change a bit.
 //!
-//! Every query runs through one private scoring path: each instance
-//! contributes its candidate rows to one global row range that is chunked
-//! across the pool ([`TuningSession::top_k_batch`] pipelines a whole batch
-//! of instances through it), so encode/score work is amortized across
-//! queries — the substrate the `sorl-serve` micro-batching service builds
-//! on.
+//! A session owns the cached predefined sets (see [`predefined_candidates`])
+//! and reuses its scratch between queries — the folded scores, the band,
+//! the rescore row and the full-row blocks — so steady-state queries
+//! perform **zero** per-candidate heap allocations.
 
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -46,6 +55,11 @@ use crate::tuner::{TopK, TunerDecision};
 /// Rows encoded per `score_rows_into` call: big enough to amortize the
 /// call, small enough that a block's feature matrix stays cache-resident.
 const BLOCK_ROWS: usize = 64;
+
+/// The `n` of the fold's error bound: more rounded terms than either
+/// evaluation sums per candidate (a full row has at most 535 features, a
+/// folded value at most 348 prefix terms plus a few dozen more).
+const ROUNDED_TERMS: f64 = 600.0;
 
 static SET_2D: OnceLock<Vec<TuningVector>> = OnceLock::new();
 static SET_3D: OnceLock<Vec<TuningVector>> = OnceLock::new();
@@ -72,21 +86,6 @@ struct WorkerScratch {
     matrix: CandidateMatrix,
 }
 
-/// One instance's contribution to a scoring pass: its precomputed query
-/// block, its candidate slice, and where its scores start in the session's
-/// global score buffer.
-struct Segment<'a> {
-    qf: QueryFeatures,
-    candidates: &'a [TuningVector],
-    offset: usize,
-}
-
-impl Segment<'_> {
-    fn end(&self) -> usize {
-        self.offset + self.candidates.len()
-    }
-}
-
 /// A long-lived tuner around a trained [`StencilRanker`] — the only way to
 /// rank candidates with it.
 ///
@@ -109,19 +108,34 @@ impl Segment<'_> {
 #[derive(Debug)]
 pub struct TuningSession {
     ranker: StencilRanker,
+    /// `eps`: the bound on |folded - full-row| for this ranker's weights;
+    /// not finite when the fold must not run.
+    fold_error: f64,
     pool: Option<ThreadPool>,
     scratch: Vec<WorkerScratch>,
+    /// Full-row scores of the rows last scored: explicit candidates, or a
+    /// predefined query's band.
     scores: Vec<f64>,
+    /// The predefined-set indices `scores` belongs to, ascending.
+    band: Vec<usize>,
+    /// The last predefined query's folded scores (empty when it took the
+    /// full-row path).
+    folded: Vec<f64>,
+    /// Scratch for the k-th largest folded score.
+    select: Vec<f64>,
+    /// One full feature row, for rescoring the band.
+    row: Vec<f64>,
 }
 
 impl TuningSession {
-    /// A sequential session (batched scoring, no worker threads).
+    /// A sequential session (no worker threads).
     pub fn new(ranker: StencilRanker) -> Self {
         Self::parallel(ranker, 1)
     }
 
-    /// A session fanning candidate chunks over `threads` threads
-    /// (`threads <= 1` degenerates to the sequential session).
+    /// A session fanning full-row candidate chunks over `threads` threads
+    /// (`threads <= 1` degenerates to the sequential session). Folded
+    /// queries run on the calling thread.
     pub fn parallel(ranker: StencilRanker, threads: usize) -> Self {
         let threads = threads.max(1);
         let pool = (threads > 1).then(|| ThreadPool::new(threads));
@@ -129,7 +143,17 @@ impl TuningSession {
         let scratch = (0..threads)
             .map(|_| WorkerScratch { matrix: CandidateMatrix::with_row_capacity(dim, BLOCK_ROWS) })
             .collect();
-        TuningSession { ranker, pool, scratch, scores: Vec::new() }
+        TuningSession {
+            fold_error: fold_error(ranker.model().weights()),
+            ranker,
+            pool,
+            scratch,
+            scores: Vec::new(),
+            band: Vec::new(),
+            folded: Vec::new(),
+            select: Vec::new(),
+            row: Vec::with_capacity(dim),
+        }
     }
 
     /// The underlying ranker.
@@ -142,13 +166,11 @@ impl TuningSession {
     /// with zero steady-state allocation. Ties go to the lower candidate
     /// index, as in [`ranksvm::argsort_desc`].
     pub fn tune(&mut self, instance: &StencilInstance) -> TunerDecision {
-        let candidates = predefined_candidates(instance.dim());
         let t0 = Instant::now();
-        let qf = self.ranker.encoder().query_features(instance);
-        self.score_segments(&[Segment { qf, candidates, offset: 0 }]);
+        let candidates = self.shortlist(instance, 1);
         let best = best_index(&self.scores);
         TunerDecision {
-            tuning: candidates[best],
+            tuning: candidates[self.band[best]],
             score: self.scores[best],
             candidates: candidates.len(),
             seconds: t0.elapsed().as_secs_f64(),
@@ -156,59 +178,33 @@ impl TuningSession {
     }
 
     /// The `k` best predefined configurations for `instance`, best-first
-    /// with scores: a one-query [`top_k_batch`](Self::top_k_batch).
+    /// with scores: exactly the first `k` entries of
+    /// [`ranksvm::argsort_desc`] over the full-row scores of the whole set,
+    /// from a partial select over the band (no full sort).
     pub fn top_k_predefined(&mut self, instance: &StencilInstance, k: usize) -> TopK {
-        self.top_k_batch(&[(instance, k)]).pop().expect("one answer per query")
-    }
-
-    /// Top-k answers for a whole batch of `(instance, k)` queries through
-    /// **one** pipelined scoring pass over the cached predefined sets — the
-    /// workhorse of the `sorl-serve` micro-batching service. Every
-    /// instance's query block is encoded once, all candidate rows from all
-    /// instances form one global row range, and that range is chunked
-    /// across the pool (a chunk may span several instances); each answer
-    /// is then a partial select over its instance's scores (no full sort).
-    ///
-    /// Entry `i` of the result answers query `i`, bit-for-bit what the same
-    /// query gets alone — each row's score is an independent dot product,
-    /// so neither batching nor chunk boundaries change any value. The
-    /// reported `seconds` on every answer is the wall time of the whole
-    /// scoring pass (the per-query cost is amortized and not separable).
-    pub fn top_k_batch(&mut self, queries: &[(&StencilInstance, usize)]) -> Vec<TopK> {
         let t0 = Instant::now();
-        let encoder = self.ranker.encoder();
-        let mut offset = 0;
-        let segments: Vec<Segment<'_>> = queries
-            .iter()
-            .map(|&(q, _)| {
-                let candidates = predefined_candidates(q.dim());
-                let segment = Segment { qf: encoder.query_features(q), candidates, offset };
-                offset += candidates.len();
-                segment
-            })
+        let candidates = self.shortlist(instance, k);
+        let entries = ranksvm::top_k_desc(&self.scores, k)
+            .into_iter()
+            .map(|j| (candidates[self.band[j]], self.scores[j]))
             .collect();
-        self.score_segments(&segments);
-        let seconds = t0.elapsed().as_secs_f64();
-        segments
-            .iter()
-            .zip(queries)
-            .map(|(segment, &(_, k))| {
-                let scores = &self.scores[segment.offset..segment.end()];
-                let entries = ranksvm::top_k_desc(scores, k)
-                    .into_iter()
-                    .map(|j| (segment.candidates[j], scores[j]))
-                    .collect();
-                TopK { entries, candidates: scores.len(), seconds }
-            })
-            .collect()
+        TopK { entries, candidates: candidates.len(), seconds: t0.elapsed().as_secs_f64() }
     }
 
-    /// Scores an explicit candidate list for `instance`, returning a borrow
-    /// of the session's score buffer (valid until the next query). The
-    /// whole list is validated before any scoring: an inadmissible
-    /// candidate is reported as [`ModelError::InadmissibleCandidate`]
-    /// naming its index. Scores are bit-for-bit what per-row
-    /// [`StencilRanker::score`] calls return.
+    /// Top-k answers for a batch of `(instance, k)` queries — the call the
+    /// `sorl-serve` micro-batching service makes. Entry `i` answers query
+    /// `i` exactly as [`top_k_predefined`](Self::top_k_predefined) does,
+    /// with its own `seconds`.
+    pub fn top_k_batch(&mut self, queries: &[(&StencilInstance, usize)]) -> Vec<TopK> {
+        queries.iter().map(|&(q, k)| self.top_k_predefined(q, k)).collect()
+    }
+
+    /// Scores an explicit candidate list for `instance` on full rows,
+    /// returning a borrow of the session's score buffer (valid until the
+    /// next query). The whole list is validated before any scoring: an
+    /// inadmissible candidate is reported as
+    /// [`ModelError::InadmissibleCandidate`] naming its index. Scores are
+    /// bit-for-bit what per-row [`StencilRanker::score`] calls return.
     pub fn scores(
         &mut self,
         instance: &StencilInstance,
@@ -216,22 +212,58 @@ impl TuningSession {
     ) -> Result<&[f64], ModelError> {
         let qf = self.ranker.encoder().query_features(instance);
         validate_candidates(&qf, candidates)?;
-        self.score_segments(&[Segment { qf, candidates, offset: 0 }]);
+        self.score_rows(&qf, candidates);
         Ok(&self.scores)
     }
 
-    /// The scoring core: resizes the score buffer to the segments' rows and
-    /// fills it, fanning contiguous row chunks across the pool when one is
-    /// attached. A chunk may straddle segment boundaries; each in-chunk
-    /// sub-range is encoded with its segment's query block.
-    fn score_segments(&mut self, segments: &[Segment<'_>]) {
-        let total = segments.last().map_or(0, Segment::end);
+    /// Leaves in `scores` the full-row scores of every predefined candidate
+    /// of `instance` that can rank among its top `k` (at least one), and in
+    /// `band` their indices into the returned set, ascending: the band
+    /// around the fold's k-th largest value, or the whole set when the fold
+    /// does not apply.
+    fn shortlist(&mut self, instance: &StencilInstance, k: usize) -> &'static [TuningVector] {
+        let candidates = predefined_candidates(instance.dim());
+        let encoder = self.ranker.encoder();
+        let qf = encoder.query_features(instance);
+        let weights = self.ranker.model().weights();
+        let k = k.max(1);
+        self.folded.clear();
+        self.band.clear();
+        // The band's floor, 2 eps below the fold's k-th largest value. It is
+        // not finite only when a degenerate encoder config yields NaN
+        // features, which full rows score as they always have.
+        let floor = (k < candidates.len()
+            && self.fold_error.is_finite()
+            && encoder.fold_predefined(&qf, weights, &mut self.folded))
+        .then(|| kth_largest(&self.folded, k, &mut self.select) - 2.0 * self.fold_error)
+        .filter(|floor| floor.is_finite());
+        let Some(floor) = floor else {
+            self.folded.clear();
+            self.band.extend(0..candidates.len());
+            self.score_rows(&qf, candidates);
+            return candidates;
+        };
+        let folded = &self.folded;
+        self.band.extend((0..candidates.len()).filter(|&i| folded[i] >= floor));
+        self.scores.clear();
+        for &i in &self.band {
+            self.row.clear();
+            encoder.append_candidate(&qf, candidates[i], &mut self.row);
+            self.scores.push(self.ranker.model().score(&self.row));
+        }
+        candidates
+    }
+
+    /// Full-row scores of `candidates` into `scores`, in contiguous chunks
+    /// across the pool when one is attached.
+    fn score_rows(&mut self, qf: &QueryFeatures, candidates: &[TuningVector]) {
+        let total = candidates.len();
         self.scores.clear();
         self.scores.resize(total, 0.0);
         let ranker = &self.ranker;
         let n_chunks = self.pool.as_ref().map_or(1, |pool| pool.threads().min(total));
         let Some(pool) = self.pool.as_mut().filter(|_| n_chunks > 1) else {
-            score_chunk(ranker, segments, 0, &mut self.scratch[0], &mut self.scores);
+            score_range(ranker, qf, candidates, &mut self.scratch[0], &mut self.scores);
             return;
         };
 
@@ -247,15 +279,32 @@ impl TuningSession {
                 let (lo, hi) = (ci * total / n_chunks, (ci + 1) * total / n_chunks);
                 let (scores, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
                 rest = tail;
-                Mutex::new((lo, scores, scratch))
+                Mutex::new((&candidates[lo..hi], scores, scratch))
             })
             .collect();
         pool.run(n_chunks, &|ci| {
             let mut slot = slots[ci].lock().expect("a slot is locked once, so never poisoned");
-            let (lo, scores, scratch) = &mut *slot;
-            score_chunk(ranker, segments, *lo, scratch, scores);
+            let (candidates, scores, scratch) = &mut *slot;
+            score_range(ranker, qf, candidates, scratch, scores);
         });
     }
+}
+
+/// `eps = 2 gamma_n ||w||_1`, computed as `gamma_n (2 ||w||_1)` so that it
+/// is infinite (and the fold is skipped) whenever `2 ||w||_1` overflows:
+/// a finite `eps` also keeps every partial sum of both evaluations finite.
+fn fold_error(weights: &[f64]) -> f64 {
+    let unit_roundoff = f64::EPSILON / 2.0;
+    let gamma = ROUNDED_TERMS * unit_roundoff / (1.0 - ROUNDED_TERMS * unit_roundoff);
+    gamma * (2.0 * weights.iter().map(|w| w.abs()).sum::<f64>())
+}
+
+/// The `k`-th largest of `values` (`1 <= k <= values.len()`), reusing
+/// `scratch`.
+fn kth_largest(values: &[f64], k: usize, scratch: &mut Vec<f64>) -> f64 {
+    scratch.clear();
+    scratch.extend_from_slice(values);
+    *scratch.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a)).1
 }
 
 /// Index of the highest score in a freshly filled score slice (first
@@ -268,35 +317,6 @@ fn best_index(scores: &[f64]) -> usize {
         }
     }
     best
-}
-
-/// Scores the global rows `[lo, lo + scores.len())` into `scores` (whose
-/// slot 0 corresponds to global row `lo`), walking the segments they
-/// intersect.
-fn score_chunk(
-    ranker: &StencilRanker,
-    segments: &[Segment<'_>],
-    lo: usize,
-    scratch: &mut WorkerScratch,
-    scores: &mut [f64],
-) {
-    let hi = lo + scores.len();
-    let mut si = segments.partition_point(|s| s.end() <= lo);
-    let mut row = lo;
-    while row < hi {
-        let seg = &segments[si];
-        let stop = seg.end().min(hi);
-        let (a, b) = (row - seg.offset, stop - seg.offset);
-        score_range(
-            ranker,
-            &seg.qf,
-            &seg.candidates[a..b],
-            scratch,
-            &mut scores[row - lo..stop - lo],
-        );
-        row = stop;
-        si += 1;
-    }
 }
 
 /// Encodes and scores one contiguous candidate range in blocks of
@@ -333,7 +353,9 @@ mod tests {
     use super::*;
     use crate::pipeline::{PipelineConfig, TrainingPipeline};
     use crate::ranker::synthetic_ranker;
-    use stencil_model::{GridSize, StencilKernel};
+    use rand::{Rng, SeedableRng};
+    use ranksvm::LinearRanker;
+    use stencil_model::{DType, FeatureEncoder, GridSize, Offset, StencilKernel, StencilPattern};
 
     /// Dense pseudo-random weights over every feature, so batch/sequential
     /// discrepancies cannot hide behind zeros.
@@ -347,6 +369,148 @@ mod tests {
 
     fn blur1024() -> StencilInstance {
         StencilInstance::new(StencilKernel::blur(), GridSize::square(1024)).unwrap()
+    }
+
+    /// Entries with their scores as IEEE-754 bit patterns.
+    fn bits(entries: &[(TuningVector, f64)]) -> Vec<(TuningVector, u64)> {
+        entries.iter().map(|&(t, s)| (t, s.to_bits())).collect()
+    }
+
+    /// The first `k` entries of `argsort_desc` over full-row `scores`.
+    fn argsort_prefix(set: &[TuningVector], scores: &[f64], k: usize) -> Vec<(TuningVector, u64)> {
+        let order = ranksvm::argsort_desc(scores);
+        order.iter().take(k).map(|&i| (set[i], scores[i].to_bits())).collect()
+    }
+
+    /// Rankers under both encodings: dense random weights, a single
+    /// non-zero weight (on the unroll feature, so 2160 of 8640 candidates
+    /// tie for first) and dense weights scaled by ~1e6.
+    fn fold_rankers(rng: &mut impl Rng) -> Vec<(String, StencilRanker)> {
+        let mut out = Vec::new();
+        for encoder in [FeatureEncoder::paper_concat(), FeatureEncoder::default_interaction()] {
+            let dim = encoder.dim();
+            let random: Vec<f64> = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
+            let mut tie_heavy = vec![0.0; dim];
+            tie_heavy[FeatureEncoder::paper_concat().dim() - 2] = 1.0; // [.., bx, by, bz, u, c]
+            let scaled = random.iter().map(|w| w * 1.0e6 * rng.random_range(0.5..2.0)).collect();
+            let kind = format!("{:?}", encoder.config().encoding);
+            for (name, w) in [("random", random), ("tie-heavy", tie_heavy), ("1e6-scaled", scaled)]
+            {
+                let ranker = StencilRanker::new(encoder.clone(), LinearRanker::from_weights(w));
+                out.push((format!("{kind}/{name}"), ranker));
+            }
+        }
+        out
+    }
+
+    /// The fold's contract on both predefined sets, under both encodings,
+    /// for every Table III kernel at random sizes: each folded value lies
+    /// within `eps` of its full-row score, and every served answer is the
+    /// full-row answer bit for bit.
+    #[test]
+    fn folded_scores_stay_within_eps_and_serve_full_row_bits() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xF01D);
+        let rankers = fold_rankers(&mut rng);
+        for kernel in StencilKernel::table3_kernels() {
+            let size = if kernel.dim() == 2 {
+                GridSize::d2(rng.random_range(16..=4096), rng.random_range(16..=4096))
+            } else {
+                let mut axis = |hi: u32| rng.random_range(16..=hi);
+                GridSize::d3(axis(1024), axis(1024), axis(512))
+            };
+            let q = StencilInstance::new(kernel, size).unwrap();
+            let set = predefined_candidates(q.dim());
+            for (name, ranker) in &rankers {
+                let mut session = TuningSession::new(ranker.clone());
+                let full = session.scores(&q, set).unwrap().to_vec();
+                for k in [1usize, 3, 8] {
+                    let top = session.top_k_predefined(&q, k);
+                    assert_eq!(session.folded.len(), set.len(), "{name}, {q}: the fold ran");
+                    let worst = session
+                        .folded
+                        .iter()
+                        .zip(&full)
+                        .map(|(f, s)| (f - s).abs())
+                        .fold(0.0, f64::max);
+                    assert!(
+                        worst <= session.fold_error,
+                        "{name}, {q}: |folded - full| reached {worst:e} > eps = {:e}",
+                        session.fold_error
+                    );
+                    assert_eq!(bits(&top.entries), argsort_prefix(set, &full, k), "{name}, {q}");
+                }
+                let d = session.tune(&q);
+                let want = argsort_prefix(set, &full, 1);
+                assert_eq!(vec![(d.tuning, d.score.to_bits())], want, "{name}, {q}: tune");
+            }
+        }
+    }
+
+    /// A config whose normalization divides by zero yields NaN features:
+    /// queries take the full-row path instead of an empty band.
+    #[test]
+    fn nan_features_take_the_full_row_path() {
+        let config = stencil_model::FeatureConfig { count_cap: 0, ..Default::default() };
+        let encoder = FeatureEncoder::new(config);
+        let w = vec![0.5; encoder.dim()];
+        let mut session =
+            TuningSession::new(StencilRanker::new(encoder, LinearRanker::from_weights(w)));
+        let q = lap128();
+        let set = predefined_candidates(3);
+        let full = session.scores(&q, set).unwrap().to_vec();
+        let top = session.top_k_predefined(&q, 3);
+        assert!(session.folded.is_empty());
+        assert_eq!(bits(&top.entries), argsort_prefix(set, &full, 3));
+        assert_eq!(session.tune(&q).tuning, set[0]);
+    }
+
+    /// A pattern wider than `max_offset` puts a `sigma` entry above 1, where
+    /// the interaction clamp fires and the fold is not exact: such queries
+    /// take the full-row path, alone and batched with folded queries, and
+    /// answer with the full-row bits.
+    #[test]
+    fn patterns_wider_than_max_offset_take_the_full_row_path() {
+        let wide = |offsets: &[Offset]| {
+            let mut pattern = StencilPattern::new();
+            pattern.add(Offset::ORIGIN);
+            offsets.iter().for_each(|&o| pattern.add(o));
+            StencilKernel::new("wide", pattern, 2, DType::F64).unwrap()
+        };
+        let wide3 = StencilInstance::new(
+            wide(&[Offset::new(4, 0, 0), Offset::new(0, -1, 1)]),
+            GridSize::cube(96),
+        )
+        .unwrap();
+        let wide2 = StencilInstance::new(
+            wide(&[Offset::new(-4, 0, 0), Offset::new(0, 1, 0)]),
+            GridSize::square(640),
+        )
+        .unwrap();
+        let ranker = dense_ranker();
+        let mut reference = TuningSession::new(ranker.clone());
+        let mut session = TuningSession::new(ranker);
+        let (normal3, normal2) = (lap128(), blur1024());
+        for wide in [&wide3, &wide2] {
+            let set = predefined_candidates(wide.dim());
+            let full = reference.scores(wide, set).unwrap().to_vec();
+
+            let top = session.top_k_predefined(wide, 8);
+            assert!(session.folded.is_empty(), "{wide}: the fold must not run");
+            assert_eq!(session.band.len(), set.len(), "{wide}");
+            assert_eq!(bits(&top.entries), argsort_prefix(set, &full, 8), "{wide}");
+            let d = session.tune(wide);
+            assert!(session.folded.is_empty(), "{wide}: the fold must not run");
+            assert_eq!(vec![(d.tuning, d.score.to_bits())], argsort_prefix(set, &full, 1));
+
+            let batch = session.top_k_batch(&[(&normal3, 3), (wide, 5), (&normal2, 1), (wide, 1)]);
+            assert_eq!(bits(&batch[1].entries), argsort_prefix(set, &full, 5), "{wide}");
+            assert_eq!(bits(&batch[3].entries), argsort_prefix(set, &full, 1), "{wide}");
+            for (q, k, top) in [(&normal3, 3, &batch[0]), (&normal2, 1, &batch[2])] {
+                let set = predefined_candidates(q.dim());
+                let full = reference.scores(q, set).unwrap().to_vec();
+                assert_eq!(bits(&top.entries), argsort_prefix(set, &full, k), "{q}");
+            }
+        }
     }
 
     #[test]

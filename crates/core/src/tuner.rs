@@ -42,8 +42,8 @@ pub struct TopK {
     pub entries: Vec<(TuningVector, f64)>,
     /// Number of candidates that were scored.
     pub candidates: usize,
-    /// Scoring latency in seconds (of the whole pass, when the answer came
-    /// out of a batch).
+    /// Scoring latency of this answer in seconds (each answer of a batch
+    /// is timed on its own).
     pub seconds: f64,
 }
 

@@ -90,6 +90,20 @@ const SIGMA_LEN: usize = 13;
 /// Number of components in the tuning descriptor `pi`.
 const PI_LEN: usize = 14;
 
+// Each `pi` entry depends on one part of the tuning vector only, which is
+// what lets `FeatureEncoder::fold_predefined` evaluate a query's whole
+// predefined grid from a few thousand separable terms.
+/// `pi` entries that depend on the block triple alone ([`BlockTerms::pi`]).
+const PI_BLOCK: [usize; 9] = [0, 1, 2, 5, 6, 7, 8, 9, 10];
+/// The `pi` entry that depends on the unroll factor alone.
+const PI_UNROLL: usize = 3;
+/// The `pi` entry that depends on the chunk size alone.
+const PI_CHUNK: usize = 4;
+/// `pi` entries that depend on the block triple with the chunk size.
+const PI_TILES: [usize; 2] = [11, 12];
+/// The `pi` entry that depends on the clipped x block with the unroll factor.
+const PI_CLEANUP: usize = 13;
+
 /// Encodes stencil executions into normalized feature vectors and decodes
 /// them back.
 ///
@@ -176,13 +190,7 @@ impl FeatureEncoder {
         self.write_tuning_block(t, out);
         if self.config.encoding == EncodingKind::Interaction {
             let sigma = self.instance_descriptor(q);
-            let pi = self.tuning_descriptor(
-                q.size(),
-                q.kernel().pattern().radius_per_axis(),
-                q.kernel().buffers(),
-                q.kernel().dtype(),
-                t,
-            );
+            let pi = self.tuning_descriptor(&InstanceFacts::of(q), t);
             write_interactions(&sigma, &pi, out);
         }
         debug_assert_eq!(out.len(), self.dim());
@@ -202,10 +210,7 @@ impl FeatureEncoder {
         QueryFeatures {
             prefix,
             sigma: self.instance_descriptor(q),
-            size: q.size(),
-            radius: q.kernel().pattern().radius_per_axis(),
-            buffers: q.kernel().buffers(),
-            dtype: q.kernel().dtype(),
+            facts: InstanceFacts::of(q),
             space: TuningSpace::for_dim(q.dim()).expect("instances are 2-D or 3-D"),
         }
     }
@@ -222,9 +227,78 @@ impl FeatureEncoder {
         out.extend_from_slice(&qf.prefix);
         self.write_tuning_block(t, out);
         if self.config.encoding == EncodingKind::Interaction {
-            let pi = self.tuning_descriptor(qf.size, qf.radius, qf.buffers, qf.dtype, t);
+            let pi = self.tuning_descriptor(&qf.facts, t);
             write_interactions(&qf.sigma, &pi, out);
         }
+    }
+
+    /// Writes the score the linear weights `w` give every candidate of
+    /// `qf`'s predefined set into `out`, in
+    /// [`TuningSpace::predefined_set`] order, folded per query instead of
+    /// encoded row by row.
+    ///
+    /// A row is `[prefix(q), tau(t), sigma(q) x pi(q, t)]` (the paper
+    /// layout has no product block), and `tau = pi[0..5]`. While every
+    /// `sigma` entry lies in `[0, 1]`, so does every product (`pi` always
+    /// does), the interaction clamp never fires, and
+    /// `w . row = c + u . pi(t)` with `c = w_prefix . prefix(q)` and
+    /// `u = W_int^T sigma + [w_tau, 0, ...]`. Each `pi` entry depends on
+    /// one part of `t` only, so the grid is evaluated from per-triple,
+    /// per-(triple, chunk) and per-(x block, unroll) terms (540, 2160 and
+    /// 40 in 3-D), and each candidate's value is a sum of three.
+    ///
+    /// The values equal the full-row dot products in real arithmetic, not
+    /// bit for bit: the two differ by rounding only. A caller that needs
+    /// the full-row bits rescores the candidates it keeps with
+    /// [`append_candidate`](Self::append_candidate).
+    ///
+    /// Returns `false`, leaving `out` empty, when some `sigma` entry lies
+    /// outside `[0, 1]` (a pattern wider than `max_offset`).
+    ///
+    /// # Panics
+    /// Panics when `w.len() != self.dim()`.
+    pub fn fold_predefined(&self, qf: &QueryFeatures, w: &[f64], out: &mut Vec<f64>) -> bool {
+        assert_eq!(w.len(), self.dim(), "weight dimension mismatch");
+        out.clear();
+        if !qf.sigma.iter().all(|v| (0.0..=1.0).contains(v)) {
+            return false;
+        }
+        let p = qf.prefix.len();
+        let c = w[..p].iter().zip(&qf.prefix).fold(0.0, |acc, (w, x)| acc + w * x);
+        let mut u = [0.0; PI_LEN];
+        u[..5].copy_from_slice(&w[p..p + 5]);
+        if self.config.encoding == EncodingKind::Interaction {
+            for (i, &s) in qf.sigma.iter().enumerate() {
+                for (uj, wij) in u.iter_mut().zip(&w[p + 5 + i * PI_LEN..][..PI_LEN]) {
+                    *uj += wij * s;
+                }
+            }
+        }
+
+        let f = &qf.facts;
+        let axes = qf.space.predefined_axes();
+        out.reserve(axes.len());
+        for &bx in axes.bx {
+            let clipped = bx.min(f.size.x);
+            let per_unroll = axes.u.map(|un| {
+                u[PI_UNROLL] * self.pi_unroll(un) + u[PI_CLEANUP] * pi_cleanup(clipped, un)
+            });
+            for &by in axes.by {
+                for &bz in axes.bz {
+                    let block = self.pi_block(f, bx, by, bz);
+                    let per_triple =
+                        PI_BLOCK.iter().zip(&block.pi).fold(c, |acc, (&j, &v)| acc + u[j] * v);
+                    let per_chunk = axes.c.map(|ch| {
+                        let [t0, t1] = pi_tiles(block.tiles, ch);
+                        u[PI_CHUNK] * self.pi_chunk(ch) + u[PI_TILES[0]] * t0 + u[PI_TILES[1]] * t1
+                    });
+                    for d in per_unroll {
+                        out.extend(per_chunk.iter().map(|&e| per_triple + e + d));
+                    }
+                }
+            }
+        }
+        true
     }
 
     /// Writes the instance-dependent concat prefix: pattern occupancy block,
@@ -261,14 +335,12 @@ impl FeatureEncoder {
         }
     }
 
-    /// Writes the five normalized tuning components.
+    /// Writes the five normalized tuning components (`pi[0..5]`).
     fn write_tuning_block(&self, t: TuningVector, out: &mut Vec<f64>) {
-        let cfg = &self.config;
-        out.push(norm_log2(t.bx, cfg.block_log2_max));
-        out.push(norm_log2(t.by, cfg.block_log2_max));
-        out.push(norm_log2(t.bz, cfg.block_log2_max));
-        out.push(t.u.min(cfg.unroll_max) as f64 / cfg.unroll_max as f64);
-        out.push(norm_log2(t.c, cfg.chunk_log2_max));
+        let max = self.config.block_log2_max;
+        out.extend([norm_log2(t.bx, max), norm_log2(t.by, max), norm_log2(t.bz, max)]);
+        out.push(self.pi_unroll(t.u));
+        out.push(self.pi_chunk(t.c));
     }
 
     /// Compact per-instance descriptor `sigma` (constant within an instance).
@@ -298,25 +370,34 @@ impl FeatureEncoder {
 
     /// Compact per-execution tuning descriptor `pi`. All components are
     /// static functions of `(k, s, t)`; none requires running the stencil.
-    /// Takes the kernel/size facts as scalars so the batch path can feed it
-    /// from a [`QueryFeatures`] without touching the instance.
-    fn tuning_descriptor(
-        &self,
-        size: GridSize,
-        radius: (u32, u32, u32),
-        buffers: u8,
-        dtype: DType,
-        t: TuningVector,
-    ) -> [f64; PI_LEN] {
-        let cfg = &self.config;
-        let (rx, ry, rz) = radius;
-        // Effective blocks / tile count / chunk count mirror the arithmetic
-        // of `StencilExecution` exactly (bit-for-bit), clipping each block
-        // to the grid.
-        let (bx, by, bz) = (t.bx.min(size.x), t.by.min(size.y), t.bz.min(size.z));
+    /// Assembled from the per-dependency parts below, which
+    /// [`fold_predefined`](Self::fold_predefined) calls too.
+    fn tuning_descriptor(&self, f: &InstanceFacts, t: TuningVector) -> [f64; PI_LEN] {
+        let block = self.pi_block(f, t.bx, t.by, t.bz);
+        let mut pi = [0.0; PI_LEN];
+        for (&j, &v) in PI_BLOCK.iter().zip(&block.pi) {
+            pi[j] = v;
+        }
+        pi[PI_UNROLL] = self.pi_unroll(t.u);
+        pi[PI_CHUNK] = self.pi_chunk(t.c);
+        let [t0, t1] = pi_tiles(block.tiles, t.c);
+        (pi[PI_TILES[0]], pi[PI_TILES[1]]) = (t0, t1);
+        pi[PI_CLEANUP] = pi_cleanup(t.bx.min(f.size.x), t.u);
+        pi
+    }
+
+    /// The `pi` entries of a block triple ([`PI_BLOCK`]) and its tile count.
+    fn pi_block(&self, f: &InstanceFacts, bx: u32, by: u32, bz: u32) -> BlockTerms {
+        let max = self.config.block_log2_max;
+        let (norm_x, norm_y, norm_z) = (norm_log2(bx, max), norm_log2(by, max), norm_log2(bz, max));
+        let size = f.size;
+        let (rx, ry, rz) = f.radius;
+        // Effective blocks / tile count mirror the arithmetic of
+        // `StencilExecution` exactly (bit-for-bit), clipping each block to
+        // the grid.
+        let (bx, by, bz) = (bx.min(size.x), by.min(size.y), bz.min(size.z));
         let tiles_of = |n: u32, b: u32| n.div_ceil(b) as u64;
-        let tile_count = tiles_of(size.x, bx) * tiles_of(size.y, by) * tiles_of(size.z, bz);
-        let chunk_count = tile_count.div_ceil(t.c as u64);
+        let tiles = tiles_of(size.x, bx) * tiles_of(size.y, by) * tiles_of(size.z, bz);
 
         let tile_volume = bx as f64 * by as f64 * bz as f64;
         // Redundant halo loads per tile relative to its interior, total and
@@ -327,38 +408,38 @@ impl FeatureEncoder {
         let halo_z = 1.0 + 2.0 * rz as f64 / bz as f64;
         let halo_ratio = halo_x * halo_y * halo_z;
         // Tile working set vs. a 256 KiB L2 (the paper's testbed), log-scaled.
-        let bytes = dtype.bytes() as f64;
+        let bytes = f.dtype.bytes() as f64;
         let ws = bytes
-            * (buffers as f64
+            * (f.buffers as f64
                 * (bx as f64 + 2.0 * rx as f64)
                 * (by as f64 + 2.0 * ry as f64)
                 * (bz as f64 + 2.0 * rz as f64)
                 + tile_volume);
         let ws_ratio = ((ws / (256.0 * 1024.0)).log2() + 10.0) / 20.0;
+        BlockTerms {
+            pi: [
+                norm_x,
+                norm_y,
+                norm_z,
+                (tile_volume.log2() / 30.0).clamp(0.0, 1.0),
+                ((halo_ratio - 1.0) / 7.0).clamp(0.0, 1.0),
+                ((halo_x - 1.0) / 2.0).clamp(0.0, 1.0),
+                ((halo_y - 1.0) / 2.0).clamp(0.0, 1.0),
+                ((halo_z - 1.0) / 2.0).clamp(0.0, 1.0),
+                ws_ratio.clamp(0.0, 1.0),
+            ],
+            tiles,
+        }
+    }
 
-        let tiles = tile_count as f64;
-        let chunks = chunk_count as f64;
-        let tiles_per_thread = ((tiles / (12.0 * t.c as f64)) + 1.0).log2() / 20.0;
-        let chunk_balance = ((chunks / 12.0).log2() + 8.0) / 20.0;
-        // Vector/unroll cleanup pressure on short x blocks.
-        let cleanup = ((t.u + 1) as f64 * 8.0 / bx as f64).min(1.0);
+    /// `pi[PI_UNROLL]`: the normalized unroll factor.
+    fn pi_unroll(&self, u: u32) -> f64 {
+        u.min(self.config.unroll_max) as f64 / self.config.unroll_max as f64
+    }
 
-        [
-            norm_log2(t.bx, cfg.block_log2_max),
-            norm_log2(t.by, cfg.block_log2_max),
-            norm_log2(t.bz, cfg.block_log2_max),
-            t.u.min(cfg.unroll_max) as f64 / cfg.unroll_max as f64,
-            norm_log2(t.c, cfg.chunk_log2_max),
-            (tile_volume.log2() / 30.0).clamp(0.0, 1.0),
-            ((halo_ratio - 1.0) / 7.0).clamp(0.0, 1.0),
-            ((halo_x - 1.0) / 2.0).clamp(0.0, 1.0),
-            ((halo_y - 1.0) / 2.0).clamp(0.0, 1.0),
-            ((halo_z - 1.0) / 2.0).clamp(0.0, 1.0),
-            ws_ratio.clamp(0.0, 1.0),
-            tiles_per_thread.clamp(0.0, 1.0),
-            chunk_balance.clamp(0.0, 1.0),
-            cleanup,
-        ]
+    /// `pi[PI_CHUNK]`: the log-normalized chunk size.
+    fn pi_chunk(&self, c: u32) -> f64 {
+        norm_log2(c, self.config.chunk_log2_max)
     }
 
     /// Reconstructs a stencil execution from a feature vector (the inverse
@@ -419,10 +500,7 @@ pub struct QueryFeatures {
     prefix: Vec<f64>,
     /// Instance descriptor `sigma` (only used by the interaction layout).
     sigma: [f64; SIGMA_LEN],
-    size: GridSize,
-    radius: (u32, u32, u32),
-    buffers: u8,
-    dtype: DType,
+    facts: InstanceFacts,
     space: TuningSpace,
 }
 
@@ -446,8 +524,53 @@ impl QueryFeatures {
 
     /// The grid size of the underlying instance.
     pub fn size(&self) -> GridSize {
-        self.size
+        self.facts.size
     }
+}
+
+/// The instance facts the tuning descriptor `pi` reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct InstanceFacts {
+    size: GridSize,
+    radius: (u32, u32, u32),
+    buffers: u8,
+    dtype: DType,
+}
+
+impl InstanceFacts {
+    fn of(q: &StencilInstance) -> Self {
+        let k = q.kernel();
+        InstanceFacts {
+            size: q.size(),
+            radius: k.pattern().radius_per_axis(),
+            buffers: k.buffers(),
+            dtype: k.dtype(),
+        }
+    }
+}
+
+/// The `pi` entries that depend on the block triple alone.
+struct BlockTerms {
+    /// `pi` entries [`PI_BLOCK`], in that order.
+    pi: [f64; 9],
+    /// Tiles the clipped blocks cut the grid into.
+    tiles: u64,
+}
+
+/// `pi[PI_TILES]`: tiles per thread and chunk balance (12 threads, the
+/// paper's testbed) for a tile count and chunk size.
+fn pi_tiles(tiles: u64, c: u32) -> [f64; 2] {
+    let chunk_count = tiles.div_ceil(c as u64);
+    let (tiles, chunks) = (tiles as f64, chunk_count as f64);
+    let tiles_per_thread = ((tiles / (12.0 * c as f64)) + 1.0).log2() / 20.0;
+    let chunk_balance = ((chunks / 12.0).log2() + 8.0) / 20.0;
+    [tiles_per_thread.clamp(0.0, 1.0), chunk_balance.clamp(0.0, 1.0)]
+}
+
+/// `pi[PI_CLEANUP]`: vector/unroll cleanup pressure on short x blocks,
+/// for the x block clipped to the grid.
+fn pi_cleanup(clipped_bx: u32, u: u32) -> f64 {
+    ((u + 1) as f64 * 8.0 / clipped_bx as f64).min(1.0)
 }
 
 /// Appends the `sigma x pi` outer product, clamped to `[0, 1]`.

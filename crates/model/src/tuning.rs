@@ -52,6 +52,50 @@ impl fmt::Display for TuningVector {
     }
 }
 
+/// Power-of-two blocking sizes from 2 to 1024: the block axes of the
+/// predefined grid.
+const BLOCKS: [u32; 10] = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
+
+/// The axes of the predefined candidate grid
+/// ([`TuningSpace::predefined_axes`]), which the predefined set and the
+/// feature encoder's folded scoring both walk. The predefined set is their
+/// Cartesian product with `bx` outermost and `c` innermost, so candidate
+/// `((((ix * by.len() + iy) * bz.len() + iz) * 4 + iu) * 4 + ic)` is
+/// `(bx[ix], by[iy], bz[iz], u[iu], c[ic])`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PredefinedAxes {
+    /// Blocking sizes along x.
+    pub(crate) bx: &'static [u32],
+    /// Blocking sizes along y.
+    pub(crate) by: &'static [u32],
+    /// Blocking sizes along z (`[1]` in 2-D).
+    pub(crate) bz: &'static [u32],
+    /// Unroll factors.
+    pub(crate) u: [u32; 4],
+    /// Chunk sizes.
+    pub(crate) c: [u32; 4],
+}
+
+impl PredefinedAxes {
+    /// Number of candidates in the grid.
+    pub(crate) fn len(&self) -> usize {
+        self.bx.len() * self.by.len() * self.bz.len() * self.u.len() * self.c.len()
+    }
+
+    /// The grid's candidates in predefined-set order.
+    pub(crate) fn candidates(self) -> impl Iterator<Item = TuningVector> {
+        self.bx.iter().flat_map(move |&bx| {
+            self.by.iter().flat_map(move |&by| {
+                self.bz.iter().flat_map(move |&bz| {
+                    self.u.into_iter().flat_map(move |u| {
+                        self.c.into_iter().map(move |c| TuningVector::new(bx, by, bz, u, c))
+                    })
+                })
+            })
+        })
+    }
+}
+
 /// The admissible ranges of the tuning parameters for a given dimensionality.
 ///
 /// ```
@@ -203,51 +247,20 @@ impl TuningSpace {
     /// The predefined, hierarchically sampled configuration set the paper
     /// ranks with the ordinal-regression model: all combinations of
     /// power-of-two parameter values, sized 1600 for 2-D stencils and 8640
-    /// for 3-D ones (Section VI-A).
+    /// for 3-D ones (Section VI-A), bx-major and c-minor.
     pub fn predefined_set(&self) -> Vec<TuningVector> {
-        fn pow2s(lo: u32, hi: u32) -> Vec<u32> {
-            let mut v = Vec::new();
-            let mut p = 1u32;
-            while p < lo {
-                p *= 2;
-            }
-            while p <= hi {
-                v.push(p);
-                p *= 2;
-            }
-            v
-        }
-        let unrolls = [0u32, 2, 4, 8];
-        let chunks = [1u32, 4, 16, 64];
-        let mut out = Vec::new();
-        if self.dim == 2 {
-            // 10 x 10 x 4 x 4 = 1600 combinations.
-            for &bx in &pow2s(2, 1024) {
-                for &by in &pow2s(2, 1024) {
-                    for &u in &unrolls {
-                        for &c in &chunks {
-                            out.push(TuningVector::new(bx, by, 1, u, c));
-                        }
-                    }
-                }
-            }
-        } else {
-            // 10 x 9 x 6 x 4 x 4 = 8640 combinations: inner blocks get the
-            // full range, outer blocks a progressively narrower one, which
-            // is the "hierarchical" sampling the paper describes.
-            for &bx in &pow2s(2, 1024) {
-                for &by in &pow2s(2, 512) {
-                    for &bz in &pow2s(2, 64) {
-                        for &u in &unrolls {
-                            for &c in &chunks {
-                                out.push(TuningVector::new(bx, by, bz, u, c));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
+        self.predefined_axes().candidates().collect()
+    }
+
+    /// The axes of the predefined grid. 2-D: 10 x 10 blocks (`bz` = 1) x 4
+    /// unrolls x 4 chunks = 1600. 3-D: 10 x 9 x 6 blocks x 4 x 4 = 8640;
+    /// inner blocks get the full range, outer blocks a progressively
+    /// narrower one, which is the "hierarchical" sampling the paper
+    /// describes.
+    pub(crate) fn predefined_axes(&self) -> PredefinedAxes {
+        let (by, bz): (&'static [u32], &'static [u32]) =
+            if self.dim == 2 { (&BLOCKS, &[1]) } else { (&BLOCKS[..9], &BLOCKS[..6]) };
+        PredefinedAxes { bx: &BLOCKS, by, bz, u: [0, 2, 4, 8], c: [1, 4, 16, 64] }
     }
 
     // ---- Genome mapping (used by the search engines) -----------------------
@@ -402,6 +415,28 @@ mod tests {
     fn predefined_set_sizes_match_paper() {
         assert_eq!(TuningSpace::d2().predefined_set().len(), 1600);
         assert_eq!(TuningSpace::d3().predefined_set().len(), 8640);
+    }
+
+    #[test]
+    fn predefined_set_is_the_axes_product_in_index_order() {
+        for space in [TuningSpace::d2(), TuningSpace::d3()] {
+            let a = space.predefined_axes();
+            let set = space.predefined_set();
+            assert_eq!(set.len(), a.len());
+            let (ny, nz) = (a.by.len(), a.bz.len());
+            for (ix, &bx) in a.bx.iter().enumerate() {
+                for (iy, &by) in a.by.iter().enumerate() {
+                    for (iz, &bz) in a.bz.iter().enumerate() {
+                        for (iu, &u) in a.u.iter().enumerate() {
+                            for (ic, &c) in a.c.iter().enumerate() {
+                                let i = (((ix * ny + iy) * nz + iz) * 4 + iu) * 4 + ic;
+                                assert_eq!(set[i], TuningVector::new(bx, by, bz, u, c));
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //!                                  ┌─ decision cache (InstanceKey → top-k)
 //!                                  │      hits answered immediately
 //!                                  ▼
-//!                        dedup misses by key ──▶ one pipelined pass:
-//!                        encode each unique instance once, score all
-//!                        candidate rows over the session's ThreadPool,
-//!                        partial-select the k best per instance
+//!                        dedup misses by key ──▶ one session query per
+//!                        unique instance: fold its score, rescore the
+//!                        near-ties on full rows, partial-select the k best
 //!                                  │
 //!                                  ▼
 //!                        reply tickets + cache insert + counters
@@ -22,12 +21,11 @@
 //! Three mechanisms carry the throughput:
 //!
 //! * **Micro-batching** ([`TuneService`]) — queued requests are drained
-//!   into one batch and pushed through a single
+//!   into one batch, and its misses go to the session in one
 //!   [`TuningSession::top_k_batch`](sorl::session::TuningSession::top_k_batch)
-//!   pass, so encode/score work is amortized *across queries* (PR 2
-//!   amortized it across the candidates of one query). Requests in the
-//!   same batch that share a canonical [`InstanceKey`](stencil_model::InstanceKey)
-//!   are scored once and answered many times.
+//!   call. Requests in the same batch that share a canonical
+//!   [`InstanceKey`](stencil_model::InstanceKey) are scored once and
+//!   answered many times.
 //! * **Top-k answers** ([`sorl::tuner::TopK`]) — callers get the `k` best
 //!   vectors with scores via a partial select, never a full sort of the
 //!   1600/8640-candidate sets.

@@ -5,11 +5,10 @@
 //! thread pool) and the [`DecisionCache`]. Clients submit
 //! [`TuneRequest`]s through a cloneable [`TuneClient`]; the worker drains
 //! the queue into a micro-batch, answers what it can from the cache,
-//! deduplicates the remaining requests by [`InstanceKey`], and pushes the
-//! unique instances through **one** pipelined encode/score pass
-//! ([`TuningSession::top_k_batch`]) over the session's pool. Every answer
-//! is a [`TopK`]: the k best tuning vectors with scores, from a partial
-//! select.
+//! deduplicates the remaining requests by [`InstanceKey`], and answers the
+//! unique instances with one [`TuningSession::top_k_batch`] call (one
+//! folded query each). Every answer is a [`TopK`]: the k best tuning
+//! vectors with scores, from a partial select.
 //!
 //! Submission is non-blocking: [`TuneClient::submit`] returns a
 //! [`TuneTicket`] (a completion slot to wait on or hang a callback on —
@@ -134,14 +133,16 @@ impl From<SnapshotError> for ServeError {
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Scoring threads (`<= 1` scores inline on the worker thread).
+    /// Threads for full-row scoring passes (`<= 1` scores inline on the
+    /// worker thread). Folded queries, nearly every miss, run on the worker
+    /// thread either way.
     pub threads: usize,
     /// Largest micro-batch drained from the queue in one pass.
     pub max_batch: usize,
     /// How long a batch holding a cache miss waits for company: after
     /// draining the queue, the worker keeps the batch open until this long
-    /// past its first request's dequeue, so a burst in flight shares the
-    /// miss's scoring pass. Hits never wait: a batch the cache answers in
+    /// past its first request's dequeue, so repeats of a miss's instance
+    /// in flight share its answer. Hits never wait: a batch the cache answers in
     /// full is served as soon as the queue is empty. Zero drains only what
     /// is already queued.
     pub gather_window: Duration,
@@ -577,8 +578,8 @@ fn worker_loop(
                     Err(mpsc::TryRecvError::Empty) => {
                         // Hits never wait. A batch holding a miss sleeps
                         // (not spins) until the window closes, so a burst
-                        // in flight joins its scoring pass without
-                        // stealing cycles from the submitting clients.
+                        // in flight joins its batch without stealing
+                        // cycles from the submitting clients.
                         let now = Instant::now();
                         let deadline = started + config.gather_window;
                         if !has_miss || now >= deadline {
@@ -729,7 +730,7 @@ fn serve_batch(
         }
     }
 
-    // Pass 2: one pipelined encode/score pass over the unique instances.
+    // Pass 2: one session query per unique instance.
     if !groups.is_empty() {
         // `filter_map` never actually filters: every representative is a
         // batch index recorded by pass 1, so queries stays parallel to

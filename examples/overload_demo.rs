@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use stencil_autotune::model::{GridSize, StencilInstance, StencilKernel};
+use stencil_autotune::model::{GridSize, Offset, StencilInstance, StencilKernel};
 use stencil_autotune::serve::TuneService;
 use stencil_autotune::serve::{ServeConfig, ServeError, ShedReason};
 use stencil_autotune::shard::{
@@ -57,9 +57,18 @@ fn client_threads() -> usize {
 
 /// Distinct 3-D instances cycling a 64-wide set: with caches disabled every
 /// request costs a real scoring pass, so the workers saturate honestly.
+/// The laplacian gains an arm of radius 4, wider than the feature encoder's
+/// `max_offset` of 3, so every pass is a full-row one (8640 feature rows,
+/// milliseconds) and not the folded one (about 0.1 ms): folded misses are
+/// cheap enough that the clients' own CPU, not the workers, would cap the
+/// offered load.
 fn inst(i: u64) -> StencilInstance {
-    StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(48 + (i % 64) as u32 * 4))
-        .unwrap()
+    let base = StencilKernel::laplacian();
+    let mut pattern = base.pattern().clone();
+    pattern.add(Offset::new(4, 0, 0));
+    let kernel = StencilKernel::new("laplacian-x4", pattern, base.buffers(), base.dtype())
+        .expect("a laplacian with one more arm is a valid kernel");
+    StencilInstance::new(kernel, GridSize::cube(48 + (i % 64) as u32 * 4)).unwrap()
 }
 
 /// What one client thread observed during the soak.

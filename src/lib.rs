@@ -41,15 +41,17 @@
 //! ```
 //!
 //! Every ranking query is a [`sorl::session::TuningSession`] call: the
-//! paper's top-1 (`tune`), top-k, batches of queries through one scoring
-//! pass, and explicit candidate lists. A session caches the predefined
-//! candidate sets, reuses scratch buffers (zero per-candidate heap
-//! allocation in steady state) and optionally fans candidate chunks across
-//! a persistent thread pool (`TuningSession::parallel`).
+//! paper's top-1 (`tune`), top-k, batches of queries, and explicit
+//! candidate lists. Predefined-set queries fold the linear score per query
+//! and rescore only the near-ties on full feature rows, so every answer
+//! has the full-row bits. A session caches the predefined candidate sets,
+//! reuses scratch buffers (zero per-candidate heap allocation in steady
+//! state) and optionally fans full-row candidate chunks across a
+//! persistent thread pool (`TuningSession::parallel`).
 //!
 //! When many *concurrent* callers tune many (often repeated) instances,
-//! run a [`serve::TuneService`]: queued requests are micro-batched through
-//! one pipelined scoring pass, answers are the top-k configurations with
+//! run a [`serve::TuneService`]: queued requests are micro-batched and
+//! deduplicated by instance, answers are the top-k configurations with
 //! scores, and a decision cache keyed on the canonical
 //! [`model::InstanceKey`] absorbs repeated traffic entirely (see
 //! `examples/serve_demo.rs`).
