@@ -25,8 +25,6 @@
 //! (see `sorl_bench::perf`). Set `SORL_BENCH_QUICK=1` for the CI sample
 //! budget.
 
-use std::time::Duration;
-
 use sorl::StencilRanker;
 use sorl_bench::perf::{quick_mode, PerfReport};
 use sorl_serve::{ServeConfig, ServeError, TuneService, TuneTicket};
@@ -45,14 +43,7 @@ fn inst(i: u32) -> StencilInstance {
 /// A single-threaded worker behind a tiny bounded queue: the shape that
 /// saturates instantly under a submission burst.
 fn overload_config(max_queue: usize) -> ServeConfig {
-    ServeConfig {
-        threads: 1,
-        max_batch: 8,
-        gather_window: Duration::ZERO,
-        cache_capacity: 0,
-        max_queue,
-        ..Default::default()
-    }
+    ServeConfig { threads: 1, max_batch: 8, cache_capacity: 0, max_queue, ..Default::default() }
 }
 
 /// Tops the queue up to its bound (keeping the worker busy), returning the

@@ -22,7 +22,6 @@
 //! sample budget.
 
 use std::hint::black_box;
-use std::time::Duration;
 
 use sorl::pipeline::{PipelineConfig, TrainingPipeline};
 use sorl::session::TuningSession;
@@ -42,20 +41,10 @@ fn workload() -> Vec<TuneRequest> {
         .collect()
 }
 
-/// Service config for the benches: inline scoring (the comparison against
-/// the sequential loop must not be confounded by extra threads) and a
-/// short gather window — `tune_many` enqueues the whole burst before the
-/// worker drains, so the window only needs to cover submission jitter. The
-/// cache-hot variant never waits it out: hits skip the window.
+/// Service config for the benches: inline scoring, so the comparison
+/// against the sequential loop is not confounded by extra threads.
 fn serve_config(cache_capacity: usize) -> ServeConfig {
-    ServeConfig {
-        threads: 1,
-        max_batch: 64,
-        gather_window: Duration::from_micros(200),
-        cache_capacity,
-        cache_k_floor: 8,
-        ..Default::default()
-    }
+    ServeConfig { threads: 1, cache_capacity, ..Default::default() }
 }
 
 fn per_request_loop(session: &mut TuningSession, requests: &[TuneRequest]) -> f64 {

@@ -41,7 +41,6 @@
 //! sample budget.
 
 use std::hint::black_box;
-use std::time::Duration;
 
 use sorl::StencilRanker;
 use sorl_bench::perf::{quick_mode, PerfReport};
@@ -65,17 +64,10 @@ fn workload() -> Vec<StencilInstance> {
         .collect()
 }
 
-/// Inline scoring, small gather window (the comparison against the single
-/// service must not be confounded by thread counts).
+/// Inline scoring (the comparison against the single service must not be
+/// confounded by thread counts).
 fn serve_config(cache_capacity: usize) -> ServeConfig {
-    ServeConfig {
-        threads: 1,
-        max_batch: 64,
-        gather_window: Duration::from_micros(100),
-        cache_capacity,
-        cache_k_floor: 8,
-        ..Default::default()
-    }
+    ServeConfig { threads: 1, cache_capacity, ..Default::default() }
 }
 
 fn spawn_fleet(ranker: &StencilRanker, cache_capacity: usize) -> ShardRouter {
@@ -256,10 +248,9 @@ fn main() {
 
     // The multiplexing contract: with 4 concurrent callers on one warmed
     // link, pipelining must beat the lock-step rate by at least 1.3x.
-    // Hits skip the gather window, so the gain is the overlap of round
-    // trips alone: 1.60-1.67x over six quick-mode runs on a 2-vCPU host,
-    // where a pipelined link capped at one request in flight reads
-    // 0.98-1.02x.
+    // The gain is the overlap of round trips alone: 1.60-1.67x over six
+    // quick-mode runs on a 2-vCPU host, where a pipelined link capped at
+    // one request in flight reads 0.98-1.02x.
     assert!(
         pipe_s * 1.3 <= lock_s,
         "pipelined wire must be >= 1.3x lock-step on a hot link: {pipe_s} vs {lock_s}"

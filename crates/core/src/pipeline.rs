@@ -112,10 +112,7 @@ impl TrainingPipeline {
             .with_seed(self.config.seed);
         let ts = builder.build_size(self.config.training_size);
 
-        let trainer = RankSvmTrainer::new(self.config.train);
-        let t0 = std::time::Instant::now();
-        let (model, report) = trainer.train(&ts.dataset);
-        let training_wall = t0.elapsed().as_secs_f64();
+        let (model, report) = RankSvmTrainer::new(self.config.train).train(&ts.dataset);
 
         PipelineOutcome {
             samples: ts.dataset.len(),
@@ -124,7 +121,7 @@ impl TrainingPipeline {
                 ts_compile_modelled,
                 ts_generation_simulated: ts.simulated_seconds,
                 ts_generation_wall: ts.wall_seconds,
-                training_wall,
+                training_wall: report.train_seconds,
             },
             report,
         }
@@ -134,6 +131,7 @@ impl TrainingPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ranksvm::Solver;
 
     #[test]
     fn pipeline_produces_trained_model() {
@@ -183,6 +181,36 @@ mod tests {
         let a = TrainingPipeline::new(cfg).run();
         let b = TrainingPipeline::new(cfg).run();
         assert_eq!(a.ranker.model().weights(), b.ranker.model().weights());
+    }
+
+    /// Weight fingerprints of the 960-sample training sets under both
+    /// encodings and both solvers, then the default pipeline's ranker
+    /// fingerprint, which versions persisted decision caches and
+    /// `sorl-shardd`'s fingerprint checks. A trainer change that moves one
+    /// weight bit moves one of these.
+    #[test]
+    fn trained_weights_are_pinned() {
+        let pins = [
+            0x2d20_9d6a_0de7_d453,
+            0x249b_5bd7_ff53_f24d,
+            0x0538_4fa9_490d_5e17,
+            0x259f_0c1d_1e8b_e060,
+        ];
+        let mut pins = pins.into_iter();
+        for encoding in [EncodingKind::Interaction, EncodingKind::PaperConcat] {
+            let ts = TrainingSetBuilder::paper()
+                .with_encoder(FeatureEncoder::new(FeatureConfig { encoding, ..Default::default() }))
+                .with_seed(PipelineConfig::default().seed)
+                .build_size(960);
+            for solver in [Solver::Sgd, Solver::DualCoordinateDescent] {
+                let trainer = RankSvmTrainer::new(TrainConfig::paper().with_solver(solver));
+                let got = trainer.train(&ts.dataset).0.weight_fingerprint();
+                assert_eq!(Some(got), pins.next(), "{encoding:?}/{solver:?}: {got:#018x}");
+            }
+        }
+        let ranker = TrainingPipeline::new(PipelineConfig::default()).run().ranker;
+        assert_eq!(ranker.model().weight_fingerprint(), 0x5ea5_b128_dc08_6abb);
+        assert_eq!(ranker.fingerprint(), 0xfac2_5ff9_e467_f166);
     }
 
     #[test]

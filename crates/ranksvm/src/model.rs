@@ -33,11 +33,6 @@ impl LinearRanker {
         &self.w
     }
 
-    /// Mutable access for trainers.
-    pub(crate) fn weights_mut(&mut self) -> &mut [f64] {
-        &mut self.w
-    }
-
     /// Scores one feature row.
     ///
     /// # Panics

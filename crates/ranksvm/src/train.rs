@@ -13,6 +13,30 @@
 //! Pegasos projection onto the `1/sqrt(lambda)` ball. Iterate averaging over
 //! the second half of training gives the stability of the cutting-plane
 //! solver the paper uses (Joachims' SVM-rank) at a fraction of the code.
+//!
+//! # Training on the columns that vary
+//!
+//! Pairs compare rows of one group only, so a column whose value is the
+//! same on every row of a group is exactly zero in every pair difference;
+//! under either stencil encoding the whole instance prefix is made of such
+//! columns. Once per dataset the trainer finds the smallest column range
+//! outside which every difference `x_i[k] - x_j[k]` of two rows in one
+//! group is exactly zero. It tests the difference itself, so a NaN or an
+//! infinity varies. Both solvers and the evaluation run on row sub-slices
+//! of that range, and the solved weights are written into a zero vector of
+//! full width.
+//!
+//! The result has the bits training on full rows would give. A weight
+//! outside the range starts at +0.0, and every update scales it by a
+//! positive factor and adds a finite step times a signed zero, so it stays
+//! +0.0 (the dual solver skips a pair whose squared difference is not
+//! finite). Every skipped term of a margin, gradient, curvature or norm
+//! sum is therefore a signed zero. Each of those sums runs in column order
+//! from 0.0 or -1.0, so it is never -0.0, and adding a signed zero to it
+//! changes no bit.
+
+use std::collections::HashMap;
+use std::ops::Range;
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -168,10 +192,8 @@ impl RankSvmTrainer {
     /// zero model (which ranks arbitrarily but deterministically).
     pub fn train(&self, data: &RankingDataset) -> (LinearRanker, TrainReport) {
         let start = std::time::Instant::now();
-        let dim = data.dim();
         let mut pairs = data.pairs(self.config.tie_eps);
         let m = pairs.len();
-        let mut model = LinearRanker::zeros(dim);
         if m == 0 {
             let report = TrainReport {
                 samples: data.len(),
@@ -181,7 +203,7 @@ impl RankSvmTrainer {
                 train_pair_accuracy: 1.0,
                 train_seconds: start.elapsed().as_secs_f64(),
             };
-            return (model, report);
+            return (LinearRanker::zeros(data.dim()), report);
         }
 
         let epochs = match self.config.max_updates {
@@ -191,12 +213,14 @@ impl RankSvmTrainer {
             }
             None => self.config.epochs,
         };
-        model = match self.config.solver {
-            Solver::Sgd => self.solve_sgd(data, &mut pairs, dim, epochs),
-            Solver::DualCoordinateDescent => self.solve_dcd(data, &mut pairs, dim, epochs),
+        let rows = VaryingColumns::of(data);
+        let w = match self.config.solver {
+            Solver::Sgd => self.solve_sgd(&rows, &mut pairs, epochs),
+            Solver::DualCoordinateDescent => self.solve_dcd(&rows, &mut pairs, epochs),
         };
-
-        let (objective, acc) = self.evaluate(&model, data, &pairs);
+        let (objective, acc) = self.evaluate(&w, &rows, &pairs);
+        let mut weights = vec![0.0; data.dim()];
+        weights[rows.cols].copy_from_slice(&w);
         let report = TrainReport {
             samples: data.len(),
             pairs: m,
@@ -205,25 +229,19 @@ impl RankSvmTrainer {
             train_pair_accuracy: acc,
             train_seconds: start.elapsed().as_secs_f64(),
         };
-        (model, report)
+        (LinearRanker::from_weights(weights), report)
     }
 
     /// Averaged projected stochastic subgradient descent (Pegasos).
-    fn solve_sgd(
-        &self,
-        data: &RankingDataset,
-        pairs: &mut [(u32, u32)],
-        dim: usize,
-        epochs: u32,
-    ) -> LinearRanker {
+    fn solve_sgd(&self, rows: &VaryingColumns, pairs: &mut [(u32, u32)], epochs: u32) -> Vec<f64> {
         let m = pairs.len();
-        let mut model = LinearRanker::zeros(dim);
+        let mut w = vec![0.0f64; rows.cols.len()];
         let lambda = 1.0 / (self.config.c * m as f64);
         let radius = 1.0 / lambda.sqrt();
         // First step size ~0.5 regardless of lambda.
         let t0 = 2.0 / lambda;
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let mut avg = vec![0.0f64; dim];
+        let mut avg = vec![0.0f64; w.len()];
         let mut avg_count = 0u64;
         let total_steps = epochs as u64 * m as u64;
         let avg_start = if self.config.average { total_steps / 2 } else { total_steps };
@@ -234,17 +252,13 @@ impl RankSvmTrainer {
             for &(i, j) in pairs.iter() {
                 t += 1;
                 let eta = 1.0 / (lambda * (t as f64 + t0));
-                let (xi, xj) = (data.row(i as usize), data.row(j as usize));
-                let w = model.weights_mut();
-                let mut margin = 0.0;
-                for k in 0..dim {
-                    margin += w[k] * (xi[k] - xj[k]);
-                }
+                let (xi, xj) = (rows.row(i), rows.row(j));
+                let margin = margin_from(0.0, &w, xi, xj);
                 // w <- (1 - eta lambda) w [+ eta (x_i - x_j) if margin < 1]
                 let shrink = 1.0 - eta * lambda;
                 if margin < 1.0 {
-                    for k in 0..dim {
-                        w[k] = shrink * w[k] + eta * (xi[k] - xj[k]);
+                    for ((v, a), b) in w.iter_mut().zip(xi).zip(xj) {
+                        *v = shrink * *v + eta * (a - b);
                     }
                 } else {
                     for v in w.iter_mut() {
@@ -252,7 +266,7 @@ impl RankSvmTrainer {
                     }
                 }
                 if self.config.project {
-                    let norm2: f64 = w.iter().map(|v| v * v).sum();
+                    let norm2 = squared_norm(&w);
                     if norm2 > radius * radius {
                         let scale = radius / norm2.sqrt();
                         for v in w.iter_mut() {
@@ -261,7 +275,7 @@ impl RankSvmTrainer {
                     }
                 }
                 if t > avg_start {
-                    for (a, &v) in avg.iter_mut().zip(model.weights()) {
+                    for (a, &v) in avg.iter_mut().zip(&w) {
                         *a += v;
                     }
                     avg_count += 1;
@@ -270,9 +284,9 @@ impl RankSvmTrainer {
         }
         if self.config.average && avg_count > 0 {
             let inv = 1.0 / avg_count as f64;
-            model = LinearRanker::from_weights(avg.iter().map(|v| v * inv).collect());
+            return avg.iter().map(|v| v * inv).collect();
         }
-        model
+        w
     }
 
     /// Dual coordinate descent on
@@ -280,23 +294,17 @@ impl RankSvmTrainer {
     /// where `d_k = x_i - x_j` for pair `k = (i, j)`. Maintains
     /// `w = sum alpha_k d_k`, so each coordinate update is O(dim). This is
     /// the exact solver of the primal objective in the crate docs.
-    fn solve_dcd(
-        &self,
-        data: &RankingDataset,
-        pairs: &mut [(u32, u32)],
-        dim: usize,
-        epochs: u32,
-    ) -> LinearRanker {
+    fn solve_dcd(&self, rows: &VaryingColumns, pairs: &mut [(u32, u32)], epochs: u32) -> Vec<f64> {
         let m = pairs.len();
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let mut w = vec![0.0f64; dim];
+        let mut w = vec![0.0f64; rows.cols.len()];
         let mut alpha = vec![0.0f64; m];
         // Squared norms of the pair differences (the coordinate curvatures).
         let q: Vec<f64> = pairs
             .iter()
             .map(|&(i, j)| {
-                let (xi, xj) = (data.row(i as usize), data.row(j as usize));
-                xi.iter().zip(xj).map(|(a, b)| (a - b) * (a - b)).sum::<f64>()
+                let (xi, xj) = (rows.row(i), rows.row(j));
+                xi.iter().zip(xj).fold(0.0, |s, (a, b)| s + (a - b) * (a - b))
             })
             .collect();
         let mut order: Vec<usize> = (0..m).collect();
@@ -304,20 +312,20 @@ impl RankSvmTrainer {
             order.shuffle(&mut rng);
             let mut max_delta = 0.0f64;
             for &k in &order {
-                if q[k] <= 1e-30 {
-                    continue; // identical feature rows carry no information
+                // Identical feature rows carry no information; a difference
+                // that is not finite would make every weight NaN.
+                if !(q[k] > 1e-30 && q[k].is_finite()) {
+                    continue;
                 }
                 let (i, j) = pairs[k];
-                let (xi, xj) = (data.row(i as usize), data.row(j as usize));
-                let mut g = -1.0; // gradient of the dual coordinate
-                for d in 0..dim {
-                    g += w[d] * (xi[d] - xj[d]);
-                }
+                let (xi, xj) = (rows.row(i), rows.row(j));
+                // Gradient of the dual coordinate.
+                let g = margin_from(-1.0, &w, xi, xj);
                 let new_alpha = (alpha[k] - g / q[k]).clamp(0.0, self.config.c);
                 let delta = new_alpha - alpha[k];
                 if delta != 0.0 {
-                    for d in 0..dim {
-                        w[d] += delta * (xi[d] - xj[d]);
+                    for ((v, a), b) in w.iter_mut().zip(xi).zip(xj) {
+                        *v += delta * (a - b);
                     }
                     alpha[k] = new_alpha;
                     max_delta = max_delta.max(delta.abs());
@@ -327,34 +335,64 @@ impl RankSvmTrainer {
                 break; // converged
             }
         }
-        LinearRanker::from_weights(w)
+        w
     }
 
-    /// Objective value and pairwise accuracy of `model` on `pairs`.
-    fn evaluate(
-        &self,
-        model: &LinearRanker,
-        data: &RankingDataset,
-        pairs: &[(u32, u32)],
-    ) -> (f64, f64) {
-        let w = model.weights();
+    /// Objective value and pairwise accuracy of the weights `w` on `pairs`.
+    fn evaluate(&self, w: &[f64], rows: &VaryingColumns, pairs: &[(u32, u32)]) -> (f64, f64) {
         let mut hinge_sum = 0.0;
         let mut correct = 0usize;
         for &(i, j) in pairs {
-            let (xi, xj) = (data.row(i as usize), data.row(j as usize));
-            let mut margin = 0.0;
-            for k in 0..w.len() {
-                margin += w[k] * (xi[k] - xj[k]);
-            }
+            let margin = margin_from(0.0, w, rows.row(i), rows.row(j));
             hinge_sum += (1.0 - margin).max(0.0);
             if margin > 0.0 {
                 correct += 1;
             }
         }
-        let reg: f64 = 0.5 * w.iter().map(|v| v * v).sum::<f64>();
+        let reg = 0.5 * squared_norm(w);
         let acc = if pairs.is_empty() { 1.0 } else { correct as f64 / pairs.len() as f64 };
         (reg + self.config.c * hinge_sum, acc)
     }
+}
+
+/// A dataset's rows cut to the columns that can differ within a group.
+struct VaryingColumns<'a> {
+    data: &'a RankingDataset,
+    /// The smallest range outside which every difference of two rows of
+    /// one group is exactly zero.
+    cols: Range<usize>,
+}
+
+impl<'a> VaryingColumns<'a> {
+    /// Finds the range by subtracting each row from its group's first row:
+    /// the difference itself is tested, so NaN and infinities vary.
+    fn of(data: &'a RankingDataset) -> Self {
+        let mut first = HashMap::new();
+        let (mut lo, mut hi) = (data.dim(), 0);
+        for i in 0..data.len() {
+            let head = *first.entry(data.group(i)).or_insert(i);
+            let (x, x0) = (data.row(i), data.row(head));
+            let varies = |k: &usize| head != i && x[*k] - x0[*k] != 0.0;
+            lo = (0..lo).find(varies).unwrap_or(lo);
+            hi = (hi..data.dim()).rfind(varies).map_or(hi, |k| k + 1);
+        }
+        VaryingColumns { data, cols: lo.min(hi)..hi }
+    }
+
+    /// Row `i`, restricted to the range.
+    fn row(&self, i: u32) -> &'a [f64] {
+        &self.data.row(i as usize)[self.cols.clone()]
+    }
+}
+
+/// `start + w . (x_i - x_j)`, summed in column order.
+fn margin_from(start: f64, w: &[f64], xi: &[f64], xj: &[f64]) -> f64 {
+    w.iter().zip(xi).zip(xj).fold(start, |s, ((v, a), b)| s + v * (a - b))
+}
+
+/// `||w||^2`, summed in column order from +0.0.
+fn squared_norm(w: &[f64]) -> f64 {
+    w.iter().fold(0.0, |s, v| s + v * v)
 }
 
 #[cfg(test)]
@@ -525,6 +563,80 @@ mod tests {
         let probe_lo = [0.1, 0.9, 0.1, 0.9];
         assert!(sgd.score(&probe_hi) > sgd.score(&probe_lo));
         assert!(dcd.score(&probe_hi) > dcd.score(&probe_lo));
+    }
+
+    /// `ds` with columns spliced in at positions `at` of the widened row
+    /// (ascending), each holding `fill(group, row)`.
+    fn widened(
+        ds: &RankingDataset,
+        at: &[usize],
+        fill: impl Fn(u32, usize) -> f64,
+    ) -> RankingDataset {
+        let mut out = RankingDataset::new(ds.dim() + at.len());
+        for i in 0..ds.len() {
+            let mut src = ds.row(i).iter();
+            let row: Vec<f64> = (0..out.dim())
+                .map(|k| if at.contains(&k) { fill(ds.group(i), i) } else { *src.next().unwrap() })
+                .collect();
+            out.push(&row, ds.target(i), ds.group(i));
+        }
+        out
+    }
+
+    fn bits(w: &[f64]) -> Vec<u64> {
+        w.iter().map(|v| v.to_bits()).collect()
+    }
+
+    const SOLVERS: [Solver; 2] = [Solver::Sgd, Solver::DualCoordinateDescent];
+
+    #[test]
+    fn columns_constant_within_groups_change_no_bit() {
+        // Before, inside and after the four varying columns. Group 1's
+        // rows alternate between +0.0 and -0.0, whose difference is a
+        // signed zero too.
+        let at = [0, 1, 2, 4, 7, 9, 10];
+        let ds = separable(6, 10, 4, 17);
+        let wide = widened(&ds, &at, |g, i| match g {
+            1 if i % 2 == 0 => -0.0,
+            1 => 0.0,
+            _ => 0.25 + g as f64,
+        });
+        assert_eq!(VaryingColumns::of(&wide).cols, 3..9);
+        for solver in SOLVERS {
+            let trainer = RankSvmTrainer::new(TrainConfig::default().with_solver(solver));
+            let (narrow_model, narrow) = trainer.train(&ds);
+            let (wide_model, wide_report) = trainer.train(&wide);
+            let w = wide_model.weights();
+            let kept: Vec<f64> = (0..w.len()).filter(|k| !at.contains(k)).map(|k| w[k]).collect();
+            assert_eq!(bits(&kept), bits(narrow_model.weights()), "{solver:?}");
+            assert!(at.iter().all(|&k| w[k].to_bits() == 0), "{solver:?}: {w:?}");
+            assert_eq!(wide_report.objective.to_bits(), narrow.objective.to_bits(), "{solver:?}");
+            assert_eq!(wide_report.train_pair_accuracy, narrow.train_pair_accuracy);
+        }
+    }
+
+    #[test]
+    fn degenerate_groups_give_the_zero_model() {
+        // A column holding one NaN or infinity per group varies, as NaN - NaN
+        // and inf - inf are NaN: every margin is NaN, so SGD never steps and
+        // the dual solver skips every pair. Groups of identical rows vary
+        // nowhere: every margin is 0, so each of the 40 pairs costs 1.
+        let held = |bad: f64| widened(&separable(5, 8, 2, 19), &[0], move |_, _| bad);
+        let mut same = RankingDataset::new(3);
+        for g in 0..4u32 {
+            for r in 1..=5 {
+                same.push(&[g as f64, -1.5, 0.0], r as f64, g);
+            }
+        }
+        for (ds, objective) in [(held(f64::NAN), 0.0), (held(f64::INFINITY), 0.0), (same, 40.0)] {
+            for solver in SOLVERS {
+                let cfg = TrainConfig::default().with_solver(solver);
+                let (model, report) = RankSvmTrainer::new(cfg).train(&ds);
+                assert_eq!(bits(model.weights()), [0; 3], "{solver:?}, {objective}");
+                assert_eq!(report.objective.to_bits(), f64::to_bits(objective), "{solver:?}");
+                assert_eq!(report.train_pair_accuracy, 0.0, "{solver:?}, {objective}");
+            }
+        }
     }
 
     #[test]

@@ -20,12 +20,13 @@
 //!
 //! Three mechanisms carry the throughput:
 //!
-//! * **Micro-batching** ([`TuneService`]) — queued requests are drained
-//!   into one batch, and its misses go to the session in one
+//! * **Micro-batching** ([`TuneService`]) — each batch is whatever is
+//!   queued when the worker looks, and its misses go to the session in one
 //!   [`TuningSession::top_k_batch`](sorl::session::TuningSession::top_k_batch)
 //!   call. Requests in the same batch that share a canonical
 //!   [`InstanceKey`](stencil_model::InstanceKey) are scored once and
-//!   answered many times.
+//!   answered many times. No batch waits for company: each miss is its own
+//!   folded query, so a held batch would share no scoring work.
 //! * **Top-k answers** ([`sorl::tuner::TopK`]) — callers get the `k` best
 //!   vectors with scores via a partial select, never a full sort of the
 //!   1600/8640-candidate sets.
@@ -34,7 +35,7 @@
 //!   [`ServeStats`] exposes hit/miss/eviction counters plus per-batch
 //!   latency percentiles and a batch-size histogram.
 //!
-//! Two further mechanisms make the service fleet-ready:
+//! A further mechanism makes the service fleet-ready:
 //!
 //! * **Durable decisions** ([`CacheSnapshot`]) — the cache snapshots to
 //!   JSON (versioned by the ranker fingerprint, so a retrained model
@@ -42,10 +43,6 @@
 //!   selected by key fingerprint can be exported/extracted and imported
 //!   across services, which is how the `sorl-shard` router ships warm-up
 //!   state on topology changes.
-//! * **Hits never wait** ([`ServeConfig::gather_window`]) — a batch the
-//!   cache answers in full is served as soon as the queue is drained; only
-//!   a batch holding a miss waits, up to the window, for company to share
-//!   its scoring pass.
 //!
 //! And two keep it standing under overload:
 //!

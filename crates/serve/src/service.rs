@@ -137,15 +137,9 @@ pub struct ServeConfig {
     /// worker thread). Folded queries, nearly every miss, run on the worker
     /// thread either way.
     pub threads: usize,
-    /// Largest micro-batch drained from the queue in one pass.
+    /// Largest micro-batch drained from the queue in one pass. The worker
+    /// takes what is queued when it looks and never waits for more.
     pub max_batch: usize,
-    /// How long a batch holding a cache miss waits for company: after
-    /// draining the queue, the worker keeps the batch open until this long
-    /// past its first request's dequeue, so repeats of a miss's instance
-    /// in flight share its answer. Hits never wait: a batch the cache answers in
-    /// full is served as soon as the queue is empty. Zero drains only what
-    /// is already queued.
-    pub gather_window: Duration,
     /// Decision-cache capacity in entries (`0` disables caching).
     pub cache_capacity: usize,
     /// Minimum `k` computed (and cached) per pipeline pass, so follow-up
@@ -179,7 +173,6 @@ impl Default for ServeConfig {
         ServeConfig {
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             max_batch: 64,
-            gather_window: Duration::from_micros(50),
             cache_capacity: 1024,
             cache_k_floor: 8,
             max_queue: 4096,
@@ -560,11 +553,6 @@ fn worker_loop(
     while live {
         let mut batch: Vec<Queued> = Vec::new();
         let mut started = Instant::now();
-        // Whether the cache misses a request of the batch: only a miss has
-        // scoring to share, so only a batch holding one waits for company.
-        let mut has_miss = false;
-        // Open while the worker holds the gather window.
-        let mut gather_wait = None;
         while batch.len() < max_batch {
             // Block for the first tuning request, then drain what is
             // queued. A disconnected queue means the same as a shutdown:
@@ -575,26 +563,7 @@ fn worker_loop(
                 match rx.try_recv() {
                     Ok(msg) => msg,
                     Err(mpsc::TryRecvError::Disconnected) => Msg::Shutdown,
-                    Err(mpsc::TryRecvError::Empty) => {
-                        // Hits never wait. A batch holding a miss sleeps
-                        // (not spins) until the window closes, so a burst
-                        // in flight joins its batch without stealing
-                        // cycles from the submitting clients.
-                        let now = Instant::now();
-                        let deadline = started + config.gather_window;
-                        if !has_miss || now >= deadline {
-                            break;
-                        }
-                        if gather_wait.is_none() {
-                            gather_wait =
-                                batch.first().map(|q| recorder.span(q.trace, "gather_wait"));
-                        }
-                        match rx.recv_timeout(deadline - now) {
-                            Ok(msg) => msg,
-                            Err(mpsc::RecvTimeoutError::Timeout) => break,
-                            Err(mpsc::RecvTimeoutError::Disconnected) => Msg::Shutdown,
-                        }
-                    }
+                    Err(mpsc::TryRecvError::Empty) => break,
                 }
             };
             match msg {
@@ -607,9 +576,7 @@ fn worker_loop(
                     if batch.is_empty() {
                         started = Instant::now();
                     }
-                    let key = req.instance.key();
-                    has_miss |= !cache.would_hit(&key, req.k);
-                    batch.push(Queued { req, key, reply, trace, submitted });
+                    batch.push(Queued { key: req.instance.key(), req, reply, trace, submitted });
                 }
                 Msg::Shutdown => {
                     live = false;
@@ -620,7 +587,6 @@ fn worker_loop(
                 control => handle_control(control, &mut cache, counters, fingerprint),
             }
         }
-        drop(gather_wait);
         serve_batch(
             &mut session,
             &mut cache,

@@ -28,7 +28,6 @@ fn bounded_queue_sheds_with_queue_full_and_counters_balance() {
     let cfg = ServeConfig {
         threads: 2,
         max_batch: 1,
-        gather_window: Duration::ZERO,
         cache_capacity: 0,
         max_queue: 2,
         ..Default::default()
@@ -76,7 +75,6 @@ fn latency_shedding_trips_under_backlog_and_recovers() {
     let cfg = ServeConfig {
         threads: 2,
         max_batch: 1,
-        gather_window: Duration::ZERO,
         cache_capacity: 0,
         max_queue: 0, // unbounded: isolate the latency shedder
         shed_p99: Duration::from_micros(1),

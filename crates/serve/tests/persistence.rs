@@ -2,8 +2,6 @@
 //! caches, stale-snapshot rejection, and a restarted service answering
 //! repeat queries warm — without a scoring pass.
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 
 use sorl::StencilRanker;
@@ -23,7 +21,7 @@ fn lap(n: u32) -> StencilInstance {
 }
 
 fn config() -> ServeConfig {
-    ServeConfig { threads: 1, gather_window: Duration::from_micros(10), ..Default::default() }
+    ServeConfig { threads: 1, ..Default::default() }
 }
 
 /// Builds a cache from a compact random description: each `(size_step,

@@ -1,8 +1,6 @@
 //! End-to-end tests of the sharded fleet: routing correctness, warm-up
 //! shipping on topology changes, and warm restarts from snapshots.
 
-use std::time::Duration;
-
 use ranksvm::LinearRanker;
 use sorl::session::TuningSession;
 use sorl::StencilRanker;
@@ -15,10 +13,10 @@ fn dense_ranker() -> StencilRanker {
     sorl::synthetic_ranker(0x2545_f491_4f6c_dd1d)
 }
 
-/// Single-threaded scoring and a tiny gather window: these tests exercise
-/// routing and cache plumbing, not throughput.
+/// Single-threaded scoring: these tests exercise routing and cache
+/// plumbing, not throughput.
 fn config() -> ServeConfig {
-    ServeConfig { threads: 1, gather_window: Duration::from_micros(10), ..Default::default() }
+    ServeConfig { threads: 1, ..Default::default() }
 }
 
 fn lap(n: u32) -> StencilInstance {

@@ -15,7 +15,7 @@ use sorl_shard::{ShardRouter, ShardServer, ShardTransport, TcpShard};
 use stencil_model::{GridSize, StencilInstance, StencilKernel};
 
 fn config() -> ServeConfig {
-    ServeConfig { threads: 1, gather_window: Duration::from_micros(10), ..Default::default() }
+    ServeConfig { threads: 1, ..Default::default() }
 }
 
 fn spawn_server(seed: u64) -> ShardServer {

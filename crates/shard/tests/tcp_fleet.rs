@@ -27,7 +27,7 @@ fn dense_ranker(seed: u64) -> StencilRanker {
 }
 
 fn config() -> ServeConfig {
-    ServeConfig { threads: 1, gather_window: Duration::from_micros(10), ..Default::default() }
+    ServeConfig { threads: 1, ..Default::default() }
 }
 
 fn lap(n: u32) -> StencilInstance {

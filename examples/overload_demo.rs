@@ -137,7 +137,6 @@ fn main() {
     let config = ServeConfig {
         threads: 1,
         max_batch: 8,
-        gather_window: Duration::ZERO,
         cache_capacity: 0,
         max_queue: 4,
         // Under saturation nearly every served request clears 1ms, so the
