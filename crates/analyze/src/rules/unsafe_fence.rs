@@ -1,13 +1,13 @@
 //! SL006: `unsafe` and raw pointers outside the annotated kernel fence.
 //!
 //! The workspace's deliberate policy is that unsafety is *concentrated*:
-//! the stencil engine, the SIMD scoring kernel and the flight recorder
-//! each carry a module-level safety contract, and everything else stays
-//! 100% safe Rust. This rule is the fence — an `unsafe` block, an
-//! `unsafe impl Send`, or a `*mut T` field appearing in any other library
-//! file is flagged until it moves behind the fence (see
-//! `scope::KERNEL_UNSAFE_ALLOWLIST`), is rewritten safely, or carries a
-//! line justification: `// sorl-lint: allow(unsafe, "why sound")`.
+//! the stencil engine and the flight recorder each carry a module-level
+//! safety contract, and everything else stays 100% safe Rust. This rule
+//! is the fence — an `unsafe` block, an `unsafe impl Send`, or a `*mut T`
+//! field appearing in any other library file is flagged until it moves
+//! behind the fence (see `scope::KERNEL_UNSAFE_ALLOWLIST`), is rewritten
+//! safely, or carries a line justification:
+//! `// sorl-lint: allow(unsafe, "why sound")`.
 
 use crate::diag::{Finding, Rule};
 use crate::parse::AnalyzedFile;
@@ -34,7 +34,7 @@ pub fn check(file: &AnalyzedFile, scope: &Scope) -> Vec<Finding> {
                 file,
                 t.line,
                 "`unsafe` outside the annotated kernel allowlist".to_string(),
-                "move the unsafety into a fenced kernel file (exec engine, ranksvm kernel, …) \
+                "move the unsafety into a fenced kernel file (exec engine, flight recorder) \
                  with its safety contract, rewrite safely, or justify: \
                  // sorl-lint: allow(unsafe, \"why sound\")",
             ));
@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn allowlisted_kernel_files_are_not_fenced() {
-        let path = "crates/ranksvm/src/kernel.rs";
+        let path = "crates/exec/src/engine.rs";
         let file = AnalyzedFile::parse(path, "unsafe fn score(p: *const f64) { }");
         assert!(check(&file, &crate::scope::classify(path)).is_empty());
     }

@@ -5,11 +5,10 @@
 //!
 //! * scoring a single already-encoded candidate (the number comparable to
 //!   svm_rank's per-example cost),
-//! * the raw scoring kernel over the packed 8640-row candidate matrix —
-//!   dispatched (AVX2 where available) vs. the portable loop; the kernel
-//!   still serves `TuningSession::scores`, the full-row fallbacks and the
-//!   band rescoring, and the perf snapshot trips if active SIMD is not
-//!   >= 1.2x the portable loop,
+//! * the row kernel over the packed 8640-row candidate matrix: the cost
+//!   of the full-row pass behind `TuningSession::scores` and the fold's
+//!   fallbacks (the band rescore scores one row at a time with
+//!   `LinearRanker::score`, not through the kernel),
 //! * the *legacy* per-candidate path (instance clone + `StencilExecution`
 //!   plus a fresh `TuningSpace` per candidate — the pre-batching baseline,
 //!   reproduced inline so the speedup stays measurable),
@@ -27,7 +26,6 @@
 
 use std::hint::black_box;
 
-use ranksvm::kernel;
 use sorl::pipeline::{PipelineConfig, TrainingPipeline};
 use sorl::session::{predefined_candidates, TuningSession};
 use sorl::StencilRanker;
@@ -63,9 +61,9 @@ struct Ctx {
     q2: StencilInstance,
 }
 
-/// The packed 3-D candidate matrix for one query — the exact operand the
-/// steady-state serving path hands the scoring kernel.
-fn packed_matrix(ctx: &Ctx) -> (CandidateMatrix, Vec<f64>) {
+/// The packed 3-D candidate matrix for one query: the rows a full-row
+/// pass hands the row kernel, in one block instead of 64-row ones.
+fn packed_matrix(ctx: &Ctx) -> CandidateMatrix {
     let encoder = ctx.ranker.encoder();
     let set3 = predefined_candidates(3);
     let qf = encoder.query_features(&ctx.q3);
@@ -73,7 +71,7 @@ fn packed_matrix(ctx: &Ctx) -> (CandidateMatrix, Vec<f64>) {
     for &t in set3 {
         matrix.push_row_with(|out| encoder.append_candidate(&qf, t, out));
     }
-    (matrix, ctx.ranker.model().weights().to_vec())
+    matrix
 }
 
 impl Ctx {
@@ -120,14 +118,10 @@ fn main() {
 
     // Kernel-level samples are microseconds each; take plenty.
     let ksamples = if quick_mode() { 100 } else { 400 };
-    let (matrix, w) = packed_matrix(ctx);
+    let matrix = packed_matrix(ctx);
     let mut scores = vec![0.0f64; matrix.rows()];
     report.record("score_matrix_8640_kernel", ksamples, || {
-        kernel::score_rows_into(&w, matrix.rows_data(), matrix.stride(), &mut scores);
-        black_box(scores[0]);
-    });
-    report.record("score_matrix_8640_portable", ksamples, || {
-        kernel::score_rows_portable(&w, matrix.rows_data(), matrix.stride(), &mut scores);
+        ctx.ranker.model().score_rows_into(matrix.rows_data(), matrix.stride(), &mut scores);
         black_box(scores[0]);
     });
 
@@ -152,14 +146,6 @@ fn main() {
         legacy / parallel,
         threads
     );
-    let kernel_s = report.median_of("score_matrix_8640_kernel").unwrap();
-    let portable_s = report.median_of("score_matrix_8640_portable").unwrap();
-    println!(
-        "  scoring kernel: {} at {:.2}x the portable loop ({} rows)",
-        kernel::active_kernel(),
-        portable_s / kernel_s,
-        matrix.rows()
-    );
     report.write();
 
     // The paper's Table II bound: ranking the 8640 predefined 3-D
@@ -168,15 +154,4 @@ fn main() {
         batched < 1e-3,
         "a 3-D session tune must take under 1 ms (paper Table II): median {batched} s"
     );
-
-    // The SIMD contract: on wide batches the dispatched AVX2 kernel must
-    // beat the portable loop by >= 1.2x. Guarded on dispatch — a host
-    // without AVX2 runs the portable loop on both sides.
-    if kernel::simd_active() {
-        assert!(
-            kernel_s * 1.2 <= portable_s,
-            "SIMD kernel must be >= 1.2x the portable loop on wide batches: \
-             {kernel_s} vs {portable_s}"
-        );
-    }
 }

@@ -8,9 +8,6 @@
 //!
 //! * `tune_loop_8x3d` — the pre-service baseline: answer each request with
 //!   its own sequential `TuningSession::tune` pass.
-//! * `session_tune_batch_8x3d` — the session's batch call without the
-//!   service (one `TuningSession::top_k_batch` call: eight folded queries,
-//!   no dedup).
 //! * `service_microbatch_8x3d_cold` — the full service with the decision
 //!   cache disabled: queue → micro-batch → within-batch dedup → one folded
 //!   query per unique instance → top-k replies.
@@ -55,11 +52,6 @@ fn per_request_loop(session: &mut TuningSession, requests: &[TuneRequest]) -> f6
     acc
 }
 
-/// The requests as one `top_k_batch` call's queries.
-fn batch_queries(requests: &[TuneRequest]) -> Vec<(&StencilInstance, usize)> {
-    requests.iter().map(|r| (&r.instance, r.k)).collect()
-}
-
 fn main() {
     let ranker = TrainingPipeline::new(PipelineConfig { training_size: 960, ..Default::default() })
         .run()
@@ -71,12 +63,6 @@ fn main() {
     let mut loop_session = TuningSession::new(ranker.clone());
     report.record("tune_loop_8x3d", samples, || {
         black_box(per_request_loop(&mut loop_session, &requests));
-    });
-
-    let mut batch_session = TuningSession::new(ranker.clone());
-    let queries = batch_queries(&requests);
-    report.record("session_tune_batch_8x3d", samples, || {
-        black_box(batch_session.top_k_batch(&queries));
     });
 
     let cold = TuneService::spawn(ranker.clone(), serve_config(0));

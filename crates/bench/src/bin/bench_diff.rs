@@ -14,10 +14,9 @@
 //! baseline vs. CI runner), where absolute medians are not comparable but
 //! wild relative swings are still worth a look.
 //!
-//! Both snapshots' provenance stamps (git revision, scoring kernel,
-//! thread count) are printed first, with a note naming every stamp that
-//! differs: medians from another kernel or thread count compare machines
-//! as well as code.
+//! Both snapshots' provenance stamps (git revision, thread count) are
+//! printed first, with a note naming every stamp that differs: medians
+//! from another thread count compare machines as well as code.
 //!
 //! A *missing baseline file* is the expected first-run state of a freshly
 //! added bench, not an error: the tool prints how to start the trajectory
@@ -79,14 +78,11 @@ fn diff(base: &PerfReport, fresh: &PerfReport) -> (Vec<DiffLine>, Vec<String>) {
 /// mismatch.
 fn stamp_differences(base: &PerfReport, fresh: &PerfReport) -> Vec<String> {
     let mut out = Vec::new();
-    for (stamp, b, f) in
-        [("rev", &base.git_rev, &fresh.git_rev), ("kernel", &base.kernel, &fresh.kernel)]
-    {
-        if b.is_empty() || f.is_empty() {
-            out.push(format!("{stamp} unstamped"));
-        } else if b != f {
-            out.push(format!("{stamp} {b} -> {f}"));
-        }
+    let (b, f) = (&base.git_rev, &fresh.git_rev);
+    if b.is_empty() || f.is_empty() {
+        out.push("rev unstamped".to_string());
+    } else if b != f {
+        out.push(format!("rev {b} -> {f}"));
     }
     if base.available_threads != fresh.available_threads {
         out.push(format!("threads {} -> {}", base.available_threads, fresh.available_threads));
@@ -213,7 +209,6 @@ mod tests {
             available_threads: 1,
             quick: true,
             git_rev: "0123abc".into(),
-            kernel: "avx2".into(),
             entries,
         }
     }
@@ -262,15 +257,11 @@ mod tests {
     #[test]
     fn mismatched_stamps_are_each_named() {
         let base = report(vec![]);
-        let fresh = PerfReport {
-            git_rev: "a1b2c3d-dirty".into(),
-            kernel: "portable".into(),
-            available_threads: 2,
-            ..report(vec![])
-        };
+        let fresh =
+            PerfReport { git_rev: "a1b2c3d-dirty".into(), available_threads: 2, ..report(vec![]) };
         assert_eq!(
             stamp_differences(&base, &fresh),
-            vec!["rev 0123abc -> a1b2c3d-dirty", "kernel avx2 -> portable", "threads 1 -> 2"]
+            vec!["rev 0123abc -> a1b2c3d-dirty", "threads 1 -> 2"]
         );
     }
 
@@ -282,9 +273,9 @@ mod tests {
             "quick": true, "entries": [{"id": "a", "median_s": 0.01, "min_s": 0.01,
             "max_s": 0.01, "samples": 3}]}"#;
         let base: PerfReport = serde_json::from_str(json).unwrap();
-        assert_eq!(base.stamp(), "rev ?, kernel ?, 1 threads");
+        assert_eq!(base.stamp(), "rev ?, 1 threads");
         let fresh = report(vec![entry("a", 0.01)]);
-        assert_eq!(stamp_differences(&base, &fresh), vec!["rev unstamped", "kernel unstamped"]);
+        assert_eq!(stamp_differences(&base, &fresh), vec!["rev unstamped"]);
         assert_eq!(diff(&base, &fresh).0.len(), 1, "the medians still compare");
     }
 

@@ -53,11 +53,6 @@ pub struct PerfReport {
     /// predate the stamp.
     #[serde(default)]
     pub git_rev: String,
-    /// The batch-scoring kernel the run dispatched to
-    /// ([`ranksvm::kernel::active_kernel`]). Empty in snapshots that
-    /// predate the stamp.
-    #[serde(default)]
-    pub kernel: String,
     /// The measured variants.
     pub entries: Vec<PerfEntry>,
 }
@@ -75,22 +70,15 @@ impl PerfReport {
             available_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             quick: quick_mode(),
             git_rev: git_rev(),
-            kernel: ranksvm::kernel::active_kernel().to_string(),
             entries: Vec::new(),
         }
     }
 
-    /// The provenance stamp compared across snapshots: git revision,
-    /// scoring kernel and thread count, with `?` for a stamp the snapshot
-    /// predates.
+    /// The provenance stamp compared across snapshots: git revision and
+    /// thread count, with `?` for a revision the snapshot predates.
     pub fn stamp(&self) -> String {
-        let or_unknown = |s: &str| if s.is_empty() { "?".to_string() } else { s.to_string() };
-        format!(
-            "rev {}, kernel {}, {} threads",
-            or_unknown(&self.git_rev),
-            or_unknown(&self.kernel),
-            self.available_threads
-        )
+        let rev = if self.git_rev.is_empty() { "?" } else { &self.git_rev };
+        format!("rev {rev}, {} threads", self.available_threads)
     }
 
     /// Takes `samples` samples of `f` (see [`measure`]) and records the
@@ -365,7 +353,6 @@ mod tests {
         assert!(json.contains("\"available_threads\""));
         let back: PerfReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.git_rev, r.git_rev);
-        assert_eq!(back.kernel, ranksvm::kernel::active_kernel());
         assert!(!back.git_rev.is_empty(), "a fresh report is always stamped");
     }
 
@@ -375,8 +362,17 @@ mod tests {
         let json = r#"{"name": "old", "created_unix_s": 1, "available_threads": 1,
             "quick": true, "entries": []}"#;
         let old: PerfReport = serde_json::from_str(json).unwrap();
-        assert_eq!((old.git_rev.as_str(), old.kernel.as_str()), ("", ""));
-        assert_eq!(old.stamp(), "rev ?, kernel ?, 1 threads");
+        assert_eq!(old.git_rev, "");
+        assert_eq!(old.stamp(), "rev ?, 1 threads");
+    }
+
+    #[test]
+    fn kernel_stamped_snapshots_still_parse() {
+        // A snapshot written while reports carried a scoring-kernel stamp.
+        let json = r#"{"name": "old", "created_unix_s": 1, "available_threads": 2,
+            "quick": true, "git_rev": "7ec723f", "kernel": "avx2", "entries": []}"#;
+        let old: PerfReport = serde_json::from_str(json).unwrap();
+        assert_eq!(old.stamp(), "rev 7ec723f, 2 threads");
     }
 
     #[test]

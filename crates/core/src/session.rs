@@ -2,13 +2,13 @@
 //!
 //! A [`TuningSession`] answers the paper's standalone-tuner question (rank
 //! the predefined set for an unseen instance, return the best) and its
-//! serving variants — top-k, and batches of queries — the deployment shape
-//! the paper's sub-millisecond "Regression" latency is about.
+//! serving variant, the top-k — the deployment shape the paper's
+//! sub-millisecond "Regression" latency is about.
 //!
 //! **Predefined-set queries** ([`TuningSession::tune`],
-//! [`TuningSession::top_k_predefined`], [`TuningSession::top_k_batch`]) are
-//! folded: the linear score of every candidate is `c(q) + u(q) . pi(q, t)`,
-//! evaluated from a few thousand separable terms per query
+//! [`TuningSession::top_k_predefined`]) are folded: the linear score of
+//! every candidate is `c(q) + u(q) . pi(q, t)`, evaluated from a few
+//! thousand separable terms per query
 //! ([`FeatureEncoder::fold_predefined`](stencil_model::FeatureEncoder::fold_predefined))
 //! instead of 8640 feature rows. Folded values and full-row dot products
 //! approximate the same real score, and features lie in `[0, 1]`, so they
@@ -20,7 +20,7 @@
 //! candidates inside it, so every served tuning and score bit is the
 //! full-row answer's; a ranking flat relative to `||w||_1` widens the band
 //! toward the whole set and costs time, never an answer. A fold belongs to
-//! one query, so the queries of a batch share no scoring work.
+//! one query, so no two queries share scoring work.
 //!
 //! **Full rows** serve [`TuningSession::scores`] over explicit candidates
 //! (the reference the tests compare against) and the predefined queries the
@@ -30,11 +30,10 @@
 //! The per-instance query block is encoded once
 //! ([`stencil_model::QueryFeatures`]), each candidate completes the
 //! tuning-dependent suffix into a lane-padded [`CandidateMatrix`] block, and
-//! blocks are scored with [`ranksvm::LinearRanker::score_rows_into`] (the
-//! explicit AVX2 kernel when the host supports it), in contiguous chunks
-//! across the session's [`ThreadPool`] when it has one. Every row's dot
-//! product is independent and the SIMD kernel reproduces the scalar
-//! reduction exactly, so neither threads nor dispatch change a bit.
+//! blocks are scored with [`ranksvm::LinearRanker::score_rows_into`], in
+//! contiguous chunks across the session's [`ThreadPool`] when it has one.
+//! Every row's dot product is independent and is the reduction
+//! [`ranksvm::LinearRanker::score`] computes, so threads change no bit.
 //!
 //! A session owns the cached predefined sets (see [`predefined_candidates`])
 //! and reuses its scratch between queries — the folded scores, the band,
@@ -189,14 +188,6 @@ impl TuningSession {
             .map(|j| (candidates[self.band[j]], self.scores[j]))
             .collect();
         TopK { entries, candidates: candidates.len(), seconds: t0.elapsed().as_secs_f64() }
-    }
-
-    /// Top-k answers for a batch of `(instance, k)` queries — the call the
-    /// `sorl-serve` micro-batching service makes. Entry `i` answers query
-    /// `i` exactly as [`top_k_predefined`](Self::top_k_predefined) does,
-    /// with its own `seconds`.
-    pub fn top_k_batch(&mut self, queries: &[(&StencilInstance, usize)]) -> Vec<TopK> {
-        queries.iter().map(|&(q, k)| self.top_k_predefined(q, k)).collect()
     }
 
     /// Scores an explicit candidate list for `instance` on full rows,
@@ -357,7 +348,7 @@ mod tests {
     use ranksvm::LinearRanker;
     use stencil_model::{DType, FeatureEncoder, GridSize, Offset, StencilKernel, StencilPattern};
 
-    /// Dense pseudo-random weights over every feature, so batch/sequential
+    /// Dense pseudo-random weights over every feature, so parallel/sequential
     /// discrepancies cannot hide behind zeros.
     fn dense_ranker() -> StencilRanker {
         synthetic_ranker(0x9e37_79b9_7f4a_7c15)
@@ -466,8 +457,8 @@ mod tests {
 
     /// A pattern wider than `max_offset` puts a `sigma` entry above 1, where
     /// the interaction clamp fires and the fold is not exact: such queries
-    /// take the full-row path, alone and batched with folded queries, and
-    /// answer with the full-row bits.
+    /// take the full-row path, alone and interleaved with folded queries on
+    /// one session, and answer with the full-row bits.
     #[test]
     fn patterns_wider_than_max_offset_take_the_full_row_path() {
         let wide = |offsets: &[Offset]| {
@@ -502,10 +493,12 @@ mod tests {
             assert!(session.folded.is_empty(), "{wide}: the fold must not run");
             assert_eq!(vec![(d.tuning, d.score.to_bits())], argsort_prefix(set, &full, 1));
 
-            let batch = session.top_k_batch(&[(&normal3, 3), (wide, 5), (&normal2, 1), (wide, 1)]);
-            assert_eq!(bits(&batch[1].entries), argsort_prefix(set, &full, 5), "{wide}");
-            assert_eq!(bits(&batch[3].entries), argsort_prefix(set, &full, 1), "{wide}");
-            for (q, k, top) in [(&normal3, 3, &batch[0]), (&normal2, 1, &batch[2])] {
+            let queries = [(&normal3, 3), (wide, 5), (&normal2, 1), (wide, 1)];
+            let tops: Vec<_> =
+                queries.iter().map(|&(q, k)| session.top_k_predefined(q, k)).collect();
+            assert_eq!(bits(&tops[1].entries), argsort_prefix(set, &full, 5), "{wide}");
+            assert_eq!(bits(&tops[3].entries), argsort_prefix(set, &full, 1), "{wide}");
+            for (q, k, top) in [(&normal3, 3, &tops[0]), (&normal2, 1, &tops[2])] {
                 let set = predefined_candidates(q.dim());
                 let full = reference.scores(q, set).unwrap().to_vec();
                 assert_eq!(bits(&top.entries), argsort_prefix(set, &full, k), "{q}");
@@ -563,12 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_batch_of_nothing_is_empty() {
-        let mut session = TuningSession::new(dense_ranker());
-        assert!(session.top_k_batch(&[]).is_empty());
-    }
-
-    #[test]
     fn top_k_predefined_is_the_argsort_prefix() {
         let ranker = dense_ranker();
         let mut reference = TuningSession::new(ranker.clone());
@@ -590,27 +577,24 @@ mod tests {
     }
 
     #[test]
-    fn top_k_batch_matches_individual_queries() {
+    fn parallel_session_matches_individual_queries() {
         let ranker = dense_ranker();
         let mut loop_session = TuningSession::new(ranker.clone());
         // Mixed dimensionalities, repeated instances, varied sizes and k:
-        // the batch pipeline must agree with one-query answers everywhere.
+        // one parallel session must agree with one-query answers everywhere.
         let (a, b) = (lap128(), blur1024());
         let c = StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(96)).unwrap();
         let d = StencilInstance::new(StencilKernel::blur(), GridSize::square(640)).unwrap();
         let queries = [(&a, 3usize), (&b, 1), (&c, 10), (&a, 10), (&d, 1), (&b, 0)];
-        for threads in [1usize, 4] {
-            let mut batch_session = TuningSession::parallel(ranker.clone(), threads);
-            let batch = batch_session.top_k_batch(&queries);
-            assert_eq!(batch.len(), queries.len());
-            for (&(q, k), got) in queries.iter().zip(&batch) {
-                let want = loop_session.top_k_predefined(q, k);
-                assert_eq!(got.entries, want.entries, "{q} k = {k} (threads = {threads})");
-                assert_eq!(got.candidates, want.candidates, "{q} k = {k}");
-                if k > 0 {
-                    let best = loop_session.tune(q);
-                    assert_eq!(got.entries[0], (best.tuning, best.score), "{q}");
-                }
+        let mut session = TuningSession::parallel(ranker, 4);
+        for (q, k) in queries {
+            let got = session.top_k_predefined(q, k);
+            let want = loop_session.top_k_predefined(q, k);
+            assert_eq!(got.entries, want.entries, "{q} k = {k}");
+            assert_eq!(got.candidates, want.candidates, "{q} k = {k}");
+            if k > 0 {
+                let best = loop_session.tune(q);
+                assert_eq!(got.entries[0], (best.tuning, best.score), "{q}");
             }
         }
     }

@@ -1,27 +1,26 @@
 //! Packed, lane-padded candidate feature matrices.
 //!
-//! The scoring hot loop sweeps thousands of encoded candidate rows per
-//! query. Historically those rows lived in an ad-hoc `Vec<f64>` paired with
-//! an out-of-band `dim`, re-grown per batch and with no layout guarantees.
-//! [`CandidateMatrix`] makes the layout explicit: a row-major buffer whose
-//! rows are padded to a multiple of the SIMD lane width ([`LANE_WIDTH`]),
-//! with the first row placed on a 32-byte boundary when the allocator
-//! cooperates (best effort only — consumers must never *rely* on
-//! alignment; vector kernels use unaligned loads).
+//! A full-row scoring pass sweeps thousands of encoded candidate rows per
+//! query. [`CandidateMatrix`] holds them in one row-major buffer whose rows
+//! are padded to a multiple of [`LANE_WIDTH`], with the first row placed
+//! on a 32-byte boundary when the allocator cooperates (best effort only —
+//! consumers must never *rely* on alignment).
 //!
-//! Padding cells are always `0.0`, but scoring kernels deliberately compute
-//! over `dim` columns only: including the pad lanes would change the
-//! grouping of the four-accumulator reduction and therefore the rounding of
-//! the result, breaking the workspace's bit-for-bit scalar/SIMD guarantee
-//! (and `-0.0` rows could flip sign through `+ 0.0`).
+//! Padding cells are always `0.0`, and no scoring code reads them: the row
+//! kernel computes over `dim` columns only, because including the pad
+//! lanes would change the grouping of the four-accumulator reduction and
+//! therefore the rounding of the result (and `-0.0` rows could flip sign
+//! through `+ 0.0`). Nothing relies on the padding or the alignment for
+//! speed; they keep the stride-apart layout that perfbench's full-row
+//! decomposition reads.
 //!
 //! The matrix is designed for reuse: [`clear`](CandidateMatrix::clear)
 //! drops the rows but keeps the allocation, so a steady-state scoring loop
 //! that encodes a block, scores it and clears it performs zero allocations
 //! after warm-up.
 
-/// Number of `f64` lanes in one 256-bit SIMD register; rows are padded to a
-/// multiple of this.
+/// Rows are padded to a multiple of this many `f64`s (one 256-bit
+/// register's worth).
 pub const LANE_WIDTH: usize = 4;
 
 /// A reusable row-major feature matrix with lane-padded rows.

@@ -26,14 +26,10 @@ pub mod kernel;
 pub mod linalg;
 pub mod metrics;
 pub mod model;
-pub mod model_selection;
-pub mod scaler;
 pub mod train;
 
 pub use dataset::{GroupId, RankingDataset};
 pub use kendall::{gamma, kendall_tau, tau_a, tau_b};
 pub use metrics::{pairwise_accuracy, top1_regret};
 pub use model::{argsort_desc, top_k_desc, LinearRanker};
-pub use model_selection::{cross_validate, group_folds, select_c};
-pub use scaler::MinMaxScaler;
 pub use train::{RankSvmTrainer, Solver, TrainConfig, TrainReport};

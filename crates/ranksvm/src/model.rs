@@ -43,11 +43,11 @@ impl LinearRanker {
     }
 
     /// Scores rows laid out `stride` values apart — the lane-padded layout
-    /// of `stencil_model::CandidateMatrix` — writing one score per row.
-    /// Only the first `dim` values of each row are read; pad cells are
-    /// never touched, so padded and unpadded layouts score identically.
-    /// Dispatches to the SIMD batch kernel when available (see
-    /// [`crate::kernel`]); scores are bit-for-bit identical either way.
+    /// of `stencil_model::CandidateMatrix` — writing one score per row,
+    /// each bit for bit what [`score`](Self::score) returns for that row
+    /// (see [`crate::kernel`]). Only the first `dim` values of each row are
+    /// read; pad cells are never touched, so padded and unpadded layouts
+    /// score identically.
     ///
     /// # Panics
     /// Panics when `stride` is narrower than the model dimension or `rows`

@@ -21,8 +21,8 @@
 //! Three mechanisms carry the throughput:
 //!
 //! * **Micro-batching** ([`TuneService`]) — each batch is whatever is
-//!   queued when the worker looks, and its misses go to the session in one
-//!   [`TuningSession::top_k_batch`](sorl::session::TuningSession::top_k_batch)
+//!   queued when the worker looks, and each of its unique misses is one
+//!   [`TuningSession::top_k_predefined`](sorl::session::TuningSession::top_k_predefined)
 //!   call. Requests in the same batch that share a canonical
 //!   [`InstanceKey`](stencil_model::InstanceKey) are scored once and
 //!   answered many times. No batch waits for company: each miss is its own

@@ -5,9 +5,9 @@
 //! thread pool) and the [`DecisionCache`]. Clients submit
 //! [`TuneRequest`]s through a cloneable [`TuneClient`]; the worker drains
 //! the queue into a micro-batch, answers what it can from the cache,
-//! deduplicates the remaining requests by [`InstanceKey`], and answers the
-//! unique instances with one [`TuningSession::top_k_batch`] call (one
-//! folded query each). Every answer is a [`TopK`]: the k best tuning
+//! deduplicates the remaining requests by [`InstanceKey`], and answers
+//! each unique instance with one [`TuningSession::top_k_predefined`] call
+//! (one folded query). Every answer is a [`TopK`]: the k best tuning
 //! vectors with scores, from a partial select.
 //!
 //! Submission is non-blocking: [`TuneClient::submit`] returns a
@@ -130,6 +130,10 @@ impl From<SnapshotError> for ServeError {
     }
 }
 
+/// Minimum `k` a caching service computes (and caches) per miss
+/// (see [`ServeConfig::cache_capacity`]).
+const CACHE_K_FLOOR: usize = 8;
+
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
@@ -140,12 +144,11 @@ pub struct ServeConfig {
     /// Largest micro-batch drained from the queue in one pass. The worker
     /// takes what is queued when it looks and never waits for more.
     pub max_batch: usize,
-    /// Decision-cache capacity in entries (`0` disables caching).
-    pub cache_capacity: usize,
-    /// Minimum `k` computed (and cached) per pipeline pass, so follow-up
-    /// requests asking for a few more alternatives than the first one
+    /// Decision-cache capacity in entries (`0` disables caching). With
+    /// caching on, each miss computes and caches at least 8 alternatives,
+    /// so follow-up requests asking for a few more than the first one
     /// still hit the cache.
-    pub cache_k_floor: usize,
+    pub cache_capacity: usize,
     /// Bounded submission queue: a submission finding this many requests
     /// already waiting is fast-rejected with
     /// [`ServeError::Overloaded`]`(`[`ShedReason::QueueFull`]`)` instead
@@ -174,7 +177,6 @@ impl Default for ServeConfig {
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             max_batch: 64,
             cache_capacity: 1024,
-            cache_k_floor: 8,
             max_queue: 4096,
             shed_p99: Duration::ZERO,
             exemplar_threshold: Duration::ZERO,
@@ -671,7 +673,7 @@ fn serve_batch(
 
     // Pass 1: answer from the cache; group the misses by canonical key so
     // every unique instance is encoded and scored exactly once.
-    let k_floor = if config.cache_capacity == 0 { 0 } else { config.cache_k_floor };
+    let k_floor = if config.cache_capacity == 0 { 0 } else { CACHE_K_FLOOR };
     let mut answers: Vec<Option<TopK>> = batch.iter().map(|_| None).collect();
     let mut groups: Vec<Group> = Vec::new();
     let mut group_of: HashMap<&InstanceKey, usize> = HashMap::new();
@@ -696,33 +698,23 @@ fn serve_batch(
         }
     }
 
-    // Pass 2: one session query per unique instance.
-    if !groups.is_empty() {
-        // `filter_map` never actually filters: every representative is a
-        // batch index recorded by pass 1, so queries stays parallel to
-        // groups (checked below before the zip relies on it).
-        let queries: Vec<(&StencilInstance, usize)> = groups
-            .iter()
-            .filter_map(|g| batch.get(g.representative).map(|q| (&q.req.instance, g.k)))
-            .collect();
-        debug_assert_eq!(queries.len(), groups.len());
-        let results = session.top_k_batch(&queries);
-        counters.scored_instances.fetch_add(groups.len() as u64, Ordering::Relaxed);
-        for (g, top) in groups.iter().zip(results) {
-            if let Some(q) = batch.get(g.representative) {
-                cache.insert(q.key.clone(), top.entries.clone(), top.candidates);
-            }
-            for &i in &g.members {
-                let Some(q) = batch.get(i) else { continue };
-                let Some(slot) = answers.get_mut(i) else { continue };
-                *slot = Some(TopK {
-                    entries: top.entries.iter().take(q.req.k).cloned().collect(),
-                    candidates: top.candidates,
-                    seconds: top.seconds,
-                });
-            }
+    // Pass 2: one session query per unique instance. Every representative
+    // is a batch index recorded by pass 1, so the `get` never misses.
+    for g in &groups {
+        let Some(rep) = batch.get(g.representative) else { continue };
+        let top = session.top_k_predefined(&rep.req.instance, g.k);
+        cache.insert(rep.key.clone(), top.entries.clone(), top.candidates);
+        for &i in &g.members {
+            let Some(q) = batch.get(i) else { continue };
+            let Some(slot) = answers.get_mut(i) else { continue };
+            *slot = Some(TopK {
+                entries: top.entries.iter().take(q.req.k).cloned().collect(),
+                candidates: top.candidates,
+                seconds: top.seconds,
+            });
         }
     }
+    counters.scored_instances.fetch_add(groups.len() as u64, Ordering::Relaxed);
 
     // Publish the counters and histograms BEFORE replying: a client that
     // reads `stats()` right after its answer arrives must see this batch.

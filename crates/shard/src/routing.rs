@@ -174,8 +174,8 @@ impl RoutingTable {
 /// A serializable description of one shard's key range under a topology:
 /// *the fingerprints `owner` owns*. This — not a closure — is the filter
 /// shipped across a [`ShardTransport`](crate::ShardTransport) boundary
-/// when caches are exported or extracted, so a future cross-host transport
-/// can forward it as plain data.
+/// when caches are exported or extracted, so the cross-host
+/// [`TcpShard`](crate::TcpShard) forwards it as plain data.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheSlice {
     /// The topology the ownership is evaluated under.

@@ -1,11 +1,13 @@
 //! The shard transport abstraction: how the router talks to one shard.
 //!
 //! [`ShardTransport`] is the seam between routing policy and deployment
-//! topology. Today there is one implementation — [`LocalShard`], an
-//! in-process [`TuneService`] — but every method is designed to survive a
-//! process boundary: requests and answers are plain data, and cache
-//! filters are [`CacheSlice`] values (serializable ownership descriptions)
-//! rather than closures, so a TCP/RPC transport can forward them verbatim.
+//! topology. There are two implementations: [`LocalShard`], an in-process
+//! [`TuneService`], and [`TcpShard`](crate::TcpShard), a multiplexed link
+//! to a [`ShardServer`](crate::ShardServer) in another process. Every
+//! method is built to cross that boundary: requests and answers are plain
+//! data, and cache filters are [`CacheSlice`] values (serializable
+//! ownership descriptions) rather than closures, which the TCP transport
+//! forwards verbatim.
 //! Fallibility is part of the contract — a local shard only fails when its
 //! worker is gone, a remote one can fail for all the usual reasons.
 

@@ -188,7 +188,7 @@ fn read_hist(r: &mut Reader<'_>, out: &mut [u64], what: &str) -> Result<(), Stri
 // ---------------------------------------------------------------------------
 
 /// Whether `snapshot` can travel in this codec: always — the codec is
-/// total. Kept for callers that still ask.
+/// total. Kept only because perfbench still calls it.
 pub fn snapshot_fits(_snapshot: &CacheSnapshot) -> bool {
     true
 }
