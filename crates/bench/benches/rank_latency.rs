@@ -5,10 +5,6 @@
 //!
 //! * scoring a single already-encoded candidate (the number comparable to
 //!   svm_rank's per-example cost),
-//! * the row kernel over the packed 8640-row candidate matrix: the cost
-//!   of the full-row pass behind `TuningSession::scores` and the fold's
-//!   fallbacks (the band rescore scores one row at a time with
-//!   `LinearRanker::score`, not through the kernel),
 //! * the *legacy* per-candidate path (instance clone + `StencilExecution`
 //!   plus a fresh `TuningSpace` per candidate — the pre-batching baseline,
 //!   reproduced inline so the speedup stays measurable),
@@ -16,8 +12,10 @@
 //!   predefined set: the per-query fold plus the exact rescoring of its
 //!   band); the perf snapshot trips if the 3-D tune's median is not under
 //!   the paper's 1 ms,
-//! * the same query on a session with a thread pool (folded queries run
-//!   on the calling thread, so this tracks the sequential one).
+//! * the full-row fallback as the session serves it: a top-8 over the 3-D
+//!   set for a pattern wider than `max_offset` (radius 4), where the fold
+//!   does not apply and all 8640 rows are encoded and scored one reused
+//!   row at a time.
 //!
 //! The run writes a machine-readable `BENCH_rank_latency.json` snapshot
 //! (see `sorl_bench::perf`) so the repo accumulates a perf trajectory; CI
@@ -31,7 +29,8 @@ use sorl::session::{predefined_candidates, TuningSession};
 use sorl::StencilRanker;
 use sorl_bench::perf::{quick_mode, PerfReport};
 use stencil_model::{
-    CandidateMatrix, GridSize, StencilExecution, StencilInstance, StencilKernel, TuningVector,
+    DType, GridSize, Offset, StencilExecution, StencilInstance, StencilKernel, StencilPattern,
+    TuningVector,
 };
 
 /// The pre-batching hot path, reproduced verbatim as the baseline.
@@ -59,19 +58,9 @@ struct Ctx {
     ranker: StencilRanker,
     q3: StencilInstance,
     q2: StencilInstance,
-}
-
-/// The packed 3-D candidate matrix for one query: the rows a full-row
-/// pass hands the row kernel, in one block instead of 64-row ones.
-fn packed_matrix(ctx: &Ctx) -> CandidateMatrix {
-    let encoder = ctx.ranker.encoder();
-    let set3 = predefined_candidates(3);
-    let qf = encoder.query_features(&ctx.q3);
-    let mut matrix = CandidateMatrix::with_row_capacity(encoder.dim(), set3.len());
-    for &t in set3 {
-        matrix.push_row_with(|out| encoder.append_candidate(&qf, t, out));
-    }
-    matrix
+    /// A 3-D pattern of radius 4, wider than `max_offset`: its queries take
+    /// the full-row path.
+    wide3: StencilInstance,
 }
 
 impl Ctx {
@@ -79,10 +68,16 @@ impl Ctx {
         let out =
             TrainingPipeline::new(PipelineConfig { training_size: 960, ..Default::default() })
                 .run();
+        let mut pattern = StencilPattern::new();
+        for o in [Offset::ORIGIN, Offset::new(4, 0, 0), Offset::new(0, -1, 1)] {
+            pattern.add(o);
+        }
+        let wide = StencilKernel::new("wide", pattern, 2, DType::F64).unwrap();
         Ctx {
             ranker: out.ranker,
             q3: StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(128)).unwrap(),
             q2: StencilInstance::new(StencilKernel::blur(), GridSize::square(1024)).unwrap(),
+            wide3: StencilInstance::new(wide, GridSize::cube(96)).unwrap(),
         }
     }
 }
@@ -101,30 +96,19 @@ fn main() {
     report.record("tune_3d_session_batched", samples, || {
         black_box(seq.tune(&ctx.q3));
     });
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut par = TuningSession::parallel(ctx.ranker.clone(), threads);
-    report.record("tune_3d_session_parallel", samples, || {
-        black_box(par.tune(&ctx.q3));
-    });
     report.record("tune_2d_legacy_per_candidate", samples, || {
         black_box(legacy_tune(&ctx.ranker, &ctx.q2, set2));
     });
     report.record("tune_2d_session_batched", samples, || {
         black_box(seq.tune(&ctx.q2));
     });
-    report.record("tune_2d_session_parallel", samples, || {
-        black_box(par.tune(&ctx.q2));
+
+    report.record("top8_wide_3d_full_row", samples, || {
+        black_box(seq.top_k_predefined(&ctx.wide3, 8));
     });
 
     // Kernel-level samples are microseconds each; take plenty.
     let ksamples = if quick_mode() { 100 } else { 400 };
-    let matrix = packed_matrix(ctx);
-    let mut scores = vec![0.0f64; matrix.rows()];
-    report.record("score_matrix_8640_kernel", ksamples, || {
-        ctx.ranker.model().score_rows_into(matrix.rows_data(), matrix.stride(), &mut scores);
-        black_box(scores[0]);
-    });
-
     // Single-candidate scoring on a pre-encoded feature row, and encoding
     // plus scoring one candidate: the numbers comparable to svm_rank's
     // per-example cost.
@@ -139,12 +123,11 @@ fn main() {
 
     let legacy = report.median_of("tune_3d_legacy_per_candidate").unwrap();
     let batched = report.median_of("tune_3d_session_batched").unwrap();
-    let parallel = report.median_of("tune_3d_session_parallel").unwrap();
+    let full_row = report.median_of("top8_wide_3d_full_row").unwrap();
     println!(
-        "  speedup over legacy: batched {:.2}x, parallel {:.2}x ({} threads)",
+        "  3-D tune: {:.2}x faster than legacy; full-row 3-D top-8: {:.3} ms",
         legacy / batched,
-        legacy / parallel,
-        threads
+        full_row * 1e3
     );
     report.write();
 

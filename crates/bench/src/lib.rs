@@ -1,8 +1,9 @@
 //! Shared infrastructure for the experiment binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's experiment index): it prints a human-readable
-//! rendition to stdout and writes machine-readable CSV under `results/`.
+//! paper (the README's "Reproducing the paper's experiments" lists them):
+//! it prints a human-readable rendition to stdout and writes
+//! machine-readable CSV under `results/`.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// Statistics for one measured benchmark variant (seconds per call).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PerfEntry {
-    /// Variant id, e.g. `"tune_3d_session_parallel"`.
+    /// Variant id, e.g. `"tune_3d_session_batched"`.
     pub id: String,
     /// Median seconds per call.
     pub median_s: f64,

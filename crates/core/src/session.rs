@@ -27,33 +27,26 @@
 //! fold cannot take: an instance with a `sigma` entry outside `[0, 1]` (a
 //! pattern wider than `max_offset`, where the interaction clamp fires),
 //! weights whose `eps` is not finite, and a `k` that asks for the whole set.
-//! The per-instance query block is encoded once
-//! ([`stencil_model::QueryFeatures`]), each candidate completes the
-//! tuning-dependent suffix into a lane-padded [`CandidateMatrix`] block, and
-//! blocks are scored with [`ranksvm::LinearRanker::score_rows_into`], in
-//! contiguous chunks across the session's [`ThreadPool`] when it has one.
-//! Every row's dot product is independent and is the reduction
-//! [`ranksvm::LinearRanker::score`] computes, so threads change no bit.
+//! Such a query's band is the whole set, and an explicit list is a band over
+//! itself, so one loop computes every full row the session scores: the
+//! per-instance query block is encoded once
+//! ([`stencil_model::QueryFeatures`]), and each candidate completes the
+//! tuning-dependent suffix in one reused row
+//! ([`FeatureEncoder::append_candidate`](stencil_model::FeatureEncoder::append_candidate))
+//! scored with [`ranksvm::LinearRanker::score`], on the calling thread.
 //!
 //! A session owns the cached predefined sets (see [`predefined_candidates`])
 //! and reuses its scratch between queries — the folded scores, the band,
-//! the rescore row and the full-row blocks — so steady-state queries
-//! perform **zero** per-candidate heap allocations.
+//! the scores and the row — so steady-state queries perform **zero**
+//! per-candidate heap allocations.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use stencil_exec::ThreadPool;
-use stencil_model::{
-    CandidateMatrix, ModelError, QueryFeatures, StencilInstance, TuningSpace, TuningVector,
-};
+use stencil_model::{ModelError, QueryFeatures, StencilInstance, TuningSpace, TuningVector};
 
 use crate::ranker::{validate_candidates, StencilRanker};
 use crate::tuner::{TopK, TunerDecision};
-
-/// Rows encoded per `score_rows_into` call: big enough to amortize the
-/// call, small enough that a block's feature matrix stays cache-resident.
-const BLOCK_ROWS: usize = 64;
 
 /// The `n` of the fold's error bound: more rounded terms than either
 /// evaluation sums per candidate (a full row has at most 535 features, a
@@ -78,13 +71,6 @@ pub fn predefined_candidates(dim: u8) -> &'static [TuningVector] {
     cell.get_or_init(|| TuningSpace::for_dim(dim).expect("dim checked above").predefined_set())
 }
 
-/// Per-worker scratch: one lane-padded feature block, reused across
-/// queries so steady-state scoring allocates nothing.
-#[derive(Debug)]
-struct WorkerScratch {
-    matrix: CandidateMatrix,
-}
-
 /// A long-lived tuner around a trained [`StencilRanker`] — the only way to
 /// rank candidates with it.
 ///
@@ -97,7 +83,7 @@ struct WorkerScratch {
 /// use stencil_model::{GridSize, StencilInstance, StencilKernel};
 ///
 /// let out = TrainingPipeline::new(PipelineConfig::default()).run();
-/// let mut session = TuningSession::parallel(out.ranker, 8);
+/// let mut session = TuningSession::new(out.ranker);
 /// for size in [64, 96, 128, 192] {
 ///     let q = StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(size)).unwrap();
 ///     let d = session.tune(&q);
@@ -110,49 +96,41 @@ pub struct TuningSession {
     /// `eps`: the bound on |folded - full-row| for this ranker's weights;
     /// not finite when the fold must not run.
     fold_error: f64,
-    pool: Option<ThreadPool>,
-    scratch: Vec<WorkerScratch>,
-    /// Full-row scores of the rows last scored: explicit candidates, or a
-    /// predefined query's band.
+    /// Full-row scores of the last query's band, in band order.
     scores: Vec<f64>,
-    /// The predefined-set indices `scores` belongs to, ascending.
+    /// The candidates `scores` belongs to, as ascending indices into the
+    /// last query's list: the explicit list, or the predefined set.
     band: Vec<usize>,
     /// The last predefined query's folded scores (empty when it took the
     /// full-row path).
     folded: Vec<f64>,
     /// Scratch for the k-th largest folded score.
     select: Vec<f64>,
-    /// One full feature row, for rescoring the band.
+    /// One full feature row, reused for every row the session scores.
     row: Vec<f64>,
 }
 
 impl TuningSession {
-    /// A sequential session (no worker threads).
+    /// A session around `ranker`. Every query runs on the calling thread.
     pub fn new(ranker: StencilRanker) -> Self {
-        Self::parallel(ranker, 1)
-    }
-
-    /// A session fanning full-row candidate chunks over `threads` threads
-    /// (`threads <= 1` degenerates to the sequential session). Folded
-    /// queries run on the calling thread.
-    pub fn parallel(ranker: StencilRanker, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let pool = (threads > 1).then(|| ThreadPool::new(threads));
         let dim = ranker.encoder().dim();
-        let scratch = (0..threads)
-            .map(|_| WorkerScratch { matrix: CandidateMatrix::with_row_capacity(dim, BLOCK_ROWS) })
-            .collect();
         TuningSession {
             fold_error: fold_error(ranker.model().weights()),
             ranker,
-            pool,
-            scratch,
             scores: Vec::new(),
             band: Vec::new(),
             folded: Vec::new(),
             select: Vec::new(),
             row: Vec::with_capacity(dim),
         }
+    }
+
+    /// The same session as [`TuningSession::new`]: `threads` is accepted
+    /// and unused. It stays only because the end-to-end benchmark builds
+    /// sessions through `ServeConfig::threads` in `sorl-serve`; both go
+    /// once the benchmark stops setting that field (ROADMAP item 10b).
+    pub fn parallel(ranker: StencilRanker, _threads: usize) -> Self {
+        Self::new(ranker)
     }
 
     /// The underlying ranker.
@@ -203,7 +181,9 @@ impl TuningSession {
     ) -> Result<&[f64], ModelError> {
         let qf = self.ranker.encoder().query_features(instance);
         validate_candidates(&qf, candidates)?;
-        self.score_rows(&qf, candidates);
+        self.band.clear();
+        self.band.extend(0..candidates.len());
+        self.rescore(&qf, candidates);
         Ok(&self.scores)
     }
 
@@ -228,56 +208,32 @@ impl TuningSession {
             && encoder.fold_predefined(&qf, weights, &mut self.folded))
         .then(|| kth_largest(&self.folded, k, &mut self.select) - 2.0 * self.fold_error)
         .filter(|floor| floor.is_finite());
-        let Some(floor) = floor else {
-            self.folded.clear();
-            self.band.extend(0..candidates.len());
-            self.score_rows(&qf, candidates);
-            return candidates;
-        };
-        let folded = &self.folded;
-        self.band.extend((0..candidates.len()).filter(|&i| folded[i] >= floor));
-        self.scores.clear();
-        for &i in &self.band {
-            self.row.clear();
-            encoder.append_candidate(&qf, candidates[i], &mut self.row);
-            self.scores.push(self.ranker.model().score(&self.row));
+        match floor {
+            Some(floor) => {
+                let folded = &self.folded;
+                self.band.extend((0..candidates.len()).filter(|&i| folded[i] >= floor));
+            }
+            None => {
+                self.folded.clear();
+                self.band.extend(0..candidates.len());
+            }
         }
+        self.rescore(&qf, candidates);
         candidates
     }
 
-    /// Full-row scores of `candidates` into `scores`, in contiguous chunks
-    /// across the pool when one is attached.
-    fn score_rows(&mut self, qf: &QueryFeatures, candidates: &[TuningVector]) {
-        let total = candidates.len();
+    /// Leaves in `scores` the full-row score of `candidates[i]` for every
+    /// `i` in `band`, in band order: the session's one full-row loop. Each
+    /// candidate is encoded into the reused row and reduced as
+    /// [`StencilRanker::score`] reduces it, so a score is the same bits
+    /// whichever query computes it.
+    fn rescore(&mut self, qf: &QueryFeatures, candidates: &[TuningVector]) {
         self.scores.clear();
-        self.scores.resize(total, 0.0);
-        let ranker = &self.ranker;
-        let n_chunks = self.pool.as_ref().map_or(1, |pool| pool.threads().min(total));
-        let Some(pool) = self.pool.as_mut().filter(|_| n_chunks > 1) else {
-            score_range(ranker, qf, candidates, &mut self.scratch[0], &mut self.scores);
-            return;
-        };
-
-        // Even contiguous partition: chunk ci owns rows
-        // [ci * total / n_chunks, (ci + 1) * total / n_chunks), carved out
-        // of the score buffer together with its own scratch slot. Each slot
-        // is locked once, by the one job that runs its chunk.
-        let mut rest = self.scores.as_mut_slice();
-        let slots: Vec<_> = self.scratch[..n_chunks]
-            .iter_mut()
-            .enumerate()
-            .map(|(ci, scratch)| {
-                let (lo, hi) = (ci * total / n_chunks, (ci + 1) * total / n_chunks);
-                let (scores, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
-                rest = tail;
-                Mutex::new((&candidates[lo..hi], scores, scratch))
-            })
-            .collect();
-        pool.run(n_chunks, &|ci| {
-            let mut slot = slots[ci].lock().expect("a slot is locked once, so never poisoned");
-            let (candidates, scores, scratch) = &mut *slot;
-            score_range(ranker, qf, candidates, scratch, scores);
-        });
+        for &i in &self.band {
+            self.row.clear();
+            self.ranker.encoder().append_candidate(qf, candidates[i], &mut self.row);
+            self.scores.push(self.ranker.model().score(&self.row));
+        }
     }
 }
 
@@ -310,35 +266,6 @@ fn best_index(scores: &[f64]) -> usize {
     best
 }
 
-/// Encodes and scores one contiguous candidate range in blocks of
-/// [`BLOCK_ROWS`], reusing the worker's packed candidate matrix. The
-/// encoder writes each row straight into the matrix buffer; the kernel
-/// reads the padded rows at the matrix stride (pad cells are never part of
-/// a dot product, so scores match the unpadded layout bit-for-bit).
-fn score_range(
-    ranker: &StencilRanker,
-    qf: &QueryFeatures,
-    candidates: &[TuningVector],
-    scratch: &mut WorkerScratch,
-    scores: &mut [f64],
-) {
-    let encoder = ranker.encoder();
-    let mut start = 0;
-    while start < candidates.len() {
-        let n = (candidates.len() - start).min(BLOCK_ROWS);
-        scratch.matrix.clear();
-        for &t in &candidates[start..start + n] {
-            scratch.matrix.push_row_with(|out| encoder.append_candidate(qf, t, out));
-        }
-        ranker.model().score_rows_into(
-            scratch.matrix.rows_data(),
-            scratch.matrix.stride(),
-            &mut scores[start..start + n],
-        );
-        start += n;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,9 +273,11 @@ mod tests {
     use crate::ranker::synthetic_ranker;
     use rand::{Rng, SeedableRng};
     use ranksvm::LinearRanker;
-    use stencil_model::{DType, FeatureEncoder, GridSize, Offset, StencilKernel, StencilPattern};
+    use stencil_model::{
+        DType, FeatureEncoder, GridSize, Offset, StencilExecution, StencilKernel, StencilPattern,
+    };
 
-    /// Dense pseudo-random weights over every feature, so parallel/sequential
+    /// Dense pseudo-random weights over every feature, so scoring
     /// discrepancies cannot hide behind zeros.
     fn dense_ranker() -> StencilRanker {
         synthetic_ranker(0x9e37_79b9_7f4a_7c15)
@@ -600,20 +529,25 @@ mod tests {
     }
 
     #[test]
-    fn one_pool_serves_many_epochs() {
-        // ThreadPool stress from the ranking side: a single pool must
-        // survive many query epochs (mixed dimensionalities and candidate
-        // counts) and keep producing results identical to sequential.
+    fn one_session_serves_many_epochs() {
+        // One session over many query epochs (mixed dimensionalities and
+        // list lengths, so its reused buffers shrink and grow) must keep
+        // producing per-candidate `StencilRanker::score` bits.
         let ranker = dense_ranker();
-        let mut seq = TuningSession::new(ranker.clone());
-        let mut par = TuningSession::parallel(ranker, 4);
+        let single = |q: &StencilInstance| -> Vec<u64> {
+            let set = predefined_candidates(q.dim());
+            let exec = |t| StencilExecution::new(q.clone(), t).unwrap();
+            set.iter().map(|&t| ranker.score(&exec(t)).to_bits()).collect()
+        };
+        let (q3, q2) = (lap128(), blur1024());
+        let (want3, want2) = (single(&q3), single(&q2));
+        let mut session = TuningSession::new(ranker);
         for epoch in 0..40 {
-            let q = if epoch % 2 == 0 { lap128() } else { blur1024() };
-            let cands = predefined_candidates(q.dim());
-            // Vary the batch size so chunk boundaries move around.
-            let n = cands.len() - (epoch * 37) % 1000;
-            let want = seq.scores(&q, &cands[..n]).unwrap().to_vec();
-            assert_eq!(par.scores(&q, &cands[..n]).unwrap(), &want[..], "epoch {epoch}");
+            let (q, want) = if epoch % 2 == 0 { (&q3, &want3) } else { (&q2, &want2) };
+            let n = want.len() - (epoch * 37) % 1000;
+            let got = session.scores(q, &predefined_candidates(q.dim())[..n]).unwrap();
+            let got: Vec<u64> = got.iter().map(|s| s.to_bits()).collect();
+            assert_eq!(got, want[..n], "epoch {epoch}");
         }
     }
 }

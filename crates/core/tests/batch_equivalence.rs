@@ -84,9 +84,10 @@ fn parallel_sessions_match_legacy_for_any_thread_count() {
 }
 
 #[test]
-fn one_pool_survives_many_ranking_epochs() {
-    // Stress the persistent pool from the ranking side: one session, many
-    // epochs, interleaved dimensionalities, always identical to legacy.
+fn one_session_survives_many_ranking_epochs() {
+    // One session over many epochs of interleaved dimensionalities: its
+    // scratch carries over from query to query, and every answer stays
+    // identical to legacy.
     let ranker = dense_ranker(EncodingKind::Interaction);
     let mut session = TuningSession::parallel(ranker.clone(), 4);
     let qs = instances();

@@ -20,15 +20,15 @@
 //! update.
 //!
 //! The engine is what examples and integration tests run; the large-scale
-//! experiments use `stencil-machine` instead (see DESIGN.md for the
-//! substitution rationale).
+//! experiments use `stencil-machine` instead: they take on the order of
+//! 10^5 executions at sizes up to 256^3, and its deterministic model of
+//! the paper's Xeon stands in for that hardware on any host.
 
 pub mod engine;
 pub mod grid;
 pub mod kernels;
 pub mod pool;
 pub mod reference;
-pub mod simulation;
 pub mod tiles;
 
 pub use engine::{Engine, MeasureConfig};
@@ -38,5 +38,4 @@ pub use kernels::{
     StencilFn, Tricubic, Wave, WeightedKernel,
 };
 pub use pool::ThreadPool;
-pub use simulation::Simulation;
 pub use tiles::{Tile, TileGrid};

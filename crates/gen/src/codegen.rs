@@ -95,16 +95,6 @@ pub fn emit_c_kernel(kernel: &StencilKernel, tuning: &TuningVector) -> String {
     out
 }
 
-/// Rough line count of the code PATUS would emit for this kernel across all
-/// unroll variants — the quantity that makes dense stencils slow to compile.
-pub fn estimate_generated_lines(kernel: &StencilKernel) -> usize {
-    let base = 60; // scaffolding, timers, allocation
-    let accesses = kernel.pattern().total_accesses() as usize;
-    // PATUS generates one code path per unroll variant (9) and duplicates
-    // the update expression per unrolled iteration (average factor ~4.5).
-    base + 9 * (10 + accesses * 9 / 2)
-}
-
 fn sanitize(name: &str) -> String {
     name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
 }
@@ -163,13 +153,6 @@ mod tests {
         assert!(code.contains("f * in0"));
         let code64 = emit_c_kernel(&StencilKernel::laplacian(), &TuningVector::new(8, 8, 8, 0, 1));
         assert!(!code64.contains("f * in0"));
-    }
-
-    #[test]
-    fn estimated_lines_grow_with_density() {
-        let sparse = estimate_generated_lines(&StencilKernel::laplacian());
-        let dense = estimate_generated_lines(&StencilKernel::tricubic());
-        assert!(dense > 3 * sparse);
     }
 
     #[test]

@@ -216,10 +216,11 @@ impl FeatureEncoder {
     }
 
     /// Completes a precomputed query block with one tuning vector,
-    /// appending the row to `out` — the building block for row-major
-    /// feature matrices handed to `LinearRanker::score_rows_into`. The row
-    /// is bit-for-bit identical to [`encode_into`](Self::encode_into) on
-    /// `StencilExecution::new(q, t)`.
+    /// appending the row to `out` — every full row a tuning session scores
+    /// is written by this, one reused row at a time (perfbench's per-layer
+    /// decomposition also packs such rows into blocks for
+    /// `LinearRanker::score_rows_into`). The row is bit-for-bit identical
+    /// to [`encode_into`](Self::encode_into) on `StencilExecution::new(q, t)`.
     ///
     /// Admissibility is *not* checked here — validate the batch up front
     /// with [`QueryFeatures::space`].

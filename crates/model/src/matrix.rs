@@ -1,10 +1,11 @@
 //! Packed, lane-padded candidate feature matrices.
 //!
-//! A full-row scoring pass sweeps thousands of encoded candidate rows per
-//! query. [`CandidateMatrix`] holds them in one row-major buffer whose rows
-//! are padded to a multiple of [`LANE_WIDTH`], with the first row placed
-//! on a 32-byte boundary when the allocator cooperates (best effort only —
-//! consumers must never *rely* on alignment).
+//! [`CandidateMatrix`] holds a block of encoded candidate rows in one
+//! row-major buffer whose rows are padded to a multiple of [`LANE_WIDTH`],
+//! with the first row placed on a 32-byte boundary when the allocator
+//! cooperates (best effort only — consumers must never *rely* on
+//! alignment). Only perfbench's per-layer decomposition builds such
+//! blocks; a tuning session scores its full rows one reused row at a time.
 //!
 //! Padding cells are always `0.0`, and no scoring code reads them: the row
 //! kernel computes over `dim` columns only, because including the pad

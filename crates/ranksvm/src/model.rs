@@ -47,7 +47,9 @@ impl LinearRanker {
     /// each bit for bit what [`score`](Self::score) returns for that row
     /// (see [`crate::kernel`]). Only the first `dim` values of each row are
     /// read; pad cells are never touched, so padded and unpadded layouts
-    /// score identically.
+    /// score identically. Only perfbench's per-layer decomposition scores
+    /// such blocks; a tuning session scores one row at a time with
+    /// [`score`](Self::score).
     ///
     /// # Panics
     /// Panics when `stride` is narrower than the model dimension or `rows`

@@ -32,7 +32,7 @@ pub use bandit::BanditSearch;
 pub use de::DifferentialEvolution;
 pub use es::EvolutionStrategy;
 pub use ga::GenerationalGa;
-pub use objective::{CachingObjective, FnObjective, Objective};
+pub use objective::{FnObjective, Objective};
 pub use random::RandomSearch;
 pub use runner::{paper_baselines, SearchAlgorithm, SearchResult};
 pub use space::IntSpace;

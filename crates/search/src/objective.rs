@@ -1,7 +1,5 @@
 //! Black-box objectives.
 
-use std::collections::HashMap;
-
 /// A black-box cost function over integer points; smaller is better.
 ///
 /// In the autotuning setting one evaluation means compiling and running a
@@ -20,54 +18,6 @@ impl<F: FnMut(&[i64]) -> f64> Objective for FnObjective<F> {
     }
 }
 
-/// Memoizing wrapper: repeated points return the cached value without
-/// consulting the inner objective.
-///
-/// The paper's search baselines do *not* memoize (every evaluation costs a
-/// compile-and-run), so the experiments use bare objectives; the cache is
-/// provided for users who want cheap re-evaluation semantics.
-pub struct CachingObjective<O: Objective> {
-    inner: O,
-    cache: HashMap<Vec<i64>, f64>,
-    hits: u64,
-    misses: u64,
-}
-
-impl<O: Objective> CachingObjective<O> {
-    /// Wraps `inner` with an empty cache.
-    pub fn new(inner: O) -> Self {
-        CachingObjective { inner, cache: HashMap::new(), hits: 0, misses: 0 }
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses (true evaluations) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Consumes the wrapper, returning the inner objective.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: Objective> Objective for CachingObjective<O> {
-    fn eval(&mut self, x: &[i64]) -> f64 {
-        if let Some(&v) = self.cache.get(x) {
-            self.hits += 1;
-            return v;
-        }
-        let v = self.inner.eval(x);
-        self.cache.insert(x.to_vec(), v);
-        self.misses += 1;
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,23 +26,5 @@ mod tests {
     fn fn_objective_delegates() {
         let mut obj = FnObjective(|x: &[i64]| x.iter().map(|&v| v as f64).sum());
         assert_eq!(obj.eval(&[1, 2, 3]), 6.0);
-    }
-
-    #[test]
-    fn caching_avoids_reevaluation() {
-        let mut calls = 0u32;
-        {
-            let inner = FnObjective(|x: &[i64]| {
-                calls += 1;
-                x[0] as f64
-            });
-            let mut cached = CachingObjective::new(inner);
-            assert_eq!(cached.eval(&[5]), 5.0);
-            assert_eq!(cached.eval(&[5]), 5.0);
-            assert_eq!(cached.eval(&[6]), 6.0);
-            assert_eq!(cached.hits(), 1);
-            assert_eq!(cached.misses(), 2);
-        }
-        assert_eq!(calls, 2);
     }
 }

@@ -1,8 +1,8 @@
 //! The tuning service: an MPSC request queue, a micro-batching worker,
 //! cloneable client handles, and admission control.
 //!
-//! One worker thread owns the [`TuningSession`] (scratch buffers + scoring
-//! thread pool) and the [`DecisionCache`]. Clients submit
+//! One worker thread owns the [`TuningSession`] (its scratch buffers) and
+//! the [`DecisionCache`]. Clients submit
 //! [`TuneRequest`]s through a cloneable [`TuneClient`]; the worker drains
 //! the queue into a micro-batch, answers what it can from the cache,
 //! deduplicates the remaining requests by [`InstanceKey`], and answers
@@ -137,9 +137,9 @@ const CACHE_K_FLOOR: usize = 8;
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Threads for full-row scoring passes (`<= 1` scores inline on the
-    /// worker thread). Folded queries, nearly every miss, run on the worker
-    /// thread either way.
+    /// Accepted and unused: every scoring pass, folded or full-row, runs
+    /// on the worker thread. The field stays only because the end-to-end
+    /// benchmark sets it, and goes once it stops (ROADMAP item 10b).
     pub threads: usize,
     /// Largest micro-batch drained from the queue in one pass. The worker
     /// takes what is queued when it looks and never waits for more.
@@ -297,8 +297,7 @@ pub struct TuneService {
 }
 
 impl TuneService {
-    /// Spawns a service whose worker scores on a session of
-    /// `config.threads` threads.
+    /// Spawns a service whose worker thread owns one scoring session.
     pub fn spawn(ranker: StencilRanker, config: ServeConfig) -> Self {
         let (tx, rx) = mpsc::channel();
         let counters = Arc::new(Counters::default());
@@ -314,7 +313,7 @@ impl TuneService {
         let worker_exemplars = Arc::clone(&exemplars);
         let worker_slo = Arc::clone(&slo);
         let fingerprint = ranker.fingerprint();
-        let session = TuningSession::parallel(ranker, config.threads);
+        let session = TuningSession::new(ranker);
         let worker = std::thread::Builder::new()
             .name("sorl-serve-worker".into())
             .spawn(move || {

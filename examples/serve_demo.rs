@@ -26,8 +26,8 @@ fn main() {
     let outcome =
         TrainingPipeline::new(PipelineConfig { training_size: 960, ..Default::default() }).run();
 
-    // The service: one worker owning the session, the scoring pool and the
-    // decision cache; every client gets a cheap cloneable handle.
+    // The service: one worker owning the session and the decision cache;
+    // every client gets a cheap cloneable handle.
     let service = TuneService::spawn(outcome.ranker, ServeConfig::default());
     println!(
         "service up: {CLIENTS} clients x {REQUESTS_PER_CLIENT} requests, top-3 answers each\n"

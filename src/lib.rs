@@ -41,13 +41,12 @@
 //! ```
 //!
 //! Every ranking query is a [`sorl::session::TuningSession`] call: the
-//! paper's top-1 (`tune`), top-k, batches of queries, and explicit
-//! candidate lists. Predefined-set queries fold the linear score per query
-//! and rescore only the near-ties on full feature rows, so every answer
-//! has the full-row bits. A session caches the predefined candidate sets,
-//! reuses scratch buffers (zero per-candidate heap allocation in steady
-//! state) and optionally fans full-row candidate chunks across a
-//! persistent thread pool (`TuningSession::parallel`).
+//! paper's top-1 (`tune`), top-k, and explicit candidate lists.
+//! Predefined-set queries fold the linear score per query and rescore only
+//! the near-ties on full feature rows, so every answer has the full-row
+//! bits. A session caches the predefined candidate sets and reuses scratch
+//! buffers (zero per-candidate heap allocation in steady state); one loop
+//! scores every full row, one reused row at a time, on the calling thread.
 //!
 //! When many *concurrent* callers tune many (often repeated) instances,
 //! run a [`serve::TuneService`]: queued requests are micro-batched and
