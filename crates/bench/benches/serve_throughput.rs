@@ -8,11 +8,15 @@
 //!
 //! * `tune_loop_8x3d` — the pre-service baseline: answer each request with
 //!   its own sequential `TuningSession::tune` pass.
-//! * `service_microbatch_8x3d_cold` — the full service with the decision
-//!   cache disabled: queue → micro-batch → within-batch dedup → one folded
-//!   query per unique instance → top-k replies.
-//! * `service_cache_hot_8x3d` — the same workload after warmup with the
-//!   cache enabled: 100% hits, no scoring at all.
+//! * `service_microbatch_8x3d_cold` — the full service, its decision cache
+//!   emptied before each sample: queue → micro-batch → the first request
+//!   per instance misses and is answered with one folded query, which is
+//!   cached before its duplicate is looked up and hits → top-k replies.
+//!   The cache is the service's only within-batch dedup, so with the cache
+//!   disabled it would score all 8 requests, and its edge over the loop
+//!   would be gone.
+//! * `service_cache_hot_8x3d` — the same workload after warmup: 100% hits,
+//!   no scoring at all.
 //!
 //! The run writes a machine-readable `BENCH_serve_throughput.json`
 //! snapshot (see `sorl_bench::perf`). Set `SORL_BENCH_QUICK=1` for the CI
@@ -38,12 +42,6 @@ fn workload() -> Vec<TuneRequest> {
         .collect()
 }
 
-/// Service config for the benches: inline scoring, so the comparison
-/// against the sequential loop is not confounded by extra threads.
-fn serve_config(cache_capacity: usize) -> ServeConfig {
-    ServeConfig { threads: 1, cache_capacity, ..Default::default() }
-}
-
 fn per_request_loop(session: &mut TuningSession, requests: &[TuneRequest]) -> f64 {
     let mut acc = 0.0;
     for r in requests {
@@ -60,20 +58,29 @@ fn main() {
     let samples = if quick_mode() { 12 } else { 40 };
     let mut report = PerfReport::new("serve_throughput");
 
+    // The serving contract below compares these two, so their samples
+    // alternate: a slow stretch of the shared host lands on both sides
+    // instead of on whichever variant happened to run through it. A
+    // service scores on its one worker thread, so the comparison is not
+    // confounded by extra threads either.
     let mut loop_session = TuningSession::new(ranker.clone());
-    report.record("tune_loop_8x3d", samples, || {
-        black_box(per_request_loop(&mut loop_session, &requests));
-    });
-
-    let cold = TuneService::spawn(ranker.clone(), serve_config(0));
+    let cold = TuneService::spawn(ranker.clone(), ServeConfig::default());
     let cold_client = cold.client();
-    report.record("service_microbatch_8x3d_cold", samples, || {
-        black_box(cold_client.tune_many(requests.clone()).unwrap());
-    });
+    report.record_alternating(
+        ["tune_loop_8x3d", "service_microbatch_8x3d_cold"],
+        samples,
+        || {
+            black_box(per_request_loop(&mut loop_session, &requests));
+        },
+        || {
+            cold.extract_cache(|_| true).unwrap();
+            black_box(cold_client.tune_many(requests.clone()).unwrap());
+        },
+    );
     let cold_stats = cold.stats();
     println!("  cold service: {cold_stats}");
 
-    let hot = TuneService::spawn(ranker.clone(), serve_config(1024));
+    let hot = TuneService::spawn(ranker.clone(), ServeConfig::default());
     let hot_client = hot.client();
     hot_client.tune_many(requests.clone()).unwrap();
     report.record("service_cache_hot_8x3d", samples, || {

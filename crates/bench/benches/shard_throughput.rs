@@ -64,10 +64,10 @@ fn workload() -> Vec<StencilInstance> {
         .collect()
 }
 
-/// Inline scoring (the comparison against the single service must not be
-/// confounded by thread counts).
+/// Service config for the benches: each shard scores on its one worker
+/// thread, like the single service it is compared against.
 fn serve_config(cache_capacity: usize) -> ServeConfig {
-    ServeConfig { threads: 1, cache_capacity, ..Default::default() }
+    ServeConfig { cache_capacity, ..Default::default() }
 }
 
 fn spawn_fleet(ranker: &StencilRanker, cache_capacity: usize) -> ShardRouter {

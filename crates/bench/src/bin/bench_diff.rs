@@ -50,6 +50,46 @@ impl DiffLine {
     fn is_regression(&self, threshold: f64) -> bool {
         self.change() > threshold
     }
+
+    /// The report line: both medians, the change, and a marker past
+    /// `threshold`.
+    fn report(&self, threshold: f64) -> String {
+        let marker = if self.is_regression(threshold) { " <-- REGRESSION" } else { "" };
+        format!(
+            "  {:<36} {:>11} -> {:>11}  ({:+.1}%){marker}",
+            self.id,
+            fmt_seconds(self.base_s),
+            fmt_seconds(self.fresh_s),
+            self.change() * 100.0
+        )
+    }
+
+    /// The GitHub Actions annotation for a regression of bench `name`, at
+    /// `level` (`warning` or `error`).
+    fn annotation(&self, name: &str, level: &str) -> String {
+        format!(
+            "::{level}::perf regression in {name} / {}: median {} -> {} ({:+.1}%)",
+            self.id,
+            fmt_seconds(self.base_s),
+            fmt_seconds(self.fresh_s),
+            self.change() * 100.0
+        )
+    }
+}
+
+/// `s` seconds in whichever of ns, µs, ms or s fits its size, so a
+/// sub-µs median does not print as `0.000 ms`.
+fn fmt_seconds(s: f64) -> String {
+    let (value, unit) = if s < 1e-6 {
+        (s * 1e9, "ns")
+    } else if s < 1e-3 {
+        (s * 1e6, "µs")
+    } else if s < 1.0 {
+        (s * 1e3, "ms")
+    } else {
+        (s, "s")
+    };
+    format!("{value:.3} {unit}")
 }
 
 /// Pairs up the variants the two snapshots share (order of the baseline),
@@ -155,26 +195,10 @@ fn main() -> ExitCode {
     let (lines, unmatched) = diff(&base, &fresh);
     let mut regressions = 0usize;
     for l in &lines {
-        let marker = if l.is_regression(threshold) { " <-- REGRESSION" } else { "" };
-        println!(
-            "  {:<36} {:>10.3} ms -> {:>10.3} ms  ({:+.1}%){}",
-            l.id,
-            l.base_s * 1e3,
-            l.fresh_s * 1e3,
-            l.change() * 100.0,
-            marker
-        );
+        println!("{}", l.report(threshold));
         if l.is_regression(threshold) {
             regressions += 1;
-            let level = if fail { "error" } else { "warning" };
-            println!(
-                "::{level}::perf regression in {} / {}: median {:.3} ms -> {:.3} ms ({:+.1}%)",
-                fresh.name,
-                l.id,
-                l.base_s * 1e3,
-                l.fresh_s * 1e3,
-                l.change() * 100.0
-            );
+            println!("{}", l.annotation(&fresh.name, if fail { "error" } else { "warning" }));
         }
     }
     for u in &unmatched {
@@ -231,6 +255,32 @@ mod tests {
         assert!(l.is_regression(0.15));
         let faster = DiffLine { id: "y".into(), base_s: 0.010, fresh_s: 0.002 };
         assert!(!faster.is_regression(0.25), "speedups are never regressions");
+    }
+
+    #[test]
+    fn sub_microsecond_medians_print_in_nanoseconds() {
+        let l = DiffLine { id: "score_single_candidate".into(), base_s: 160e-9, fresh_s: 286e-9 };
+        let line = l.report(0.25);
+        assert!(line.contains(" 160.000 ns -> "), "{line}");
+        assert!(line.contains(" 286.000 ns  (+78."), "{line}");
+        assert!(line.ends_with("<-- REGRESSION"), "{line}");
+        let note = l.annotation("rank_latency", "error");
+        assert!(
+            note.starts_with(
+                "::error::perf regression in rank_latency / score_single_candidate: \
+                 median 160.000 ns -> 286.000 ns (+78."
+            ),
+            "{note}"
+        );
+    }
+
+    #[test]
+    fn medians_print_in_the_unit_that_fits() {
+        assert_eq!(fmt_seconds(0.0), "0.000 ns");
+        assert_eq!(fmt_seconds(45e-6), "45.000 µs");
+        assert_eq!(fmt_seconds(915e-6), "915.000 µs");
+        assert_eq!(fmt_seconds(0.0123), "12.300 ms");
+        assert_eq!(fmt_seconds(2.5), "2.500 s");
     }
 
     #[test]

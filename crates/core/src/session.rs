@@ -125,14 +125,6 @@ impl TuningSession {
         }
     }
 
-    /// The same session as [`TuningSession::new`]: `threads` is accepted
-    /// and unused. It stays only because the end-to-end benchmark builds
-    /// sessions through `ServeConfig::threads` in `sorl-serve`; both go
-    /// once the benchmark stops setting that field (ROADMAP item 10b).
-    pub fn parallel(ranker: StencilRanker, _threads: usize) -> Self {
-        Self::new(ranker)
-    }
-
     /// The underlying ranker.
     pub fn ranker(&self) -> &StencilRanker {
         &self.ranker
@@ -474,7 +466,7 @@ mod tests {
 
     #[test]
     fn scores_validate_explicit_candidates() {
-        let mut session = TuningSession::parallel(dense_ranker(), 2);
+        let mut session = TuningSession::new(dense_ranker());
         let q = blur1024();
         assert!(session.scores(&q, &[]).unwrap().is_empty());
         let bad = [TuningVector::new(8, 8, 1, 0, 1), TuningVector::new(8, 8, 8, 0, 1)];
@@ -488,7 +480,7 @@ mod tests {
     fn top_k_predefined_is_the_argsort_prefix() {
         let ranker = dense_ranker();
         let mut reference = TuningSession::new(ranker.clone());
-        let mut session = TuningSession::parallel(ranker, 3);
+        let mut session = TuningSession::new(ranker);
         for q in [lap128(), blur1024()] {
             let set = predefined_candidates(q.dim());
             let scores = reference.scores(&q, set).unwrap().to_vec();
@@ -501,29 +493,6 @@ mod tests {
                     assert_eq!(t, set[order[r]], "{q} rank {r}");
                     assert_eq!(s, scores[order[r]], "{q} rank {r}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_session_matches_individual_queries() {
-        let ranker = dense_ranker();
-        let mut loop_session = TuningSession::new(ranker.clone());
-        // Mixed dimensionalities, repeated instances, varied sizes and k:
-        // one parallel session must agree with one-query answers everywhere.
-        let (a, b) = (lap128(), blur1024());
-        let c = StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(96)).unwrap();
-        let d = StencilInstance::new(StencilKernel::blur(), GridSize::square(640)).unwrap();
-        let queries = [(&a, 3usize), (&b, 1), (&c, 10), (&a, 10), (&d, 1), (&b, 0)];
-        let mut session = TuningSession::parallel(ranker, 4);
-        for (q, k) in queries {
-            let got = session.top_k_predefined(q, k);
-            let want = loop_session.top_k_predefined(q, k);
-            assert_eq!(got.entries, want.entries, "{q} k = {k}");
-            assert_eq!(got.candidates, want.candidates, "{q} k = {k}");
-            if k > 0 {
-                let best = loop_session.tune(q);
-                assert_eq!(got.entries[0], (best.tuning, best.score), "{q}");
             }
         }
     }

@@ -1,7 +1,7 @@
-//! The batched/parallel scoring pipeline must be a pure refactor: on both
+//! The session's scoring pipeline must be a pure refactor: on both
 //! predefined candidate sets it has to reproduce the legacy per-candidate
 //! path (clone instance, construct a `StencilExecution`, encode, score)
-//! bit for bit, for both feature layouts and any thread count.
+//! bit for bit, for both feature layouts.
 
 use rand::{Rng, SeedableRng};
 
@@ -70,26 +70,12 @@ fn batched_path_matches_legacy_on_full_predefined_sets() {
 }
 
 #[test]
-fn parallel_sessions_match_legacy_for_any_thread_count() {
-    let ranker = dense_ranker(EncodingKind::Interaction);
-    for q in instances() {
-        let candidates = predefined_candidates(q.dim());
-        let legacy = legacy_scores(&ranker, &q, candidates);
-        for threads in [1usize, 2, 3, 8] {
-            let mut session = TuningSession::parallel(ranker.clone(), threads);
-            let scores = session.scores(&q, candidates).unwrap();
-            assert_eq!(scores, &legacy[..], "threads = {threads}, {q}");
-        }
-    }
-}
-
-#[test]
 fn one_session_survives_many_ranking_epochs() {
     // One session over many epochs of interleaved dimensionalities: its
     // scratch carries over from query to query, and every answer stays
     // identical to legacy.
     let ranker = dense_ranker(EncodingKind::Interaction);
-    let mut session = TuningSession::parallel(ranker.clone(), 4);
+    let mut session = TuningSession::new(ranker.clone());
     let qs = instances();
     for epoch in 0..60 {
         let q = &qs[epoch % qs.len()];

@@ -90,18 +90,17 @@ proptest! {
 
     /// Invariant 1, dense scores under either encoding: the three ranking
     /// queries agree on both predefined sets for arbitrary k (including 0
-    /// and past-the-end), in sequential and parallel sessions alike.
+    /// and past-the-end).
     #[test]
     fn ranking_queries_agree_bitwise_on_both_sets_and_encodings(
         seed in 1u64..u64::MAX,
         interaction in proptest::bool::ANY,
         step in 0u32..8,
         k in 0usize..12_000,
-        threads in 1usize..5,
     ) {
         let ranker = dense_ranker(seed, interaction);
         let mut reference = TuningSession::new(ranker.clone());
-        let mut session = TuningSession::parallel(ranker, threads);
+        let mut session = TuningSession::new(ranker);
         for dim in [2u8, 3] {
             assert_rank_fidelity(&mut reference, &mut session, &instance(dim, step), k)?;
         }
@@ -116,24 +115,22 @@ proptest! {
         k in 1usize..2_000,
     ) {
         let mut reference = TuningSession::new(tie_heavy_ranker());
-        let mut session = TuningSession::parallel(tie_heavy_ranker(), 3);
+        let mut session = TuningSession::new(tie_heavy_ranker());
         for dim in [2u8, 3] {
             assert_rank_fidelity(&mut reference, &mut session, &instance(dim, step), k)?;
         }
     }
 
     /// Invariant 2: a run of mixed-dimensionality queries on one session
-    /// answers bit-for-bit like a fresh session per query, in sequential
-    /// and parallel sessions alike.
+    /// answers bit-for-bit like a fresh session per query.
     #[test]
     fn one_session_answers_like_a_fresh_session_per_query(
         seed in 1u64..u64::MAX,
         steps in prop::collection::vec((0u32..6, any::<bool>()), 1..7),
-        threads in 1usize..5,
         k in 1usize..24,
     ) {
         let ranker = dense_ranker(seed, true);
-        let mut session = TuningSession::parallel(ranker.clone(), threads);
+        let mut session = TuningSession::new(ranker.clone());
         for &(s, is_2d) in &steps {
             let q = instance(if is_2d { 2 } else { 3 }, s);
             let top = session.top_k_predefined(&q, k);

@@ -47,8 +47,10 @@ struct CachedDecision {
 
 /// A bounded LRU cache of top-k tuning decisions keyed by [`InstanceKey`].
 ///
-/// Owned by the service worker (no interior locking); the service exposes
-/// its counters through [`ServeStats`](crate::ServeStats).
+/// No interior locking: a [`TuneService`](crate::TuneService) keeps it
+/// behind one `Mutex`, which its worker takes for each lookup and each
+/// insert and each cache-control call takes once. The service exposes its
+/// counters through [`ServeStats`](crate::ServeStats).
 #[derive(Debug)]
 pub struct DecisionCache {
     map: HashMap<InstanceKey, CachedDecision>,
@@ -212,16 +214,18 @@ impl DecisionCache {
     /// Removes the decisions matching a key-fingerprint predicate and
     /// returns them as a snapshot (LRU-first, like
     /// [`snapshot`](Self::snapshot)). Counters are untouched — a topology
-    /// change is not an eviction.
+    /// change is not an eviction. `pred` runs before anything is removed,
+    /// so a panicking predicate leaves the cache as it was.
     pub fn extract(
         &mut self,
         ranker_fingerprint: u64,
         pred: impl Fn(u64) -> bool,
     ) -> CacheSnapshot {
-        let snap = self.snapshot_filtered(ranker_fingerprint, &pred);
-        self.map.retain(|key, _| !pred(key.fingerprint()));
-        let map = &self.map;
-        self.order.retain(|_, key| map.contains_key(key));
+        let snap = self.snapshot_filtered(ranker_fingerprint, pred);
+        for e in &snap.entries {
+            self.map.remove(&e.key);
+            self.order.remove(&e.last_used);
+        }
         snap
     }
 

@@ -5,28 +5,31 @@
 //! many concurrent callers tune many (often repeated) instances:
 //!
 //! ```text
-//!   clients ──submit──▶ MPSC queue ──drain──▶ micro-batch
+//!   clients ──submit──▶ MPSC queue ──drain──▶ micro-batch, in queue order
 //!                                                │
-//!                                  ┌─ decision cache (InstanceKey → top-k)
-//!                                  │      hits answered immediately
+//!                                  ┌─ decision cache (InstanceKey → top-k),
+//!                                  │  one lock: hits answered immediately
 //!                                  ▼
-//!                        dedup misses by key ──▶ one session query per
-//!                        unique instance: fold its score, rescore the
-//!                        near-ties on full rows, partial-select the k best
+//!                        a miss, lock released: one session query (fold
+//!                        its score, rescore the near-ties on full rows,
+//!                        partial-select the k best), then a cache insert
+//!                        before the next lookup
 //!                                  │
 //!                                  ▼
-//!                        reply tickets + cache insert + counters
+//!                        counters, then reply tickets
 //! ```
 //!
 //! Three mechanisms carry the throughput:
 //!
 //! * **Micro-batching** ([`TuneService`]) — each batch is whatever is
-//!   queued when the worker looks, and each of its unique misses is one
+//!   queued when the worker looks, answered in queue order, and each of
+//!   its misses is one
 //!   [`TuningSession::top_k_predefined`](sorl::session::TuningSession::top_k_predefined)
-//!   call. Requests in the same batch that share a canonical
-//!   [`InstanceKey`](stencil_model::InstanceKey) are scored once and
-//!   answered many times. No batch waits for company: each miss is its own
-//!   folded query, so a held batch would share no scoring work.
+//!   call. A miss is cached before the next request is looked up, so
+//!   requests in one batch that share a canonical
+//!   [`InstanceKey`](stencil_model::InstanceKey) are scored once and the
+//!   rest hit (with the cache on). No batch waits for company: each miss
+//!   is its own folded query, so a held batch would share no scoring work.
 //! * **Top-k answers** ([`sorl::tuner::TopK`]) — callers get the `k` best
 //!   vectors with scores via a partial select, never a full sort of the
 //!   1600/8640-candidate sets.
@@ -42,7 +45,8 @@
 //!   rejects stale decisions) and restores warm after a restart; slices
 //!   selected by key fingerprint can be exported/extracted and imported
 //!   across services, which is how the `sorl-shard` router ships warm-up
-//!   state on topology changes.
+//!   state on topology changes. Each of these takes the cache lock on the
+//!   caller's thread; none waits behind queued tunes.
 //!
 //! And two keep it standing under overload:
 //!
@@ -78,9 +82,7 @@ pub mod ticket;
 
 pub use cache::DecisionCache;
 pub use exemplar::{Exemplar, ExemplarStore};
-pub use service::{
-    KeyFilter, ServeConfig, ServeError, ShedReason, TuneClient, TuneRequest, TuneService,
-};
+pub use service::{ServeConfig, ServeError, ShedReason, TuneClient, TuneRequest, TuneService};
 pub use snapshot::{CacheSnapshot, SnapshotEntry, SnapshotError, SNAPSHOT_FORMAT_VERSION};
 pub use stats::ServeStats;
 pub use ticket::TuneTicket;

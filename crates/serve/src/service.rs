@@ -1,14 +1,15 @@
 //! The tuning service: an MPSC request queue, a micro-batching worker,
 //! cloneable client handles, and admission control.
 //!
-//! One worker thread owns the [`TuningSession`] (its scratch buffers) and
-//! the [`DecisionCache`]. Clients submit
-//! [`TuneRequest`]s through a cloneable [`TuneClient`]; the worker drains
-//! the queue into a micro-batch, answers what it can from the cache,
-//! deduplicates the remaining requests by [`InstanceKey`], and answers
-//! each unique instance with one [`TuningSession::top_k_predefined`] call
-//! (one folded query). Every answer is a [`TopK`]: the k best tuning
-//! vectors with scores, from a partial select.
+//! One worker thread owns the [`TuningSession`] (its scratch buffers); the
+//! [`DecisionCache`] sits behind one lock shared by the worker and the
+//! service handle. Clients submit [`TuneRequest`]s through a cloneable
+//! [`TuneClient`]; the worker drains the queue into a micro-batch and
+//! answers it in queue order. Each request is looked up in the cache; a
+//! miss is answered with one [`TuningSession::top_k_predefined`] call
+//! (one folded query) with the lock released, and inserted before the
+//! next lookup, so a key queued twice is scored once. Every answer is a
+//! [`TopK`]: the k best tuning vectors with scores, from a partial select.
 //!
 //! Submission is non-blocking: [`TuneClient::submit`] returns a
 //! [`TuneTicket`] (a completion slot to wait on or hang a callback on —
@@ -27,11 +28,13 @@
 //! [`TuneService::import_cache`] replays one into a running service, so a
 //! restarted process starts warm. [`TuneService::export_cache`] /
 //! [`TuneService::extract_cache`] move key-fingerprint slices between
-//! services — the warm-up shipping primitive of the shard router.
+//! services — the warm-up shipping primitive of the shard router. All
+//! four take the cache lock on the calling thread and never queue behind
+//! tunes, so they are not ordered after them either: an import can land
+//! before a tune queued earlier, which then hits.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -226,10 +229,6 @@ impl Admission {
     }
 }
 
-/// A key-fingerprint predicate selecting a cache slice (see
-/// [`InstanceKey::fingerprint`]).
-pub type KeyFilter = Box<dyn Fn(u64) -> bool + Send>;
-
 /// Events the service's flight recorder can hold. Sized for "the last
 /// few seconds of a busy service": at 3 events per request, 4096 slots
 /// cover the most recent ~1300 requests.
@@ -246,18 +245,6 @@ enum Msg {
         trace: TraceId,
         span: SpanId,
         submitted: Instant,
-    },
-    Export {
-        filter: Option<KeyFilter>,
-        reply: mpsc::Sender<CacheSnapshot>,
-    },
-    Extract {
-        filter: KeyFilter,
-        reply: mpsc::Sender<CacheSnapshot>,
-    },
-    Import {
-        snapshot: Box<CacheSnapshot>,
-        reply: mpsc::Sender<Result<usize, ServeError>>,
     },
     Shutdown,
 }
@@ -288,6 +275,7 @@ enum Msg {
 pub struct TuneService {
     tx: mpsc::Sender<Msg>,
     worker: Option<JoinHandle<()>>,
+    cache: Arc<Mutex<DecisionCache>>,
     counters: Arc<Counters>,
     admission: Arc<Admission>,
     recorder: Arc<FlightRecorder>,
@@ -300,6 +288,7 @@ impl TuneService {
     /// Spawns a service whose worker thread owns one scoring session.
     pub fn spawn(ranker: StencilRanker, config: ServeConfig) -> Self {
         let (tx, rx) = mpsc::channel();
+        let cache = Arc::new(Mutex::new(DecisionCache::new(config.cache_capacity)));
         let counters = Arc::new(Counters::default());
         let admission = Arc::new(Admission::new(&config));
         let recorder = Arc::new(FlightRecorder::new(FLIGHT_RECORDER_EVENTS));
@@ -308,6 +297,7 @@ impl TuneService {
         // request spans, so a trace dump shows when the budget started
         // burning next to the requests that burned it.
         let slo = Arc::new(SloTracker::with_recorder(SloConfig::default(), Arc::clone(&recorder)));
+        let worker_cache = Arc::clone(&cache);
         let worker_counters = Arc::clone(&counters);
         let worker_recorder = Arc::clone(&recorder);
         let worker_exemplars = Arc::clone(&exemplars);
@@ -321,11 +311,11 @@ impl TuneService {
                     rx,
                     session,
                     config,
+                    &worker_cache,
                     &worker_counters,
                     &worker_recorder,
                     &worker_exemplars,
                     &worker_slo,
-                    fingerprint,
                 )
             })
             // sorl-lint: allow(panic, "spawn fails only on thread-resource exhaustion at service construction; there is no service to degrade gracefully yet")
@@ -333,6 +323,7 @@ impl TuneService {
         TuneService {
             tx,
             worker: Some(worker),
+            cache,
             counters,
             admission,
             recorder,
@@ -353,9 +344,16 @@ impl TuneService {
         }
     }
 
-    /// A point-in-time snapshot of the service counters.
+    /// A point-in-time snapshot of the service counters, with the cache's
+    /// own hit, miss, eviction and residency counts read under its lock.
     pub fn stats(&self) -> ServeStats {
-        self.counters.snapshot()
+        let mut stats = self.counters.snapshot();
+        let cache = lock(&self.cache);
+        stats.cache_hits = cache.hits();
+        stats.cache_misses = cache.misses();
+        stats.cache_evictions = cache.evictions();
+        stats.cache_entries = cache.len() as u64;
+        stats
     }
 
     /// The service's flight recorder: the most recent queue-wait /
@@ -388,32 +386,22 @@ impl TuneService {
     /// Save it with [`CacheSnapshot::save_json`] and feed it to
     /// [`import_cache`](Self::import_cache) after a restart to start warm.
     pub fn cache_snapshot(&self) -> Result<CacheSnapshot, ServeError> {
-        self.export(None)
+        Ok(lock(&self.cache).snapshot(self.fingerprint))
     }
 
     /// Exports the cache slice whose [`InstanceKey::fingerprint`]s satisfy
     /// `filter`, leaving the cache untouched — what a shard hands to a new
     /// owner that is *also* keeping its own copy warm.
-    pub fn export_cache(
-        &self,
-        filter: impl Fn(u64) -> bool + Send + 'static,
-    ) -> Result<CacheSnapshot, ServeError> {
-        self.export(Some(Box::new(filter)))
+    pub fn export_cache(&self, filter: impl Fn(u64) -> bool) -> Result<CacheSnapshot, ServeError> {
+        Ok(lock(&self.cache).snapshot_filtered(self.fingerprint, filter))
     }
 
     /// Removes and returns the cache slice whose
     /// [`InstanceKey::fingerprint`]s satisfy `filter` — the ownership
     /// handoff of a topology change (the keys now route elsewhere, so
     /// keeping the decisions here would only waste capacity).
-    pub fn extract_cache(
-        &self,
-        filter: impl Fn(u64) -> bool + Send + 'static,
-    ) -> Result<CacheSnapshot, ServeError> {
-        let (reply, rx) = mpsc::channel();
-        self.tx
-            .send(Msg::Extract { filter: Box::new(filter), reply })
-            .map_err(|_| ServeError::Closed)?;
-        rx.recv().map_err(|_| ServeError::Closed)
+    pub fn extract_cache(&self, filter: impl Fn(u64) -> bool) -> Result<CacheSnapshot, ServeError> {
+        Ok(lock(&self.cache).extract(self.fingerprint, filter))
     }
 
     /// Replays a snapshot into the live cache (merging with resident
@@ -423,17 +411,7 @@ impl TuneService {
     /// [`ServeError::Snapshot`] without touching the cache. Returns the
     /// number of entries applied.
     pub fn import_cache(&self, snapshot: CacheSnapshot) -> Result<usize, ServeError> {
-        let (reply, rx) = mpsc::channel();
-        self.tx
-            .send(Msg::Import { snapshot: Box::new(snapshot), reply })
-            .map_err(|_| ServeError::Closed)?;
-        rx.recv().map_err(|_| ServeError::Closed)?
-    }
-
-    fn export(&self, filter: Option<KeyFilter>) -> Result<CacheSnapshot, ServeError> {
-        let (reply, rx) = mpsc::channel();
-        self.tx.send(Msg::Export { filter, reply }).map_err(|_| ServeError::Closed)?;
-        rx.recv().map_err(|_| ServeError::Closed)
+        Ok(lock(&self.cache).restore(&snapshot, self.fingerprint)?)
     }
 
     /// Shuts the worker down, answering everything already queued first.
@@ -536,18 +514,25 @@ struct Queued {
     submitted: Instant,
 }
 
+/// Locks the decision cache, recovering from poisoning like the crate's
+/// other locks. No panic can leave the cache torn: the only caller code
+/// run under the lock is a slice filter, and it runs before anything in
+/// the cache changes.
+fn lock(cache: &Mutex<DecisionCache>) -> MutexGuard<'_, DecisionCache> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     rx: mpsc::Receiver<Msg>,
     mut session: TuningSession,
     config: ServeConfig,
+    cache: &Mutex<DecisionCache>,
     counters: &Counters,
     recorder: &FlightRecorder,
     exemplars: &ExemplarStore,
     slo: &SloTracker,
-    fingerprint: u64,
 ) {
-    let mut cache = DecisionCache::new(config.cache_capacity);
     let max_batch = config.max_batch.max(1);
     let mut recent = RecentLatencies::new();
     let mut live = true;
@@ -583,14 +568,11 @@ fn worker_loop(
                     live = false;
                     break;
                 }
-                // Cache-control messages are handled inline; they never
-                // join a batch.
-                control => handle_control(control, &mut cache, counters, fingerprint),
             }
         }
         serve_batch(
             &mut session,
-            &mut cache,
+            cache,
             &config,
             counters,
             recorder,
@@ -603,50 +585,10 @@ fn worker_loop(
     }
 }
 
-/// Handles a cache-control message (export / extract / import) on the
-/// worker thread, where the cache lives.
-fn handle_control(msg: Msg, cache: &mut DecisionCache, counters: &Counters, fingerprint: u64) {
-    match msg {
-        Msg::Export { filter, reply } => {
-            let snap = match filter {
-                Some(f) => cache.snapshot_filtered(fingerprint, f),
-                None => cache.snapshot(fingerprint),
-            };
-            let _ = reply.send(snap);
-        }
-        Msg::Extract { filter, reply } => {
-            let snap = cache.extract(fingerprint, filter);
-            counters.cache_entries.store(cache.len() as u64, Ordering::Relaxed);
-            let _ = reply.send(snap);
-        }
-        Msg::Import { snapshot, reply } => {
-            let result = cache.restore(&snapshot, fingerprint).map_err(ServeError::from);
-            counters.cache_entries.store(cache.len() as u64, Ordering::Relaxed);
-            counters.cache_evictions.store(cache.evictions(), Ordering::Relaxed);
-            let _ = reply.send(result);
-        }
-        // Tune and Shutdown are consumed by the worker loop itself.
-        // sorl-lint: allow(panic, "the worker loop matches Tune/Shutdown before calling here; reaching this arm is a dispatch bug")
-        Msg::Tune { .. } | Msg::Shutdown => unreachable!("not a control message"),
-    }
-}
-
-/// Requests of one micro-batch sharing an [`InstanceKey`]: scored once,
-/// answered many times.
-struct Group {
-    /// Index (into the batch) of the request whose instance is encoded.
-    representative: usize,
-    /// Depth to compute: max requested `k` of the members, at least the
-    /// cache floor.
-    k: usize,
-    /// Batch indices answered by this group.
-    members: Vec<usize>,
-}
-
 #[allow(clippy::too_many_arguments)]
 fn serve_batch(
     session: &mut TuningSession,
-    cache: &mut DecisionCache,
+    cache: &Mutex<DecisionCache>,
     config: &ServeConfig,
     counters: &Counters,
     recorder: &FlightRecorder,
@@ -670,57 +612,33 @@ fn serve_batch(
     let batch_trace = batch.first().map(|q| q.trace).unwrap_or_else(TraceId::fresh);
     let batch_span = recorder.span(batch_trace, "score_batch");
 
-    // Pass 1: answer from the cache; group the misses by canonical key so
-    // every unique instance is encoded and scored exactly once.
+    // Answer in queue order. The lock is held for one lookup or one
+    // insert at a time, never across a scoring pass, and each miss is
+    // inserted before the next lookup: a key queued twice is scored once.
     let k_floor = if config.cache_capacity == 0 { 0 } else { CACHE_K_FLOOR };
-    let mut answers: Vec<Option<TopK>> = batch.iter().map(|_| None).collect();
-    let mut groups: Vec<Group> = Vec::new();
-    let mut group_of: HashMap<&InstanceKey, usize> = HashMap::new();
-    for (i, Queued { req, key, trace, .. }) in batch.iter().enumerate() {
-        if let Some((entries, candidates)) = cache.lookup(key, req.k) {
+    let mut scored = 0u64;
+    let mut answers = Vec::with_capacity(batch.len());
+    for Queued { req, key, trace, .. } in &batch {
+        // Bound first: in an `if let` scrutinee the guard would live on
+        // through the miss branch's scoring pass.
+        let hit = lock(cache).lookup(key, req.k);
+        if let Some((entries, candidates)) = hit {
             recorder.event(*trace, batch_span.span_id(), "cache_hit");
-            if let Some(slot) = answers.get_mut(i) {
-                *slot = Some(TopK { entries, candidates, seconds: 0.0 });
-            }
+            answers.push(TopK { entries, candidates, seconds: 0.0 });
             continue;
         }
         recorder.event(*trace, batch_span.span_id(), "cache_miss");
-        match group_of.get(key).and_then(|&g| groups.get_mut(g)) {
-            Some(group) => {
-                group.k = group.k.max(req.k);
-                group.members.push(i);
-            }
-            None => {
-                group_of.insert(key, groups.len());
-                groups.push(Group { representative: i, k: req.k.max(k_floor), members: vec![i] });
-            }
-        }
+        let mut top = session.top_k_predefined(&req.instance, req.k.max(k_floor));
+        scored += 1;
+        lock(cache).insert(key.clone(), top.entries.clone(), top.candidates);
+        top.entries.truncate(req.k);
+        answers.push(top);
     }
-
-    // Pass 2: one session query per unique instance. Every representative
-    // is a batch index recorded by pass 1, so the `get` never misses.
-    for g in &groups {
-        let Some(rep) = batch.get(g.representative) else { continue };
-        let top = session.top_k_predefined(&rep.req.instance, g.k);
-        cache.insert(rep.key.clone(), top.entries.clone(), top.candidates);
-        for &i in &g.members {
-            let Some(q) = batch.get(i) else { continue };
-            let Some(slot) = answers.get_mut(i) else { continue };
-            *slot = Some(TopK {
-                entries: top.entries.iter().take(q.req.k).cloned().collect(),
-                candidates: top.candidates,
-                seconds: top.seconds,
-            });
-        }
-    }
-    counters.scored_instances.fetch_add(groups.len() as u64, Ordering::Relaxed);
+    counters.scored_instances.fetch_add(scored, Ordering::Relaxed);
 
     // Publish the counters and histograms BEFORE replying: a client that
-    // reads `stats()` right after its answer arrives must see this batch.
-    counters.cache_hits.store(cache.hits(), Ordering::Relaxed);
-    counters.cache_misses.store(cache.misses(), Ordering::Relaxed);
-    counters.cache_evictions.store(cache.evictions(), Ordering::Relaxed);
-    counters.cache_entries.store(cache.len() as u64, Ordering::Relaxed);
+    // reads `stats()` right after its answer arrives must see this batch
+    // (the cache counters it reads were updated above, under the lock).
     let latency = started.elapsed();
     counters.record_batch(batch.len(), latency);
     // The rolling p99 the latency shedder reads: unlike the all-time
@@ -732,15 +650,14 @@ fn serve_batch(
     // publish-before-reply contract for the counters above.
     drop(batch_span);
 
-    // Pass 3: complete the tickets (a dropped ticket is fine — the client
-    // gave up; completing it is a no-op nobody observes), then account
-    // each request's end-to-end latency. Accounting runs AFTER the
-    // completion because `on_ready` callbacks fire on this thread — a
-    // transport's reply span has already closed by the time the
-    // exemplar snapshot is taken, so the captured chain is complete.
+    // Complete the tickets (a dropped ticket is fine — the client gave up;
+    // completing it is a no-op nobody observes), then account each
+    // request's end-to-end latency. Accounting runs AFTER the completion
+    // because `on_ready` callbacks fire on this thread — a transport's
+    // reply span has already closed by the time the exemplar snapshot is
+    // taken, so the captured chain is complete.
     for (Queued { reply, trace, submitted, .. }, answer) in batch.into_iter().zip(answers) {
-        // sorl-lint: allow(panic, "pass 1 or pass 2 filled every slot: each miss joined a group and every group was scored")
-        reply.complete(Ok(answer.expect("every request answered")));
+        reply.complete(Ok(answer));
         let latency = submitted.elapsed();
         slo.record(latency, true);
         if exemplars.observe(latency) {

@@ -68,17 +68,15 @@ impl RecentLatencies {
 /// readers. All updates are relaxed — the numbers are diagnostics and
 /// shed heuristics, not synchronization. The worker publishes every cell
 /// (histograms included) *before* replying to the batch, so a client that
-/// reads `stats()` right after its answer arrives sees its own batch.
+/// reads `stats()` right after its answer arrives sees its own batch. The
+/// cache's own counters are not here: `stats()` reads them from the
+/// cache, under its lock.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
     pub requests: AtomicU64,
     pub batches: AtomicU64,
     pub max_batch: AtomicU64,
     pub scored_instances: AtomicU64,
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    pub cache_evictions: AtomicU64,
-    pub cache_entries: AtomicU64,
     /// Live gauge: tuning requests admitted but not yet drained by the
     /// worker (incremented by submitters, decremented on dequeue).
     pub queue_depth: AtomicU64,
@@ -108,6 +106,7 @@ impl Counters {
         }
     }
 
+    /// Everything but the cache fields, which stay 0 here.
     pub(crate) fn snapshot(&self) -> ServeStats {
         let mut batch_size_hist = [0u64; BATCH_SIZE_BUCKETS];
         for (o, c) in batch_size_hist.iter_mut().zip(&self.batch_sizes) {
@@ -122,10 +121,6 @@ impl Counters {
             batches: self.batches.load(Ordering::Relaxed),
             max_batch: self.max_batch.load(Ordering::Relaxed),
             scored_instances: self.scored_instances.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            cache_entries: self.cache_entries.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             shed_queue: self.shed_queue.load(Ordering::Relaxed),
             shed_latency: self.shed_latency.load(Ordering::Relaxed),
@@ -135,6 +130,7 @@ impl Counters {
             batch_latency_p95_s: histogram_percentile(&latency, 0.95),
             batch_latency_p99_s: histogram_percentile(&latency, 0.99),
             batch_latency_hist: latency,
+            ..ServeStats::default()
         }
     }
 }
@@ -172,8 +168,10 @@ pub struct ServeStats {
     pub batches: u64,
     /// Largest micro-batch observed.
     pub max_batch: u64,
-    /// Unique instances that went through the scoring pipeline — with
-    /// within-batch dedup this can be far below `cache_misses`.
+    /// Scoring passes run, one per cache miss. A miss is cached before the
+    /// next lookup, so duplicates queued together count as hits; only a
+    /// deeper `k` than the cached one, or a disabled cache, scores a key
+    /// twice.
     pub scored_instances: u64,
     /// Requests answered from the decision cache.
     pub cache_hits: u64,
@@ -448,12 +446,12 @@ mod tests {
         c.requests.fetch_add(10, Ordering::Relaxed);
         c.batches.fetch_add(2, Ordering::Relaxed);
         c.max_batch.fetch_max(7, Ordering::Relaxed);
-        c.cache_hits.fetch_add(6, Ordering::Relaxed);
-        c.cache_misses.fetch_add(4, Ordering::Relaxed);
         let s = c.snapshot();
         assert_eq!(s.requests, 10);
         assert_eq!(s.mean_batch(), 5.0);
         assert_eq!(s.max_batch, 7);
+        // The cache fields come from the cache, not from `Counters`.
+        let s = ServeStats { cache_hits: 6, cache_misses: 4, ..s };
         assert!((s.hit_rate() - 0.6).abs() < 1e-12);
         let line = s.to_string();
         assert!(line.contains("10 requests"), "{line}");

@@ -25,13 +25,7 @@ fn bounded_queue_sheds_with_queue_full_and_counters_balance() {
     // A queue capped at 2 with single-request batches: a tight submission
     // loop outruns the worker (each batch is a real scoring pass), so most
     // submissions must fast-reject with QueueFull.
-    let cfg = ServeConfig {
-        threads: 2,
-        max_batch: 1,
-        cache_capacity: 0,
-        max_queue: 2,
-        ..Default::default()
-    };
+    let cfg = ServeConfig { max_batch: 1, cache_capacity: 0, max_queue: 2, ..Default::default() };
     let service = TuneService::spawn(dense_ranker(), cfg);
     let client = service.client();
 
@@ -73,7 +67,6 @@ fn latency_shedding_trips_under_backlog_and_recovers() {
     // the queue is backed up past one batch — so after the backlog drains,
     // admission must recover even though the rolling p99 stays high.
     let cfg = ServeConfig {
-        threads: 2,
         max_batch: 1,
         cache_capacity: 0,
         max_queue: 0, // unbounded: isolate the latency shedder
@@ -119,7 +112,7 @@ fn latency_shedding_trips_under_backlog_and_recovers() {
 fn tickets_run_callbacks_against_a_live_service() {
     let ranker = dense_ranker();
     let mut reference = TuningSession::new(ranker.clone());
-    let service = TuneService::spawn(ranker, ServeConfig { threads: 2, ..Default::default() });
+    let service = TuneService::spawn(ranker, ServeConfig::default());
     let client = service.client();
 
     // The waker-style path: the hook hands the outcome to a channel the

@@ -20,10 +20,6 @@ fn lap(n: u32) -> StencilInstance {
     StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(n)).unwrap()
 }
 
-fn config() -> ServeConfig {
-    ServeConfig { threads: 1, ..Default::default() }
-}
-
 /// Builds a cache from a compact random description: each `(size_step,
 /// depth, score_salt, touch)` becomes one decision with `depth` entries,
 /// optionally re-touched to scramble the LRU order.
@@ -139,7 +135,7 @@ fn restarted_service_answers_repeats_from_the_warm_cache() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("decisions.json");
     let (first_answers, fingerprint) = {
-        let service = TuneService::spawn(ranker.clone(), config());
+        let service = TuneService::spawn(ranker.clone(), ServeConfig::default());
         let client = service.client();
         let answers: Vec<_> = queries.iter().map(|q| client.tune(q.clone(), 3).unwrap()).collect();
         let snap = service.cache_snapshot().unwrap();
@@ -151,7 +147,7 @@ fn restarted_service_answers_repeats_from_the_warm_cache() {
     };
 
     // Second incarnation: load, import, and answer repeats warm.
-    let service = TuneService::spawn(ranker, config());
+    let service = TuneService::spawn(ranker, ServeConfig::default());
     assert_eq!(service.ranker_fingerprint(), fingerprint, "same model, same fingerprint");
     let snap = CacheSnapshot::load_json(&path).unwrap();
     assert_eq!(service.import_cache(snap).unwrap(), queries.len());
@@ -172,7 +168,7 @@ fn restarted_service_answers_repeats_from_the_warm_cache() {
 fn retrained_service_rejects_the_old_snapshot() {
     let queries = [lap(96), lap(128)];
     let snap = {
-        let service = TuneService::spawn(dense_ranker(7), config());
+        let service = TuneService::spawn(dense_ranker(7), ServeConfig::default());
         let client = service.client();
         for q in &queries {
             client.tune(q.clone(), 2).unwrap();
@@ -181,7 +177,7 @@ fn retrained_service_rejects_the_old_snapshot() {
     };
 
     // A retrained model (different weights) must reject the decisions.
-    let service = TuneService::spawn(dense_ranker(8), config());
+    let service = TuneService::spawn(dense_ranker(8), ServeConfig::default());
     let err = service.import_cache(snap).unwrap_err();
     assert!(matches!(err, ServeError::Snapshot(SnapshotError::RankerMismatch { .. })), "{err}");
     assert_eq!(service.stats().cache_entries, 0);
@@ -194,7 +190,7 @@ fn retrained_service_rejects_the_old_snapshot() {
 #[test]
 fn export_and_extract_move_slices_between_live_services() {
     let ranker = dense_ranker(7);
-    let a = TuneService::spawn(ranker.clone(), config());
+    let a = TuneService::spawn(ranker.clone(), ServeConfig::default());
     let client = a.client();
     let queries = [lap(96), lap(128), lap(160), lap(192)];
     for q in &queries {
@@ -211,7 +207,7 @@ fn export_and_extract_move_slices_between_live_services() {
     assert_eq!(a.stats().cache_entries, queries.len() as u64 - 1, "extract removed it");
 
     // The extracted slice warms a second service.
-    let b = TuneService::spawn(ranker, config());
+    let b = TuneService::spawn(ranker, ServeConfig::default());
     assert_eq!(b.import_cache(slice).unwrap(), 1);
     b.client().tune(queries[1].clone(), 2).unwrap();
     let stats = b.stats();
@@ -223,7 +219,7 @@ fn export_and_extract_move_slices_between_live_services() {
 fn torn_snapshot_file_is_rejected_without_touching_the_live_cache() {
     let ranker = dense_ranker(7);
     let queries = [lap(96), lap(128), lap(160)];
-    let service = TuneService::spawn(ranker, config());
+    let service = TuneService::spawn(ranker, ServeConfig::default());
     let client = service.client();
     for q in &queries {
         client.tune(q.clone(), 2).unwrap();

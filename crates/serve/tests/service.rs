@@ -23,16 +23,11 @@ fn blur(n: u32) -> StencilInstance {
     StencilInstance::new(StencilKernel::blur(), GridSize::square(n)).unwrap()
 }
 
-fn config() -> ServeConfig {
-    // Modest threads so CI machines are not oversubscribed.
-    ServeConfig { threads: 2, ..Default::default() }
-}
-
 #[test]
 fn service_answers_match_direct_session_queries() {
     let ranker = dense_ranker();
     let mut reference = TuningSession::new(ranker.clone());
-    let service = TuneService::spawn(ranker, config());
+    let service = TuneService::spawn(ranker, ServeConfig::default());
     let client = service.client();
     for (q, k) in [(lap(128), 1), (blur(1024), 3), (lap(96), 17), (blur(640), 0)] {
         let got = client.tune(q.clone(), k).unwrap();
@@ -48,7 +43,7 @@ fn service_answers_match_direct_session_queries() {
 
 #[test]
 fn repeated_queries_hit_the_decision_cache() {
-    let service = TuneService::spawn(dense_ranker(), config());
+    let service = TuneService::spawn(dense_ranker(), ServeConfig::default());
     let client = service.client();
     let first = client.tune(lap(128), 3).unwrap();
     for _ in 0..5 {
@@ -71,7 +66,7 @@ fn repeated_queries_hit_the_decision_cache() {
 fn structurally_identical_kernels_share_one_cache_entry() {
     // Same pattern/buffers/dtype/size under a different name must be the
     // same decision — the cache keys on InstanceKey, not on the kernel id.
-    let service = TuneService::spawn(dense_ranker(), config());
+    let service = TuneService::spawn(dense_ranker(), ServeConfig::default());
     let client = service.client();
     let k = StencilKernel::laplacian();
     let renamed =
@@ -86,32 +81,42 @@ fn structurally_identical_kernels_share_one_cache_entry() {
 
 #[test]
 fn within_batch_duplicates_are_scored_once() {
-    // Cache disabled: the dedup must come from micro-batch grouping alone.
-    let service = TuneService::spawn(dense_ranker(), ServeConfig { cache_capacity: 0, ..config() });
+    // However the 8 requests split into batches, each of the 2 keys misses
+    // once and is cached before its next lookup, so the other 6 hit.
+    let service = TuneService::spawn(dense_ranker(), ServeConfig::default());
     let client = service.client();
-    // A query for the whole 3-D set takes the full-row path and holds the
-    // worker for milliseconds. Once the worker has taken it as a batch of
-    // one, the 8 requests queue behind it and drain as one batch.
-    let slow = client.submit(lap(96), 8640).unwrap();
-    while service.stats().batches == 0 {
-        std::thread::sleep(Duration::from_micros(100));
-    }
     let requests: Vec<TuneRequest> = (0..8)
         .map(|i| TuneRequest::new(if i % 2 == 0 { lap(128) } else { blur(1024) }, 2))
         .collect();
     let answers = client.tune_many(requests).unwrap();
-    slow.wait().unwrap();
     assert_eq!(answers.len(), 8);
     for pair in answers.chunks(2) {
         assert_eq!(answers[0].entries, pair[0].entries);
         assert_eq!(answers[1].entries, pair[1].entries);
     }
     let stats = service.stats();
-    assert_eq!(stats.requests, 9);
-    assert_eq!(stats.cache_hits, 0, "cache is disabled");
-    assert_eq!(stats.batches, 2, "{stats}");
-    // 8 requests over 2 unique instances in one batch: two passes.
-    assert_eq!(stats.scored_instances, 1 + 2, "{stats}");
+    assert_eq!(stats.requests, 8);
+    assert_eq!(stats.scored_instances, 2, "{stats}");
+    assert_eq!(stats.cache_hits, 6, "{stats}");
+}
+
+#[test]
+fn cache_control_does_not_wait_behind_queued_tunes() {
+    // 32 distinct whole-set 3-D queries take the full-row path, milliseconds
+    // each: a backlog of well over 100 ms. With one request per batch, a
+    // snapshot queued behind them would hold every one of their answers.
+    const BACKLOG: usize = 32;
+    let cfg = ServeConfig { max_batch: 1, ..Default::default() };
+    let service = TuneService::spawn(dense_ranker(), cfg);
+    let client = service.client();
+    let tickets: Vec<_> =
+        (0..BACKLOG as u32).map(|i| client.submit(lap(64 + 8 * i), 8640).unwrap()).collect();
+    let snapshot = service.cache_snapshot().unwrap();
+    assert!(snapshot.len() < BACKLOG, "the snapshot waited for all {BACKLOG} queued tunes");
+    for ticket in tickets {
+        ticket.wait().unwrap();
+    }
+    assert_eq!(service.cache_snapshot().unwrap().len(), BACKLOG);
 }
 
 #[test]
@@ -121,7 +126,7 @@ fn concurrent_clients_all_get_correct_answers() {
     let expected: Vec<_> =
         [64u32, 96, 128].iter().map(|&n| reference.top_k_predefined(&lap(n), 2).entries).collect();
 
-    let service = TuneService::spawn(ranker, config());
+    let service = TuneService::spawn(ranker, ServeConfig::default());
     let workers: Vec<_> = (0..4)
         .map(|w| {
             let client = service.client();
@@ -148,7 +153,7 @@ fn concurrent_clients_all_get_correct_answers() {
 fn a_mixed_burst_of_hits_misses_and_duplicates_matches_direct_queries() {
     let ranker = dense_ranker();
     let mut reference = TuningSession::new(ranker.clone());
-    let service = TuneService::spawn(ranker, config());
+    let service = TuneService::spawn(ranker, ServeConfig::default());
     let client = service.client();
     client.tune(lap(96), 4).unwrap();
     client.tune(blur(640), 4).unwrap();
@@ -176,7 +181,7 @@ fn a_mixed_burst_of_hits_misses_and_duplicates_matches_direct_queries() {
 
 #[test]
 fn a_lone_miss_is_not_held() {
-    let service = TuneService::spawn(dense_ranker(), config());
+    let service = TuneService::spawn(dense_ranker(), ServeConfig::default());
     let client = service.client();
     let miss = TraceId::fresh();
     client.submit_traced(lap(64), 2, miss).unwrap().wait().unwrap();
@@ -198,7 +203,7 @@ fn a_lone_miss_is_not_held() {
 
 #[test]
 fn latency_percentiles_and_size_histogram_are_published_with_answers() {
-    let service = TuneService::spawn(dense_ranker(), config());
+    let service = TuneService::spawn(dense_ranker(), ServeConfig::default());
     let client = service.client();
     client.tune(lap(128), 2).unwrap();
     // The no-read-race contract: right after an answer arrives, stats()
@@ -223,7 +228,7 @@ fn latency_percentiles_and_size_histogram_are_published_with_answers() {
 
 #[test]
 fn shutdown_rejects_later_submissions() {
-    let service = TuneService::spawn(dense_ranker(), config());
+    let service = TuneService::spawn(dense_ranker(), ServeConfig::default());
     let client = service.client();
     assert!(client.tune(lap(64), 1).is_ok());
     drop(service);
@@ -233,7 +238,7 @@ fn shutdown_rejects_later_submissions() {
 
 #[test]
 fn eviction_counters_surface_in_stats() {
-    let cfg = ServeConfig { cache_capacity: 2, ..config() };
+    let cfg = ServeConfig { cache_capacity: 2, ..Default::default() };
     let service = TuneService::spawn(dense_ranker(), cfg);
     let client = service.client();
     for n in [64u32, 80, 96, 112] {

@@ -50,7 +50,6 @@ struct Options {
     ranker: Option<PathBuf>,
     synthetic_seed: Option<u64>,
     snapshot: Option<PathBuf>,
-    threads: Option<usize>,
     cache_capacity: Option<usize>,
     max_queue: Option<usize>,
     shed_p99_ms: Option<u64>,
@@ -59,7 +58,7 @@ struct Options {
 
 const USAGE: &str =
     "usage: sorl-shardd [--addr HOST:PORT] (--ranker MODEL.json | --synthetic-ranker SEED) \
-     [--snapshot CACHE.json] [--threads N] [--cache-capacity N] [--max-queue N] \
+     [--snapshot CACHE.json] [--cache-capacity N] [--max-queue N] \
      [--shed-p99-ms MS] [--max-in-flight N] [--metrics-addr HOST:PORT]";
 
 fn parse_args() -> Result<Options, String> {
@@ -69,7 +68,6 @@ fn parse_args() -> Result<Options, String> {
         ranker: None,
         synthetic_seed: None,
         snapshot: None,
-        threads: None,
         cache_capacity: None,
         max_queue: None,
         shed_p99_ms: None,
@@ -90,10 +88,6 @@ fn parse_args() -> Result<Options, String> {
                     Some(seed.parse().map_err(|e| format!("bad seed {seed:?}: {e}"))?);
             }
             "--snapshot" => opts.snapshot = Some(PathBuf::from(value("path")?)),
-            "--threads" => {
-                let n = value("count")?;
-                opts.threads = Some(n.parse().map_err(|e| format!("bad thread count {n:?}: {e}"))?);
-            }
             "--cache-capacity" => {
                 let n = value("count")?;
                 opts.cache_capacity =
@@ -133,9 +127,6 @@ fn run() -> Result<(), String> {
     };
 
     let mut config = ServeConfig::default();
-    if let Some(threads) = opts.threads {
-        config.threads = threads;
-    }
     if let Some(capacity) = opts.cache_capacity {
         config.cache_capacity = capacity;
     }

@@ -13,12 +13,6 @@ fn dense_ranker() -> StencilRanker {
     sorl::synthetic_ranker(0x2545_f491_4f6c_dd1d)
 }
 
-/// Single-threaded scoring: these tests exercise routing and cache
-/// plumbing, not throughput.
-fn config() -> ServeConfig {
-    ServeConfig { threads: 1, ..Default::default() }
-}
-
 fn lap(n: u32) -> StencilInstance {
     StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(n)).unwrap()
 }
@@ -40,7 +34,9 @@ fn workload() -> Vec<StencilInstance> {
 fn three_shard_router(ranker: &StencilRanker) -> ShardRouter {
     let mut router = ShardRouter::new();
     for id in ["alpha", "beta", "gamma"] {
-        let report = router.add_shard(id, LocalShard::spawn(ranker.clone(), config())).unwrap();
+        let report = router
+            .add_shard(id, LocalShard::spawn(ranker.clone(), ServeConfig::default()))
+            .unwrap();
         assert_eq!(report.shipped, 0, "fresh shards have nothing to ship");
     }
     router
@@ -101,7 +97,9 @@ fn adding_a_shard_ships_exactly_the_remapped_slice() {
         qs.iter().filter(|q| new_topo.owner_of(&q.key()) != old_topo.owner_of(&q.key())).count();
     assert!(expected_moves > 0, "workload too small to exercise shipping");
 
-    let report = router.add_shard("delta", LocalShard::spawn(ranker.clone(), config())).unwrap();
+    let report = router
+        .add_shard("delta", LocalShard::spawn(ranker.clone(), ServeConfig::default()))
+        .unwrap();
     assert_eq!(report.shipped, expected_moves);
     assert_eq!(report.rejected, 0);
     assert_eq!(report.dropped, 0, "the default cache capacity fits the whole slice");
@@ -188,7 +186,8 @@ fn killed_shard_restarts_warm_from_its_snapshot() {
     // Restart warm from the persisted snapshot and rejoin.
     let loaded = sorl_serve::CacheSnapshot::load_json(&path).unwrap();
     let expected_restored = loaded.len();
-    let (reborn, restored) = LocalShard::spawn_warm(ranker.clone(), config(), loaded).unwrap();
+    let (reborn, restored) =
+        LocalShard::spawn_warm(ranker.clone(), ServeConfig::default(), loaded).unwrap();
     assert_eq!(restored, expected_restored);
     let report = router.add_shard("alpha", reborn).unwrap();
     assert_eq!(report.shipped, 1, "only the outage-era `fresh` decision ships back");
@@ -224,7 +223,7 @@ fn undersized_newcomer_accounts_for_capacity_dropped_decisions() {
         qs.iter().filter(|q| new_topo.owner_of(&q.key()) != old_topo.owner_of(&q.key())).count();
     assert!(moves > 0, "workload too small to exercise shipping");
 
-    let tiny_cfg = ServeConfig { cache_capacity: 1, ..config() };
+    let tiny_cfg = ServeConfig { cache_capacity: 1, ..Default::default() };
     let report = router.add_shard("tiny", LocalShard::spawn(ranker.clone(), tiny_cfg)).unwrap();
     // The slices merge into one import, so the capacity cap applies once:
     // exactly one decision fits, the rest is dropped — and the books
@@ -241,7 +240,8 @@ fn mismatched_ranker_is_rejected_on_join() {
     // A retrained (different-weight) model must not join the fleet.
     let encoder = FeatureEncoder::default_interaction();
     let other = StencilRanker::new(encoder.clone(), LinearRanker::zeros(encoder.dim()));
-    let err = router.add_shard("rogue", LocalShard::spawn(other, config())).unwrap_err();
+    let err =
+        router.add_shard("rogue", LocalShard::spawn(other, ServeConfig::default())).unwrap_err();
     assert!(matches!(err, ShardError::RankerMismatch { .. }), "{err}");
     assert_eq!(router.len(), 3, "topology unchanged after rejection");
     assert!(matches!(router.remove_shard("rogue").unwrap_err(), ShardError::UnknownShard(_)));
@@ -251,6 +251,8 @@ fn mismatched_ranker_is_rejected_on_join() {
 fn duplicate_ids_are_rejected() {
     let ranker = dense_ranker();
     let mut router = three_shard_router(&ranker);
-    let err = router.add_shard("alpha", LocalShard::spawn(ranker.clone(), config())).unwrap_err();
+    let err = router
+        .add_shard("alpha", LocalShard::spawn(ranker.clone(), ServeConfig::default()))
+        .unwrap_err();
     assert!(matches!(err, ShardError::DuplicateShard(_)), "{err}");
 }

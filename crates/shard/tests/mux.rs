@@ -22,10 +22,6 @@ fn dense_ranker(seed: u64) -> StencilRanker {
     sorl_shard::synthetic_ranker(seed)
 }
 
-fn config() -> ServeConfig {
-    ServeConfig { threads: 1, ..Default::default() }
-}
-
 fn lap(n: u32) -> StencilInstance {
     StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(n)).unwrap()
 }
@@ -206,7 +202,9 @@ fn redial_backoff_is_bounded_and_reported() {
 #[test]
 fn client_in_flight_cap_serializes_instead_of_failing() {
     let ranker = dense_ranker(0xabcd_ef01);
-    let server = ShardServer::spawn(TuneService::spawn(ranker, config()), "127.0.0.1:0").unwrap();
+    let server =
+        ShardServer::spawn(TuneService::spawn(ranker, ServeConfig::default()), "127.0.0.1:0")
+            .unwrap();
     let shard =
         std::sync::Arc::new(TcpShard::connect(server.local_addr()).unwrap().with_max_in_flight(1));
     let callers: Vec<_> = (0..6u32)

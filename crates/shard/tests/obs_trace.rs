@@ -14,12 +14,8 @@ use sorl_shard::wire::{self, bin, FrameKind};
 use sorl_shard::{ShardRouter, ShardServer, ShardTransport, TcpShard};
 use stencil_model::{GridSize, StencilInstance, StencilKernel};
 
-fn config() -> ServeConfig {
-    ServeConfig { threads: 1, ..Default::default() }
-}
-
 fn spawn_server(seed: u64) -> ShardServer {
-    let service = TuneService::spawn(sorl_shard::synthetic_ranker(seed), config());
+    let service = TuneService::spawn(sorl_shard::synthetic_ranker(seed), ServeConfig::default());
     ShardServer::spawn(service, "127.0.0.1:0").unwrap()
 }
 
@@ -268,7 +264,7 @@ fn sorl_trace_cli_renders_waterfalls_for_a_live_fleet() {
     let traced_config = ServeConfig {
         // Sub-millisecond absolute trigger: every request is an exemplar.
         exemplar_threshold: Duration::from_micros(1),
-        ..config()
+        ..Default::default()
     };
     let servers: Vec<ShardServer> = (0..2)
         .map(|_| {

@@ -16,12 +16,8 @@ use sorl_shard::wire::{self, bin, FrameKind};
 use sorl_shard::{CacheSlice, ShardServer, ShardTransport, TcpShard};
 use stencil_model::{GridSize, StencilInstance, StencilKernel, TuningVector};
 
-fn config() -> ServeConfig {
-    ServeConfig { threads: 1, ..Default::default() }
-}
-
 fn spawn_server(seed: u64) -> ShardServer {
-    let service = TuneService::spawn(sorl_shard::synthetic_ranker(seed), config());
+    let service = TuneService::spawn(sorl_shard::synthetic_ranker(seed), ServeConfig::default());
     ShardServer::spawn(service, "127.0.0.1:0").unwrap()
 }
 

@@ -26,10 +26,6 @@ fn dense_ranker(seed: u64) -> StencilRanker {
     sorl_shard::synthetic_ranker(seed)
 }
 
-fn config() -> ServeConfig {
-    ServeConfig { threads: 1, ..Default::default() }
-}
-
 fn lap(n: u32) -> StencilInstance {
     StencilInstance::new(StencilKernel::laplacian(), GridSize::cube(n)).unwrap()
 }
@@ -49,8 +45,11 @@ fn workload() -> Vec<StencilInstance> {
 
 /// Spawns a loopback shard server and a `TcpShard` linked to it.
 fn tcp_shard(ranker: &StencilRanker) -> (ShardServer, TcpShard) {
-    let server = ShardServer::spawn(TuneService::spawn(ranker.clone(), config()), "127.0.0.1:0")
-        .expect("bind loopback");
+    let server = ShardServer::spawn(
+        TuneService::spawn(ranker.clone(), ServeConfig::default()),
+        "127.0.0.1:0",
+    )
+    .expect("bind loopback");
     let shard = TcpShard::connect(server.local_addr()).expect("connect loopback");
     (server, shard)
 }
@@ -63,7 +62,7 @@ fn tcp_fleet_answers_bit_for_bit_like_a_local_fleet() {
     let mut tcp = ShardRouter::new();
     let mut servers = Vec::new();
     for id in ["alpha", "beta", "gamma"] {
-        local.add_shard(id, LocalShard::spawn(ranker.clone(), config())).unwrap();
+        local.add_shard(id, LocalShard::spawn(ranker.clone(), ServeConfig::default())).unwrap();
         let (server, shard) = tcp_shard(&ranker);
         tcp.add_shard(id, shard).unwrap();
         servers.push(server);
@@ -164,7 +163,7 @@ fn killed_tcp_shard_restarts_warm_from_its_snapshot_file() {
     // server (new port — the shard moved "hosts"), rejoin the fleet.
     let loaded = sorl_serve::CacheSnapshot::load_json(&path).unwrap();
     let expected = loaded.len();
-    let service = TuneService::spawn(ranker.clone(), config());
+    let service = TuneService::spawn(ranker.clone(), ServeConfig::default());
     assert_eq!(service.import_cache(loaded).unwrap(), expected);
     let server = ShardServer::spawn(service, "127.0.0.1:0").unwrap();
     let shard = TcpShard::connect(server.local_addr()).unwrap();
@@ -224,7 +223,8 @@ fn dropped_server_releases_its_port_for_a_successor() {
     // successor (same process, same address — the restart-in-place case)
     // can bind immediately instead of hitting AddrInUse.
     let successor =
-        ShardServer::spawn(TuneService::spawn(ranker.clone(), config()), addr).expect("rebind");
+        ShardServer::spawn(TuneService::spawn(ranker.clone(), ServeConfig::default()), addr)
+            .expect("rebind");
     assert_eq!(successor.local_addr(), addr);
     // The old TcpShard re-dials lazily and reaches the successor — its
     // first call(s) may still observe the dying link's closed fault
@@ -256,7 +256,7 @@ impl Daemon {
     fn spawn(extra_args: &[&str]) -> Daemon {
         use std::io::BufRead;
         let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_sorl-shardd"))
-            .args(["--addr", "127.0.0.1:0", "--threads", "1"])
+            .args(["--addr", "127.0.0.1:0"])
             .args(extra_args)
             .stdout(std::process::Stdio::piped())
             .spawn()
@@ -479,7 +479,7 @@ fn corrupted_snapshot_chunk_rejects_the_import_without_partial_apply() {
 
     // Build a valid 3-entry snapshot for the same ranker, then corrupt one
     // chunk byte in flight.
-    let donor = TuneService::spawn(ranker, config());
+    let donor = TuneService::spawn(ranker, ServeConfig::default());
     for q in [lap(128), lap(160), lap(192)] {
         donor.client().tune(q, 2).unwrap();
     }
@@ -510,7 +510,7 @@ fn import_then_export_preserves_decisions_and_order_across_the_wire() {
     let ranker = dense_ranker(0x2545_f491_4f6c_dd1d);
     let (_server, shard) = tcp_shard(&ranker);
 
-    let donor = TuneService::spawn(ranker, config());
+    let donor = TuneService::spawn(ranker, ServeConfig::default());
     let qs: Vec<_> = (0..12u32).map(|i| lap(64 + 8 * i)).collect();
     for q in &qs {
         donor.client().tune(q.clone(), 2).unwrap();

@@ -135,7 +135,6 @@ fn main() {
     // below still counts both).
     let ranker = synthetic_ranker(0x0badc0de);
     let config = ServeConfig {
-        threads: 1,
         max_batch: 8,
         cache_capacity: 0,
         max_queue: 4,

@@ -3,9 +3,9 @@
 //! Trains a model once, spawns a `TuneService`, then drives it from four
 //! client threads issuing a skewed workload (a few hot instances queried
 //! again and again, plus a tail of unique ones — the shape of real tuning
-//! traffic). Requests coalesce into micro-batches, duplicates are
-//! deduplicated per batch, and repeats are answered from the decision
-//! cache without any scoring at all.
+//! traffic). Requests coalesce into micro-batches, and repeats, duplicates
+//! queued in one batch included, are answered from the decision cache
+//! without any scoring at all.
 //!
 //! ```sh
 //! cargo run --release --example serve_demo
@@ -71,7 +71,7 @@ fn main() {
     println!("served {total} requests in {:.1} ms ({:.0} req/s)", wall * 1e3, total as f64 / wall);
     println!("  {stats}");
     println!(
-        "  scoring passes avoided: {} of {} requests ({:.0}% via cache + batch dedup)",
+        "  scoring passes avoided: {} of {} requests ({:.0}% via the cache)",
         total as u64 - stats.scored_instances,
         total,
         (total as u64 - stats.scored_instances) as f64 / total as f64 * 100.0

@@ -49,10 +49,10 @@
 //! scores every full row, one reused row at a time, on the calling thread.
 //!
 //! When many *concurrent* callers tune many (often repeated) instances,
-//! run a [`serve::TuneService`]: queued requests are micro-batched and
-//! deduplicated by instance, answers are the top-k configurations with
-//! scores, and a decision cache keyed on the canonical
-//! [`model::InstanceKey`] absorbs repeated traffic entirely (see
+//! run a [`serve::TuneService`]: queued requests are micro-batched,
+//! answers are the top-k configurations with scores, and a decision cache
+//! keyed on the canonical [`model::InstanceKey`] absorbs repeated traffic
+//! entirely, duplicates queued together included (see
 //! `examples/serve_demo.rs`).
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench` for
