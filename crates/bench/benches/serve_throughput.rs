@@ -16,7 +16,8 @@
 //!   disabled it would score all 8 requests, and its edge over the loop
 //!   would be gone.
 //! * `service_cache_hot_8x3d` — the same workload after warmup: 100% hits,
-//!   no scoring at all.
+//!   no scoring at all; the run trips unless the service's counters show
+//!   exactly that.
 //!
 //! The run writes a machine-readable `BENCH_serve_throughput.json`
 //! snapshot (see `sorl_bench::perf`). Set `SORL_BENCH_QUICK=1` for the CI
@@ -83,7 +84,9 @@ fn main() {
     let hot = TuneService::spawn(ranker.clone(), ServeConfig::default());
     let hot_client = hot.client();
     hot_client.tune_many(requests.clone()).unwrap();
+    let (warm_stats, mut sent) = (hot.stats(), 0u64);
     report.record("service_cache_hot_8x3d", samples, || {
+        sent += requests.len() as u64;
         black_box(hot_client.tune_many(requests.clone()).unwrap());
     });
     let hot_stats = hot.stats();
@@ -105,8 +108,15 @@ fn main() {
         cold_s <= loop_s * 1.10,
         "micro-batched service must not lose to the per-request loop: {cold_s} vs {loop_s}"
     );
+    // A hit skips scoring: over the hot samples nothing is scored, and
+    // every request sent is answered from the cache.
+    let scored = hot_stats.scored_instances - warm_stats.scored_instances;
+    let hits = hot_stats.cache_hits - warm_stats.cache_hits;
+    assert_eq!((scored, hits), (0, sent), "hot requests must hit and score nothing");
+    // A hit's cost does not follow the cold path's, so this ratio only
+    // guards against hits slowing toward misses (24 quick runs read 5.8-8.6).
     assert!(
-        hot_s * 10.0 <= cold_s,
-        "a 100% cache-hit workload must be >= 10x faster than cold: {hot_s} vs {cold_s}"
+        hot_s * 2.0 <= cold_s,
+        "a 100% cache-hit workload must be >= 2x faster than cold: {hot_s} vs {cold_s}"
     );
 }

@@ -22,6 +22,13 @@
 //! toward the whole set and costs time, never an answer. A fold belongs to
 //! one query, so no two queries share scoring work.
 //!
+//! The fold keeps each block triple's largest value, bit for bit
+//! ([`FoldedScores`]), so neither the select nor the band visits all 8640
+//! values: the k-th largest value is selected from the triples whose
+//! maximum reaches the k-th largest maximum
+//! ([`FoldedScores::kth_largest`]), and the band expands only the triples
+//! whose maximum reaches its floor ([`FoldedScores::band`]).
+//!
 //! **Full rows** serve [`TuningSession::scores`] over explicit candidates
 //! (the reference the tests compare against) and the predefined queries the
 //! fold cannot take: an instance with a `sigma` entry outside `[0, 1]` (a
@@ -43,7 +50,9 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use stencil_model::{ModelError, QueryFeatures, StencilInstance, TuningSpace, TuningVector};
+use stencil_model::{
+    FoldedScores, ModelError, QueryFeatures, StencilInstance, TuningSpace, TuningVector,
+};
 
 use crate::ranker::{validate_candidates, StencilRanker};
 use crate::tuner::{TopK, TunerDecision};
@@ -103,7 +112,7 @@ pub struct TuningSession {
     band: Vec<usize>,
     /// The last predefined query's folded scores (empty when it took the
     /// full-row path).
-    folded: Vec<f64>,
+    folded: FoldedScores,
     /// Scratch for the k-th largest folded score.
     select: Vec<f64>,
     /// One full feature row, reused for every row the session scores.
@@ -119,7 +128,7 @@ impl TuningSession {
             ranker,
             scores: Vec::new(),
             band: Vec::new(),
-            folded: Vec::new(),
+            folded: FoldedScores::default(),
             select: Vec::new(),
             row: Vec::with_capacity(dim),
         }
@@ -192,19 +201,17 @@ impl TuningSession {
         let k = k.max(1);
         self.folded.clear();
         self.band.clear();
-        // The band's floor, 2 eps below the fold's k-th largest value. It is
-        // not finite only when a degenerate encoder config yields NaN
-        // features, which full rows score as they always have.
+        // The band's floor, 2 eps below the fold's k-th largest value. The
+        // fold declines terms that are not finite (a degenerate encoder
+        // config yields NaN features), and such queries, like a floor that
+        // is not finite, are scored on full rows as they always have been.
         let floor = (k < candidates.len()
             && self.fold_error.is_finite()
             && encoder.fold_predefined(&qf, weights, &mut self.folded))
-        .then(|| kth_largest(&self.folded, k, &mut self.select) - 2.0 * self.fold_error)
+        .then(|| self.folded.kth_largest(k, &mut self.select) - 2.0 * self.fold_error)
         .filter(|floor| floor.is_finite());
         match floor {
-            Some(floor) => {
-                let folded = &self.folded;
-                self.band.extend((0..candidates.len()).filter(|&i| folded[i] >= floor));
-            }
+            Some(floor) => self.folded.band(floor, &mut self.band),
             None => {
                 self.folded.clear();
                 self.band.extend(0..candidates.len());
@@ -236,14 +243,6 @@ fn fold_error(weights: &[f64]) -> f64 {
     let unit_roundoff = f64::EPSILON / 2.0;
     let gamma = ROUNDED_TERMS * unit_roundoff / (1.0 - ROUNDED_TERMS * unit_roundoff);
     gamma * (2.0 * weights.iter().map(|w| w.abs()).sum::<f64>())
-}
-
-/// The `k`-th largest of `values` (`1 <= k <= values.len()`), reusing
-/// `scratch`.
-fn kth_largest(values: &[f64], k: usize, scratch: &mut Vec<f64>) -> f64 {
-    scratch.clear();
-    scratch.extend_from_slice(values);
-    *scratch.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a)).1
 }
 
 /// Index of the highest score in a freshly filled score slice (first
@@ -340,7 +339,7 @@ mod tests {
                     assert_eq!(session.folded.len(), set.len(), "{name}, {q}: the fold ran");
                     let worst = session
                         .folded
-                        .iter()
+                        .values()
                         .zip(&full)
                         .map(|(f, s)| (f - s).abs())
                         .fold(0.0, f64::max);
@@ -485,7 +484,9 @@ mod tests {
             let set = predefined_candidates(q.dim());
             let scores = reference.scores(&q, set).unwrap().to_vec();
             let order = ranksvm::argsort_desc(&scores);
-            for k in [0usize, 1, 5, 64] {
+            // 100 and 540 are the 2-D and 3-D block-triple counts: past
+            // them, the k-th largest triple maximum is minus infinity.
+            for k in [0usize, 1, 5, 64, 100, 101, 540, 541, set.len() - 1] {
                 let top = session.top_k_predefined(&q, k);
                 assert_eq!(top.len(), k.min(set.len()));
                 assert_eq!(top.candidates, set.len());

@@ -93,7 +93,9 @@ const PI_LEN: usize = 14;
 // Each `pi` entry depends on one part of the tuning vector only, which is
 // what lets `FeatureEncoder::fold_predefined` evaluate a query's whole
 // predefined grid from a few thousand separable terms.
-/// `pi` entries that depend on the block triple alone ([`BlockTerms::pi`]).
+/// `pi` entries that depend on the block triple alone: the three block
+/// norms, then the six terms of the triple clipped to the grid
+/// ([`clipped_block`]).
 const PI_BLOCK: [usize; 9] = [0, 1, 2, 5, 6, 7, 8, 9, 10];
 /// The `pi` entry that depends on the unroll factor alone.
 const PI_UNROLL: usize = 3;
@@ -233,10 +235,8 @@ impl FeatureEncoder {
         }
     }
 
-    /// Writes the score the linear weights `w` give every candidate of
-    /// `qf`'s predefined set into `out`, in
-    /// [`TuningSpace::predefined_set`] order, folded per query instead of
-    /// encoded row by row.
+    /// Folds the score the linear weights `w` give every candidate of
+    /// `qf`'s predefined set into `out`, per query instead of row by row.
     ///
     /// A row is `[prefix(q), tau(t), sigma(q) x pi(q, t)]` (the paper
     /// layout has no product block), and `tau = pi[0..5]`. While every
@@ -244,9 +244,12 @@ impl FeatureEncoder {
     /// does), the interaction clamp never fires, and
     /// `w . row = c + u . pi(t)` with `c = w_prefix . prefix(q)` and
     /// `u = W_int^T sigma + [w_tau, 0, ...]`. Each `pi` entry depends on
-    /// one part of `t` only, so the grid is evaluated from per-triple,
-    /// per-(triple, chunk) and per-(x block, unroll) terms (540, 2160 and
-    /// 40 in 3-D), and each candidate's value is a sum of three.
+    /// one part of `t` only, so a candidate's value is `(p + e) + d` from
+    /// per-triple, per-(triple, chunk) and per-(x block, unroll) terms
+    /// (540, 2160 and 40 in 3-D; see [`FoldedScores`]). Each term is
+    /// computed once per distinct input: a block norm per axis value, the
+    /// clipped-block and chunk terms per distinct triple of blocks clipped
+    /// to the grid.
     ///
     /// The values equal the full-row dot products in real arithmetic, not
     /// bit for bit: the two differ by rounding only. A caller that needs
@@ -254,16 +257,79 @@ impl FeatureEncoder {
     /// [`append_candidate`](Self::append_candidate).
     ///
     /// Returns `false`, leaving `out` empty, when some `sigma` entry lies
-    /// outside `[0, 1]` (a pattern wider than `max_offset`).
+    /// outside `[0, 1]` (a pattern wider than `max_offset`) or some term
+    /// is not finite.
     ///
     /// # Panics
     /// Panics when `w.len() != self.dim()`.
-    pub fn fold_predefined(&self, qf: &QueryFeatures, w: &[f64], out: &mut Vec<f64>) -> bool {
+    pub fn fold_predefined(&self, qf: &QueryFeatures, w: &[f64], out: &mut FoldedScores) -> bool {
         assert_eq!(w.len(), self.dim(), "weight dimension mismatch");
         out.clear();
         if !qf.sigma.iter().all(|v| (0.0..=1.0).contains(v)) {
             return false;
         }
+        let (c, u) = self.fold_coefficients(qf, w);
+        let f = &qf.facts;
+        let axes = qf.space.predefined_axes();
+
+        // Per block axis: `u_j` times each block's norm (an axis holds at
+        // most 10 blocks), and how many values its blocks take clipped to
+        // the grid. The axis ascends, so block `i` clips to the
+        // `min(i, distinct - 1)`-th of them.
+        let max = self.config.block_log2_max;
+        let axis_terms = |axis: &[u32], n: u32, j: usize| {
+            let terms: [f64; 10] =
+                std::array::from_fn(|i| axis.get(i).map_or(0.0, |&b| u[j] * norm_log2(b, max)));
+            (terms, axis.iter().position(|&b| b >= n).map_or(axis.len(), |i| i + 1))
+        };
+        let (size, chunks) = (f.size, axes.c.map(|ch| u[PI_CHUNK] * self.pi_chunk(ch)));
+        let (ux, nx) = axis_terms(axes.bx, size.x, PI_BLOCK[0]);
+        let (uy, ny) = axis_terms(axes.by, size.y, PI_BLOCK[1]);
+        let (uz, nz) = axis_terms(axes.bz, size.z, PI_BLOCK[2]);
+        for (ix, &bx) in axes.bx.iter().enumerate() {
+            let unroll = axes.u.map(|un| {
+                u[PI_UNROLL] * self.pi_unroll(un) + u[PI_CLEANUP] * pi_cleanup(bx.min(size.x), un)
+            });
+            let unroll_max = largest(unroll);
+            out.unroll.push(unroll);
+            for (iy, &by) in axes.by.iter().enumerate() {
+                for (iz, &bz) in axes.bz.iter().enumerate() {
+                    // A clipped triple first occurs at its own indices, in
+                    // index order: its terms are computed there.
+                    let ci = (ix.min(nx - 1) * ny + iy.min(ny - 1)) * nz + iz.min(nz - 1);
+                    if ci == out.chunks.len() {
+                        let (pi, tiles) =
+                            clipped_block(f, bx.min(size.x), by.min(size.y), bz.min(size.z));
+                        let chunk = std::array::from_fn(|i| {
+                            let [t0, t1] = pi_tiles(tiles, axes.c[i]);
+                            chunks[i] + u[PI_TILES[0]] * t0 + u[PI_TILES[1]] * t1
+                        });
+                        let products = std::array::from_fn(|i| u[PI_BLOCK[3 + i]] * pi[i]);
+                        out.products.push(products);
+                        out.chunks.push(chunk);
+                    }
+                    let p =
+                        out.products[ci].iter().fold(c + ux[ix] + uy[iy] + uz[iz], |a, v| a + v);
+                    // Rounded addition is monotone, so this is the largest
+                    // of the triple's values, bit for bit.
+                    out.maxima.push(p + largest(out.chunks[ci]) + unroll_max);
+                    out.triples.push((p, ci));
+                }
+            }
+        }
+        debug_assert_eq!(out.len(), axes.len(), "every candidate folded");
+        let mut terms =
+            out.maxima.iter().chain(out.chunks.iter().flatten()).chain(out.unroll.iter().flatten());
+        let finite = terms.all(|v| v.is_finite());
+        if !finite {
+            out.clear();
+        }
+        finite
+    }
+
+    /// The query's `c = w_prefix . prefix(q)` and
+    /// `u = W_int^T sigma + [w_tau, 0, ...]` (no `W_int` in the paper layout).
+    fn fold_coefficients(&self, qf: &QueryFeatures, w: &[f64]) -> (f64, [f64; PI_LEN]) {
         let p = qf.prefix.len();
         let c = w[..p].iter().zip(&qf.prefix).fold(0.0, |acc, (w, x)| acc + w * x);
         let mut u = [0.0; PI_LEN];
@@ -275,31 +341,7 @@ impl FeatureEncoder {
                 }
             }
         }
-
-        let f = &qf.facts;
-        let axes = qf.space.predefined_axes();
-        out.reserve(axes.len());
-        for &bx in axes.bx {
-            let clipped = bx.min(f.size.x);
-            let per_unroll = axes.u.map(|un| {
-                u[PI_UNROLL] * self.pi_unroll(un) + u[PI_CLEANUP] * pi_cleanup(clipped, un)
-            });
-            for &by in axes.by {
-                for &bz in axes.bz {
-                    let block = self.pi_block(f, bx, by, bz);
-                    let per_triple =
-                        PI_BLOCK.iter().zip(&block.pi).fold(c, |acc, (&j, &v)| acc + u[j] * v);
-                    let per_chunk = axes.c.map(|ch| {
-                        let [t0, t1] = pi_tiles(block.tiles, ch);
-                        u[PI_CHUNK] * self.pi_chunk(ch) + u[PI_TILES[0]] * t0 + u[PI_TILES[1]] * t1
-                    });
-                    for d in per_unroll {
-                        out.extend(per_chunk.iter().map(|&e| per_triple + e + d));
-                    }
-                }
-            }
-        }
-        true
+        (c, u)
     }
 
     /// Writes the instance-dependent concat prefix: pattern occupancy block,
@@ -374,63 +416,20 @@ impl FeatureEncoder {
     /// Assembled from the per-dependency parts below, which
     /// [`fold_predefined`](Self::fold_predefined) calls too.
     fn tuning_descriptor(&self, f: &InstanceFacts, t: TuningVector) -> [f64; PI_LEN] {
-        let block = self.pi_block(f, t.bx, t.by, t.bz);
+        let max = self.config.block_log2_max;
+        let norms = [norm_log2(t.bx, max), norm_log2(t.by, max), norm_log2(t.bz, max)];
+        let (clipped, tiles) =
+            clipped_block(f, t.bx.min(f.size.x), t.by.min(f.size.y), t.bz.min(f.size.z));
         let mut pi = [0.0; PI_LEN];
-        for (&j, &v) in PI_BLOCK.iter().zip(&block.pi) {
+        for (&j, &v) in PI_BLOCK.iter().zip(norms.iter().chain(&clipped)) {
             pi[j] = v;
         }
         pi[PI_UNROLL] = self.pi_unroll(t.u);
         pi[PI_CHUNK] = self.pi_chunk(t.c);
-        let [t0, t1] = pi_tiles(block.tiles, t.c);
+        let [t0, t1] = pi_tiles(tiles, t.c);
         (pi[PI_TILES[0]], pi[PI_TILES[1]]) = (t0, t1);
         pi[PI_CLEANUP] = pi_cleanup(t.bx.min(f.size.x), t.u);
         pi
-    }
-
-    /// The `pi` entries of a block triple ([`PI_BLOCK`]) and its tile count.
-    fn pi_block(&self, f: &InstanceFacts, bx: u32, by: u32, bz: u32) -> BlockTerms {
-        let max = self.config.block_log2_max;
-        let (norm_x, norm_y, norm_z) = (norm_log2(bx, max), norm_log2(by, max), norm_log2(bz, max));
-        let size = f.size;
-        let (rx, ry, rz) = f.radius;
-        // Effective blocks / tile count mirror the arithmetic of
-        // `StencilExecution` exactly (bit-for-bit), clipping each block to
-        // the grid.
-        let (bx, by, bz) = (bx.min(size.x), by.min(size.y), bz.min(size.z));
-        let tiles_of = |n: u32, b: u32| n.div_ceil(b) as u64;
-        let tiles = tiles_of(size.x, bx) * tiles_of(size.y, by) * tiles_of(size.z, bz);
-
-        let tile_volume = bx as f64 * by as f64 * bz as f64;
-        // Redundant halo loads per tile relative to its interior, total and
-        // per axis (the per-axis terms let a linear model penalize thin
-        // tiles along exactly the axes where the stencil is wide).
-        let halo_x = 1.0 + 2.0 * rx as f64 / bx as f64;
-        let halo_y = 1.0 + 2.0 * ry as f64 / by as f64;
-        let halo_z = 1.0 + 2.0 * rz as f64 / bz as f64;
-        let halo_ratio = halo_x * halo_y * halo_z;
-        // Tile working set vs. a 256 KiB L2 (the paper's testbed), log-scaled.
-        let bytes = f.dtype.bytes() as f64;
-        let ws = bytes
-            * (f.buffers as f64
-                * (bx as f64 + 2.0 * rx as f64)
-                * (by as f64 + 2.0 * ry as f64)
-                * (bz as f64 + 2.0 * rz as f64)
-                + tile_volume);
-        let ws_ratio = ((ws / (256.0 * 1024.0)).log2() + 10.0) / 20.0;
-        BlockTerms {
-            pi: [
-                norm_x,
-                norm_y,
-                norm_z,
-                (tile_volume.log2() / 30.0).clamp(0.0, 1.0),
-                ((halo_ratio - 1.0) / 7.0).clamp(0.0, 1.0),
-                ((halo_x - 1.0) / 2.0).clamp(0.0, 1.0),
-                ((halo_y - 1.0) / 2.0).clamp(0.0, 1.0),
-                ((halo_z - 1.0) / 2.0).clamp(0.0, 1.0),
-                ws_ratio.clamp(0.0, 1.0),
-            ],
-            tiles,
-        }
     }
 
     /// `pi[PI_UNROLL]`: the normalized unroll factor.
@@ -550,12 +549,136 @@ impl InstanceFacts {
     }
 }
 
-/// The `pi` entries that depend on the block triple alone.
-struct BlockTerms {
-    /// `pi` entries [`PI_BLOCK`], in that order.
-    pi: [f64; 9],
-    /// Tiles the clipped blocks cut the grid into.
-    tiles: u64,
+/// A query's folded scores over its predefined set
+/// ([`FeatureEncoder::fold_predefined`]) as separable terms: candidate
+/// `16 t + 4 i + j` (block triple `t`, unroll `i`, chunk `j`, in
+/// [`TuningSpace::predefined_set`] order) is `(p + e) + d`, from its
+/// triple's `p`, its clipped triple's chunk term `e` and its x block's
+/// unroll term `d`. Each triple also keeps the largest of its 16 values,
+/// bit for bit, so the k-th largest value and the band are found without
+/// visiting every value. Reusing one value across queries keeps its
+/// buffers.
+#[derive(Debug, Default)]
+pub struct FoldedScores {
+    /// Per block triple: `p`, and its clipped triple's index in `chunks`.
+    triples: Vec<(f64, usize)>,
+    /// Per block triple: the largest of its values.
+    maxima: Vec<f64>,
+    /// Per distinct clipped block triple: `u_j pi_j` for the clipped-block
+    /// entries of [`PI_BLOCK`], in order.
+    products: Vec<[f64; 6]>,
+    /// Per distinct clipped block triple: `e` for each chunk size.
+    chunks: Vec<[f64; 4]>,
+    /// Per x block: `d` for each unroll factor.
+    unroll: Vec<[f64; 4]>,
+}
+
+impl FoldedScores {
+    /// Number of candidates folded: 0 after [`clear`](Self::clear) or a
+    /// fold that did not apply.
+    pub fn len(&self) -> usize {
+        self.triples.len() * 16
+    }
+
+    /// Whether no candidate is folded.
+    pub fn is_empty(&self) -> bool {
+        self.triples.is_empty()
+    }
+
+    /// Drops every value, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.triples.clear();
+        self.maxima.clear();
+        self.products.clear();
+        self.chunks.clear();
+        self.unroll.clear();
+    }
+
+    /// Every candidate's value, in order.
+    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
+        (0..self.triples.len()).flat_map(|t| self.triple(t))
+    }
+
+    /// The `k`-th largest value (`1 <= k <= self.len()`), reusing
+    /// `scratch`. At least `k` values reach the `k`-th largest triple
+    /// maximum `t0` (minus infinity past the triple count), so the `k`
+    /// largest values all lie in triples whose maximum reaches `t0`: only
+    /// those are expanded.
+    pub fn kth_largest(&self, k: usize, scratch: &mut Vec<f64>) -> f64 {
+        let maxima = &self.maxima;
+        let t0 = (k <= maxima.len()).then(|| nth_largest(scratch, maxima.iter().copied(), k));
+        let t0 = t0.unwrap_or(f64::NEG_INFINITY);
+        let triples = (0..maxima.len()).filter(|&t| maxima[t] >= t0);
+        nth_largest(scratch, triples.flat_map(|t| self.triple(t)), k)
+    }
+
+    /// Appends to `band`, ascending, every candidate whose value reaches
+    /// `floor`. A triple whose maximum is under the floor holds none, so
+    /// only the others are expanded.
+    pub fn band(&self, floor: f64, band: &mut Vec<usize>) {
+        for t in (0..self.maxima.len()).filter(|&t| self.maxima[t] >= floor) {
+            let values = self.triple(t);
+            band.extend((0..16).filter(|&j| values[j] >= floor).map(|j| 16 * t + j));
+        }
+    }
+
+    /// The values of block triple `t`'s 16 candidates, in order.
+    fn triple(&self, t: usize) -> [f64; 16] {
+        let (p, ci) = self.triples[t];
+        let e = self.chunks[ci];
+        let d = self.unroll[t / (self.triples.len() / self.unroll.len())];
+        std::array::from_fn(|j| p + e[j % 4] + d[j / 4])
+    }
+}
+
+/// The `k`-th largest of `values` (`1 <= k <= ` their count), collected
+/// into `scratch`.
+fn nth_largest(scratch: &mut Vec<f64>, values: impl Iterator<Item = f64>, k: usize) -> f64 {
+    scratch.clear();
+    scratch.extend(values);
+    *scratch.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a)).1
+}
+
+/// The largest of `values` in `f64::total_cmp` order.
+fn largest(values: [f64; 4]) -> f64 {
+    values.into_iter().max_by(f64::total_cmp).expect("four values")
+}
+
+/// The `pi` entries [`PI_BLOCK`]`[3..]` of blocks already clipped to the
+/// grid, in that order, and the tiles they cut the grid into. They mirror
+/// the arithmetic of `StencilExecution` exactly (bit-for-bit).
+fn clipped_block(f: &InstanceFacts, bx: u32, by: u32, bz: u32) -> ([f64; 6], u64) {
+    let size = f.size;
+    let (rx, ry, rz) = f.radius;
+    let tiles_of = |n: u32, b: u32| n.div_ceil(b) as u64;
+    let tiles = tiles_of(size.x, bx) * tiles_of(size.y, by) * tiles_of(size.z, bz);
+
+    let tile_volume = bx as f64 * by as f64 * bz as f64;
+    // Redundant halo loads per tile relative to its interior, total and
+    // per axis (the per-axis terms let a linear model penalize thin
+    // tiles along exactly the axes where the stencil is wide).
+    let halo_x = 1.0 + 2.0 * rx as f64 / bx as f64;
+    let halo_y = 1.0 + 2.0 * ry as f64 / by as f64;
+    let halo_z = 1.0 + 2.0 * rz as f64 / bz as f64;
+    let halo_ratio = halo_x * halo_y * halo_z;
+    // Tile working set vs. a 256 KiB L2 (the paper's testbed), log-scaled.
+    let bytes = f.dtype.bytes() as f64;
+    let ws = bytes
+        * (f.buffers as f64
+            * (bx as f64 + 2.0 * rx as f64)
+            * (by as f64 + 2.0 * ry as f64)
+            * (bz as f64 + 2.0 * rz as f64)
+            + tile_volume);
+    let ws_ratio = ((ws / (256.0 * 1024.0)).log2() + 10.0) / 20.0;
+    let pi = [
+        (tile_volume.log2() / 30.0).clamp(0.0, 1.0),
+        ((halo_ratio - 1.0) / 7.0).clamp(0.0, 1.0),
+        ((halo_x - 1.0) / 2.0).clamp(0.0, 1.0),
+        ((halo_y - 1.0) / 2.0).clamp(0.0, 1.0),
+        ((halo_z - 1.0) / 2.0).clamp(0.0, 1.0),
+        ws_ratio.clamp(0.0, 1.0),
+    ];
+    (pi, tiles)
 }
 
 /// `pi[PI_TILES]`: tiles per thread and chunk balance (12 threads, the
@@ -765,6 +888,85 @@ mod tests {
         for (i, &t) in cands.iter().enumerate() {
             let exec = StencilExecution::new(q.clone(), t).unwrap();
             assert_eq!(&matrix[i * enc.dim()..(i + 1) * enc.dim()], &enc.encode(&exec)[..]);
+        }
+    }
+
+    /// Each folded value is `c + u . pi(t)` summed in the fold's order,
+    /// `(p + e) + d`, from `tuning_descriptor`'s parts, bit for bit, and
+    /// each triple's maximum is the largest of its 16 values: under both
+    /// encodings with random weights, for every Table III kernel at sizes
+    /// where most blocks clip to the grid and where none or few do.
+    #[test]
+    fn folded_values_are_the_per_candidate_sums_bit_for_bit() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xF01D);
+        let mut folded = FoldedScores::default();
+        for enc in [FeatureEncoder::paper_concat(), FeatureEncoder::default_interaction()] {
+            let w: Vec<f64> = (0..enc.dim()).map(|_| rng.random_range(-1.0..1.0)).collect();
+            for k in StencilKernel::table3_kernels() {
+                let mut axis = |lo: u32, hi: u32| rng.random_range(lo..=hi);
+                let sizes = if k.dim() == 2 {
+                    [GridSize::square(64), GridSize::d2(axis(16, 64), axis(16, 64))]
+                        .into_iter()
+                        .chain([GridSize::d2(4096, 2048), GridSize::d2(axis(65, 4096), 1024)])
+                        .collect::<Vec<_>>()
+                } else {
+                    [GridSize::cube(64), GridSize::d3(axis(16, 64), axis(16, 64), axis(16, 64))]
+                        .into_iter()
+                        .chain([GridSize::d3(2048, 1024, 512), GridSize::d3(1024, 512, 64)])
+                        .chain([GridSize::d3(axis(65, 2048), axis(65, 1024), axis(16, 512))])
+                        .collect()
+                };
+                for size in sizes {
+                    let q = StencilInstance::new(k.clone(), size).unwrap();
+                    let qf = enc.query_features(&q);
+                    assert!(enc.fold_predefined(&qf, &w, &mut folded), "{q}: the fold ran");
+                    let (c, u) = enc.fold_coefficients(&qf, &w);
+                    let set = qf.space().predefined_set();
+                    assert_eq!(folded.len(), set.len(), "{q}");
+                    for (i, (got, &t)) in folded.values().zip(&set).enumerate() {
+                        let pi = enc.tuning_descriptor(&qf.facts, t);
+                        let p = PI_BLOCK.iter().fold(c, |acc, &j| acc + u[j] * pi[j]);
+                        let e = u[PI_CHUNK] * pi[PI_CHUNK]
+                            + u[PI_TILES[0]] * pi[PI_TILES[0]]
+                            + u[PI_TILES[1]] * pi[PI_TILES[1]];
+                        let d = u[PI_UNROLL] * pi[PI_UNROLL] + u[PI_CLEANUP] * pi[PI_CLEANUP];
+                        assert_eq!(got.to_bits(), (p + e + d).to_bits(), "{q}, candidate {i} {t}");
+                    }
+                    for (t, &max) in folded.maxima.iter().enumerate() {
+                        let largest = folded.triple(t).into_iter().max_by(f64::total_cmp);
+                        assert_eq!(Some(max.to_bits()), largest.map(f64::to_bits), "{q}, {t}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `kth_largest` and `band` agree with a sort and a scan over every
+    /// value, at `k` around the triple count and with floors equal to a
+    /// value (the top one is a triple's maximum).
+    #[test]
+    fn kth_largest_and_band_match_a_scan_over_every_value() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xBA4D);
+        let enc = FeatureEncoder::default_interaction();
+        let w: Vec<f64> = (0..enc.dim()).map(|_| rng.random_range(-1.0..1.0)).collect();
+        let (mut folded, mut scratch, mut band) = (FoldedScores::default(), Vec::new(), Vec::new());
+        for q in [
+            StencilInstance::new(StencilKernel::blur(), GridSize::square(96)).unwrap(),
+            StencilInstance::new(StencilKernel::laplacian(), GridSize::d3(48, 200, 33)).unwrap(),
+        ] {
+            assert!(enc.fold_predefined(&enc.query_features(&q), &w, &mut folded), "{q}");
+            let values: Vec<f64> = folded.values().collect();
+            let mut sorted = values.clone();
+            sorted.sort_by(|a, b| b.total_cmp(a));
+            for k in [1, 2, 8, 100, 101, 540, 541, values.len() - 1, values.len()] {
+                let kth = folded.kth_largest(k, &mut scratch);
+                assert_eq!(kth.to_bits(), sorted[k - 1].to_bits(), "{q}, k = {k}");
+                band.clear();
+                folded.band(kth, &mut band);
+                let expected: Vec<usize> =
+                    (0..values.len()).filter(|&i| values[i] >= kth).collect();
+                assert_eq!(band, expected, "{q}, k = {k}");
+            }
         }
     }
 

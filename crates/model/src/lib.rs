@@ -39,7 +39,7 @@ pub mod tuning;
 pub use dtype::DType;
 pub use error::ModelError;
 pub use execution::StencilExecution;
-pub use features::{EncodingKind, FeatureConfig, FeatureEncoder, QueryFeatures};
+pub use features::{EncodingKind, FeatureConfig, FeatureEncoder, FoldedScores, QueryFeatures};
 pub use instance::StencilInstance;
 pub use kernel::StencilKernel;
 pub use key::InstanceKey;
