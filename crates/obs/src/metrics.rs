@@ -11,8 +11,7 @@ use std::time::Duration;
 
 /// Number of log2-µs latency histogram buckets. Bucket `i` covers
 /// latencies up to `2^i` µs, so the range spans 1 µs to ~36 minutes with
-/// 2x resolution — plenty for percentile diagnostics of a micro-batching
-/// loop.
+/// 2x resolution — plenty for percentile diagnostics of a serving loop.
 pub const LATENCY_BUCKETS: usize = 32;
 
 /// The latency-histogram bucket of `d` (bucket upper bound `2^i` µs).

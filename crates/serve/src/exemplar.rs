@@ -3,7 +3,7 @@
 //!
 //! Aggregate latency histograms say *that* the p99 regressed; an
 //! exemplar says *why*, by keeping the full span chain (queue wait,
-//! batch scoring, cache events) of a request that actually blew the
+//! scoring, cache events) of a request that actually blew the
 //! budget. The store is bounded and keeps the slowest-N: a request is
 //! exemplar-worthy when its end-to-end latency exceeds the configured
 //! threshold ([`crate::ServeConfig::exemplar_threshold`]) or, with the

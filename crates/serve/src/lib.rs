@@ -5,38 +5,39 @@
 //! many concurrent callers tune many (often repeated) instances:
 //!
 //! ```text
-//!   clients ──submit──▶ MPSC queue ──drain──▶ micro-batch, in queue order
+//!   clients ──submit──▶ MPSC queue ──▶ one request per pass, in queue order
 //!                                                │
 //!                                  ┌─ decision cache (InstanceKey → top-k),
-//!                                  │  one lock: hits answered immediately
+//!                                  │  one lock: a hit is answered at once
 //!                                  ▼
 //!                        a miss, lock released: one session query (fold
 //!                        its score, rescore the near-ties on full rows,
 //!                        partial-select the k best), then a cache insert
-//!                        before the next lookup
+//!                        before the next request is looked up
 //!                                  │
 //!                                  ▼
-//!                        counters, then reply tickets
+//!                        counters, then the reply ticket
 //! ```
 //!
 //! Three mechanisms carry the throughput:
 //!
-//! * **Micro-batching** ([`TuneService`]) — each batch is whatever is
-//!   queued when the worker looks, answered in queue order, and each of
-//!   its misses is one
+//! * **One request per pass** ([`TuneService`]) — the worker takes
+//!   requests off the queue one at a time, in queue order, and answers
+//!   each before it takes the next; a miss is one
 //!   [`TuningSession::top_k_predefined`](sorl::session::TuningSession::top_k_predefined)
 //!   call. A miss is cached before the next request is looked up, so
-//!   requests in one batch that share a canonical
+//!   queued requests that share a canonical
 //!   [`InstanceKey`](stencil_model::InstanceKey) are scored once and the
-//!   rest hit (with the cache on). No batch waits for company: each miss
-//!   is its own folded query, so a held batch would share no scoring work.
+//!   rest hit (with the cache on). No answer waits for another request:
+//!   each miss is its own folded query, so holding answers back to serve
+//!   them together would share no scoring work.
 //! * **Top-k answers** ([`sorl::tuner::TopK`]) — callers get the `k` best
 //!   vectors with scores via a partial select, never a full sort of the
 //!   1600/8640-candidate sets.
 //! * **A decision cache** ([`DecisionCache`]) — answers are memoized per
 //!   canonical instance identity with LRU eviction;
-//!   [`ServeStats`] exposes hit/miss/eviction counters plus per-batch
-//!   latency percentiles and a batch-size histogram.
+//!   [`ServeStats`] exposes hit/miss/eviction counters plus per-pass
+//!   latency percentiles.
 //!
 //! A further mechanism makes the service fleet-ready:
 //!
@@ -56,7 +57,7 @@
 //!   embedders never park a thread per pending answer.
 //! * **Admission control** ([`ServeConfig::max_queue`] /
 //!   [`ServeConfig::shed_p99`]) — the submission queue is bounded and a
-//!   rolling p99 batch-latency threshold sheds load early; both
+//!   rolling p99 pass-latency threshold sheds load early; both
 //!   fast-reject with [`ServeError::Overloaded`]`(`[`ShedReason`]`)` in
 //!   nanoseconds instead of letting requests pile up into timeouts.
 //!   [`ServeStats`] reports shed counts, live queue depth, and the

@@ -1,15 +1,16 @@
-//! The tuning service: an MPSC request queue, a micro-batching worker,
-//! cloneable client handles, and admission control.
+//! The tuning service: an MPSC request queue, a worker that answers one
+//! request per pass, cloneable client handles, and admission control.
 //!
 //! One worker thread owns the [`TuningSession`] (its scratch buffers); the
 //! [`DecisionCache`] sits behind one lock shared by the worker and the
 //! service handle. Clients submit [`TuneRequest`]s through a cloneable
-//! [`TuneClient`]; the worker drains the queue into a micro-batch and
-//! answers it in queue order. Each request is looked up in the cache; a
-//! miss is answered with one [`TuningSession::top_k_predefined`] call
-//! (one folded query) with the lock released, and inserted before the
-//! next lookup, so a key queued twice is scored once. Every answer is a
-//! [`TopK`]: the k best tuning vectors with scores, from a partial select.
+//! [`TuneClient`]; the worker takes them off the queue one at a time, in
+//! queue order, and answers each before it takes the next. A request is
+//! looked up in the cache; a miss is answered with one
+//! [`TuningSession::top_k_predefined`] call (one folded query) with the
+//! lock released, and inserted before the next lookup, so a key queued
+//! twice is scored once. Every answer is a [`TopK`]: the k best tuning
+//! vectors with scores, from a partial select.
 //!
 //! Submission is non-blocking: [`TuneClient::submit`] returns a
 //! [`TuneTicket`] (a completion slot to wait on or hang a callback on —
@@ -43,7 +44,7 @@ use sorl::session::TuningSession;
 use sorl::tuner::TopK;
 use sorl::StencilRanker;
 use sorl_obs::{EventKind, FlightRecorder, SloConfig, SloTracker, SpanId, TraceId};
-use stencil_model::{InstanceKey, StencilInstance};
+use stencil_model::StencilInstance;
 
 use crate::cache::DecisionCache;
 use crate::exemplar::ExemplarStore;
@@ -76,9 +77,10 @@ pub enum ShedReason {
     /// The bounded submission queue is at its configured depth cap
     /// ([`ServeConfig::max_queue`]).
     QueueFull,
-    /// The rolling p99 batch latency crossed [`ServeConfig::shed_p99`]
-    /// while the queue was backed up — the service is falling behind, so
-    /// new work is rejected before it can pile onto the queue.
+    /// The rolling p99 pass latency (one pass serves one request) crossed
+    /// [`ServeConfig::shed_p99`] while the queue was backed up — the
+    /// service is falling behind, so new work is rejected before it can
+    /// pile onto the queue.
     BatchLatency,
     /// A transport link refused the request at its per-connection
     /// in-flight cap. Local services never produce this; multiplexing
@@ -144,9 +146,6 @@ pub struct ServeConfig {
     /// on the worker thread. The field stays only because the end-to-end
     /// benchmark sets it, and goes once it stops (ROADMAP item 10b).
     pub threads: usize,
-    /// Largest micro-batch drained from the queue in one pass. The worker
-    /// takes what is queued when it looks and never waits for more.
-    pub max_batch: usize,
     /// Decision-cache capacity in entries (`0` disables caching). With
     /// caching on, each miss computes and caches at least 8 alternatives,
     /// so follow-up requests asking for a few more than the first one
@@ -158,12 +157,12 @@ pub struct ServeConfig {
     /// of queued. `0` means unbounded (the pre-admission-control
     /// behavior).
     pub max_queue: usize,
-    /// Latency shed threshold: when the p99 over the most recent batches
-    /// exceeds this *and* more than one full micro-batch is already
-    /// queued, submissions are fast-rejected with
+    /// Latency shed threshold: when the p99 over the last 64 passes (each
+    /// serves one request) exceeds this *and* more than 64 requests are
+    /// already queued, submissions are fast-rejected with
     /// [`ShedReason::BatchLatency`]. The queue-depth guard gives the
-    /// shedder hysteresis — a briefly slow batch with an empty queue
-    /// never sheds, and once the backlog drains admission resumes.
+    /// shedder hysteresis — a briefly slow pass with a short queue never
+    /// sheds, and once the backlog drains admission resumes.
     /// `Duration::ZERO` disables latency shedding.
     pub shed_p99: Duration,
     /// Absolute latency at/above which a request is exemplar-worthy: the
@@ -178,7 +177,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            max_batch: 64,
             cache_capacity: 1024,
             max_queue: 4096,
             shed_p99: Duration::ZERO,
@@ -186,6 +184,10 @@ impl Default for ServeConfig {
         }
     }
 }
+
+/// Queued requests a latency shed requires: below this depth a slow p99
+/// alone never sheds (see [`ServeConfig::shed_p99`]).
+const LATENCY_SHED_FLOOR: u64 = 64;
 
 /// The admission check run on every submitting thread: a handful of
 /// relaxed atomic reads against the thresholds, so a shed costs nanoseconds
@@ -196,8 +198,6 @@ struct Admission {
     max_queue: u64,
     /// [`ServeConfig::shed_p99`] in µs (0 = disabled).
     shed_p99_us: u64,
-    /// Latency sheds require more than one full micro-batch queued.
-    latency_floor: u64,
 }
 
 impl Admission {
@@ -205,7 +205,6 @@ impl Admission {
         Admission {
             max_queue: u64::try_from(config.max_queue).unwrap_or(u64::MAX),
             shed_p99_us: u64::try_from(config.shed_p99.as_micros()).unwrap_or(u64::MAX),
-            latency_floor: u64::try_from(config.max_batch.max(1)).unwrap_or(u64::MAX),
         }
     }
 
@@ -218,7 +217,7 @@ impl Admission {
             return Err(ServeError::Overloaded(ShedReason::QueueFull));
         }
         if self.shed_p99_us > 0
-            && depth > self.latency_floor
+            && depth > LATENCY_SHED_FLOOR
             && counters.recent_p99_us.load(Ordering::Relaxed) > self.shed_p99_us
         {
             counters.shed_latency.fetch_add(1, Ordering::Relaxed);
@@ -389,17 +388,18 @@ impl TuneService {
         Ok(lock(&self.cache).snapshot(self.fingerprint))
     }
 
-    /// Exports the cache slice whose [`InstanceKey::fingerprint`]s satisfy
-    /// `filter`, leaving the cache untouched — what a shard hands to a new
-    /// owner that is *also* keeping its own copy warm.
+    /// Exports the cache slice whose key fingerprints
+    /// ([`InstanceKey::fingerprint`](stencil_model::InstanceKey::fingerprint))
+    /// satisfy `filter`, leaving the cache untouched — what a shard hands
+    /// to a new owner that is *also* keeping its own copy warm.
     pub fn export_cache(&self, filter: impl Fn(u64) -> bool) -> Result<CacheSnapshot, ServeError> {
         Ok(lock(&self.cache).snapshot_filtered(self.fingerprint, filter))
     }
 
-    /// Removes and returns the cache slice whose
-    /// [`InstanceKey::fingerprint`]s satisfy `filter` — the ownership
-    /// handoff of a topology change (the keys now route elsewhere, so
-    /// keeping the decisions here would only waste capacity).
+    /// Removes and returns the cache slice whose key fingerprints satisfy
+    /// `filter` — the ownership handoff of a topology change (the keys now
+    /// route elsewhere, so keeping the decisions here would only waste
+    /// capacity).
     pub fn extract_cache(&self, filter: impl Fn(u64) -> bool) -> Result<CacheSnapshot, ServeError> {
         Ok(lock(&self.cache).extract(self.fingerprint, filter))
     }
@@ -450,7 +450,7 @@ impl TuneClient {
 
     /// [`submit`](Self::submit) under a caller-provided trace — the entry
     /// point for transports that carried a trace id across the wire. The
-    /// request's queue wait and batch events are recorded under `trace`,
+    /// request's queue wait and scoring events are recorded under `trace`,
     /// so the submitter's recorder and this service's recorder join on
     /// one id.
     pub fn submit_traced(
@@ -494,24 +494,13 @@ impl TuneClient {
         self.submit(instance, k)?.wait()
     }
 
-    /// Submits a whole batch up front (giving the worker one coalesced
-    /// micro-batch to chew on), then collects every answer in order.
+    /// Submits every request up front, then collects every answer in
+    /// order.
     pub fn tune_many(&self, requests: Vec<TuneRequest>) -> Result<Vec<TopK>, ServeError> {
         let tickets: Result<Vec<TuneTicket>, ServeError> =
             requests.into_iter().map(|r| self.submit(r.instance, r.k)).collect();
         tickets?.into_iter().map(TuneTicket::wait).collect()
     }
-}
-
-/// A dequeued tuning request: its canonical key (built once, at dequeue),
-/// its completion slot, its trace, and its submission time (for
-/// end-to-end latency accounting).
-struct Queued {
-    req: TuneRequest,
-    key: InstanceKey,
-    reply: TicketCompleter,
-    trace: TraceId,
-    submitted: Instant,
 }
 
 /// Locks the decision cache, recovering from poisoning like the crate's
@@ -522,6 +511,9 @@ fn lock(cache: &Mutex<DecisionCache>) -> MutexGuard<'_, DecisionCache> {
     cache.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Serves the queue one request per pass, in queue order, until a
+/// shutdown message or a disconnected queue: everything queued before
+/// the shutdown is answered first.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     rx: mpsc::Receiver<Msg>,
@@ -533,130 +525,56 @@ fn worker_loop(
     exemplars: &ExemplarStore,
     slo: &SloTracker,
 ) {
-    let max_batch = config.max_batch.max(1);
-    let mut recent = RecentLatencies::new();
-    let mut live = true;
-    while live {
-        let mut batch: Vec<Queued> = Vec::new();
-        let mut started = Instant::now();
-        while batch.len() < max_batch {
-            // Block for the first tuning request, then drain what is
-            // queued. A disconnected queue means the same as a shutdown:
-            // answer what is drained, then stop.
-            let msg = if batch.is_empty() {
-                rx.recv().unwrap_or(Msg::Shutdown)
-            } else {
-                match rx.try_recv() {
-                    Ok(msg) => msg,
-                    Err(mpsc::TryRecvError::Disconnected) => Msg::Shutdown,
-                    Err(mpsc::TryRecvError::Empty) => break,
-                }
-            };
-            match msg {
-                Msg::Tune { req, reply, trace, span, submitted } => {
-                    // Dequeue releases one admission slot (the depth gauge
-                    // counts requests admitted but not yet drained into a
-                    // batch) and closes the submitter's queue-wait span.
-                    counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    recorder.record(EventKind::SpanEnd, trace, span, "queue_wait");
-                    if batch.is_empty() {
-                        started = Instant::now();
-                    }
-                    batch.push(Queued { key: req.instance.key(), req, reply, trace, submitted });
-                }
-                Msg::Shutdown => {
-                    live = false;
-                    break;
-                }
-            }
-        }
-        serve_batch(
-            &mut session,
-            cache,
-            &config,
-            counters,
-            recorder,
-            exemplars,
-            slo,
-            &mut recent,
-            batch,
-            started,
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn serve_batch(
-    session: &mut TuningSession,
-    cache: &Mutex<DecisionCache>,
-    config: &ServeConfig,
-    counters: &Counters,
-    recorder: &FlightRecorder,
-    exemplars: &ExemplarStore,
-    slo: &SloTracker,
-    recent: &mut RecentLatencies,
-    batch: Vec<Queued>,
-    started: Instant,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    counters.requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    counters.batches.fetch_add(1, Ordering::Relaxed);
-    counters.max_batch.fetch_max(batch.len() as u64, Ordering::Relaxed);
-
-    // One scoring span per batch, recorded under the first request's
-    // trace (a joined timeline shows which batch carried the request);
-    // per-request cache hits/misses are instants inside it, each under
-    // its own request's trace.
-    let batch_trace = batch.first().map(|q| q.trace).unwrap_or_else(TraceId::fresh);
-    let batch_span = recorder.span(batch_trace, "score_batch");
-
-    // Answer in queue order. The lock is held for one lookup or one
-    // insert at a time, never across a scoring pass, and each miss is
-    // inserted before the next lookup: a key queued twice is scored once.
     let k_floor = if config.cache_capacity == 0 { 0 } else { CACHE_K_FLOOR };
-    let mut scored = 0u64;
-    let mut answers = Vec::with_capacity(batch.len());
-    for Queued { req, key, trace, .. } in &batch {
-        // Bound first: in an `if let` scrutinee the guard would live on
-        // through the miss branch's scoring pass.
-        let hit = lock(cache).lookup(key, req.k);
-        if let Some((entries, candidates)) = hit {
-            recorder.event(*trace, batch_span.span_id(), "cache_hit");
-            answers.push(TopK { entries, candidates, seconds: 0.0 });
-            continue;
-        }
-        recorder.event(*trace, batch_span.span_id(), "cache_miss");
-        let mut top = session.top_k_predefined(&req.instance, req.k.max(k_floor));
-        scored += 1;
-        lock(cache).insert(key.clone(), top.entries.clone(), top.candidates);
-        top.entries.truncate(req.k);
-        answers.push(top);
-    }
-    counters.scored_instances.fetch_add(scored, Ordering::Relaxed);
+    let mut recent = RecentLatencies::new();
+    while let Ok(Msg::Tune { req, reply, trace, span, submitted }) = rx.recv() {
+        let started = Instant::now();
+        // Dequeue releases one admission slot (the depth gauge counts
+        // requests admitted but not yet dequeued) and closes the
+        // submitter's queue-wait span.
+        counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        counters.requests.fetch_add(1, Ordering::Relaxed);
+        recorder.record(EventKind::SpanEnd, trace, span, "queue_wait");
+        let score_span = recorder.span(trace, "score_batch");
 
-    // Publish the counters and histograms BEFORE replying: a client that
-    // reads `stats()` right after its answer arrives must see this batch
-    // (the cache counters it reads were updated above, under the lock).
-    let latency = started.elapsed();
-    counters.record_batch(batch.len(), latency);
-    // The rolling p99 the latency shedder reads: unlike the all-time
-    // histogram it *recovers* once slow batches age out of the window, so
-    // a past overload episode does not shed forever.
-    counters.recent_p99_us.store(recent.record_p99_us(latency), Ordering::Relaxed);
+        // The lock is held for one lookup or one insert, never across the
+        // scoring pass, and a miss is inserted before the next request is
+        // looked up: a key queued twice is scored once. Bound first: in an
+        // `if let` scrutinee the guard would live on through the scoring.
+        let key = req.instance.key();
+        let hit = lock(cache).lookup(&key, req.k);
+        let answer = if let Some((entries, candidates)) = hit {
+            score_span.event("cache_hit");
+            TopK { entries, candidates, seconds: 0.0 }
+        } else {
+            score_span.event("cache_miss");
+            let mut top = session.top_k_predefined(&req.instance, req.k.max(k_floor));
+            counters.scored_instances.fetch_add(1, Ordering::Relaxed);
+            lock(cache).insert(key, top.entries.clone(), top.candidates);
+            top.entries.truncate(req.k);
+            top
+        };
 
-    // Close the scoring span before the replies go out, mirroring the
-    // publish-before-reply contract for the counters above.
-    drop(batch_span);
+        // Publish the counters and histograms BEFORE replying: a client
+        // that reads `stats()` right after its answer arrives must see
+        // this request (the cache counters it reads were updated above,
+        // under the lock).
+        let latency = started.elapsed();
+        counters.record_pass(latency);
+        // The rolling p99 the latency shedder reads: unlike the all-time
+        // histogram it *recovers* once slow passes age out of the window,
+        // so a past overload episode does not shed forever.
+        counters.recent_p99_us.store(recent.record_p99_us(latency), Ordering::Relaxed);
+        // Close the scoring span before the reply goes out, mirroring the
+        // publish-before-reply contract for the counters above.
+        drop(score_span);
 
-    // Complete the tickets (a dropped ticket is fine — the client gave up;
-    // completing it is a no-op nobody observes), then account each
-    // request's end-to-end latency. Accounting runs AFTER the completion
-    // because `on_ready` callbacks fire on this thread — a transport's
-    // reply span has already closed by the time the exemplar snapshot is
-    // taken, so the captured chain is complete.
-    for (Queued { reply, trace, submitted, .. }, answer) in batch.into_iter().zip(answers) {
+        // Complete the ticket (a dropped ticket is fine — the client gave
+        // up; completing it is a no-op nobody observes), then account the
+        // request's end-to-end latency. Accounting runs AFTER the
+        // completion because `on_ready` callbacks fire on this thread — a
+        // transport's reply span has already closed by the time the
+        // exemplar snapshot is taken, so the captured chain is complete.
         reply.complete(Ok(answer));
         let latency = submitted.elapsed();
         slo.record(latency, true);

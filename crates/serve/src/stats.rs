@@ -1,5 +1,5 @@
-//! Service observability: lock-free counters, latency/batch-size
-//! histograms, and their public snapshot.
+//! Service observability: lock-free counters, a pass-latency histogram,
+//! and their public snapshot.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -13,23 +13,18 @@ use sorl_obs::{latency_bucket, latency_bucket_upper_s, PromWriter};
 pub use sorl_obs::LATENCY_BUCKETS;
 
 /// Number of batch-size histogram buckets: `1`, `2`, `3-4`, `5-8`, `9-16`,
-/// `17-32`, `33-64`, `>64`.
+/// `17-32`, `33-64`, `>64`. A pass serves one request, so only the first
+/// is ever filled; the buckets stay for the wire layout.
 pub const BATCH_SIZE_BUCKETS: usize = 8;
 
-/// Histogram bucket for a batch of `n` requests.
-fn batch_size_bucket(n: usize) -> usize {
-    // sorl-lint: allow(cast, "a bit count is at most 64; always fits usize")
-    if n <= 1 { 0 } else { (usize::BITS - (n - 1).leading_zeros()) as usize }
-        .min(BATCH_SIZE_BUCKETS - 1)
-}
-
-/// Number of batches the rolling shed-control latency window spans.
+/// Number of passes the rolling shed-control latency window spans.
 pub(crate) const RECENT_WINDOW: usize = 64;
+const _: () = assert!(RECENT_WINDOW < 100, "the window's p99 is its maximum");
 
-/// A ring over the last [`RECENT_WINDOW`] batch latencies (µs), owned by
+/// A ring over the last [`RECENT_WINDOW`] pass latencies (µs), owned by
 /// the worker thread. Its p99 is what admission control sheds on: unlike
 /// the all-time histogram it *recovers* — once an overload episode ends,
-/// fresh fast batches push the slow ones out of the window and shedding
+/// fresh fast passes push the slow ones out of the window and shedding
 /// stops.
 #[derive(Debug)]
 pub(crate) struct RecentLatencies {
@@ -43,7 +38,7 @@ impl RecentLatencies {
         RecentLatencies { buf: [0; RECENT_WINDOW], len: 0, next: 0 }
     }
 
-    /// Records one batch latency and returns the window's current p99.
+    /// Records one pass latency and returns the window's current p99.
     pub(crate) fn record_p99_us(&mut self, latency: Duration) -> u64 {
         let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
         if let Some(slot) = self.buf.get_mut(self.next) {
@@ -51,15 +46,10 @@ impl RecentLatencies {
         }
         self.next = (self.next + 1) % RECENT_WINDOW;
         self.len = (self.len + 1).min(RECENT_WINDOW);
-        // Sort a copy of the populated prefix (the ring fills front to
-        // back, so `buf[..len]` is exactly the recorded samples).
-        let mut sorted = self.buf;
-        let window = sorted.get_mut(..self.len).unwrap_or_default();
-        window.sort_unstable();
-        // Index of the ceil(0.99 * len)-th order statistic (1-based),
-        // in exact integer arithmetic (len <= 64, no overflow).
-        let rank = (99 * window.len()).div_ceil(100).max(1);
-        window.get(rank - 1).copied().unwrap_or(us)
+        // The p99, the ceil(0.99 * len)-th order statistic, of fewer than
+        // 100 samples is their largest (the ring fills front to back, so
+        // `buf[..len]` is exactly the recorded samples).
+        self.buf.get(..self.len).and_then(|window| window.iter().max()).copied().unwrap_or(us)
     }
 }
 
@@ -67,40 +57,33 @@ impl RecentLatencies {
 /// admission check on every submitting thread, and any number of snapshot
 /// readers. All updates are relaxed — the numbers are diagnostics and
 /// shed heuristics, not synchronization. The worker publishes every cell
-/// (histograms included) *before* replying to the batch, so a client that
-/// reads `stats()` right after its answer arrives sees its own batch. The
+/// (the histogram included) *before* replying, so a client that reads
+/// `stats()` right after its answer arrives sees its own request. The
 /// cache's own counters are not here: `stats()` reads them from the
 /// cache, under its lock.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
     pub requests: AtomicU64,
-    pub batches: AtomicU64,
-    pub max_batch: AtomicU64,
     pub scored_instances: AtomicU64,
     /// Live gauge: tuning requests admitted but not yet drained by the
     /// worker (incremented by submitters, decremented on dequeue).
     pub queue_depth: AtomicU64,
     /// Submissions fast-rejected because the queue hit its depth cap.
     pub shed_queue: AtomicU64,
-    /// Submissions fast-rejected because the rolling p99 batch latency
+    /// Submissions fast-rejected because the rolling p99 pass latency
     /// crossed the configured shed threshold.
     pub shed_latency: AtomicU64,
-    /// p99 over the last [`RECENT_WINDOW`] batch latencies, µs — published
+    /// p99 over the last [`RECENT_WINDOW`] pass latencies, µs — published
     /// by the worker, read by every admission check.
     pub recent_p99_us: AtomicU64,
-    pub batch_sizes: [AtomicU64; BATCH_SIZE_BUCKETS],
     pub batch_latency: [AtomicU64; LATENCY_BUCKETS],
 }
 
 impl Counters {
-    /// Records one served batch's size and first-dequeue-to-answers
-    /// latency.
-    pub(crate) fn record_batch(&self, size: usize, latency: Duration) {
-        // Both bucket functions clamp to the last bucket; `get` keeps the
+    /// Records one pass's dequeue-to-answer latency.
+    pub(crate) fn record_pass(&self, latency: Duration) {
+        // The bucket function clamps to the last bucket; `get` keeps the
         // serving path panic-free even if the bucket math ever regresses.
-        if let Some(cell) = self.batch_sizes.get(batch_size_bucket(size)) {
-            cell.fetch_add(1, Ordering::Relaxed);
-        }
         if let Some(cell) = self.batch_latency.get(latency_bucket(latency)) {
             cell.fetch_add(1, Ordering::Relaxed);
         }
@@ -108,18 +91,20 @@ impl Counters {
 
     /// Everything but the cache fields, which stay 0 here.
     pub(crate) fn snapshot(&self) -> ServeStats {
-        let mut batch_size_hist = [0u64; BATCH_SIZE_BUCKETS];
-        for (o, c) in batch_size_hist.iter_mut().zip(&self.batch_sizes) {
-            *o = c.load(Ordering::Relaxed);
-        }
         let mut latency = [0u64; LATENCY_BUCKETS];
         for (o, c) in latency.iter_mut().zip(&self.batch_latency) {
             *o = c.load(Ordering::Relaxed);
         }
+        // A pass serves one request, so the batch fields restate it.
+        let requests = self.requests.load(Ordering::Relaxed);
+        let mut batch_size_hist = [0u64; BATCH_SIZE_BUCKETS];
+        if let Some(singles) = batch_size_hist.first_mut() {
+            *singles = requests;
+        }
         ServeStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
+            requests,
+            batches: requests,
+            max_batch: u64::from(requests > 0),
             scored_instances: self.scored_instances.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             shed_queue: self.shed_queue.load(Ordering::Relaxed),
@@ -164,9 +149,11 @@ fn histogram_percentile(hist: &[u64], q: f64) -> f64 {
 pub struct ServeStats {
     /// Requests answered (cache hits included).
     pub requests: u64,
-    /// Micro-batches formed (each is one queue drain).
+    /// Worker passes run. A pass serves one request, so this equals
+    /// [`requests`](Self::requests).
     pub batches: u64,
-    /// Largest micro-batch observed.
+    /// Most requests one pass served: 1 once any request was served, else
+    /// 0.
     pub max_batch: u64,
     /// Scoring passes run, one per cache miss. A miss is cached before the
     /// next lookup, so duplicates queued together count as hits; only a
@@ -190,21 +177,22 @@ pub struct ServeStats {
     /// the submission queue was at its configured depth cap.
     #[serde(default)]
     pub shed_queue: u64,
-    /// Submissions fast-rejected because the rolling p99 batch latency
+    /// Submissions fast-rejected because the rolling p99 pass latency
     /// crossed the configured shed threshold while the queue was backed
     /// up.
     #[serde(default)]
     pub shed_latency: u64,
-    /// p99 batch latency over the most recent batches (a short rolling
+    /// p99 pass latency over the most recent passes (a short rolling
     /// window), seconds — the latency signal admission control sheds on.
     /// Unlike the all-time percentiles below, this recovers when an
     /// overload episode ends.
     #[serde(default)]
     pub recent_batch_latency_p99_s: f64,
-    /// Batches by size: `1`, `2`, `3-4`, `5-8`, `9-16`, `17-32`, `33-64`,
-    /// `>64` requests.
+    /// Passes by requests served: `1`, `2`, `3-4`, `5-8`, `9-16`, `17-32`,
+    /// `33-64`, `>64`. A pass serves one request, so every pass counts in
+    /// the first bucket.
     pub batch_size_hist: [u64; BATCH_SIZE_BUCKETS],
-    /// Median per-batch latency (first dequeue to answers ready), seconds.
+    /// Median per-pass latency (dequeue to answer ready), seconds.
     ///
     /// # Resolution contract
     ///
@@ -213,18 +201,18 @@ pub struct ServeStats {
     /// covers `(2^(i-1), 2^i]` µs). The reported value is therefore never
     /// below the true percentile, but can overstate it by up to 2x — a
     /// single 100 µs sample reports as exactly `128e-6` s, its bucket's
-    /// upper bound. 0 until a batch was served.
+    /// upper bound. 0 until a request was served.
     pub batch_latency_p50_s: f64,
-    /// 95th-percentile per-batch latency, seconds. Bucket upper bound —
+    /// 95th-percentile per-pass latency, seconds. Bucket upper bound —
     /// see the resolution contract on
     /// [`batch_latency_p50_s`](Self::batch_latency_p50_s).
     pub batch_latency_p95_s: f64,
-    /// 99th-percentile per-batch latency, seconds. Bucket upper bound —
+    /// 99th-percentile per-pass latency, seconds. Bucket upper bound —
     /// see the resolution contract on
     /// [`batch_latency_p50_s`](Self::batch_latency_p50_s).
     pub batch_latency_p99_s: f64,
-    /// Raw per-batch latency histogram the percentiles above are computed
-    /// from: bucket `i` counts batches with latency in `(2^(i-1), 2^i]`
+    /// Raw per-pass latency histogram the percentiles above are computed
+    /// from: bucket `i` counts passes with latency in `(2^(i-1), 2^i]`
     /// µs. Shipping the buckets (not just the quantiles) lets fleet
     /// aggregation recompute true merged percentiles and lets a metrics
     /// endpoint expose a real Prometheus histogram.
@@ -243,7 +231,7 @@ impl ServeStats {
         }
     }
 
-    /// Mean requests per micro-batch (0 when no batch was formed).
+    /// Mean requests per pass: 1 once any request was served, else 0.
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
             0.0
@@ -305,8 +293,6 @@ impl ServeStats {
             "Tuning requests answered (cache hits included).",
             self.requests,
         );
-        w.counter("sorl_serve_batches_total", "Micro-batches formed.", self.batches);
-        w.gauge("sorl_serve_max_batch", "Largest micro-batch observed.", self.max_batch as f64);
         w.counter(
             "sorl_serve_scored_instances_total",
             "Unique instances that went through the scoring pipeline.",
@@ -347,30 +333,14 @@ impl ServeStats {
         );
         w.gauge(
             "sorl_serve_recent_batch_latency_p99_seconds",
-            "Rolling-window p99 batch latency, the admission-control shed signal.",
+            "Rolling-window p99 pass latency, the admission-control shed signal.",
             self.recent_batch_latency_p99_s,
         );
         w.histogram(
             "sorl_serve_batch_latency_seconds",
-            "Per-batch latency, first dequeue to answers ready.",
+            "Per-request pass latency, dequeue to answer ready.",
             &self.batch_latency_hist,
         );
-        // Batch sizes form a cumulative histogram over request counts:
-        // bucket uppers 1, 2, 4, ..., 64, with the `>64` bucket as the
-        // +Inf line. Sum of sizes is exactly `requests`, count is
-        // `batches`.
-        w.family("sorl_serve_batch_size", "Requests per micro-batch.", "histogram");
-        let mut cumulative = 0u64;
-        for (i, &count) in self.batch_size_hist.iter().enumerate() {
-            cumulative += count;
-            if i + 1 < BATCH_SIZE_BUCKETS {
-                let upper = (1u64 << i).to_string();
-                w.sample("sorl_serve_batch_size_bucket", &[("le", &upper)], cumulative as f64);
-            }
-        }
-        w.sample("sorl_serve_batch_size_bucket", &[("le", "+Inf")], cumulative as f64);
-        w.sample("sorl_serve_batch_size_sum", &[], self.requests as f64);
-        w.sample("sorl_serve_batch_size_count", &[], self.batches as f64);
     }
 }
 
@@ -378,13 +348,10 @@ impl fmt::Display for ServeStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} requests in {} batches (mean {:.1}, max {}), cache {}/{} hit ({:.0}%), \
+            "{} requests, cache {}/{} hit ({:.0}%), \
              {} scored, {} resident, {} evicted, {} shed ({} queue / {} latency), \
              batch latency p50/p95/p99 {:.3}/{:.3}/{:.3} ms",
             self.requests,
-            self.batches,
-            self.mean_batch(),
-            self.max_batch,
             self.cache_hits,
             self.cache_hits + self.cache_misses,
             self.hit_rate() * 100.0,
@@ -444,12 +411,11 @@ mod tests {
     fn snapshot_reflects_counter_updates() {
         let c = Counters::default();
         c.requests.fetch_add(10, Ordering::Relaxed);
-        c.batches.fetch_add(2, Ordering::Relaxed);
-        c.max_batch.fetch_max(7, Ordering::Relaxed);
         let s = c.snapshot();
         assert_eq!(s.requests, 10);
-        assert_eq!(s.mean_batch(), 5.0);
-        assert_eq!(s.max_batch, 7);
+        assert_eq!(s.batches, 10, "a pass serves one request");
+        assert_eq!(s.mean_batch(), 1.0);
+        assert_eq!(s.max_batch, 1);
         // The cache fields come from the cache, not from `Counters`.
         let s = ServeStats { cache_hits: 6, cache_misses: 4, ..s };
         assert!((s.hit_rate() - 0.6).abs() < 1e-12);
@@ -457,20 +423,6 @@ mod tests {
         assert!(line.contains("10 requests"), "{line}");
         assert!(line.contains("60%"), "{line}");
         assert!(line.contains("p50/p95/p99"), "{line}");
-    }
-
-    #[test]
-    fn batch_size_buckets_split_at_powers_of_two() {
-        assert_eq!(batch_size_bucket(0), 0);
-        assert_eq!(batch_size_bucket(1), 0);
-        assert_eq!(batch_size_bucket(2), 1);
-        assert_eq!(batch_size_bucket(3), 2);
-        assert_eq!(batch_size_bucket(4), 2);
-        assert_eq!(batch_size_bucket(5), 3);
-        assert_eq!(batch_size_bucket(8), 3);
-        assert_eq!(batch_size_bucket(64), 6);
-        assert_eq!(batch_size_bucket(65), 7);
-        assert_eq!(batch_size_bucket(10_000), 7, "everything huge lands in the last bucket");
     }
 
     #[test]
@@ -509,7 +461,7 @@ mod tests {
     fn stats_snapshot_serializes_roundtrip() {
         let c = Counters::default();
         c.requests.fetch_add(3, Ordering::Relaxed);
-        c.record_batch(3, Duration::from_micros(40));
+        c.record_pass(Duration::from_micros(40));
         let s = c.snapshot();
         let json = serde_json::to_string(&s).unwrap();
         let back: ServeStats = serde_json::from_str(&json).unwrap();
@@ -521,24 +473,26 @@ mod tests {
         let c = Counters::default();
         // 98 fast batches (~4 us), 1 at ~1 ms, 1 at ~16 ms.
         for _ in 0..98 {
-            c.record_batch(4, Duration::from_micros(3));
+            c.record_pass(Duration::from_micros(3));
         }
-        c.record_batch(4, Duration::from_micros(900));
-        c.record_batch(4, Duration::from_micros(12_000));
+        c.record_pass(Duration::from_micros(900));
+        c.record_pass(Duration::from_micros(12_000));
+        c.requests.fetch_add(100, Ordering::Relaxed);
         let s = c.snapshot();
         assert_eq!(s.batch_latency_p50_s, 4e-6, "median in the 4 us bucket");
         assert_eq!(s.batch_latency_p95_s, 4e-6);
         // p99 of 100 samples is the 99th: the ~1 ms one (1024 us bucket).
         assert_eq!(s.batch_latency_p99_s, 1024e-6);
-        // Batch sizes: all 100 in the 3-4 bucket.
-        assert_eq!(s.batch_size_hist[2], 100);
+        // Batch sizes: all 100 passes in the 1-request bucket.
+        assert_eq!(s.batch_size_hist[0], 100);
         assert_eq!(s.batch_size_hist.iter().sum::<u64>(), 100);
     }
 
     #[test]
     fn percentile_of_single_sample_is_its_bucket() {
         let c = Counters::default();
-        c.record_batch(1, Duration::from_micros(100));
+        c.record_pass(Duration::from_micros(100));
+        c.requests.fetch_add(1, Ordering::Relaxed);
         let s = c.snapshot();
         // Pinned literal, per the documented resolution contract: a
         // percentile reports its bucket's *upper bound*, so one 100 µs
@@ -557,24 +511,20 @@ mod tests {
         // would miss it. merge() must find it in the summed histogram.
         let a = Counters::default();
         for _ in 0..98 {
-            a.record_batch(2, Duration::from_micros(3));
+            a.record_pass(Duration::from_micros(3));
         }
-        a.requests.fetch_add(196, Ordering::Relaxed);
-        a.batches.fetch_add(98, Ordering::Relaxed);
-        a.max_batch.fetch_max(2, Ordering::Relaxed);
+        a.requests.fetch_add(98, Ordering::Relaxed);
         let b = Counters::default();
-        b.record_batch(64, Duration::from_micros(12_000));
-        b.record_batch(64, Duration::from_micros(12_000));
-        b.requests.fetch_add(128, Ordering::Relaxed);
-        b.batches.fetch_add(2, Ordering::Relaxed);
-        b.max_batch.fetch_max(64, Ordering::Relaxed);
+        b.record_pass(Duration::from_micros(12_000));
+        b.record_pass(Duration::from_micros(12_000));
+        b.requests.fetch_add(2, Ordering::Relaxed);
         b.shed_queue.fetch_add(5, Ordering::Relaxed);
 
         let (sa, sb) = (a.snapshot(), b.snapshot());
         let merged = ServeStats::merge([&sa, &sb]);
-        assert_eq!(merged.requests, 324);
+        assert_eq!(merged.requests, 100);
         assert_eq!(merged.batches, 100);
-        assert_eq!(merged.max_batch, 64);
+        assert_eq!(merged.max_batch, 1);
         assert_eq!(merged.sheds(), 5);
         assert_eq!(merged.batch_latency_p50_s, 4e-6, "fast shard dominates the median");
         assert_eq!(merged.batch_latency_p99_s, 16_384e-6, "slow shard owns the fleet p99");
@@ -588,10 +538,9 @@ mod tests {
     fn prometheus_page_covers_counters_sheds_and_histogram() {
         let c = Counters::default();
         c.requests.fetch_add(10, Ordering::Relaxed);
-        c.batches.fetch_add(2, Ordering::Relaxed);
         c.shed_queue.fetch_add(3, Ordering::Relaxed);
         c.queue_depth.fetch_add(4, Ordering::Relaxed);
-        c.record_batch(5, Duration::from_micros(100));
+        c.record_pass(Duration::from_micros(100));
         let mut w = PromWriter::new();
         c.snapshot().collect_prometheus(&mut w);
         let page = w.into_string();
@@ -605,7 +554,5 @@ mod tests {
             "{page}"
         );
         assert!(page.contains("sorl_serve_batch_latency_seconds_bucket{le=\"+Inf\"} 1"), "{page}");
-        assert!(page.contains("sorl_serve_batch_size_bucket{le=\"8\"} 1"), "{page}");
-        assert!(page.contains("sorl_serve_batch_size_sum 10"), "{page}");
     }
 }

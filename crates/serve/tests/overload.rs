@@ -25,7 +25,7 @@ fn bounded_queue_sheds_with_queue_full_and_counters_balance() {
     // A queue capped at 2 with single-request batches: a tight submission
     // loop outruns the worker (each batch is a real scoring pass), so most
     // submissions must fast-reject with QueueFull.
-    let cfg = ServeConfig { max_batch: 1, cache_capacity: 0, max_queue: 2, ..Default::default() };
+    let cfg = ServeConfig { cache_capacity: 0, max_queue: 2, ..Default::default() };
     let service = TuneService::spawn(dense_ranker(), cfg);
     let client = service.client();
 
@@ -67,7 +67,6 @@ fn latency_shedding_trips_under_backlog_and_recovers() {
     // the queue is backed up past one batch — so after the backlog drains,
     // admission must recover even though the rolling p99 stays high.
     let cfg = ServeConfig {
-        max_batch: 1,
         cache_capacity: 0,
         max_queue: 0, // unbounded: isolate the latency shedder
         shed_p99: Duration::from_micros(1),

@@ -2,11 +2,12 @@
 //! identical to direct `TuningSession` queries, under concurrency, caching
 //! and shutdown.
 
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use sorl::session::TuningSession;
 use sorl::StencilRanker;
-use sorl_obs::{EventKind, TraceId};
+use sorl_obs::{EventKind, FlightRecorder, TraceId};
 use sorl_serve::{ServeConfig, TuneRequest, TuneService};
 use stencil_model::{GridSize, StencilInstance, StencilKernel};
 
@@ -106,8 +107,7 @@ fn cache_control_does_not_wait_behind_queued_tunes() {
     // each: a backlog of well over 100 ms. With one request per batch, a
     // snapshot queued behind them would hold every one of their answers.
     const BACKLOG: usize = 32;
-    let cfg = ServeConfig { max_batch: 1, ..Default::default() };
-    let service = TuneService::spawn(dense_ranker(), cfg);
+    let service = TuneService::spawn(dense_ranker(), ServeConfig::default());
     let client = service.client();
     let tickets: Vec<_> =
         (0..BACKLOG as u32).map(|i| client.submit(lap(64 + 8 * i), 8640).unwrap()).collect();
@@ -199,6 +199,40 @@ fn a_lone_miss_is_not_held() {
     let (scored, _) = span("score_batch").expect("the miss recorded its scoring");
     let held = Duration::from_nanos(scored.saturating_sub(dequeued));
     assert!(held < Duration::from_millis(10), "a lone miss waited {held:?} for company");
+}
+
+#[test]
+fn a_hit_is_not_held_behind_a_later_miss() {
+    // A whole-set 3-D query scores every full row: milliseconds on the
+    // worker, long enough to queue a hit and a second miss behind it.
+    const WHOLE_SET: usize = 8640;
+    let service = TuneService::spawn(dense_ranker(), ServeConfig::default());
+    let client = service.client();
+    let recorder = Arc::clone(service.flight_recorder());
+    let missed = |recorder: &FlightRecorder, trace: TraceId| {
+        recorder.snapshot().iter().any(|e| e.trace == trace && e.name == "cache_miss")
+    };
+    let warm = client.tune(lap(128), 2).unwrap();
+
+    let busy = TraceId::fresh();
+    let busy_ticket = client.submit_traced(lap(96), WHOLE_SET, busy).unwrap();
+    while !missed(&recorder, busy) {
+        std::thread::yield_now();
+    }
+    // The worker is scoring: queue the hit, then the second miss. The
+    // hit's answer must go out before that miss is even looked up.
+    let miss = TraceId::fresh();
+    let (tx, rx) = mpsc::channel();
+    client.submit(lap(128), 2).unwrap().on_ready(move |outcome| {
+        let _ = tx.send((outcome, missed(&recorder, miss)));
+    });
+    let miss_ticket = client.submit_traced(lap(80), WHOLE_SET, miss).unwrap();
+
+    let (outcome, miss_looked_up) = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+    assert_eq!(outcome.unwrap().entries, warm.entries);
+    assert!(!miss_looked_up, "the hit's reply waited for the miss queued behind it");
+    busy_ticket.wait().unwrap();
+    miss_ticket.wait().unwrap();
 }
 
 #[test]

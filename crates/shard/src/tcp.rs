@@ -74,9 +74,10 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Default per-call socket timeout (reads and writes), and the cap on how
-/// long a multiplexed caller waits for its response. A tuning pass is
-/// milliseconds; a peer silent this long is treated as gone.
+/// The socket timeout of every link a [`TcpShard`] dials (each read and
+/// write), and the cap on how long a multiplexed caller waits for its
+/// response. A tuning pass is milliseconds; a peer silent this long is
+/// treated as gone.
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Default cap on a [`TcpShard`]'s own in-flight requests per link.
@@ -173,7 +174,6 @@ struct LinkCounters {
 #[derive(Debug)]
 pub struct TcpShard {
     addr: SocketAddr,
-    timeout: Duration,
     reconnect: ReconnectPolicy,
     max_in_flight: usize,
     /// The live link; `None` before the first dial of a lazy shard and
@@ -187,15 +187,8 @@ impl TcpShard {
     /// Connects to a shard server, verifying reachability eagerly (the
     /// connection is then kept for subsequent calls).
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::connect_with(addr, DEFAULT_IO_TIMEOUT)
-    }
-
-    /// Like [`connect`](Self::connect) with an explicit socket timeout
-    /// for every read and write (and for how long a call waits for its
-    /// answer).
-    pub fn connect_with(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<Self> {
-        let shard = Self::connect_lazy_with(addr, timeout)?;
-        let link = MuxLink::open(shard.dial()?, timeout)?;
+        let shard = Self::connect_lazy(addr)?;
+        let link = MuxLink::open(shard.dial()?)?;
         *lock_recover(&shard.conn) = Some(link);
         Ok(shard)
     }
@@ -204,17 +197,12 @@ impl TcpShard {
     /// first call dials (under the reconnect policy). For tools that
     /// must come up while some shards are still down (`sorl-top`).
     pub fn connect_lazy(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::connect_lazy_with(addr, DEFAULT_IO_TIMEOUT)
-    }
-
-    fn connect_lazy_with(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<Self> {
         let addr = addr
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address resolved"))?;
         Ok(TcpShard {
             addr,
-            timeout,
             reconnect: ReconnectPolicy::default(),
             max_in_flight: DEFAULT_CLIENT_IN_FLIGHT,
             conn: Mutex::new(None),
@@ -264,10 +252,10 @@ impl TcpShard {
     }
 
     fn dial(&self) -> io::Result<TcpStream> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
+        let stream = TcpStream::connect_timeout(&self.addr, DEFAULT_IO_TIMEOUT)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
+        stream.set_read_timeout(Some(DEFAULT_IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(DEFAULT_IO_TIMEOUT))?;
         // sorl-lint: allow(atomic, "diagnostic counter; no ordering required")
         self.counters.dials.fetch_add(1, Ordering::Relaxed);
         Ok(stream)
@@ -312,7 +300,7 @@ impl TcpShard {
         let stream = self.dial_retrying()?;
         // sorl-lint: allow(atomic, "diagnostic counter; no ordering required")
         self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-        let link = MuxLink::open(stream, self.timeout)
+        let link = MuxLink::open(stream)
             .map_err(|e| ServeError::Transport(format!("open link to {}: {e}", self.addr)))?;
         *slot = Some(Arc::clone(&link));
         Ok(link)
@@ -488,14 +476,13 @@ struct MuxLink {
     writer: Mutex<TcpStream>,
     state: Mutex<MuxState>,
     ready: Condvar,
-    timeout: Duration,
 }
 
 impl MuxLink {
     /// Wraps a freshly dialed stream and starts its reader thread, which
     /// holds the link only weakly so dropping the last caller's handle
     /// closes the connection.
-    fn open(stream: TcpStream, timeout: Duration) -> io::Result<Arc<MuxLink>> {
+    fn open(stream: TcpStream) -> io::Result<Arc<MuxLink>> {
         let reader = stream.try_clone()?;
         let link = Arc::new(MuxLink {
             writer: Mutex::new(stream),
@@ -506,7 +493,6 @@ impl MuxLink {
                 dead: None,
             }),
             ready: Condvar::new(),
-            timeout,
         });
         let weak = Arc::downgrade(&link);
         std::thread::Builder::new()
@@ -522,7 +508,7 @@ impl MuxLink {
     /// Admits one request: waits (backpressure) while the link is at
     /// `max_in_flight`, then registers a fresh id in the pending table.
     fn begin(&self, expect: Expect, max_in_flight: usize) -> Result<u64, ServeError> {
-        let deadline = Instant::now() + self.timeout;
+        let deadline = Instant::now() + DEFAULT_IO_TIMEOUT;
         let mut state = lock_recover(&self.state);
         loop {
             if let Some(reason) = &state.dead {
@@ -535,7 +521,7 @@ impl MuxLink {
             if now >= deadline {
                 return Err(ServeError::Transport(format!(
                     "link backpressure: {} requests in flight for longer than {:?}",
-                    state.in_flight, self.timeout
+                    state.in_flight, DEFAULT_IO_TIMEOUT
                 )));
             }
             let (guard, _) = self
@@ -574,7 +560,7 @@ impl MuxLink {
     /// Blocks until the reader resolves request `id` (or the wait times
     /// out, which poisons the link — its socket state is unknowable).
     fn await_done(&self, id: u64) -> Result<Outcome, ServeError> {
-        let deadline = Instant::now() + self.timeout;
+        let deadline = Instant::now() + DEFAULT_IO_TIMEOUT;
         let mut state = lock_recover(&self.state);
         loop {
             let entry = state.pending.get_mut(&id);
@@ -590,7 +576,7 @@ impl MuxLink {
             if now >= deadline {
                 state.pending.remove(&id);
                 state.in_flight -= 1;
-                let reason = format!("no response within {:?}", self.timeout);
+                let reason = format!("no response within {DEFAULT_IO_TIMEOUT:?}");
                 Self::poison(&mut state, &reason);
                 self.ready.notify_all();
                 return Err(ServeError::Transport(reason));
@@ -625,25 +611,19 @@ impl MuxLink {
 
 impl Drop for MuxLink {
     fn drop(&mut self) {
-        // Wake the reader thread out of its blocking read so it exits now
-        // instead of at its next idle-poll tick.
-        if let Ok(stream) = self.writer.lock() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        // Wake the reader thread out of its blocking read so it exits now:
+        // the shutdown ends the read with an EOF or an error.
+        let _ = lock_recover(&self.writer).shutdown(Shutdown::Both);
     }
 }
 
-/// How often the link reader wakes from an idle read to check whether its
-/// `MuxLink` is still alive.
-const READER_IDLE_POLL: Duration = Duration::from_millis(200);
-
 /// The per-link reader: routes every incoming frame to its pending
 /// request. Exits when the peer hangs up, the protocol is violated (after
-/// failing all pending requests), or the owning link is dropped.
+/// failing all pending requests), or the owning link is dropped. Reads
+/// run under the dial's [`DEFAULT_IO_TIMEOUT`]; a read that times out
+/// while idle only checks, as a backstop to the socket shutdown in
+/// `MuxLink`'s `Drop`, that the link is still alive.
 fn mux_reader(mut stream: TcpStream, link: &Weak<MuxLink>) {
-    // Idle reads poll briefly so a dropped link is noticed; once a frame
-    // starts, reads run under the link's full IO timeout.
-    let _ = stream.set_read_timeout(Some(READER_IDLE_POLL));
     loop {
         let mut first = [0u8; 1];
         let first = match stream.read(&mut first) {
@@ -674,10 +654,7 @@ fn mux_reader(mut stream: TcpStream, link: &Weak<MuxLink>) {
             }
         };
         let Some(mux) = link.upgrade() else { return };
-        let _ = stream.set_read_timeout(Some(mux.timeout));
-        let result = wire::read_frame_after(&mut stream, first);
-        let _ = stream.set_read_timeout(Some(READER_IDLE_POLL));
-        match result {
+        match wire::read_frame_after(&mut stream, first) {
             Ok(frame) => {
                 if route_frame(&mux, frame).is_err() {
                     let _ = stream.shutdown(Shutdown::Both);

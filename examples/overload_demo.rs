@@ -128,14 +128,13 @@ fn main() {
     println!("overload soak: 2 TCP shards, {client_threads} unpaced clients, {soak_secs}s");
 
     // Single-threaded workers behind 4-deep queues: while a worker scores
-    // one micro-batch (tens of ms), the unpaced callers pile onto its
-    // queue, which admits 4 and fast-rejects the rest — saturation by
-    // construction. The link in-flight cap stays above the client
-    // concurrency so the *service* queue is what sheds (the balance check
-    // below still counts both).
+    // one request (milliseconds of full rows), the unpaced callers pile
+    // onto its queue, which admits 4 and fast-rejects the rest —
+    // saturation by construction. The link in-flight cap stays above the
+    // client concurrency so the *service* queue is what sheds (the balance
+    // check below still counts both).
     let ranker = synthetic_ranker(0x0badc0de);
     let config = ServeConfig {
-        max_batch: 8,
         cache_capacity: 0,
         max_queue: 4,
         // Under saturation nearly every served request clears 1ms, so the
@@ -290,7 +289,7 @@ fn main() {
     // must stay under 1ms while the fleet is hammered; the tail is capped
     // too, but loosely — on an oversubscribed host the p99 measures the
     // OS scheduler (client threads waiting for a core while a worker
-    // scores a 20ms batch), not the reject path, whose sub-µs cost the
+    // scores a request), not the reject path, whose sub-µs cost the
     // `serve_overload` bench pins directly.
     turnarounds.sort_unstable();
     let p99 = turnarounds[(turnarounds.len() - 1) * 99 / 100];

@@ -3,9 +3,9 @@
 //! Trains a model once, spawns a `TuneService`, then drives it from four
 //! client threads issuing a skewed workload (a few hot instances queried
 //! again and again, plus a tail of unique ones — the shape of real tuning
-//! traffic). Requests coalesce into micro-batches, and repeats, duplicates
-//! queued in one batch included, are answered from the decision cache
-//! without any scoring at all.
+//! traffic). The worker answers one request at a time, in queue order,
+//! and repeats, duplicates queued together included, are answered from
+//! the decision cache without any scoring at all.
 //!
 //! ```sh
 //! cargo run --release --example serve_demo

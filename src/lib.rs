@@ -18,7 +18,7 @@
 //! | [`search`]  | `stencil-search`  | GA, steady-state GA, differential evolution, ES |
 //! | [`gen`]     | `stencil-gen`     | training corpus, C emitter, training-set builder |
 //! | [`sorl`]    | `sorl`            | the autotuner: pipeline, ranker, tuning sessions, benchmarks |
-//! | [`serve`]   | `sorl-serve`      | multi-tenant tuning service: micro-batching, top-k, decision cache |
+//! | [`serve`]   | `sorl-serve`      | multi-tenant tuning service: request queue, top-k, decision cache |
 //! | [`shard`]   | `sorl-shard`      | fingerprint-sharded fleet: rendezvous routing, warm cache shipping |
 //! | [`obs`]     | `sorl-obs`        | observability: traces, flight recorder, Prometheus metrics |
 //!
@@ -49,11 +49,11 @@
 //! scores every full row, one reused row at a time, on the calling thread.
 //!
 //! When many *concurrent* callers tune many (often repeated) instances,
-//! run a [`serve::TuneService`]: queued requests are micro-batched,
-//! answers are the top-k configurations with scores, and a decision cache
-//! keyed on the canonical [`model::InstanceKey`] absorbs repeated traffic
-//! entirely, duplicates queued together included (see
-//! `examples/serve_demo.rs`).
+//! run a [`serve::TuneService`]: queued requests are answered one at a
+//! time in queue order, answers are the top-k configurations with scores,
+//! and a decision cache keyed on the canonical [`model::InstanceKey`]
+//! absorbs repeated traffic entirely, duplicates queued together included
+//! (see `examples/serve_demo.rs`).
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench` for
 //! the binaries regenerating every table and figure of the paper.
