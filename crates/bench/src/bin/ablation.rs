@@ -40,14 +40,14 @@ fn main() {
     // Ordinal regression.
     let (rank_model, report) = RankSvmTrainer::new(TrainConfig::paper()).train(&train.dataset);
     let rank_scores: Vec<f64> =
-        (0..holdout.dataset.len()).map(|i| rank_model.score(holdout.dataset.row(i))).collect();
+        (0..holdout.dataset.len()).map(|i| rank_model.score(&holdout.dataset.row(i))).collect();
     summarize("rank-svm (ordinal regression)", &holdout, &rank_scores, &mut rows);
     println!("    (training pair accuracy {:.3})", report.train_pair_accuracy);
 
     // Regression on log runtime.
     let ridge = RidgeRegression::fit(&train.dataset, 1e-3, true).expect("ridge fits");
     let ridge_scores: Vec<f64> =
-        (0..holdout.dataset.len()).map(|i| ridge.score(holdout.dataset.row(i))).collect();
+        (0..holdout.dataset.len()).map(|i| ridge.score(&holdout.dataset.row(i))).collect();
     summarize("ridge regression (log runtime)", &holdout, &ridge_scores, &mut rows);
 
     // Classification: classes = 16 representative tunings; per training

@@ -32,7 +32,7 @@ impl RidgeRegression {
             return None;
         }
         let dim = data.dim();
-        let rows: Vec<f64> = (0..data.len()).flat_map(|i| data.row(i).to_vec()).collect();
+        let rows: Vec<f64> = (0..data.len()).flat_map(|i| data.row(i)).collect();
         let y: Vec<f64> = data
             .targets()
             .iter()

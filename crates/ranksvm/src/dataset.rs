@@ -6,16 +6,34 @@
 //! which is exactly the paper's partial-ranking structure: executions of
 //! different stencils or input sizes are never compared.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a comparability group (a "query" in ranking terms).
 pub type GroupId = u32;
 
-/// A dense, grouped learning-to-rank dataset.
+/// A grouped learning-to-rank dataset.
+///
+/// Rows are stored in two parts. The leading [`shared_columns`] columns are
+/// stored once per group, as its *head*, and each row stores the rest, its
+/// *tail*, contiguously after the previous row's. A column is shared when,
+/// on every row of every group, it holds the bits of the group's first row
+/// (compared with `to_bits`, so `+0.0` and `-0.0` differ) and a finite
+/// value. The shared width is the longest such prefix, worked out from the
+/// rows pushed: a push that shortens it moves the dropped columns from each
+/// head into the tails of its group's rows. Under either stencil encoding
+/// the instance features lead the row, so the paper's 3840-sample set
+/// stores 348 columns per group and 187 per row, 6.3 MB instead of 16.4 MB
+/// of dense rows.
+///
+/// [`shared_columns`]: RankingDataset::shared_columns
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RankingDataset {
     dim: usize,
-    features: Vec<f64>, // row-major, len = dim * n
+    shared: usize,
+    heads: BTreeMap<GroupId, Vec<f64>>, // len = shared each
+    tails: Vec<f64>,                    // row-major, len = (dim - shared) * n
     targets: Vec<f64>,
     groups: Vec<GroupId>,
 }
@@ -23,12 +41,17 @@ pub struct RankingDataset {
 impl RankingDataset {
     /// Creates an empty dataset for `dim`-dimensional features.
     pub fn new(dim: usize) -> Self {
-        RankingDataset { dim, features: Vec::new(), targets: Vec::new(), groups: Vec::new() }
+        RankingDataset { dim, shared: dim, ..RankingDataset::default() }
     }
 
     /// Feature dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
+    }
+
+    /// Number of leading columns stored once per group.
+    pub fn shared_columns(&self) -> usize {
+        self.shared
     }
 
     /// Number of samples.
@@ -47,14 +70,44 @@ impl RankingDataset {
     /// Panics when the feature length does not match the dataset dimension.
     pub fn push(&mut self, features: &[f64], target: f64, group: GroupId) {
         assert_eq!(features.len(), self.dim, "feature dimension mismatch");
-        self.features.extend_from_slice(features);
+        let head = self.heads.get(&group).map_or(features, Vec::as_slice);
+        let same =
+            |&k: &usize| features[k].is_finite() && features[k].to_bits() == head[k].to_bits();
+        let keep = (0..self.shared).find(|k| !same(k)).unwrap_or(self.shared);
+        self.narrow(keep);
+        self.heads.entry(group).or_insert_with(|| features[..keep].to_vec());
+        self.tails.extend_from_slice(&features[keep..]);
         self.targets.push(target);
         self.groups.push(group);
     }
 
-    /// The `i`-th feature row.
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.features[i * self.dim..(i + 1) * self.dim]
+    /// Shortens the shared prefix to `keep` columns, moving the dropped
+    /// columns of each head into the tails of its group's rows.
+    fn narrow(&mut self, keep: usize) {
+        if keep == self.shared {
+            return;
+        }
+        let mut tails = Vec::with_capacity((self.dim - keep) * self.len());
+        for (i, g) in self.groups.iter().enumerate() {
+            tails.extend_from_slice(&self.heads[g][keep..]);
+            tails.extend_from_slice(self.tail(i));
+        }
+        self.tails = tails;
+        for head in self.heads.values_mut() {
+            head.truncate(keep);
+        }
+        self.shared = keep;
+    }
+
+    /// The `i`-th feature row: its group's head, then its tail.
+    pub fn row(&self, i: usize) -> Vec<f64> {
+        [&self.heads[&self.groups[i]][..], self.tail(i)].concat()
+    }
+
+    /// The columns of row `i` from [`RankingDataset::shared_columns`] on.
+    pub(crate) fn tail(&self, i: usize) -> &[f64] {
+        let width = self.dim - self.shared;
+        &self.tails[i * width..(i + 1) * width]
     }
 
     /// The `i`-th target.
@@ -90,15 +143,14 @@ impl RankingDataset {
     }
 
     /// Takes the first `n` samples (used for the paper's training-size
-    /// sweeps). Group structure is preserved.
+    /// sweeps). Group structure and every bit are preserved; the shared
+    /// width is worked out again from the rows kept.
     pub fn truncated(&self, n: usize) -> RankingDataset {
-        let n = n.min(self.len());
-        RankingDataset {
-            dim: self.dim,
-            features: self.features[..n * self.dim].to_vec(),
-            targets: self.targets[..n].to_vec(),
-            groups: self.groups[..n].to_vec(),
+        let mut out = RankingDataset::new(self.dim);
+        for i in 0..n.min(self.len()) {
+            out.push(&self.row(i), self.targets[i], self.groups[i]);
         }
+        out
     }
 
     /// Generates all within-group preference pairs `(better, worse)`.
@@ -286,6 +338,88 @@ mod tests {
         assert_eq!(t.row(4), ds.row(4));
         // Truncating beyond the length is a no-op.
         assert_eq!(ds.truncated(100).len(), 12);
+    }
+
+    fn bits(ds: &RankingDataset) -> Vec<Vec<u64>> {
+        (0..ds.len()).map(|i| ds.row(i).iter().map(|v| v.to_bits()).collect()).collect()
+    }
+
+    /// Interleaved groups 7, 3 and 9 whose leading columns hold signed
+    /// zeros, subnormals, NaN and infinities. Columns 0 and 1 stay shared
+    /// (bits equal within each group, values finite). Column 4 varies; then
+    /// a new group's -inf in column 3 and a NaN in column 2 each drop the
+    /// shared width by one.
+    fn special() -> (RankingDataset, Vec<Vec<f64>>) {
+        let (nan, inf, tiny) = (f64::NAN, f64::INFINITY, f64::from_bits(1));
+        let rows = [
+            (7, [-0.0, tiny, 1.0, 2.0, 0.1]),
+            (3, [0.0, -tiny, 1.0, 2.0, 0.2]),
+            (7, [-0.0, tiny, 1.0, 2.0, 0.3]),
+            (9, [1.0, f64::MIN_POSITIVE / 4.0, 2.0, -inf, 0.5]),
+            (3, [0.0, -tiny, nan, 2.0, 0.4]),
+            (7, [-0.0, tiny, inf, -nan, 0.6]),
+            (9, [1.0, f64::MIN_POSITIVE / 4.0, 2.0, -inf, 0.7]),
+        ];
+        let mut ds = RankingDataset::new(5);
+        for (i, (g, x)) in rows.iter().enumerate() {
+            ds.push(x, i as f64, *g);
+        }
+        (ds, rows.iter().map(|(_, x)| x.to_vec()).collect())
+    }
+
+    #[test]
+    fn rows_keep_every_pushed_bit() {
+        let (ds, rows) = special();
+        assert_eq!(ds.shared_columns(), 2);
+        let want: Vec<Vec<u64>> =
+            rows.iter().map(|x| x.iter().map(|v| v.to_bits()).collect()).collect();
+        assert_eq!(bits(&ds), want);
+        for n in 0..=ds.len() {
+            assert_eq!(bits(&ds.truncated(n)), want[..n], "first {n}");
+        }
+    }
+
+    #[test]
+    fn narrowing_keeps_stored_bits() {
+        // Columns 0 and 1 are constant within each group until a late row
+        // of group 2 flips column 1's +0.0 to -0.0, then a late row of
+        // group 0 changes column 0.
+        let mut ds = RankingDataset::new(4);
+        let mut want = Vec::new();
+        let mut push = |ds: &mut RankingDataset, x: [f64; 4], g: GroupId| {
+            ds.push(&x, want.len() as f64, g);
+            want.push(x.map(f64::to_bits).to_vec());
+            assert_eq!(bits(ds), want);
+        };
+        for r in 0..4 {
+            for g in 0..3 {
+                push(&mut ds, [g as f64, 0.0, r as f64, 0.5 * g as f64], g);
+            }
+        }
+        assert_eq!(ds.shared_columns(), 2);
+        push(&mut ds, [2.0, -0.0, 9.0, 9.0], 2);
+        assert_eq!(ds.shared_columns(), 1);
+        push(&mut ds, [0.5, 0.0, 9.0, 9.0], 0);
+        assert_eq!(ds.shared_columns(), 0);
+        let json = serde_json::to_string(&ds).unwrap();
+        let back: RankingDataset = serde_json::from_str(&json).unwrap();
+        assert_eq!(bits(&back), bits(&ds));
+    }
+
+    #[test]
+    fn serde_keeps_every_bit() {
+        // JSON holds no NaN or infinity: the finite rows of `special`.
+        let (_, rows) = special();
+        let mut ds = RankingDataset::new(5);
+        for (i, x) in rows.iter().enumerate().filter(|(_, x)| x.iter().all(|v| v.is_finite())) {
+            ds.push(x, i as f64 * 0.5, (i % 2) as GroupId);
+        }
+        let json = serde_json::to_string(&ds).unwrap();
+        let back: RankingDataset = serde_json::from_str(&json).unwrap();
+        assert_eq!(bits(&back), bits(&ds));
+        assert_eq!(back.shared_columns(), ds.shared_columns());
+        assert_eq!(back.targets(), ds.targets());
+        assert_eq!((0..ds.len()).map(|i| back.group(i)).collect::<Vec<_>>(), ds.groups);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub fn kendall_per_group(data: &RankingDataset, model: &LinearRanker) -> Vec<(Gr
         .into_iter()
         .map(|g| {
             let idx = data.group_indices(g);
-            let scores: Vec<f64> = idx.iter().map(|&i| model.score(data.row(i))).collect();
+            let scores: Vec<f64> = idx.iter().map(|&i| model.score(&data.row(i))).collect();
             let neg_targets: Vec<f64> = idx.iter().map(|&i| -data.target(i)).collect();
             (g, tau_b(&scores, &neg_targets))
         })

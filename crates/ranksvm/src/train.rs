@@ -19,12 +19,14 @@
 //! Pairs compare rows of one group only, so a column whose value is the
 //! same on every row of a group is exactly zero in every pair difference;
 //! under either stencil encoding the whole instance prefix is made of such
-//! columns. Once per dataset the trainer finds the smallest column range
-//! outside which every difference `x_i[k] - x_j[k]` of two rows in one
-//! group is exactly zero. It tests the difference itself, so a NaN or an
-//! infinity varies. Both solvers and the evaluation run on row sub-slices
-//! of that range, and the solved weights are written into a zero vector of
-//! full width.
+//! columns. [`RankingDataset`] stores the leading ones, when finite, once
+//! per group, and each row's other columns, its tail, contiguously. Once per
+//! dataset the trainer finds the smallest range of tail columns outside
+//! which every difference `x_i[k] - x_j[k]` of two rows in one group is
+//! exactly zero. It tests the difference itself, so a NaN or an infinity
+//! varies. Both solvers and the evaluation run on sub-slices of the stored
+//! tails, and the solved weights are written into a zero vector of full
+//! width.
 //!
 //! The result has the bits training on full rows would give. A weight
 //! outside the range starts at +0.0, and every update scales it by a
@@ -34,6 +36,31 @@
 //! sum is therefore a signed zero. Each of those sums runs in column order
 //! from 0.0 or -1.0, so it is never -0.0, and adding a signed zero to it
 //! changes no bit.
+//!
+//! # The projection's norm on demand
+//!
+//! After every step the SGD solver compares `||w||^2` with `radius^2`, and
+//! on the paper's training sets the projection never fires. So the solver
+//! keeps `ub`, an upper bound on `||w||`, and sums the norm only when the
+//! bound cannot rule the projection out. A step maps `w` to
+//! `s w + eta (x_i - x_j)` or to `s w`, so by the triangle inequality it
+//! maps the bound to `(|s| ub + eta (||x_i|| + ||x_j||)) (1 + d)` or to
+//! `|s| ub (1 + d)`, with each row's norm summed once per fit. The norm is
+//! summed when `ub^2 (1 + d) <= radius^2` fails, as it does for a NaN
+//! bound, and `ub` restarts from it, or from `radius` after a projection.
+//!
+//! Skipping the sum changes no bit. Over `n` columns, the roundings the
+//! argument meets, in a step, in an `n`-term norm sum and in the bound's
+//! own arithmetic, add up to a relative error below `gamma_n + 12 u`, where
+//! `u = 2^-53` and `gamma_n = n u / (1 - n u)` (about 2e-14 for the paper's
+//! 187 columns). The slack `d = max(1e-12, 2 n u)` exceeds that, so `ub`
+//! never falls below the norm of the rounded `w`, and a bound that passes
+//! the test proves that the summed norm is at most `radius^2`, where the
+//! projection does not fire. The margin, the update, the shrink, the
+//! projection's scale and the average keep their arithmetic and order. The
+//! test is made only while `radius^2` exceeds `f64::MIN_POSITIVE /
+//! f64::EPSILON` (about 1e-292), where the absolute errors of gradual
+//! underflow stay far below `d radius^2`.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -220,7 +247,7 @@ impl RankSvmTrainer {
         };
         let (objective, acc) = self.evaluate(&w, &rows, &pairs);
         let mut weights = vec![0.0; data.dim()];
-        weights[rows.cols].copy_from_slice(&w);
+        weights[data.shared_columns()..][rows.cols].copy_from_slice(&w);
         let report = TrainReport {
             samples: data.len(),
             pairs: m,
@@ -238,6 +265,7 @@ impl RankSvmTrainer {
         let mut w = vec![0.0f64; rows.cols.len()];
         let lambda = 1.0 / (self.config.c * m as f64);
         let radius = 1.0 / lambda.sqrt();
+        let r2 = radius * radius;
         // First step size ~0.5 regardless of lambda.
         let t0 = 2.0 / lambda;
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
@@ -245,6 +273,13 @@ impl RankSvmTrainer {
         let mut avg_count = 0u64;
         let total_steps = epochs as u64 * m as u64;
         let avg_start = if self.config.average { total_steps / 2 } else { total_steps };
+        // An upper bound on ||w||, its slack per step, and the row norms
+        // that bound each pair difference (see the module docs).
+        let mut ub = 0.0f64;
+        let slack = 1e-12f64.max(w.len() as f64 * f64::EPSILON);
+        let use_bound = r2 > f64::MIN_POSITIVE / f64::EPSILON;
+        let norms: Vec<f64> =
+            (0..rows.data.len()).map(|i| squared_norm(rows.row(i as u32)).sqrt()).collect();
 
         let mut t = 0u64;
         for _ in 0..epochs {
@@ -254,24 +289,30 @@ impl RankSvmTrainer {
                 let eta = 1.0 / (lambda * (t as f64 + t0));
                 let (xi, xj) = (rows.row(i), rows.row(j));
                 let margin = margin_from(0.0, &w, xi, xj);
-                // w <- (1 - eta lambda) w [+ eta (x_i - x_j) if margin < 1]
+                // w <- (1 - eta lambda) w [+ eta (x_i - x_j) if margin < 1];
+                // `reach` bounds the norm of what is added.
                 let shrink = 1.0 - eta * lambda;
-                if margin < 1.0 {
+                let reach = if margin < 1.0 {
                     for ((v, a), b) in w.iter_mut().zip(xi).zip(xj) {
                         *v = shrink * *v + eta * (a - b);
                     }
+                    norms[i as usize] + norms[j as usize]
                 } else {
                     for v in w.iter_mut() {
                         *v *= shrink;
                     }
-                }
-                if self.config.project {
+                    0.0
+                };
+                ub = (shrink.abs() * ub + eta * reach) * (1.0 + slack);
+                if self.config.project && !(use_bound && ub * ub * (1.0 + slack) <= r2) {
                     let norm2 = squared_norm(&w);
-                    if norm2 > radius * radius {
+                    ub = norm2.sqrt();
+                    if norm2 > r2 {
                         let scale = radius / norm2.sqrt();
                         for v in w.iter_mut() {
                             *v *= scale;
                         }
+                        ub = radius;
                     }
                 }
                 if t > avg_start {
@@ -358,30 +399,32 @@ impl RankSvmTrainer {
 /// A dataset's rows cut to the columns that can differ within a group.
 struct VaryingColumns<'a> {
     data: &'a RankingDataset,
-    /// The smallest range outside which every difference of two rows of
-    /// one group is exactly zero.
+    /// The smallest range of tail columns outside which every difference
+    /// of two rows of one group is exactly zero.
     cols: Range<usize>,
 }
 
 impl<'a> VaryingColumns<'a> {
-    /// Finds the range by subtracting each row from its group's first row:
-    /// the difference itself is tested, so NaN and infinities vary.
+    /// Finds the range by subtracting each row's tail from its group's
+    /// first row's: the difference itself is tested, so NaN and infinities
+    /// vary. A shared column never varies, as it is finite and the same.
     fn of(data: &'a RankingDataset) -> Self {
         let mut first = HashMap::new();
-        let (mut lo, mut hi) = (data.dim(), 0);
+        let width = data.dim() - data.shared_columns();
+        let (mut lo, mut hi) = (width, 0);
         for i in 0..data.len() {
             let head = *first.entry(data.group(i)).or_insert(i);
-            let (x, x0) = (data.row(i), data.row(head));
+            let (x, x0) = (data.tail(i), data.tail(head));
             let varies = |k: &usize| head != i && x[*k] - x0[*k] != 0.0;
             lo = (0..lo).find(varies).unwrap_or(lo);
-            hi = (hi..data.dim()).rfind(varies).map_or(hi, |k| k + 1);
+            hi = (hi..width).rfind(varies).map_or(hi, |k| k + 1);
         }
         VaryingColumns { data, cols: lo.min(hi)..hi }
     }
 
-    /// Row `i`, restricted to the range.
+    /// Row `i`, restricted to the range: a slice of its stored tail.
     fn row(&self, i: u32) -> &'a [f64] {
-        &self.data.row(i as usize)[self.cols.clone()]
+        &self.data.tail(i as usize)[self.cols.clone()]
     }
 }
 
@@ -432,7 +475,7 @@ mod tests {
         let (model, _) = RankSvmTrainer::new(TrainConfig::default().with_c(1.0)).train(&ds);
         for g in ds.group_ids() {
             let idx = ds.group_indices(g);
-            let scores: Vec<f64> = idx.iter().map(|&i| model.score(ds.row(i))).collect();
+            let scores: Vec<f64> = idx.iter().map(|&i| model.score(&ds.row(i))).collect();
             // Lower target = better, so tau(scores, -target) should be high.
             let neg_targets: Vec<f64> = idx.iter().map(|&i| -ds.target(i)).collect();
             let tau = crate::kendall::tau_b(&scores, &neg_targets);
@@ -574,9 +617,9 @@ mod tests {
     ) -> RankingDataset {
         let mut out = RankingDataset::new(ds.dim() + at.len());
         for i in 0..ds.len() {
-            let mut src = ds.row(i).iter();
+            let mut src = ds.row(i).into_iter();
             let row: Vec<f64> = (0..out.dim())
-                .map(|k| if at.contains(&k) { fill(ds.group(i), i) } else { *src.next().unwrap() })
+                .map(|k| if at.contains(&k) { fill(ds.group(i), i) } else { src.next().unwrap() })
                 .collect();
             out.push(&row, ds.target(i), ds.group(i));
         }
@@ -636,6 +679,31 @@ mod tests {
                 assert_eq!(report.objective.to_bits(), f64::to_bits(objective), "{solver:?}");
                 assert_eq!(report.train_pair_accuracy, 0.0, "{solver:?}, {objective}");
             }
+        }
+    }
+
+    #[test]
+    fn projecting_path_is_pinned() {
+        // Features 100 times the separable set's, behind three columns that
+        // are constant within each group: the first steps leave w outside
+        // the Pegasos ball, so the projection fires and changes the fit.
+        let base = separable(6, 10, 4, 23);
+        let mut big = RankingDataset::new(base.dim());
+        for i in 0..base.len() {
+            let x: Vec<f64> = base.row(i).iter().map(|v| v * 100.0).collect();
+            big.push(&x, base.target(i), base.group(i));
+        }
+        let ds = widened(&big, &[0, 1, 2], |g, _| 0.5 + g as f64);
+        let pins = [
+            (1.0, [0xaeaf_bf9d_5772_036f, 0x6f6b_8294_0a60_60aa]),
+            (1e-2, [0x3af7_b294_6878_d7ba, 0x72d1_df40_b809_7bc7]),
+        ];
+        for (c, pins) in pins {
+            let cfg = TrainConfig::default().with_c(c);
+            let fit = |cfg| RankSvmTrainer::new(cfg).train(&ds).0.weight_fingerprint();
+            let got = [fit(cfg), fit(TrainConfig { project: false, ..cfg })];
+            assert_ne!(got[0], got[1], "C = {c}: the projection never fired");
+            assert_eq!(got, pins, "C = {c}: {:#018x}, {:#018x}", got[0], got[1]);
         }
     }
 

@@ -63,7 +63,7 @@ fn main() {
     // r reproduces every per-instance ordering (Kendall tau = 1).
     for g in ds.group_ids() {
         let idx = ds.group_indices(g);
-        let scores: Vec<f64> = idx.iter().map(|&i| model.score(ds.row(i))).collect();
+        let scores: Vec<f64> = idx.iter().map(|&i| model.score(&ds.row(i))).collect();
         let neg_rt: Vec<f64> = idx.iter().map(|&i| -ds.target(i)).collect();
         let tau = kendall_tau(&scores, &neg_rt);
         println!("  instance q{g}: Kendall tau = {tau:+.2}");
