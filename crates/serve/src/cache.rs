@@ -48,9 +48,10 @@ struct CachedDecision {
 /// A bounded LRU cache of top-k tuning decisions keyed by [`InstanceKey`].
 ///
 /// No interior locking: a [`TuneService`](crate::TuneService) keeps it
-/// behind one `Mutex`, which its worker takes for each lookup and each
-/// insert and each cache-control call takes once. The service exposes its
-/// counters through [`ServeStats`](crate::ServeStats).
+/// behind one `Mutex`, which a submitting thread takes for its lookup,
+/// the worker for each lookup and each insert, and each cache-control
+/// call once. The service exposes its counters through
+/// [`ServeStats`](crate::ServeStats).
 #[derive(Debug)]
 pub struct DecisionCache {
     map: HashMap<InstanceKey, CachedDecision>,
@@ -92,21 +93,27 @@ impl DecisionCache {
         key: &InstanceKey,
         k: usize,
     ) -> Option<(Vec<(TuningVector, f64)>, usize)> {
+        let hit = self.lookup_hit(key, k);
+        self.misses += u64::from(hit.is_none());
+        hit
+    }
+
+    /// Like [`lookup`](Self::lookup), but counts only a hit: a miss leaves
+    /// the counters alone, for a caller that hands the key on to one that
+    /// looks it up again (a service's submit path, ahead of its worker).
+    pub fn lookup_hit(
+        &mut self,
+        key: &InstanceKey,
+        k: usize,
+    ) -> Option<(Vec<(TuningVector, f64)>, usize)> {
         self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(d) if d.entries.len() >= k.min(d.candidates) => {
-                self.order.remove(&d.last_used);
-                d.last_used = self.tick;
-                self.order.insert(self.tick, key.clone());
-                self.hits += 1;
-                let n = k.min(d.entries.len());
-                Some((d.entries.get(..n).unwrap_or_default().to_vec(), d.candidates))
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
+        let d = self.map.get_mut(key).filter(|d| d.entries.len() >= k.min(d.candidates))?;
+        self.order.remove(&d.last_used);
+        d.last_used = self.tick;
+        self.order.insert(self.tick, key.clone());
+        self.hits += 1;
+        let n = k.min(d.entries.len());
+        Some((d.entries.get(..n).unwrap_or_default().to_vec(), d.candidates))
     }
 
     /// Inserts (or replaces) the decision for `key`, evicting the least

@@ -5,10 +5,10 @@
 //! many concurrent callers tune many (often repeated) instances:
 //!
 //! ```text
-//!   clients ──submit──▶ MPSC queue ──▶ one request per pass, in queue order
-//!                                                │
-//!                                  ┌─ decision cache (InstanceKey → top-k),
-//!                                  │  one lock: a hit is answered at once
+//!   clients ──submit──▶ decision cache (InstanceKey → top-k), one lock:
+//!      │                a hit is answered on the submitting thread
+//!      └─ a miss ──▶ MPSC queue ──▶ one request per pass, in queue order,
+//!                                  │  looked up again (a queued duplicate hits)
 //!                                  ▼
 //!                        a miss, lock released: one session query (fold
 //!                        its score, rescore the near-ties on full rows,
@@ -21,8 +21,9 @@
 //!
 //! Three mechanisms carry the throughput:
 //!
-//! * **One request per pass** ([`TuneService`]) — the worker takes
-//!   requests off the queue one at a time, in queue order, and answers
+//! * **One request per pass** ([`TuneService`]) — a hit is answered on
+//!   the thread that submits it and never queues; the worker takes the
+//!   misses off the queue one at a time, in queue order, and answers
 //!   each before it takes the next; a miss is one
 //!   [`TuningSession::top_k_predefined`](sorl::session::TuningSession::top_k_predefined)
 //!   call. A miss is cached before the next request is looked up, so
@@ -58,8 +59,9 @@
 //! * **Admission control** ([`ServeConfig::max_queue`] /
 //!   [`ServeConfig::shed_p99`]) — the submission queue is bounded and a
 //!   rolling p99 pass-latency threshold sheds load early; both
-//!   fast-reject with [`ServeError::Overloaded`]`(`[`ShedReason`]`)` in
-//!   nanoseconds instead of letting requests pile up into timeouts.
+//!   fast-reject a miss with [`ServeError::Overloaded`]`(`[`ShedReason`]`)`
+//!   in nanoseconds instead of letting requests pile up into timeouts. A
+//!   hit is answered before admission and is never shed.
 //!   [`ServeStats`] reports shed counts, live queue depth, and the
 //!   rolling p99 the shedder acts on.
 //!

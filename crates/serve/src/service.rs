@@ -2,27 +2,33 @@
 //! request per pass, cloneable client handles, and admission control.
 //!
 //! One worker thread owns the [`TuningSession`] (its scratch buffers); the
-//! [`DecisionCache`] sits behind one lock shared by the worker and the
-//! service handle. Clients submit [`TuneRequest`]s through a cloneable
-//! [`TuneClient`]; the worker takes them off the queue one at a time, in
-//! queue order, and answers each before it takes the next. A request is
-//! looked up in the cache; a miss is answered with one
-//! [`TuningSession::top_k_predefined`] call (one folded query) with the
-//! lock released, and inserted before the next lookup, so a key queued
-//! twice is scored once. Every answer is a [`TopK`]: the k best tuning
-//! vectors with scores, from a partial select.
+//! [`DecisionCache`] sits behind one lock shared by the worker, the
+//! service handle and every client. Clients submit [`TuneRequest`]s
+//! through a cloneable [`TuneClient`], which looks each key up first: a
+//! hit is answered on the submitting thread, its ticket complete before
+//! [`TuneClient::submit`] returns, and never enters the queue. A miss is
+//! queued; the worker takes requests off the queue one at a time, in
+//! queue order, and answers each before it takes the next. It looks the
+//! key up again, so a key queued twice is scored once: a miss is answered
+//! with one [`TuningSession::top_k_predefined`] call (one folded query)
+//! with the lock released, and inserted before the next lookup, and the
+//! later copies hit. Every answer is a [`TopK`]: the k best tuning
+//! vectors with scores, from a partial select. With caching off
+//! ([`ServeConfig::cache_capacity`] `0`) submission takes no cache lock
+//! and every request is queued.
 //!
 //! Submission is non-blocking: [`TuneClient::submit`] returns a
 //! [`TuneTicket`] (a completion slot to wait on or hang a callback on —
 //! see [`crate::ticket`]) without ever parking on the tuning work, and the
 //! blocking [`TuneClient::tune`] is a thin `submit + wait` wrapper.
 //!
-//! Submission is also *bounded*: the queue has a configurable depth cap
+//! Queueing is also *bounded*: the queue has a configurable depth cap
 //! ([`ServeConfig::max_queue`]) and a latency shed threshold
 //! ([`ServeConfig::shed_p99`]). When either trips, [`TuneClient::submit`]
-//! fast-rejects with [`ServeError::Overloaded`] — a few atomic reads, no
-//! queueing, no worker involvement — so overload degrades to cheap,
-//! immediate rejections instead of timeout pile-ups deep in the queue.
+//! fast-rejects a miss with [`ServeError::Overloaded`] — a few atomic
+//! reads, no queueing, no worker involvement — so overload degrades to
+//! cheap, immediate rejections instead of timeout pile-ups deep in the
+//! queue. A hit is answered before admission and is never shed.
 //!
 //! The cache is durable: [`TuneService::cache_snapshot`] exports it as a
 //! [`CacheSnapshot`] (versioned by the ranker fingerprint) and
@@ -34,7 +40,7 @@
 //! tunes, so they are not ordered after them either: an import can land
 //! before a tune queued earlier, which then hits.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -43,8 +49,8 @@ use serde::{Deserialize, Serialize};
 use sorl::session::TuningSession;
 use sorl::tuner::TopK;
 use sorl::StencilRanker;
-use sorl_obs::{EventKind, FlightRecorder, SloConfig, SloTracker, SpanId, TraceId};
-use stencil_model::StencilInstance;
+use sorl_obs::{EventKind, FlightRecorder, SloConfig, SloTracker, SpanGuard, SpanId, TraceId};
+use stencil_model::{InstanceKey, StencilInstance};
 
 use crate::cache::DecisionCache;
 use crate::exemplar::ExemplarStore;
@@ -71,14 +77,16 @@ impl TuneRequest {
     }
 }
 
-/// Which admission-control limit fast-rejected a submission.
+/// Which admission-control limit fast-rejected a submission. The service
+/// sheds only misses: a cache hit is answered before admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// The bounded submission queue is at its configured depth cap
     /// ([`ServeConfig::max_queue`]).
     QueueFull,
-    /// The rolling p99 pass latency (one pass serves one request) crossed
-    /// [`ServeConfig::shed_p99`] while the queue was backed up — the
+    /// The rolling p99 latency of the worker's passes (one pass serves one
+    /// queued request) crossed [`ServeConfig::shed_p99`] while the queue
+    /// was backed up — the
     /// service is falling behind, so new work is rejected before it can
     /// pile onto the queue.
     BatchLatency,
@@ -151,15 +159,15 @@ pub struct ServeConfig {
     /// so follow-up requests asking for a few more than the first one
     /// still hit the cache.
     pub cache_capacity: usize,
-    /// Bounded submission queue: a submission finding this many requests
+    /// Bounded submission queue: a miss finding this many requests
     /// already waiting is fast-rejected with
     /// [`ServeError::Overloaded`]`(`[`ShedReason::QueueFull`]`)` instead
-    /// of queued. `0` means unbounded (the pre-admission-control
-    /// behavior).
+    /// of queued (a hit never queues). `0` means unbounded.
     pub max_queue: usize,
-    /// Latency shed threshold: when the p99 over the last 64 passes (each
-    /// serves one request) exceeds this *and* more than 64 requests are
-    /// already queued, submissions are fast-rejected with
+    /// Latency shed threshold: when the p99 over the worker's last 64
+    /// passes (each serves one queued request; hits answered at submit
+    /// are not among them) exceeds this *and* more than 64 requests are
+    /// already queued, misses are fast-rejected with
     /// [`ShedReason::BatchLatency`]. The queue-depth guard gives the
     /// shedder hysteresis — a briefly slow pass with a short queue never
     /// sheds, and once the backlog drains admission resumes.
@@ -240,12 +248,60 @@ const EXEMPLAR_SLOTS: usize = 8;
 enum Msg {
     Tune {
         req: TuneRequest,
+        key: InstanceKey,
         reply: TicketCompleter,
         trace: TraceId,
         span: SpanId,
         submitted: Instant,
     },
     Shutdown,
+}
+
+/// What the service handle, its clients and its worker share.
+#[derive(Debug)]
+struct Shared {
+    cache: Mutex<DecisionCache>,
+    /// Whether submissions look keys up ([`ServeConfig::cache_capacity`]
+    /// `> 0`); with caching off they take no cache lock.
+    caching: bool,
+    /// Raised when the service is dropped: a client then answers nothing
+    /// from the cache.
+    closed: AtomicBool,
+    counters: Counters,
+    admission: Admission,
+    recorder: Arc<FlightRecorder>,
+    exemplars: Arc<ExemplarStore>,
+    slo: Arc<SloTracker>,
+}
+
+impl Shared {
+    /// Publishes one answered request, then completes its ticket: the one
+    /// path for a hit answered at submit and for a worker pass. The
+    /// counters, the pass histogram and the scoring span land before the
+    /// reply, so a client that reads `stats()` right after its answer
+    /// sees its own request. The SLO and exemplar accounting run after
+    /// it: `on_ready` hooks fire inside `complete`, so a transport's reply
+    /// span has closed by the time an exemplar's chain is captured.
+    fn answer(
+        &self,
+        reply: TicketCompleter,
+        answer: TopK,
+        trace: TraceId,
+        score_span: SpanGuard<'_>,
+        pass: Duration,
+        submitted: Instant,
+    ) {
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.record_pass(pass);
+        drop(score_span);
+        reply.complete(Ok(answer));
+        let latency = submitted.elapsed();
+        self.slo.record(latency, true);
+        if self.exemplars.observe(latency) {
+            let chain = self.recorder.dump("service", Some(trace)).events;
+            self.exemplars.capture(trace, latency, chain);
+        }
+    }
 }
 
 /// A running tuning service: one worker thread, an MPSC queue, any number
@@ -274,12 +330,7 @@ enum Msg {
 pub struct TuneService {
     tx: mpsc::Sender<Msg>,
     worker: Option<JoinHandle<()>>,
-    cache: Arc<Mutex<DecisionCache>>,
-    counters: Arc<Counters>,
-    admission: Arc<Admission>,
-    recorder: Arc<FlightRecorder>,
-    exemplars: Arc<ExemplarStore>,
-    slo: Arc<SloTracker>,
+    shared: Arc<Shared>,
     fingerprint: u64,
 }
 
@@ -287,67 +338,41 @@ impl TuneService {
     /// Spawns a service whose worker thread owns one scoring session.
     pub fn spawn(ranker: StencilRanker, config: ServeConfig) -> Self {
         let (tx, rx) = mpsc::channel();
-        let cache = Arc::new(Mutex::new(DecisionCache::new(config.cache_capacity)));
-        let counters = Arc::new(Counters::default());
-        let admission = Arc::new(Admission::new(&config));
         let recorder = Arc::new(FlightRecorder::new(FLIGHT_RECORDER_EVENTS));
-        let exemplars = Arc::new(ExemplarStore::new(EXEMPLAR_SLOTS, config.exemplar_threshold));
-        // SLO threshold crossings land in the same recorder as the
-        // request spans, so a trace dump shows when the budget started
-        // burning next to the requests that burned it.
-        let slo = Arc::new(SloTracker::with_recorder(SloConfig::default(), Arc::clone(&recorder)));
-        let worker_cache = Arc::clone(&cache);
-        let worker_counters = Arc::clone(&counters);
-        let worker_recorder = Arc::clone(&recorder);
-        let worker_exemplars = Arc::clone(&exemplars);
-        let worker_slo = Arc::clone(&slo);
+        let shared = Arc::new(Shared {
+            cache: Mutex::new(DecisionCache::new(config.cache_capacity)),
+            caching: config.cache_capacity > 0,
+            closed: AtomicBool::new(false),
+            counters: Counters::default(),
+            admission: Admission::new(&config),
+            exemplars: Arc::new(ExemplarStore::new(EXEMPLAR_SLOTS, config.exemplar_threshold)),
+            // SLO threshold crossings land in the same recorder as the
+            // request spans, so a trace dump shows when the budget started
+            // burning next to the requests that burned it.
+            slo: Arc::new(SloTracker::with_recorder(SloConfig::default(), Arc::clone(&recorder))),
+            recorder,
+        });
+        let worker_shared = Arc::clone(&shared);
         let fingerprint = ranker.fingerprint();
         let session = TuningSession::new(ranker);
         let worker = std::thread::Builder::new()
             .name("sorl-serve-worker".into())
-            .spawn(move || {
-                worker_loop(
-                    rx,
-                    session,
-                    config,
-                    &worker_cache,
-                    &worker_counters,
-                    &worker_recorder,
-                    &worker_exemplars,
-                    &worker_slo,
-                )
-            })
+            .spawn(move || worker_loop(rx, session, config, &worker_shared))
             // sorl-lint: allow(panic, "spawn fails only on thread-resource exhaustion at service construction; there is no service to degrade gracefully yet")
             .expect("spawn sorl-serve worker");
-        TuneService {
-            tx,
-            worker: Some(worker),
-            cache,
-            counters,
-            admission,
-            recorder,
-            exemplars,
-            slo,
-            fingerprint,
-        }
+        TuneService { tx, worker: Some(worker), shared, fingerprint }
     }
 
     /// A new client handle (cheap, cloneable, usable from any thread).
     pub fn client(&self) -> TuneClient {
-        TuneClient {
-            tx: self.tx.clone(),
-            counters: Arc::clone(&self.counters),
-            admission: Arc::clone(&self.admission),
-            recorder: Arc::clone(&self.recorder),
-            slo: Arc::clone(&self.slo),
-        }
+        TuneClient { tx: self.tx.clone(), shared: Arc::clone(&self.shared) }
     }
 
     /// A point-in-time snapshot of the service counters, with the cache's
     /// own hit, miss, eviction and residency counts read under its lock.
     pub fn stats(&self) -> ServeStats {
-        let mut stats = self.counters.snapshot();
-        let cache = lock(&self.cache);
+        let mut stats = self.shared.counters.snapshot();
+        let cache = lock(&self.shared.cache);
         stats.cache_hits = cache.hits();
         stats.cache_misses = cache.misses();
         stats.cache_evictions = cache.evictions();
@@ -359,18 +384,18 @@ impl TuneService {
     /// scoring spans and cache events, joinable on [`TraceId`] with a
     /// remote client's recorder ([`FlightRecorder::snapshot`]).
     pub fn flight_recorder(&self) -> &Arc<FlightRecorder> {
-        &self.recorder
+        &self.shared.recorder
     }
 
     /// The service's slow-request exemplar store: full span chains of
     /// the slowest recent requests (see [`crate::ExemplarStore`]).
     pub fn exemplars(&self) -> &Arc<ExemplarStore> {
-        &self.exemplars
+        &self.shared.exemplars
     }
 
     /// The service's SLO burn-rate tracker (see [`sorl_obs::SloTracker`]).
     pub fn slo(&self) -> &Arc<SloTracker> {
-        &self.slo
+        &self.shared.slo
     }
 
     /// Fingerprint of the ranking function this service answers with
@@ -385,7 +410,7 @@ impl TuneService {
     /// Save it with [`CacheSnapshot::save_json`] and feed it to
     /// [`import_cache`](Self::import_cache) after a restart to start warm.
     pub fn cache_snapshot(&self) -> Result<CacheSnapshot, ServeError> {
-        Ok(lock(&self.cache).snapshot(self.fingerprint))
+        Ok(lock(&self.shared.cache).snapshot(self.fingerprint))
     }
 
     /// Exports the cache slice whose key fingerprints
@@ -393,7 +418,7 @@ impl TuneService {
     /// satisfy `filter`, leaving the cache untouched — what a shard hands
     /// to a new owner that is *also* keeping its own copy warm.
     pub fn export_cache(&self, filter: impl Fn(u64) -> bool) -> Result<CacheSnapshot, ServeError> {
-        Ok(lock(&self.cache).snapshot_filtered(self.fingerprint, filter))
+        Ok(lock(&self.shared.cache).snapshot_filtered(self.fingerprint, filter))
     }
 
     /// Removes and returns the cache slice whose key fingerprints satisfy
@@ -401,7 +426,7 @@ impl TuneService {
     /// route elsewhere, so keeping the decisions here would only waste
     /// capacity).
     pub fn extract_cache(&self, filter: impl Fn(u64) -> bool) -> Result<CacheSnapshot, ServeError> {
-        Ok(lock(&self.cache).extract(self.fingerprint, filter))
+        Ok(lock(&self.shared.cache).extract(self.fingerprint, filter))
     }
 
     /// Replays a snapshot into the live cache (merging with resident
@@ -411,7 +436,7 @@ impl TuneService {
     /// [`ServeError::Snapshot`] without touching the cache. Returns the
     /// number of entries applied.
     pub fn import_cache(&self, snapshot: CacheSnapshot) -> Result<usize, ServeError> {
-        Ok(lock(&self.cache).restore(&snapshot, self.fingerprint)?)
+        Ok(lock(&self.shared.cache).restore(&snapshot, self.fingerprint)?)
     }
 
     /// Shuts the worker down, answering everything already queued first.
@@ -421,10 +446,14 @@ impl TuneService {
 
 impl Drop for TuneService {
     fn drop(&mut self) {
+        self.shared.closed.store(true, Ordering::Release);
         let _ = self.tx.send(Msg::Shutdown);
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }
+        // A client may outlive the service; it answers nothing from the
+        // cache any more, so it need not keep the decisions alive.
+        lock(&self.shared.cache).clear();
     }
 }
 
@@ -432,18 +461,16 @@ impl Drop for TuneService {
 #[derive(Debug, Clone)]
 pub struct TuneClient {
     tx: mpsc::Sender<Msg>,
-    counters: Arc<Counters>,
-    admission: Arc<Admission>,
-    recorder: Arc<FlightRecorder>,
-    slo: Arc<SloTracker>,
+    shared: Arc<Shared>,
 }
 
 impl TuneClient {
-    /// Enqueues a query and returns a ticket to wait on (or hang a callback
-    /// on — see [`TuneTicket`]). Submitting never blocks on the
-    /// tuning work itself, and never queues past the admission limits: an
-    /// overloaded service answers here, immediately, with
-    /// [`ServeError::Overloaded`].
+    /// Answers a cache hit, or enqueues a miss, and returns a ticket to
+    /// wait on (or hang a callback on — see [`TuneTicket`]). A hit's
+    /// ticket is complete before this returns. Submitting never blocks
+    /// on the tuning work itself, and never queues past the admission
+    /// limits: an overloaded service answers a miss here, immediately,
+    /// with [`ServeError::Overloaded`].
     pub fn submit(&self, instance: StencilInstance, k: usize) -> Result<TuneTicket, ServeError> {
         self.submit_traced(instance, k, TraceId::fresh())
     }
@@ -459,18 +486,45 @@ impl TuneClient {
         k: usize,
         trace: TraceId,
     ) -> Result<TuneTicket, ServeError> {
-        if let Err(e) = self.admission.try_admit(&self.counters) {
+        let shared = &*self.shared;
+        let mut key = None;
+        if shared.caching {
+            if shared.closed.load(Ordering::Acquire) {
+                shared.slo.record_rejected();
+                return Err(ServeError::Closed);
+            }
+            let started = Instant::now();
+            let looked_up = instance.key();
+            // A miss is not counted here: the worker looks the key up
+            // again, and counts the hit or the miss it finds.
+            let hit = lock(&shared.cache).lookup_hit(&looked_up, k);
+            if let Some((entries, candidates)) = hit {
+                let pass = started.elapsed();
+                // A hit never waits: its queue-wait span is empty, and its
+                // pass is the lookup.
+                drop(shared.recorder.span(trace, "queue_wait"));
+                let score_span = shared.recorder.span(trace, "score_batch");
+                score_span.event("cache_hit");
+                let (ticket, reply) = ticket::pair();
+                let answer = TopK { entries, candidates, seconds: 0.0 };
+                shared.answer(reply, answer, trace, score_span, pass, started);
+                return Ok(ticket);
+            }
+            key = Some(looked_up);
+        }
+        if let Err(e) = shared.admission.try_admit(&shared.counters) {
             // A shed request never ran, but the caller still experienced
             // it: it spends error budget.
-            self.slo.record_rejected();
+            shared.slo.record_rejected();
             return Err(e);
         }
         let (ticket, reply) = ticket::pair();
         // The queue-wait span opens at admission and is closed by the
         // worker at dequeue; its duration IS the queue delay.
         let span = SpanId::fresh();
-        self.recorder.record(EventKind::SpanBegin, trace, span, "queue_wait");
+        shared.recorder.record(EventKind::SpanBegin, trace, span, "queue_wait");
         let msg = Msg::Tune {
+            key: key.unwrap_or_else(|| instance.key()),
             req: TuneRequest::new(instance, k),
             reply,
             trace,
@@ -481,9 +535,9 @@ impl TuneClient {
             // Nothing was queued; hand the admission slot back and close
             // the span. (The completer we just dropped fails `ticket`
             // with `Closed` too, but the caller never sees that ticket.)
-            self.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            self.recorder.record(EventKind::SpanEnd, trace, span, "queue_wait");
-            self.slo.record_rejected();
+            shared.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            shared.recorder.record(EventKind::SpanEnd, trace, span, "queue_wait");
+            shared.slo.record_rejected();
             return Err(ServeError::Closed);
         }
         Ok(ticket)
@@ -514,72 +568,44 @@ fn lock(cache: &Mutex<DecisionCache>) -> MutexGuard<'_, DecisionCache> {
 /// Serves the queue one request per pass, in queue order, until a
 /// shutdown message or a disconnected queue: everything queued before
 /// the shutdown is answered first.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     rx: mpsc::Receiver<Msg>,
     mut session: TuningSession,
     config: ServeConfig,
-    cache: &Mutex<DecisionCache>,
-    counters: &Counters,
-    recorder: &FlightRecorder,
-    exemplars: &ExemplarStore,
-    slo: &SloTracker,
+    shared: &Shared,
 ) {
     let k_floor = if config.cache_capacity == 0 { 0 } else { CACHE_K_FLOOR };
     let mut recent = RecentLatencies::new();
-    while let Ok(Msg::Tune { req, reply, trace, span, submitted }) = rx.recv() {
+    while let Ok(Msg::Tune { req, key, reply, trace, span, submitted }) = rx.recv() {
         let started = Instant::now();
         // Dequeue releases one admission slot (the depth gauge counts
         // requests admitted but not yet dequeued) and closes the
         // submitter's queue-wait span.
-        counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        counters.requests.fetch_add(1, Ordering::Relaxed);
-        recorder.record(EventKind::SpanEnd, trace, span, "queue_wait");
-        let score_span = recorder.span(trace, "score_batch");
+        shared.counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        shared.recorder.record(EventKind::SpanEnd, trace, span, "queue_wait");
+        let score_span = shared.recorder.span(trace, "score_batch");
 
         // The lock is held for one lookup or one insert, never across the
         // scoring pass, and a miss is inserted before the next request is
         // looked up: a key queued twice is scored once. Bound first: in an
         // `if let` scrutinee the guard would live on through the scoring.
-        let key = req.instance.key();
-        let hit = lock(cache).lookup(&key, req.k);
+        let hit = lock(&shared.cache).lookup(&key, req.k);
         let answer = if let Some((entries, candidates)) = hit {
             score_span.event("cache_hit");
             TopK { entries, candidates, seconds: 0.0 }
         } else {
             score_span.event("cache_miss");
             let mut top = session.top_k_predefined(&req.instance, req.k.max(k_floor));
-            counters.scored_instances.fetch_add(1, Ordering::Relaxed);
-            lock(cache).insert(key, top.entries.clone(), top.candidates);
+            shared.counters.scored_instances.fetch_add(1, Ordering::Relaxed);
+            lock(&shared.cache).insert(key, top.entries.clone(), top.candidates);
             top.entries.truncate(req.k);
             top
         };
-
-        // Publish the counters and histograms BEFORE replying: a client
-        // that reads `stats()` right after its answer arrives must see
-        // this request (the cache counters it reads were updated above,
-        // under the lock).
-        let latency = started.elapsed();
-        counters.record_pass(latency);
+        let pass = started.elapsed();
         // The rolling p99 the latency shedder reads: unlike the all-time
         // histogram it *recovers* once slow passes age out of the window,
         // so a past overload episode does not shed forever.
-        counters.recent_p99_us.store(recent.record_p99_us(latency), Ordering::Relaxed);
-        // Close the scoring span before the reply goes out, mirroring the
-        // publish-before-reply contract for the counters above.
-        drop(score_span);
-
-        // Complete the ticket (a dropped ticket is fine — the client gave
-        // up; completing it is a no-op nobody observes), then account the
-        // request's end-to-end latency. Accounting runs AFTER the
-        // completion because `on_ready` callbacks fire on this thread — a
-        // transport's reply span has already closed by the time the
-        // exemplar snapshot is taken, so the captured chain is complete.
-        reply.complete(Ok(answer));
-        let latency = submitted.elapsed();
-        slo.record(latency, true);
-        if exemplars.observe(latency) {
-            exemplars.capture(trace, latency, recorder.dump("service", Some(trace)).events);
-        }
+        shared.counters.recent_p99_us.store(recent.record_p99_us(pass), Ordering::Relaxed);
+        shared.answer(reply, answer, trace, score_span, pass, submitted);
     }
 }

@@ -53,12 +53,13 @@ impl RecentLatencies {
     }
 }
 
-/// Internal counter cells, shared between the worker thread (writer), the
-/// admission check on every submitting thread, and any number of snapshot
-/// readers. All updates are relaxed — the numbers are diagnostics and
-/// shed heuristics, not synchronization. The worker publishes every cell
-/// (the histogram included) *before* replying, so a client that reads
-/// `stats()` right after its answer arrives sees its own request. The
+/// Internal counter cells, shared between the worker thread and the
+/// submitting threads (writers: a hit is answered at submit, and every
+/// admission check runs there), and any number of snapshot readers. All
+/// updates are relaxed — the numbers are diagnostics and shed
+/// heuristics, not synchronization. Every cell (the histogram included)
+/// is published *before* the reply, so a client that reads `stats()`
+/// right after its answer arrives sees its own request. The
 /// cache's own counters are not here: `stats()` reads them from the
 /// cache, under its lock.
 #[derive(Debug, Default)]
@@ -80,7 +81,7 @@ pub(crate) struct Counters {
 }
 
 impl Counters {
-    /// Records one pass's dequeue-to-answer latency.
+    /// Records one pass's latency: dequeue to answer, or a hit's lookup.
     pub(crate) fn record_pass(&self, latency: Duration) {
         // The bucket function clamps to the last bucket; `get` keeps the
         // serving path panic-free even if the bucket math ever regresses.
@@ -149,7 +150,8 @@ fn histogram_percentile(hist: &[u64], q: f64) -> f64 {
 pub struct ServeStats {
     /// Requests answered (cache hits included).
     pub requests: u64,
-    /// Worker passes run. A pass serves one request, so this equals
+    /// Passes run: one per answered request, a worker pass for a queued
+    /// request or the lookup of a hit answered at submit, so this equals
     /// [`requests`](Self::requests).
     pub batches: u64,
     /// Most requests one pass served: 1 once any request was served, else
@@ -182,8 +184,9 @@ pub struct ServeStats {
     /// up.
     #[serde(default)]
     pub shed_latency: u64,
-    /// p99 pass latency over the most recent passes (a short rolling
-    /// window), seconds — the latency signal admission control sheds on.
+    /// p99 latency of the worker's most recent passes (a short rolling
+    /// window; hits answered at submit are not in it), seconds — the
+    /// latency signal admission control sheds on.
     /// Unlike the all-time percentiles below, this recovers when an
     /// overload episode ends.
     #[serde(default)]
@@ -192,7 +195,8 @@ pub struct ServeStats {
     /// `33-64`, `>64`. A pass serves one request, so every pass counts in
     /// the first bucket.
     pub batch_size_hist: [u64; BATCH_SIZE_BUCKETS],
-    /// Median per-pass latency (dequeue to answer ready), seconds.
+    /// Median per-pass latency, seconds: dequeue to answer ready for a
+    /// queued request, the lookup alone for a hit answered at submit.
     ///
     /// # Resolution contract
     ///

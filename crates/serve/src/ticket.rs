@@ -3,9 +3,10 @@
 //! A [`TuneTicket`] is a one-shot completion slot shared with the service
 //! worker. Embedders with their own event loops never have to park a
 //! thread on it: [`TuneTicket::on_ready`] registers a callback/waker hook
-//! that the worker invokes the moment the answer (or failure) lands. The
-//! blocking [`TuneTicket::wait`] of the original API is a thin wrapper
-//! over the same slot.
+//! that the worker invokes the moment the answer (or failure) lands, and
+//! [`TuneTicket::ready`] takes an answer that is already there (a cache
+//! hit's, answered at submit). The blocking [`TuneTicket::wait`] of the
+//! original API is a thin wrapper over the same slot.
 //!
 //! The worker side is a `TicketCompleter`: completing it fills the slot
 //! exactly once, and *dropping* it without completing (worker shut down
@@ -20,7 +21,8 @@ use sorl::tuner::TopK;
 use crate::service::ServeError;
 
 /// The hook [`TuneTicket::on_ready`] registers. Runs exactly once, on the
-/// thread that completes the ticket (the service worker for answers).
+/// thread that completes the ticket (the service worker for queued
+/// answers).
 type Callback = Box<dyn FnOnce(Result<TopK, ServeError>) + Send>;
 
 #[derive(Default)]
@@ -84,11 +86,21 @@ impl TuneTicket {
         }
     }
 
+    /// The outcome if the ticket is already complete, else the ticket
+    /// back. A cache hit's ticket is complete when
+    /// [`submit`](crate::TuneClient::submit) returns, so a transport can
+    /// reply to it on the submitting thread.
+    pub fn ready(self) -> Result<Result<TopK, ServeError>, TuneTicket> {
+        let outcome = self.slot.state().outcome.take();
+        outcome.ok_or(self)
+    }
+
     /// Registers `hook` to run with the outcome the moment it lands — on
     /// the completing thread (the service worker), or immediately on this
-    /// thread if the ticket is already complete. Keep hooks cheap (hand
-    /// off to your own executor/channel): they run inline on the worker's
-    /// reply path.
+    /// thread if the ticket is already complete, as a cache hit's is when
+    /// [`submit`](crate::TuneClient::submit) returns. Keep hooks cheap
+    /// (hand off to your own executor/channel): they run inline on the
+    /// worker's reply path.
     pub fn on_ready(self, hook: impl FnOnce(Result<TopK, ServeError>) + Send + 'static) {
         let ready = {
             let mut state = self.slot.state();
@@ -196,6 +208,27 @@ mod tests {
             seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         });
         assert_eq!(ran.load(std::sync::atomic::Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn ready_takes_only_an_outcome_that_has_landed() {
+        let (ticket, completer) = pair();
+        let ticket = ticket.ready().expect_err("nothing has landed yet");
+        completer.complete(Ok(answer()));
+        assert_eq!(ticket.ready().unwrap().unwrap().candidates, 7);
+
+        // A dropped completer lands as `Closed`.
+        let (ticket, completer) = pair();
+        let ticket = ticket.ready().expect_err("nothing has landed yet");
+        drop(completer);
+        assert_eq!(ticket.ready().unwrap().unwrap_err(), ServeError::Closed);
+
+        // A pending ticket handed back still delivers through `wait`.
+        let (ticket, completer) = pair();
+        let ticket = ticket.ready().expect_err("nothing has landed yet");
+        let waiter = std::thread::spawn(move || ticket.wait());
+        completer.complete(Ok(answer()));
+        assert_eq!(waiter.join().unwrap().unwrap().candidates, 7);
     }
 
     #[test]

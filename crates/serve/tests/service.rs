@@ -8,7 +8,7 @@ use std::time::Duration;
 use sorl::session::TuningSession;
 use sorl::StencilRanker;
 use sorl_obs::{EventKind, FlightRecorder, TraceId};
-use sorl_serve::{ServeConfig, TuneRequest, TuneService};
+use sorl_serve::{ServeConfig, ServeError, ShedReason, TuneRequest, TuneService};
 use stencil_model::{GridSize, StencilInstance, StencilKernel};
 
 /// Deterministic dense synthetic ranker (no training run needed).
@@ -177,6 +177,11 @@ fn a_mixed_burst_of_hits_misses_and_duplicates_matches_direct_queries() {
     let stats = service.stats();
     assert_eq!(stats.requests, 2 + burst.len() as u64);
     assert_eq!(stats.cache_hits + stats.cache_misses, stats.requests, "one lookup per request");
+    // Hits answered at submit and passes of the worker count alike: one
+    // pass each, and only a miss scores.
+    assert_eq!(stats.batches, stats.requests, "{stats}");
+    assert_eq!(stats.batch_latency_hist.iter().sum::<u64>(), stats.requests, "{stats}");
+    assert_eq!(stats.scored_instances, stats.cache_misses, "{stats}");
 }
 
 #[test]
@@ -281,4 +286,121 @@ fn eviction_counters_surface_in_stats() {
     let stats = service.stats();
     assert_eq!(stats.cache_entries, 2);
     assert!(stats.cache_evictions >= 2, "{stats}");
+}
+
+/// Whether `recorder` holds a `cache_miss` event under `trace`: the
+/// worker has dequeued that request and is scoring it.
+fn scoring(recorder: &FlightRecorder, trace: TraceId) -> bool {
+    recorder.snapshot().iter().any(|e| e.trace == trace && e.name == "cache_miss")
+}
+
+#[test]
+fn a_hit_is_answered_before_submit_returns_while_the_worker_scores() {
+    const WHOLE_SET: usize = 8640;
+    let service = TuneService::spawn(dense_ranker(), ServeConfig::default());
+    let client = service.client();
+    let warm = client.tune(lap(128), 2).unwrap();
+
+    let busy = TraceId::fresh();
+    let busy_ticket = client.submit_traced(lap(96), WHOLE_SET, busy).unwrap();
+    while !scoring(service.flight_recorder(), busy) {
+        std::thread::yield_now();
+    }
+    let hit = client.submit(lap(128), 2).unwrap().ready().expect("a hit's ticket is complete");
+    assert_eq!(hit.unwrap().entries, warm.entries);
+    // A miss still queues: its ticket is not complete at submit.
+    let miss = client.submit(lap(80), 2).unwrap().ready().expect_err("a miss is queued");
+    assert_eq!(miss.wait().unwrap().len(), 2);
+    busy_ticket.wait().unwrap();
+}
+
+#[test]
+fn a_hit_records_an_empty_queue_wait_and_a_scoring_span_with_its_hit() {
+    let service = TuneService::spawn(dense_ranker(), ServeConfig::default());
+    let client = service.client();
+    client.tune(lap(128), 2).unwrap();
+    let trace = TraceId::fresh();
+    client.submit_traced(lap(128), 2, trace).unwrap().ready().unwrap().unwrap();
+
+    let events: Vec<_> =
+        service.flight_recorder().snapshot().into_iter().filter(|e| e.trace == trace).collect();
+    let span = |name: &str| {
+        let begin = events
+            .iter()
+            .find(|e| e.name == name && e.kind == EventKind::SpanBegin)
+            .unwrap_or_else(|| panic!("no {name} span in {events:?}"));
+        let end = events.iter().find(|e| e.span == begin.span && e.kind == EventKind::SpanEnd);
+        (begin.span, end.expect("the span is closed").t_ns - begin.t_ns)
+    };
+    let (_, waited) = span("queue_wait");
+    assert!(Duration::from_nanos(waited) < Duration::from_millis(1), "a hit waited {waited} ns");
+    let (scored, _) = span("score_batch");
+    assert!(events.iter().any(|e| e.span == scored && e.name == "cache_hit"), "{events:?}");
+    assert!(!events.iter().any(|e| e.name == "cache_miss"), "{events:?}");
+}
+
+#[test]
+fn with_caching_off_every_request_is_queued_scored_and_sheddable() {
+    const WHOLE_SET: usize = 8640;
+    let ranker = dense_ranker();
+    let want = TuningSession::new(ranker.clone()).top_k_predefined(&lap(96), 2).entries;
+    let cfg = ServeConfig { cache_capacity: 0, max_queue: 1, ..Default::default() };
+    let service = TuneService::spawn(ranker, cfg);
+    let client = service.client();
+    for _ in 0..3 {
+        assert_eq!(client.tune(lap(96), 2).unwrap().entries, want);
+    }
+    let busy = TraceId::fresh();
+    let busy_ticket = client.submit_traced(lap(64), WHOLE_SET, busy).unwrap();
+    while !scoring(service.flight_recorder(), busy) {
+        std::thread::yield_now();
+    }
+    // The worker is busy: a repeated key queues, and past the queue's cap
+    // it is shed, like any other miss.
+    let queued = client.submit(lap(96), 2).unwrap().ready().expect_err("nothing answers at submit");
+    let shed = client.submit(lap(96), 2).unwrap_err();
+    assert_eq!(shed, ServeError::Overloaded(ShedReason::QueueFull));
+    assert_eq!(queued.wait().unwrap().entries, want);
+    busy_ticket.wait().unwrap();
+
+    let stats = service.stats();
+    assert_eq!(stats.requests, 5);
+    assert_eq!((stats.cache_hits, stats.cache_misses), (0, 5), "{stats}");
+    assert_eq!(stats.scored_instances, 5, "{stats}");
+    assert_eq!(stats.shed_queue, 1, "{stats}");
+}
+
+#[test]
+fn concurrent_hits_during_the_insert_get_the_reference_bits() {
+    let ranker = dense_ranker();
+    let mut reference = TuningSession::new(ranker.clone());
+    let sizes = [64u32, 72, 80, 88];
+    let want: Vec<_> = sizes.iter().map(|&n| reference.top_k_predefined(&lap(n), 3)).collect();
+    let service = TuneService::spawn(ranker, ServeConfig::default());
+    let barrier = Arc::new(std::sync::Barrier::new(4));
+    let submitters: Vec<_> = (0..4)
+        .map(|t| {
+            let (client, barrier, want) = (service.client(), Arc::clone(&barrier), want.clone());
+            std::thread::spawn(move || {
+                // Every thread starts on the same cold key: the first
+                // submissions queue, the rest race the worker's insert.
+                for round in 0..40 {
+                    let i = round / 10;
+                    if round % 10 == 0 {
+                        barrier.wait();
+                    }
+                    let got = client.tune(lap(sizes[i]), 3).unwrap();
+                    assert_eq!(got.entries, want[i].entries, "thread {t} round {round}");
+                    assert_eq!(got.candidates, want[i].candidates);
+                }
+            })
+        })
+        .collect();
+    for s in submitters {
+        s.join().unwrap();
+    }
+    let stats = service.stats();
+    assert_eq!(stats.requests, 160);
+    assert_eq!(stats.scored_instances, sizes.len() as u64, "each key scored once: {stats}");
+    assert_eq!(stats.cache_hits + stats.cache_misses, stats.requests, "{stats}");
 }

@@ -6,9 +6,11 @@
 //! ends **multiplex**: a link carries many in-flight requests at once,
 //! each stamped with a request id. The client keeps a pending-request
 //! table and one reader thread per link that routes response frames (and
-//! whole snapshot streams) back to their waiting callers; the server pairs
-//! one reader with one writer thread per connection and completes tuning
-//! requests through the service's non-blocking tickets, so a single
+//! whole snapshot streams) back to their waiting callers. The server's
+//! reader writes every reply it has at hand (a cache hit, answered at
+//! submit, every fault, shed and control reply) under the connection's
+//! write lock; a writer thread writes the tune replies the service worker
+//! completes later, so the worker never blocks on a socket and a single
 //! connection pipelines instead of lock-stepping call/response. Each frame
 //! kind has one payload codec, so neither side negotiates anything: the
 //! link is ready the moment the dial succeeds, and a peer on another
@@ -23,9 +25,11 @@
 //!
 //! Overload surfaces as backpressure, not timeouts: the client caps its
 //! own in-flight requests per link (submitters wait), and the server caps
-//! in-flight tunes per connection, fast-rejecting past the cap with an
-//! [`ShedReason::LinkInFlight`] fault — on top of whatever admission
-//! control the fronted service itself applies.
+//! the tunes a connection holds until their replies are written,
+//! fast-rejecting past the cap with an [`ShedReason::LinkInFlight`] fault
+//! — on top of whatever admission control the fronted service applies. A
+//! peer that stops reading stalls only its own reader, which then stops
+//! reading its requests.
 //!
 //! Anything malformed — wrong magic or version, garbage bytes, a peer
 //! closing mid-request, a response for a request id that was never issued,
@@ -40,11 +44,9 @@
 //! shard server is picked up without router surgery. There is still no
 //! retry of a *request* — a call that failed in flight fails its caller.
 //!
-//! The server spawns one connection-handler (reader) thread plus one
-//! writer thread per accepted router link; handlers hold the service only
-//! weakly, so dropping the [`ShardServer`] shuts the underlying service
-//! down even while connections are open (subsequent requests on them are
-//! answered with a `closed` fault).
+//! Handlers hold the service only weakly, so dropping the [`ShardServer`]
+//! shuts the underlying service down even while connections are open
+//! (subsequent requests on them are answered with a `closed` fault).
 
 use std::collections::HashMap;
 use std::io::{self, Read};
@@ -762,11 +764,10 @@ fn fail_link(link: &Weak<MuxLink>, reason: &str) {
 /// [`ShardServer`] knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardServerConfig {
-    /// Cap on in-flight tuning requests per connection. A request past the
-    /// cap is fast-rejected with an
-    /// [`ServeError::Overloaded`]`(`[`ShedReason::LinkInFlight`]`)` fault
-    /// — per-link backpressure in front of the service's own admission
-    /// control.
+    /// Cap on the tunes a connection holds, each from admission until its
+    /// reply is written: so also on the worker's replies a slow reader
+    /// makes it hold. A request past the cap is fast-rejected with an
+    /// [`ServeError::Overloaded`]`(`[`ShedReason::LinkInFlight`]`)` fault.
     pub max_in_flight: usize,
 }
 
@@ -785,7 +786,7 @@ struct ServerCounters {
     accepted: AtomicU64,
     /// Router links currently open (gauge).
     open: AtomicU64,
-    /// Tuning requests in flight across every connection (gauge).
+    /// Tunes whose replies are not yet written, across connections (gauge).
     in_flight: AtomicU64,
 }
 
@@ -794,11 +795,11 @@ struct ServerCounters {
 ///
 /// [`spawn`](Self::spawn) binds, then accepts on a background thread; each
 /// accepted connection gets a reader thread (parses requests, submits
-/// non-blocking tickets) and a writer thread (serializes replies as they
-/// complete — in whatever order the service finishes them, which is what
-/// lets one connection pipeline). The server owns the service; handlers
-/// only hold it weakly, so dropping the `ShardServer` shuts the service
-/// down deterministically even while router links are open.
+/// non-blocking tickets, writes every reply at hand) and a writer thread
+/// (writes the replies the worker completes, in whatever order it
+/// finishes them, which lets one connection pipeline). The server owns
+/// the service; handlers only hold it weakly, so dropping the
+/// `ShardServer` shuts the service down even while router links are open.
 #[derive(Debug)]
 pub struct ShardServer {
     service: Arc<TuneService>,
@@ -976,47 +977,73 @@ fn accept_loop(
 /// healthy and waits forever; a peer that stalls mid-frame is gone.
 const SERVER_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// One queued reply for the connection's writer thread.
-enum WriteJob {
-    /// A single response frame echoing its request's id and trace id.
-    Frame { request_id: u64, trace_id: u64, kind: FrameKind, payload: Vec<u8> },
-    /// A snapshot stream answering request `request_id`.
-    Snapshot { request_id: u64, snapshot: Box<CacheSnapshot> },
-    /// Flush nothing more; shut the socket down (protocol violation or
-    /// service shutdown — queued before this job is the farewell fault).
-    Close,
+/// What one connection's reader thread, writer thread and pending ticket
+/// hooks share: the write half behind one lock, and the count of tunes
+/// whose replies the connection still holds.
+struct Conn {
+    writer: Mutex<TcpStream>,
+    in_flight: AtomicUsize,
+    counters: Arc<ServerCounters>,
 }
 
-fn fault_job(request_id: u64, trace_id: u64, fault: &ServeError) -> WriteJob {
-    WriteJob::Frame {
-        request_id,
-        trace_id,
-        kind: FrameKind::Error,
-        payload: wire::encode_fault(fault),
-    }
-}
-
-/// The per-connection writer: serializes reply jobs in completion order.
-/// Exits when every sender (the reader plus any pending ticket callbacks)
-/// is gone, on [`WriteJob::Close`], or when a write fails (the peer
-/// stopped reading) — dropping the receiver then makes subsequent sends
-/// fail, which tells the reader the link is done.
-fn write_loop(mut stream: TcpStream, jobs: &mpsc::Receiver<WriteJob>) {
-    while let Ok(job) = jobs.recv() {
-        let wrote = match job {
-            WriteJob::Frame { request_id, trace_id, kind, payload } => {
-                wire::write_frame(&mut stream, kind, request_id, trace_id, &payload)
-            }
-            WriteJob::Snapshot { request_id, snapshot } => {
-                wire::write_snapshot_stream(&mut stream, request_id, &snapshot)
-            }
-            WriteJob::Close => break,
-        };
+impl Conn {
+    /// Writes under the write lock. A failed write (the peer stopped
+    /// reading for the I/O timeout, or is gone) may have left half a
+    /// frame, so it shuts the connection down.
+    fn write(&self, write: impl FnOnce(&mut TcpStream) -> Result<(), WireError>) -> LinkState {
+        let mut stream = lock_recover(&self.writer);
+        let wrote = write(&mut stream);
         if wrote.is_err() {
-            break;
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        wrote.map_err(|_| ())
+    }
+
+    fn frame(&self, request_id: u64, trace_id: u64, kind: FrameKind, payload: &[u8]) -> LinkState {
+        self.write(|stream| wire::write_frame(stream, kind, request_id, trace_id, payload))
+    }
+
+    fn fault(&self, request_id: u64, trace_id: u64, fault: &ServeError) -> LinkState {
+        self.frame(request_id, trace_id, FrameKind::Error, &wire::encode_fault(fault))
+    }
+
+    fn tune_reply(&self, id: u64, trace: u64, outcome: Result<TopK, ServeError>) -> LinkState {
+        match outcome {
+            Ok(top) => self.frame(id, trace, FrameKind::TuneOk, &bin::encode_top_k(&top)),
+            Err(fault) => self.fault(id, trace, &fault),
         }
     }
-    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// A tune's in-flight slot on its connection and in the server gauge,
+/// released on drop: once its reply is written, or dropped unwritten.
+struct InFlight(Arc<Conn>);
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        self.0.in_flight.fetch_sub(1, Ordering::AcqRel);
+        self.0.counters.in_flight.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// A tune reply the worker completed, queued for the connection's writer
+/// thread; it holds the tune's in-flight slot until it is written.
+struct WriteJob {
+    request_id: u64,
+    trace_id: u64,
+    outcome: Result<TopK, ServeError>,
+    _slot: InFlight,
+}
+
+/// The per-connection writer: writes the tune replies the worker
+/// completes, in completion order, so the worker never blocks on a peer's
+/// socket. Exits once every sender (the reader plus the hooks of pending
+/// tickets) is gone; after a failed write the socket is shut down, and
+/// the replies still to come fail at once and release their slots.
+fn write_loop(conn: &Conn, jobs: mpsc::Receiver<WriteJob>) {
+    for job in jobs {
+        let _ = conn.tune_reply(job.request_id, job.trace_id, job.outcome);
+    }
 }
 
 /// Blocks until the peer sends the first byte of the next frame.
@@ -1027,7 +1054,7 @@ fn write_loop(mut stream: TcpStream, jobs: &mpsc::Receiver<WriteJob>) {
 fn await_first_byte(
     stream: &mut TcpStream,
     service: &Weak<TuneService>,
-    jobs: &mpsc::Sender<WriteJob>,
+    conn: &Conn,
 ) -> Option<u8> {
     let mut first = [0u8; 1];
     loop {
@@ -1046,8 +1073,8 @@ fn await_first_byte(
                 ) =>
             {
                 if service.strong_count() == 0 {
-                    let _ = jobs.send(fault_job(0, 0, &ServeError::Closed));
-                    let _ = jobs.send(WriteJob::Close);
+                    let _ = conn.fault(0, 0, &ServeError::Closed);
+                    let _ = stream.shutdown(Shutdown::Both);
                     return None;
                 }
             }
@@ -1072,60 +1099,62 @@ fn handle_connection(
     let _ = stream.set_read_timeout(Some(SERVER_IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SERVER_IO_TIMEOUT));
     let Ok(write_half) = stream.try_clone() else { return };
+    let conn = Arc::new(Conn {
+        writer: Mutex::new(write_half),
+        in_flight: AtomicUsize::new(0),
+        counters: Arc::clone(counters),
+    });
     let (jobs, jobs_rx) = mpsc::channel::<WriteJob>();
+    let writer_conn = Arc::clone(&conn);
     let Ok(writer) = std::thread::Builder::new()
         .name("sorl-shardd-write".into())
-        .spawn(move || write_loop(write_half, &jobs_rx))
+        .spawn(move || write_loop(&writer_conn, jobs_rx))
     else {
         return;
     };
-    let in_flight = Arc::new(AtomicUsize::new(0));
-    while let Some(first) = await_first_byte(&mut stream, service, &jobs) {
-        let frame = match wire::read_frame_after(&mut stream, first) {
-            Ok(frame) => frame,
-            Err(WireError::Io(_)) => break, // peer died (or stalled) mid-frame
-            Err(violation) => {
-                // Bad magic, a foreign protocol version, an unknown kind or
-                // an oversized length: the request id is unknowable, so the
-                // farewell fault goes out under id 0.
-                let fault = ServeError::Transport(violation.to_string());
-                let _ = jobs.send(fault_job(0, 0, &fault));
-                let _ = jobs.send(WriteJob::Close);
-                break;
+    let farewell = |id, trace, fault: ServeError| conn.fault(id, trace, &fault).and(Err(()));
+    while let Some(first) = await_first_byte(&mut stream, service, &conn) {
+        let served = match (wire::read_frame_after(&mut stream, first), service.upgrade()) {
+            (Err(WireError::Io(_)), _) => break, // peer died (or stalled) mid-frame
+            // Bad magic, a foreign protocol version, an unknown kind or an
+            // oversized length: the request id is unknowable, so the
+            // farewell fault goes out under id 0.
+            (Err(violation), _) => farewell(0, 0, ServeError::Transport(violation.to_string())),
+            (Ok(frame), None) => farewell(frame.request_id, frame.trace_id, ServeError::Closed),
+            (Ok(frame), Some(service)) => {
+                serve_request(&mut stream, frame, &service, &conn, &jobs, config)
             }
         };
-        let Some(service) = service.upgrade() else {
-            let _ = jobs.send(fault_job(frame.request_id, frame.trace_id, &ServeError::Closed));
-            let _ = jobs.send(WriteJob::Close);
-            break;
-        };
-        if serve_request(&mut stream, frame, &service, &jobs, &in_flight, counters, config).is_err()
-        {
-            let _ = jobs.send(WriteJob::Close);
+        if served.is_err() {
+            let _ = stream.shutdown(Shutdown::Both);
             break;
         }
     }
-    // The reader is done; the writer drains queued replies (plus any tune
-    // answers still completing) and exits once the last sender is gone.
+    // The reader is done; the writer writes the replies still to come from
+    // the worker and exits once the last sender is gone.
     drop(jobs);
     let _ = writer.join();
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Outcome of one request: `Ok` keeps the link, `Err` closes it.
 type LinkState = Result<(), ()>;
 
+/// Answers one request. Every reply at hand is written here, on the
+/// reader thread: a cache hit's (its ticket is complete when `submit`
+/// returns), every fault and shed, and every non-tune reply. Only a tune
+/// the worker completes later is handed to the writer thread.
 fn serve_request(
     stream: &mut TcpStream,
     frame: wire::Frame,
     service: &TuneService,
+    conn: &Arc<Conn>,
     jobs: &mpsc::Sender<WriteJob>,
-    in_flight: &Arc<AtomicUsize>,
-    counters: &Arc<ServerCounters>,
     config: ShardServerConfig,
 ) -> LinkState {
     let wire::Frame { kind, request_id, trace_id, payload } = frame;
-    let reply =
-        |kind: FrameKind, payload: Vec<u8>| WriteJob::Frame { request_id, trace_id, kind, payload };
+    let reply = |kind, payload: Vec<u8>| conn.frame(request_id, trace_id, kind, &payload);
+    let fault = |fault: &ServeError| conn.fault(request_id, trace_id, fault);
     match kind {
         FrameKind::Tune => {
             let parsed = wire::from_payload::<TuneRequest>(&payload).and_then(|req| {
@@ -1141,19 +1170,19 @@ fn serve_request(
             });
             let (instance, k) = match parsed {
                 Ok(parts) => parts,
-                Err(fault) => return keep(jobs.send(fault_job(request_id, trace_id, &fault))),
+                Err(e) => return fault(&e),
             };
-            // The per-connection backpressure cap: a link pushing more
-            // concurrent tunes than configured gets cheap rejections, not
-            // a growing reply backlog.
-            if in_flight.load(Ordering::Acquire) >= config.max_in_flight {
-                let fault = ServeError::Overloaded(ShedReason::LinkInFlight);
-                return keep(jobs.send(fault_job(request_id, trace_id, &fault)));
+            // The per-connection backpressure cap: a link holding more
+            // tunes than configured, answered or not, gets cheap
+            // rejections, not a growing reply backlog.
+            if conn.in_flight.load(Ordering::Acquire) >= config.max_in_flight {
+                return fault(&ServeError::Overloaded(ShedReason::LinkInFlight));
             }
-            in_flight.fetch_add(1, Ordering::AcqRel);
-            counters.in_flight.fetch_add(1, Ordering::AcqRel);
+            conn.in_flight.fetch_add(1, Ordering::AcqRel);
+            conn.counters.in_flight.fetch_add(1, Ordering::AcqRel);
+            let slot = InFlight(Arc::clone(conn));
             // The server-side half of the remote call: one span covering
-            // dispatch to reply, in the *service* recorder under the
+            // dispatch to answer, in the *service* recorder under the
             // peer's trace id — this is what makes an assembled fleet
             // waterfall show the request inside the shard process. An
             // untraced request (trace 0) gets a fresh trace so the
@@ -1162,69 +1191,51 @@ fn serve_request(
             let rpc_span = SpanId::fresh();
             let recorder = service.flight_recorder();
             recorder.record(EventKind::SpanBegin, trace, rpc_span, "rpc_tune");
-            match service.client().submit_traced(instance, k, trace) {
-                Ok(ticket) => {
-                    let jobs = jobs.clone();
-                    let in_flight = Arc::clone(in_flight);
-                    let counters = Arc::clone(counters);
-                    let recorder = Arc::clone(recorder);
-                    // The reply is queued by the service worker the moment
-                    // the answer lands — out of arrival order if the
-                    // service finishes another request first.
-                    ticket.on_ready(move |outcome| {
-                        recorder.record(EventKind::SpanEnd, trace, rpc_span, "rpc_tune");
-                        in_flight.fetch_sub(1, Ordering::AcqRel);
-                        counters.in_flight.fetch_sub(1, Ordering::AcqRel);
-                        let job = match outcome {
-                            Ok(top) => WriteJob::Frame {
-                                request_id,
-                                trace_id,
-                                kind: FrameKind::TuneOk,
-                                payload: bin::encode_top_k(&top),
-                            },
-                            Err(fault) => fault_job(request_id, trace_id, &fault),
-                        };
-                        let _ = jobs.send(job);
-                    });
-                    Ok(())
-                }
-                Err(fault) => {
-                    recorder.record(EventKind::SpanEnd, trace, rpc_span, "rpc_tune");
-                    in_flight.fetch_sub(1, Ordering::AcqRel);
-                    counters.in_flight.fetch_sub(1, Ordering::AcqRel);
-                    keep(jobs.send(fault_job(request_id, trace_id, &fault)))
-                }
-            }
-        }
-        FrameKind::Stats => {
-            keep(jobs.send(reply(FrameKind::StatsOk, bin::encode_stats(&service.stats()))))
-        }
-        FrameKind::TraceDump => {
-            let answer = match wire::from_payload::<wire::TraceQuery>(&payload) {
-                Ok(query) => {
-                    // The dump's `source` names this shard process in the
-                    // assembled waterfall; the connection's local address
-                    // is the listen address every peer knows it by.
-                    let source = stream
-                        .local_addr()
-                        .map(|a| a.to_string())
-                        .unwrap_or_else(|_| "shardd".to_string());
-                    let filter = (query.trace != 0).then(|| TraceId::from_wire(query.trace));
-                    let dump = service.flight_recorder().dump(&source, filter);
-                    let exemplars = service.exemplars().exemplars();
-                    reply(
-                        FrameKind::TraceDumpOk,
-                        wire::to_payload(&wire::TraceDumpReply { dump, exemplars }),
-                    )
-                }
-                Err(fault) => fault_job(request_id, trace_id, &fault),
+            let outcome = match service.client().submit_traced(instance, k, trace) {
+                Ok(ticket) => match ticket.ready() {
+                    Ok(outcome) => outcome,
+                    Err(ticket) => {
+                        // Queued: the worker completes it — out of arrival
+                        // order if it finishes another request first — and
+                        // the writer thread writes the reply.
+                        let jobs = jobs.clone();
+                        let recorder = Arc::clone(recorder);
+                        ticket.on_ready(move |outcome| {
+                            recorder.record(EventKind::SpanEnd, trace, rpc_span, "rpc_tune");
+                            let _ =
+                                jobs.send(WriteJob { request_id, trace_id, outcome, _slot: slot });
+                        });
+                        return Ok(());
+                    }
+                },
+                Err(fault) => Err(fault),
             };
-            keep(jobs.send(answer))
+            // A hit answered at submit, or a shed: written here, and the
+            // slot is released once it is.
+            recorder.record(EventKind::SpanEnd, trace, rpc_span, "rpc_tune");
+            conn.tune_reply(request_id, trace_id, outcome)
         }
-        FrameKind::Fingerprint => keep(jobs.send(reply(
-            FrameKind::FingerprintOk,
-            wire::to_payload(&service.ranker_fingerprint()),
-        ))),
+        FrameKind::Stats => reply(FrameKind::StatsOk, bin::encode_stats(&service.stats())),
+        FrameKind::TraceDump => match wire::from_payload::<wire::TraceQuery>(&payload) {
+            Ok(query) => {
+                // The dump's `source` names this shard process in the
+                // assembled waterfall; the connection's local address is
+                // the listen address every peer knows it by.
+                let source = stream
+                    .local_addr()
+                    .map(|a| a.to_string())
+                    .unwrap_or_else(|_| "shardd".to_string());
+                let filter = (query.trace != 0).then(|| TraceId::from_wire(query.trace));
+                let dump = service.flight_recorder().dump(&source, filter);
+                let exemplars = service.exemplars().exemplars();
+                let answer = wire::TraceDumpReply { dump, exemplars };
+                reply(FrameKind::TraceDumpOk, wire::to_payload(&answer))
+            }
+            Err(e) => fault(&e),
+        },
+        FrameKind::Fingerprint => {
+            reply(FrameKind::FingerprintOk, wire::to_payload(&service.ranker_fingerprint()))
+        }
         FrameKind::ExportCache | FrameKind::ExtractCache => {
             let snapshot = wire::from_payload::<CacheSlice>(&payload).and_then(|slice| {
                 if kind == FrameKind::ExportCache {
@@ -1235,9 +1246,9 @@ fn serve_request(
             });
             match snapshot {
                 Ok(snapshot) => {
-                    keep(jobs.send(WriteJob::Snapshot { request_id, snapshot: Box::new(snapshot) }))
+                    conn.write(|stream| wire::write_snapshot_stream(stream, request_id, &snapshot))
                 }
-                Err(fault) => keep(jobs.send(fault_job(request_id, trace_id, &fault))),
+                Err(e) => fault(&e),
             }
         }
         FrameKind::ImportCache => {
@@ -1249,19 +1260,11 @@ fn serve_request(
             // construction.
             let assembled = wire::from_payload::<SnapshotHeader>(&payload)
                 .and_then(|header| wire::read_snapshot_chunks(stream, header, request_id));
-            match assembled {
-                Ok(snapshot) => {
-                    let answer = match service.import_cache(snapshot) {
-                        Ok(applied) => reply(FrameKind::ImportOk, wire::to_payload(&applied)),
-                        Err(fault) => fault_job(request_id, trace_id, &fault),
-                    };
-                    keep(jobs.send(answer))
-                }
-                Err(fault) => {
-                    // The chunk stream may be desynced — answer, then close.
-                    let _ = jobs.send(fault_job(request_id, trace_id, &fault));
-                    Err(())
-                }
+            match assembled.map(|snapshot| service.import_cache(snapshot)) {
+                Ok(Ok(applied)) => reply(FrameKind::ImportOk, wire::to_payload(&applied)),
+                Ok(Err(e)) => fault(&e),
+                // The chunk stream may be desynced — answer, then close.
+                Err(e) => fault(&e).and(Err(())),
             }
         }
         // A response or stream frame arriving as a request desyncs the
@@ -1274,17 +1277,9 @@ fn serve_request(
         | FrameKind::ImportOk
         | FrameKind::TraceDumpOk
         | FrameKind::Error => {
-            let fault = ServeError::Transport(format!("{kind:?} is not a request frame"));
-            let _ = jobs.send(fault_job(request_id, trace_id, &fault));
-            Err(())
+            fault(&ServeError::Transport(format!("{kind:?} is not a request frame"))).and(Err(()))
         }
     }
-}
-
-/// Send-result adapter: a failed send means the writer is gone (peer
-/// stopped reading) — close the link; otherwise keep it.
-fn keep(send: Result<(), mpsc::SendError<WriteJob>>) -> LinkState {
-    send.map_err(|_| ())
 }
 
 #[cfg(test)]
