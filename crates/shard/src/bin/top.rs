@@ -22,7 +22,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use sorl_serve::ServeStats;
-use sorl_shard::{FleetStats, ReconnectPolicy, ShardTransport, TcpShard};
+use sorl_shard::{FleetStats, ShardTransport, TcpShard};
 
 struct Options {
     shards: Vec<String>,
@@ -76,14 +76,12 @@ fn run() -> Result<(), String> {
         .iter()
         .map(|addr| {
             TcpShard::connect(addr.as_str())
-                .map(|shard| (addr.clone(), shard.with_reconnect(ReconnectPolicy::NO_RETRY)))
+                .map(|shard| (addr.clone(), shard.without_redial_backoff()))
                 // An unreachable shard at startup still belongs on the
                 // board; the lazy link keeps retrying per sweep.
                 .or_else(|_| {
                     TcpShard::connect_lazy(addr.as_str())
-                        .map(|shard| {
-                            (addr.clone(), shard.with_reconnect(ReconnectPolicy::NO_RETRY))
-                        })
+                        .map(|shard| (addr.clone(), shard.without_redial_backoff()))
                         .map_err(|e| format!("bad shard address {addr:?}: {e}"))
                 })
         })

@@ -66,6 +66,6 @@ pub use routing::{rendezvous_owner, rendezvous_weight, shard_seed, CacheSlice, T
 /// The deterministic seeded ranker `sorl-shardd --synthetic-ranker SEED`
 /// serves (see [`sorl::synthetic_ranker`]).
 pub use sorl::synthetic_ranker;
-pub use tcp::{LinkStats, ReconnectPolicy, ShardServer, ShardServerConfig, TcpShard};
+pub use tcp::{LinkStats, ShardServer, ShardServerConfig, TcpShard};
 pub use transport::{LocalShard, ShardTransport};
 pub use wire::{TraceDumpReply, TraceQuery};

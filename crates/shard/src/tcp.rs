@@ -5,8 +5,11 @@
 //! Both ends speak the one framed protocol of [`crate::wire`], and both
 //! ends **multiplex**: a link carries many in-flight requests at once,
 //! each stamped with a request id. The client keeps a pending-request
-//! table and one reader thread per link that routes response frames (and
-//! whole snapshot streams) back to their waiting callers. The server's
+//! table and one reader thread per link that routes response frames back
+//! to their waiting callers, reading a snapshot stream inline when its
+//! header arrives (a stream's frames are contiguous on the wire). Each end
+//! reads its socket through one buffered reader held for the connection's
+//! life, and waits for a frame with [`wire::next_frame`]. The server's
 //! reader writes every reply it has at hand (a cache hit, answered at
 //! submit, every fault, shed and control reply) under the connection's
 //! write lock; a writer thread writes the tune replies the service worker
@@ -33,23 +36,25 @@
 //!
 //! Anything malformed — wrong magic or version, garbage bytes, a peer
 //! closing mid-request, a response for a request id that was never issued,
-//! a corrupted snapshot chunk — surfaces as [`ServeError::Transport`] on
-//! the caller without touching any cache or topology (the router's error
-//! paths are side-effect-free by construction).
+//! a corrupted snapshot chunk, another frame inside a snapshot stream —
+//! surfaces as [`ServeError::Transport`] on the caller without touching
+//! any cache or topology (the router's error paths are side-effect-free
+//! by construction).
 //!
 //! A `TcpShard` holds **one** connection (the router's link to that
-//! shard). Dial failures are retried with exponential backoff per its
-//! [`ReconnectPolicy`]; after a transport error the connection is dropped
-//! and the next call redials (again under the policy), so a restarted
-//! shard server is picked up without router surgery. There is still no
-//! retry of a *request* — a call that failed in flight fails its caller.
+//! shard). A failed dial is retried four times, after pauses of 25, 50,
+//! 100 and 200 ms ([`TcpShard::without_redial_backoff`] dials once);
+//! after a transport error the connection is dropped and the next call
+//! redials (again with the pauses), so a restarted shard server is picked
+//! up without router surgery. There is still no retry of a *request* — a
+//! call that failed in flight fails its caller.
 //!
 //! Handlers hold the service only weakly, so dropping the [`ShardServer`]
 //! shuts the underlying service down even while connections are open
 //! (subsequent requests on them are answered with a `closed` fault).
 
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
@@ -64,7 +69,7 @@ use stencil_model::StencilInstance;
 
 use crate::routing::CacheSlice;
 use crate::transport::ShardTransport;
-use crate::wire::{self, bin, FrameKind, SnapshotHeader, WireError};
+use crate::wire::{self, bin, FrameKind, WireError};
 
 /// Locks `m`, recovering from poisoning instead of panicking: every
 /// state these mutexes protect (the connection slot, [`MuxState`],
@@ -85,57 +90,15 @@ pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 /// Default cap on a [`TcpShard`]'s own in-flight requests per link.
 pub const DEFAULT_CLIENT_IN_FLIGHT: usize = 64;
 
-/// How a [`TcpShard`] retries *dialing* (never requests): exponential
-/// backoff, bounded attempts.
-///
-/// `delay_before(n)` is the pause before retry `n` (0-based):
-/// `base * factor^n`, capped at `max_delay`; `None` once `attempts`
-/// retries are spent. The default — 25ms doubling to a 1s ceiling over 4
-/// retries — rides out a shard restart without masking a dead host for
-/// long.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReconnectPolicy {
-    /// Delay before the first retry.
-    pub base: Duration,
-    /// Multiplier applied per retry.
-    pub factor: u32,
-    /// Ceiling on any single delay.
-    pub max_delay: Duration,
-    /// How many retries follow the initial attempt.
-    pub attempts: u32,
-}
-
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        ReconnectPolicy {
-            base: Duration::from_millis(25),
-            factor: 2,
-            max_delay: Duration::from_secs(1),
-            attempts: 4,
-        }
-    }
-}
-
-impl ReconnectPolicy {
-    /// No retries at all: one dial attempt, its error surfaced as-is.
-    pub const NO_RETRY: ReconnectPolicy =
-        ReconnectPolicy { base: Duration::ZERO, factor: 1, max_delay: Duration::ZERO, attempts: 0 };
-
-    /// The pause before 0-based retry `retry`, or `None` when the budget
-    /// is exhausted.
-    pub fn delay_before(&self, retry: u32) -> Option<Duration> {
-        if retry >= self.attempts {
-            return None;
-        }
-        let scale = self.factor.max(1).saturating_pow(retry);
-        Some(self.base.saturating_mul(scale).min(self.max_delay))
-    }
-
-    /// The full deterministic backoff schedule, in order.
-    pub fn schedule(&self) -> impl Iterator<Item = Duration> + '_ {
-        (0..self.attempts).map_while(|retry| self.delay_before(retry))
-    }
-}
+/// The pauses before each retry of a failed dial (never of a request):
+/// 25 ms doubling over four retries rides out a shard restart without
+/// masking a dead host for long.
+const REDIAL_BACKOFF: [Duration; 4] = [
+    Duration::from_millis(25),
+    Duration::from_millis(50),
+    Duration::from_millis(100),
+    Duration::from_millis(200),
+];
 
 // ---------------------------------------------------------------------------
 // Client
@@ -176,7 +139,8 @@ struct LinkCounters {
 #[derive(Debug)]
 pub struct TcpShard {
     addr: SocketAddr,
-    reconnect: ReconnectPolicy,
+    /// The pauses before each redial: [`REDIAL_BACKOFF`], or none.
+    redial_backoff: &'static [Duration],
     max_in_flight: usize,
     /// The live link; `None` before the first dial of a lazy shard and
     /// after a transport failure poisoned the previous link.
@@ -196,7 +160,7 @@ impl TcpShard {
     }
 
     /// Like [`connect`](Self::connect), but without the eager dial: the
-    /// first call dials (under the reconnect policy). For tools that
+    /// first call dials (with the redial pauses). For tools that
     /// must come up while some shards are still down (`sorl-top`).
     pub fn connect_lazy(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let addr = addr
@@ -205,7 +169,7 @@ impl TcpShard {
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address resolved"))?;
         Ok(TcpShard {
             addr,
-            reconnect: ReconnectPolicy::default(),
+            redial_backoff: &REDIAL_BACKOFF,
             max_in_flight: DEFAULT_CLIENT_IN_FLIGHT,
             conn: Mutex::new(None),
             counters: LinkCounters::default(),
@@ -213,9 +177,10 @@ impl TcpShard {
         })
     }
 
-    /// Replaces the dial retry policy (builder style).
-    pub fn with_reconnect(mut self, policy: ReconnectPolicy) -> Self {
-        self.reconnect = policy;
+    /// Dials once, with no pause and no retry (builder style): for a
+    /// dashboard that must fail fast on a dead shard (`sorl-top`).
+    pub fn without_redial_backoff(mut self) -> Self {
+        self.redial_backoff = &[];
         self
     }
 
@@ -263,26 +228,24 @@ impl TcpShard {
         Ok(stream)
     }
 
-    /// Dials under the reconnect policy: dial failures sleep out the
-    /// backoff schedule before the error finally surfaces.
+    /// Dials, sleeping out the redial pauses between failed attempts
+    /// before the error finally surfaces.
     fn dial_retrying(&self) -> Result<TcpStream, ServeError> {
-        let mut retry = 0u32;
+        let mut pauses = self.redial_backoff.iter();
+        let mut attempts = 1;
         loop {
-            match self.dial() {
-                Ok(stream) => return Ok(stream),
-                Err(e) => match self.reconnect.delay_before(retry) {
-                    Some(delay) => {
-                        std::thread::sleep(delay);
-                        retry += 1;
-                    }
-                    None => {
-                        return Err(ServeError::Transport(format!(
-                            "connect to {} failed after {} attempt(s): {e}",
-                            self.addr,
-                            retry + 1
-                        )));
-                    }
-                },
+            match (self.dial(), pauses.next()) {
+                (Ok(stream), _) => return Ok(stream),
+                (Err(_), Some(pause)) => {
+                    std::thread::sleep(*pause);
+                    attempts += 1;
+                }
+                (Err(e), None) => {
+                    return Err(ServeError::Transport(format!(
+                        "connect to {} failed after {attempts} attempt(s): {e}",
+                        self.addr
+                    )));
+                }
             }
         }
     }
@@ -315,7 +278,7 @@ impl TcpShard {
     /// restarted server).
     fn call<T>(
         &self,
-        expect: Expect,
+        expect: FrameKind,
         write: impl FnOnce(&mut TcpStream, u64) -> Result<(), WireError>,
         decode: impl FnOnce(Outcome) -> Result<T, ServeError>,
     ) -> Result<T, ServeError> {
@@ -342,7 +305,7 @@ impl TcpShard {
         decode: impl FnOnce(&[u8]) -> Result<T, ServeError>,
     ) -> Result<T, ServeError> {
         self.call(
-            Expect::Reply(reply),
+            reply,
             |stream, id| wire::write_frame(stream, kind, id, trace_id, payload),
             |outcome| decode(&outcome.into_payload()?),
         )
@@ -355,7 +318,7 @@ impl TcpShard {
         payload: &[u8],
     ) -> Result<CacheSnapshot, ServeError> {
         self.call(
-            Expect::Snapshot,
+            FrameKind::SnapshotHeader,
             |stream, id| wire::write_frame(stream, kind, id, 0, payload),
             Outcome::into_snapshot,
         )
@@ -400,7 +363,7 @@ impl ShardTransport for TcpShard {
         // Header and chunks go out contiguously under the writer lock, so
         // the server can read the stream inline.
         self.call(
-            Expect::Reply(FrameKind::ImportOk),
+            FrameKind::ImportOk,
             |stream, id| {
                 wire::write_frame(stream, FrameKind::ImportCache, id, 0, &header)?;
                 wire::write_chunk_frames(stream, id, &chunks)
@@ -414,15 +377,6 @@ impl ShardTransport for TcpShard {
         let payload = wire::to_payload(&query);
         self.request(FrameKind::TraceDump, &payload, FrameKind::TraceDumpOk, 0, wire::from_payload)
     }
-}
-
-/// What a pending request is waiting for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Expect {
-    /// One response frame of this kind.
-    Reply(FrameKind),
-    /// A snapshot stream (header + chunks).
-    Snapshot,
 }
 
 /// What a completed request resolved to.
@@ -454,9 +408,9 @@ impl Outcome {
 
 #[derive(Debug)]
 struct PendingRequest {
-    expect: Expect,
-    /// Snapshot stream in mid-reassembly (header seen, chunks pending).
-    assembling: Option<wire::SnapshotAssembler>,
+    /// The reply's frame kind; [`FrameKind::SnapshotHeader`] for a
+    /// snapshot stream.
+    expect: FrameKind,
     done: Option<Result<Outcome, ServeError>>,
 }
 
@@ -509,7 +463,7 @@ impl MuxLink {
 
     /// Admits one request: waits (backpressure) while the link is at
     /// `max_in_flight`, then registers a fresh id in the pending table.
-    fn begin(&self, expect: Expect, max_in_flight: usize) -> Result<u64, ServeError> {
+    fn begin(&self, expect: FrameKind, max_in_flight: usize) -> Result<u64, ServeError> {
         let deadline = Instant::now() + DEFAULT_IO_TIMEOUT;
         let mut state = lock_recover(&self.state);
         loop {
@@ -535,14 +489,14 @@ impl MuxLink {
         let id = state.next_id;
         state.next_id += 1;
         state.in_flight += 1;
-        state.pending.insert(id, PendingRequest { expect, assembling: None, done: None });
+        state.pending.insert(id, PendingRequest { expect, done: None });
         Ok(id)
     }
 
     /// One full exchange: register, write, await.
     fn call(
         &self,
-        expect: Expect,
+        expect: FrameKind,
         max_in_flight: usize,
         write: impl FnOnce(&mut TcpStream, u64) -> Result<(), WireError>,
     ) -> Result<Outcome, ServeError> {
@@ -625,130 +579,80 @@ impl Drop for MuxLink {
 /// run under the dial's [`DEFAULT_IO_TIMEOUT`]; a read that times out
 /// while idle only checks, as a backstop to the socket shutdown in
 /// `MuxLink`'s `Drop`, that the link is still alive.
-fn mux_reader(mut stream: TcpStream, link: &Weak<MuxLink>) {
+fn mux_reader(stream: TcpStream, link: &Weak<MuxLink>) {
+    let mut reader = BufReader::new(stream);
     loop {
-        let mut first = [0u8; 1];
-        let first = match stream.read(&mut first) {
-            Ok(0) => {
-                fail_link(link, "connection closed by peer");
-                return;
-            }
-            Ok(_) => {
-                let [byte] = first;
-                byte
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if link.strong_count() == 0 {
-                    return;
-                }
-                continue;
-            }
+        let frame = match wire::next_frame(&mut reader) {
+            Ok(Some(frame)) => frame,
+            Ok(None) if link.strong_count() > 0 => continue,
+            Ok(None) => return,
             Err(e) => {
-                fail_link(link, &format!("socket error: {e}"));
-                return;
+                fail_link(link, &e.to_string());
+                break;
             }
         };
         let Some(mux) = link.upgrade() else { return };
-        match wire::read_frame_after(&mut stream, first) {
-            Ok(frame) => {
-                if route_frame(&mux, frame).is_err() {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
-            }
-            Err(e) => {
-                mux.fail_all(&e.to_string());
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
+        if route_frame(&mux, frame, &mut reader).is_err() {
+            break;
         }
     }
+    let _ = reader.get_ref().shutdown(Shutdown::Both);
 }
 
-/// Routes one incoming frame. `Err` means the link is poisoned and the
-/// reader must exit.
-fn route_frame(mux: &MuxLink, frame: wire::Frame) -> Result<(), ()> {
+/// Routes one incoming frame, reading a snapshot stream inline when its
+/// header arrives. `Err` means the link is poisoned and the reader must
+/// exit.
+fn route_frame(
+    mux: &MuxLink,
+    frame: wire::Frame,
+    reader: &mut BufReader<TcpStream>,
+) -> Result<(), ()> {
+    let id = frame.request_id;
     let mut state = lock_recover(&mux.state);
-    let Some(pending) = state.pending.get_mut(&frame.request_id) else {
+    let expect = state.pending.get(&id).map(|pending| pending.expect);
+    let done = match (expect, frame.kind) {
         // A response for a request never issued (or long abandoned): the
         // stream can no longer be trusted. An Error frame is the one
         // exception worth decoding — a server announcing shutdown or a
         // protocol fault uses id 0 — but it still kills the link.
-        let reason = if frame.kind == FrameKind::Error {
-            format!("server fault: {}", wire::decode_fault(&frame.payload))
-        } else {
-            format!("server sent {:?} for unknown request id {}", frame.kind, frame.request_id)
-        };
-        MuxLink::poison(&mut state, &reason);
-        mux.ready.notify_all();
-        return Err(());
-    };
-    let resolution: Result<Option<Result<Outcome, ServeError>>, String> = match frame.kind {
-        FrameKind::Error => Ok(Some(Err(wire::decode_fault(&frame.payload)))),
-        kind if pending.expect == Expect::Reply(kind) => {
-            Ok(Some(Ok(Outcome::Payload(frame.payload))))
+        (None, FrameKind::Error) => {
+            Err(format!("server fault: {}", wire::decode_fault(&frame.payload)))
         }
-        FrameKind::SnapshotHeader if pending.expect == Expect::Snapshot => {
-            if pending.assembling.is_some() {
-                Err("second snapshot header inside one stream".to_string())
-            } else {
-                match wire::from_payload::<SnapshotHeader>(&frame.payload)
-                    .and_then(|header| wire::SnapshotAssembler::new(header, frame.request_id))
-                {
-                    Ok(assembler) => {
-                        if assembler.is_complete() {
-                            Ok(Some(assembler.finish().map(|s| Outcome::Snapshot(Box::new(s)))))
-                        } else {
-                            pending.assembling = Some(assembler);
-                            Ok(None)
-                        }
-                    }
-                    Err(e) => Ok(Some(Err(e))),
-                }
+        (None, kind) => Err(format!("server sent {kind:?} for unknown request id {id}")),
+        (Some(_), FrameKind::Error) => Ok(Err(wire::decode_fault(&frame.payload))),
+        (Some(FrameKind::SnapshotHeader), FrameKind::SnapshotHeader) => {
+            // The chunks follow the header contiguously. They are read
+            // with the state unlocked, so callers can register meanwhile.
+            drop(state);
+            let read = wire::from_payload(&frame.payload)
+                .and_then(|header| wire::read_snapshot_chunks(reader, header, id));
+            state = lock_recover(&mux.state);
+            match read {
+                // Torn, corrupted, foreign or over a bound: the stream's
+                // framing may be anywhere, so the link is poisoned. A
+                // stream that verifies but does not decode fails only its
+                // call.
+                Err(ServeError::Transport(reason)) => Err(reason),
+                read => Ok(read.map(|snapshot| Outcome::Snapshot(Box::new(snapshot)))),
             }
         }
-        FrameKind::SnapshotChunk if pending.expect == Expect::Snapshot => {
-            match pending.assembling.as_mut() {
-                None => Err("snapshot chunk before its header".to_string()),
-                Some(assembler) => match assembler.push(&frame) {
-                    // A bounds/length violation could desync framing for
-                    // the rest of the stream — poison, don't just fail
-                    // the one request.
-                    Err(e) => Err(e.to_string()),
-                    Ok(()) => {
-                        if assembler.is_complete() {
-                            // sorl-lint: allow(panic, "the Some arm two lines up guarantees the assembler is present")
-                            let assembler = pending.assembling.take().expect("just matched");
-                            Ok(Some(assembler.finish().map(|s| Outcome::Snapshot(Box::new(s)))))
-                        } else {
-                            Ok(None)
-                        }
-                    }
-                },
-            }
-        }
-        other => Err(format!("unexpected {other:?} frame for request {}", frame.request_id)),
+        (Some(want), kind) if kind == want => Ok(Ok(Outcome::Payload(frame.payload))),
+        (Some(_), kind) => Err(format!("unexpected {kind:?} frame for request {id}")),
     };
-    match resolution {
-        Ok(None) => Ok(()), // mid-stream, keep reading
-        Ok(Some(done)) => {
-            pending.done = Some(done);
-            mux.ready.notify_all();
+    let routed = match done {
+        Ok(done) => {
+            if let Some(pending) = state.pending.get_mut(&id) {
+                pending.done = Some(done);
+            }
             Ok(())
         }
         Err(reason) => {
             MuxLink::poison(&mut state, &reason);
-            mux.ready.notify_all();
             Err(())
         }
-    }
+    };
+    mux.ready.notify_all();
+    routed
 }
 
 fn fail_link(link: &Weak<MuxLink>, reason: &str) {
@@ -972,9 +876,10 @@ fn accept_loop(
     }
 }
 
-/// How long a handler waits for the *rest* of a frame once its first byte
-/// arrived, and for any write. An idle link (no frame in flight) is
-/// healthy and waits forever; a peer that stalls mid-frame is gone.
+/// The read and write timeout of every accepted connection. A read that
+/// times out before a frame's first byte only re-checks the service: an
+/// idle link is healthy and waits forever. A peer that stalls once a
+/// frame has begun, or stops reading the replies, is gone.
 const SERVER_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// What one connection's reader thread, writer thread and pending ticket
@@ -1046,51 +951,15 @@ fn write_loop(conn: &Conn, jobs: mpsc::Receiver<WriteJob>) {
     }
 }
 
-/// Blocks until the peer sends the first byte of the next frame.
-/// `None` means the link is done (peer closed, or our service is
-/// gone); timeouts while *idle* just keep waiting — but each wakeup
-/// re-checks the service so abandoned handlers exit instead of parking
-/// forever.
-fn await_first_byte(
-    stream: &mut TcpStream,
-    service: &Weak<TuneService>,
-    conn: &Conn,
-) -> Option<u8> {
-    let mut first = [0u8; 1];
-    loop {
-        match stream.read(&mut first) {
-            Ok(0) => return None, // EOF: peer hung up
-            Ok(_) => {
-                let [byte] = first;
-                return Some(byte);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if service.strong_count() == 0 {
-                    let _ = conn.fault(0, 0, &ServeError::Closed);
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return None;
-                }
-            }
-            Err(_) => return None,
-        }
-    }
-}
-
 /// Serves one router link until the peer goes away or violates the
 /// protocol. Well-framed application errors are answered with an error
 /// frame and the link stays up; anything that desyncs the stream gets a
 /// best-effort error frame and the connection is closed. The socket
 /// timeouts only bite *mid-frame* (or on stalled writes): waiting for the
 /// start of the next request is untimed, so idle router links stay up.
+/// Every read of the socket goes through one buffered reader.
 fn handle_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     service: &Weak<TuneService>,
     counters: &Arc<ServerCounters>,
     config: ShardServerConfig,
@@ -1113,20 +982,27 @@ fn handle_connection(
         return;
     };
     let farewell = |id, trace, fault: ServeError| conn.fault(id, trace, &fault).and(Err(()));
-    while let Some(first) = await_first_byte(&mut stream, service, &conn) {
-        let served = match (wire::read_frame_after(&mut stream, first), service.upgrade()) {
-            (Err(WireError::Io(_)), _) => break, // peer died (or stalled) mid-frame
+    let mut reader = BufReader::new(stream);
+    loop {
+        let served = match (wire::next_frame(&mut reader), service.upgrade()) {
+            // Idle: healthy while the service lives. Once it is gone the
+            // link gets one `Closed` fault, then the hang-up.
+            (Ok(None), Some(_)) => continue,
+            (Ok(None), None) => farewell(0, 0, ServeError::Closed),
+            (Err(WireError::Io(_)), _) => break, // peer hung up (or stalled mid-frame)
             // Bad magic, a foreign protocol version, an unknown kind or an
             // oversized length: the request id is unknowable, so the
             // farewell fault goes out under id 0.
             (Err(violation), _) => farewell(0, 0, ServeError::Transport(violation.to_string())),
-            (Ok(frame), None) => farewell(frame.request_id, frame.trace_id, ServeError::Closed),
-            (Ok(frame), Some(service)) => {
-                serve_request(&mut stream, frame, &service, &conn, &jobs, config)
+            (Ok(Some(frame)), None) => {
+                farewell(frame.request_id, frame.trace_id, ServeError::Closed)
+            }
+            (Ok(Some(frame)), Some(service)) => {
+                serve_request(&mut reader, frame, &service, &conn, &jobs, config)
             }
         };
         if served.is_err() {
-            let _ = stream.shutdown(Shutdown::Both);
+            let _ = reader.get_ref().shutdown(Shutdown::Both);
             break;
         }
     }
@@ -1134,7 +1010,7 @@ fn handle_connection(
     // the worker and exits once the last sender is gone.
     drop(jobs);
     let _ = writer.join();
-    let _ = stream.shutdown(Shutdown::Both);
+    let _ = reader.get_ref().shutdown(Shutdown::Both);
 }
 
 /// Outcome of one request: `Ok` keeps the link, `Err` closes it.
@@ -1145,7 +1021,7 @@ type LinkState = Result<(), ()>;
 /// returns), every fault and shed, and every non-tune reply. Only a tune
 /// the worker completes later is handed to the writer thread.
 fn serve_request(
-    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
     frame: wire::Frame,
     service: &TuneService,
     conn: &Arc<Conn>,
@@ -1221,7 +1097,8 @@ fn serve_request(
                 // The dump's `source` names this shard process in the
                 // assembled waterfall; the connection's local address is
                 // the listen address every peer knows it by.
-                let source = stream
+                let source = reader
+                    .get_ref()
                     .local_addr()
                     .map(|a| a.to_string())
                     .unwrap_or_else(|_| "shardd".to_string());
@@ -1258,8 +1135,8 @@ fn serve_request(
             // corrupted or torn transfer is rejected here and nothing
             // reaches the cache — a partial import is impossible by
             // construction.
-            let assembled = wire::from_payload::<SnapshotHeader>(&payload)
-                .and_then(|header| wire::read_snapshot_chunks(stream, header, request_id));
+            let assembled = wire::from_payload(&payload)
+                .and_then(|header| wire::read_snapshot_chunks(reader, header, request_id));
             match assembled.map(|snapshot| service.import_cache(snapshot)) {
                 Ok(Ok(applied)) => reply(FrameKind::ImportOk, wire::to_payload(&applied)),
                 Ok(Err(e)) => fault(&e),
@@ -1279,54 +1156,5 @@ fn serve_request(
         | FrameKind::Error => {
             fault(&ServeError::Transport(format!("{kind:?} is not a request frame"))).and(Err(()))
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backoff_schedule_is_deterministic_and_bounded() {
-        let policy = ReconnectPolicy {
-            base: Duration::from_millis(25),
-            factor: 2,
-            max_delay: Duration::from_secs(1),
-            attempts: 7,
-        };
-        let schedule: Vec<Duration> = policy.schedule().collect();
-        assert_eq!(
-            schedule,
-            [25u64, 50, 100, 200, 400, 800, 1000] // capped at max_delay
-                .into_iter()
-                .map(Duration::from_millis)
-                .collect::<Vec<_>>()
-        );
-        // Exhausted budget: no more delays.
-        assert_eq!(policy.delay_before(7), None);
-        assert_eq!(policy.delay_before(u32::MAX), None);
-    }
-
-    #[test]
-    fn no_retry_policy_never_delays() {
-        assert_eq!(ReconnectPolicy::NO_RETRY.delay_before(0), None);
-        assert_eq!(ReconnectPolicy::NO_RETRY.schedule().count(), 0);
-    }
-
-    #[test]
-    fn degenerate_factors_do_not_overflow() {
-        let policy = ReconnectPolicy {
-            base: Duration::from_millis(10),
-            factor: u32::MAX,
-            max_delay: Duration::from_secs(2),
-            attempts: 5,
-        };
-        // factor^retry saturates instead of panicking, and the cap holds.
-        for (i, delay) in policy.schedule().enumerate() {
-            assert!(delay <= Duration::from_secs(2), "retry {i} over the cap: {delay:?}");
-        }
-        let zero = ReconnectPolicy { factor: 0, ..policy };
-        // factor 0 is treated as 1 (constant backoff), not a zero delay.
-        assert_eq!(zero.delay_before(3), Some(Duration::from_millis(10)));
     }
 }

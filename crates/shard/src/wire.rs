@@ -51,7 +51,21 @@
 //! limits; [`bin::snapshot_to_chunks`] and [`bin::snapshot_from_chunks`]
 //! are its one chunker and validator. Big caches stream chunk by chunk,
 //! and a torn or corrupted transfer is rejected deterministically before
-//! anything is assembled ([`SnapshotAssembler`]).
+//! anything is assembled.
+//!
+//! A stream's header and chunk frames are **contiguous** on the wire, in
+//! both directions: a writer sends the whole stream under one hold of its
+//! connection's write lock, so no other frame comes between them. That is
+//! what lets [`read_snapshot_chunks`], the one stream reader, read a
+//! stream inline right after its header. Inside a stream, any frame but
+//! the stream's own chunks, or an error frame ending it, is a protocol
+//! violation.
+//!
+//! Each connection end reads through one buffered reader held for the
+//! connection's life, and waits for the next frame with [`next_frame`]; a
+//! second reader on the same socket would lose the bytes the first one
+//! buffered. [`write_frame`] writes a frame with one `write_all`, so a
+//! frame typically costs one socket read and one socket write.
 //!
 //! Failures travel as [`FrameKind::Error`] frames whose payload is a
 //! [`WireFault`] — a flat encoding of [`ServeError`] that reconstructs the
@@ -61,7 +75,7 @@
 //! short reads — is a [`WireError`]; transports surface it as
 //! [`ServeError::Transport`] and treat the connection as dead.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use serde::{Deserialize, Serialize};
 use sorl_obs::RecorderDump;
@@ -252,7 +266,8 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// Writes one frame.
+/// Writes one frame: header and payload in one buffer, sent with one
+/// `write_all`.
 pub fn write_frame(
     w: &mut impl Write,
     kind: FrameKind,
@@ -264,51 +279,56 @@ pub fn write_frame(
     if len > MAX_PAYLOAD {
         return Err(WireError::Oversized(len));
     }
-    // The header is assembled front-to-back on the stack; `put` slices
-    // with split_at_mut, so the whole path is free of panicking indexing.
-    let mut header = [0u8; HEADER_LEN];
-    let mut rest = header.as_mut_slice();
-    rest = put(rest, &MAGIC);
-    rest = put(rest, &PROTOCOL_VERSION.to_le_bytes());
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&MAGIC);
+    frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     // sorl-lint: allow(cast, "FrameKind is a unit enum with discriminants < 256")
-    rest = put(rest, &[kind as u8]);
-    rest = put(rest, &len.to_le_bytes());
-    rest = put(rest, &request_id.to_le_bytes());
-    put(rest, &trace_id.to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    frame.push(kind as u8);
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(&request_id.to_le_bytes());
+    frame.extend_from_slice(&trace_id.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
 
-/// Copies `bytes` to the front of `buf`, returning the unwritten tail.
-fn put<'a>(buf: &'a mut [u8], bytes: &[u8]) -> &'a mut [u8] {
-    let (head, tail) = buf.split_at_mut(bytes.len());
-    head.copy_from_slice(bytes);
-    tail
+/// Waits for the next frame on a connection's buffered reader: blocks
+/// until the frame's first byte arrives, then reads the whole frame.
+///
+/// `Ok(None)` means the read timed out before any byte of a frame: the
+/// link is idle, which is healthy, and the caller checks whatever keeps
+/// it alive and waits again. A hang-up, or a stall once a frame has
+/// begun, is an error.
+pub fn next_frame(r: &mut impl BufRead) -> Result<Option<Frame>, WireError> {
+    match r.fill_buf() {
+        Ok([]) => Err(WireError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed by peer",
+        ))),
+        Ok(_) => read_frame(r).map(Some),
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+            ) =>
+        {
+            Ok(None)
+        }
+        Err(e) => Err(WireError::Io(e)),
+    }
 }
 
 /// Reads one frame, validating magic, version, kind and length.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
-    let mut first = [0u8; 1];
-    r.read_exact(&mut first)?;
-    let [first] = first;
-    read_frame_after(r, first)
-}
-
-/// Like [`read_frame`], resuming after the caller already read the
-/// frame's first byte — the shape a server needs to wait for the *start*
-/// of a request without a timeout (idle links are healthy) while still
-/// timing out a peer that stalls *mid-frame*.
-pub fn read_frame_after(r: &mut impl Read, first: u8) -> Result<Frame, WireError> {
     // Destructuring the fixed-size reads into named bytes keeps the whole
     // parse free of panicking indexing — the pattern *is* the bounds
     // proof. Magic and version are read and checked before the rest of
     // the header.
-    let mut prefix = [0u8; 5];
+    let mut prefix = [0u8; 6];
     r.read_exact(&mut prefix)?;
-    let [m1, m2, m3, v0, v1] = prefix;
-    let magic = [first, m1, m2, m3];
+    let [m0, m1, m2, m3, v0, v1] = prefix;
+    let magic = [m0, m1, m2, m3];
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
@@ -432,119 +452,74 @@ pub fn write_chunk_frames(
     Ok(())
 }
 
-/// Reads the chunk frames following a snapshot header of stream
-/// `request_id` and reassembles the snapshot, verifying every chunk
-/// checksum and the header's counts. An error frame from the peer ends
-/// the stream with the peer's fault; a corrupted or torn stream yields
-/// `Err` without assembling anything.
+/// Memory charged per buffered chunk on top of its payload bytes — see
+/// [`read_snapshot_chunks`].
+const CHUNK_CHARGE: usize = 64;
+
+/// Reads the `header.chunks` chunk frames that follow a snapshot header of
+/// stream `request_id` and reassembles the snapshot, verifying every chunk
+/// checksum and the header's counts. The chunks are contiguous on the
+/// wire, so every frame read must be a [`FrameKind::SnapshotChunk`] of
+/// this stream with a `checksum (8 bytes LE) ‖ chunk bytes` payload; an
+/// error frame of this stream ends it with the peer's fault instead. A
+/// corrupted, torn or foreign stream yields `Err` without assembling
+/// anything.
+///
+/// The header is peer-supplied and unverified: the chunk count, and the
+/// memory accumulated as chunks arrive, are bounded so a rogue peer cannot
+/// balloon the reassembly buffer one valid-sized frame at a time. Each
+/// buffered chunk costs its payload bytes PLUS the `SnapshotChunk` struct
+/// — charging only payload would let ~34M near-empty chunks through with
+/// gigabytes of struct overhead, so every chunk is charged at least
+/// `CHUNK_CHARGE`.
 pub fn read_snapshot_chunks(
     r: &mut impl Read,
     header: SnapshotHeader,
     request_id: u64,
 ) -> Result<sorl_serve::CacheSnapshot, ServeError> {
-    let mut assembler = SnapshotAssembler::new(header, request_id)?;
-    while !assembler.is_complete() {
+    if header.chunks > MAX_SNAPSHOT_BYTES / CHUNK_CHARGE {
+        return Err(ServeError::Transport(format!(
+            "snapshot header claims {} chunks — over the stream bound",
+            header.chunks
+        )));
+    }
+    let mut chunks = Vec::with_capacity(header.chunks.min(1024));
+    let mut total = 0usize;
+    for index in 0..header.chunks {
         let frame = read_frame(r)?;
-        if frame.kind == FrameKind::Error {
-            return Err(decode_fault(&frame.payload));
-        }
-        assembler.push(&frame)?;
-    }
-    assembler.finish()
-}
-
-/// Incremental, bounds-checked reassembly of one snapshot stream — the
-/// shared core of [`read_snapshot_chunks`] and of multiplexed readers
-/// that receive a stream's frames one `read_frame` at a time (interleaved
-/// with other requests' traffic).
-#[derive(Debug)]
-pub struct SnapshotAssembler {
-    header: SnapshotHeader,
-    request_id: u64,
-    chunks: Vec<SnapshotChunk>,
-    total: usize,
-}
-
-/// Memory charged per buffered chunk on top of its payload bytes — see
-/// [`SnapshotAssembler::new`].
-const CHUNK_CHARGE: usize = 64;
-
-impl SnapshotAssembler {
-    /// Starts reassembling stream `request_id` for `header`. The header is
-    /// peer-supplied and unverified: the chunk count (and, as chunks
-    /// arrive, the total accumulated memory) is bounded so a rogue peer
-    /// cannot balloon the reassembly buffer one valid-sized frame at a
-    /// time. Each buffered chunk costs its payload bytes PLUS the
-    /// `SnapshotChunk` struct — charging only payload would let ~34M
-    /// near-empty chunks through with gigabytes of struct overhead, so
-    /// every chunk is charged at least `CHUNK_CHARGE`.
-    pub fn new(header: SnapshotHeader, request_id: u64) -> Result<Self, ServeError> {
-        if header.chunks > MAX_SNAPSHOT_BYTES / CHUNK_CHARGE {
+        if frame.request_id != request_id {
             return Err(ServeError::Transport(format!(
-                "snapshot header claims {} chunks — over the stream bound",
-                header.chunks
+                "{:?} frame carries request id {} inside snapshot stream {request_id}",
+                frame.kind, frame.request_id
             )));
         }
-        let capacity = header.chunks.min(1024);
-        Ok(SnapshotAssembler { header, request_id, chunks: Vec::with_capacity(capacity), total: 0 })
-    }
-
-    /// Buffers one frame of the stream: it must be a
-    /// [`FrameKind::SnapshotChunk`] of this stream's request id, with a
-    /// `checksum (8 bytes LE) ‖ chunk bytes` payload, and not past the
-    /// chunk count the header declared.
-    pub fn push(&mut self, frame: &Frame) -> Result<(), ServeError> {
-        if frame.kind != FrameKind::SnapshotChunk {
-            return Err(
-                WireError::Unexpected { found: frame.kind, wanted: "snapshot chunk" }.into()
-            );
-        }
-        if frame.request_id != self.request_id {
-            return Err(ServeError::Transport(format!(
-                "snapshot chunk carries request id {} inside stream {}",
-                frame.request_id, self.request_id
-            )));
-        }
-        let index = self.chunks.len();
-        if index >= self.header.chunks {
-            return Err(ServeError::Transport(format!(
-                "snapshot chunk {index} past the {} the header declared",
-                self.header.chunks
-            )));
+        match frame.kind {
+            FrameKind::SnapshotChunk => {}
+            FrameKind::Error => return Err(decode_fault(&frame.payload)),
+            found => return Err(WireError::Unexpected { found, wanted: "snapshot chunk" }.into()),
         }
         let Some((checksum, body)) = frame.payload.split_first_chunk::<8>() else {
             return Err(ServeError::Transport(format!(
                 "snapshot chunk {index} too short for its checksum"
             )));
         };
-        self.total = self.total.saturating_add(frame.payload.len().max(CHUNK_CHARGE));
-        if self.total > MAX_SNAPSHOT_BYTES {
+        total = total.saturating_add(frame.payload.len().max(CHUNK_CHARGE));
+        if total > MAX_SNAPSHOT_BYTES {
             return Err(ServeError::Transport(format!(
                 "snapshot stream exceeded {MAX_SNAPSHOT_BYTES} bytes at chunk {index}"
             )));
         }
         let checksum = u64::from_le_bytes(*checksum);
-        self.chunks.push(SnapshotChunk { index, checksum, payload: body.to_vec() });
-        Ok(())
+        chunks.push(SnapshotChunk { index, checksum, payload: body.to_vec() });
     }
-
-    /// Whether every chunk the header declared has been buffered.
-    pub fn is_complete(&self) -> bool {
-        self.chunks.len() == self.header.chunks
-    }
-
-    /// Verifies and assembles the buffered stream. A corrupted or torn
-    /// stream yields `Err` without assembling anything.
-    pub fn finish(self) -> Result<sorl_serve::CacheSnapshot, ServeError> {
-        bin::snapshot_from_chunks(&self.header, &self.chunks).map_err(|e| match e {
-            // Wire-level damage (flipped bits, torn stream) is a transport
-            // failure; semantic snapshot problems keep their own variant.
-            SnapshotError::ChunkChecksum { .. } | SnapshotError::Truncated { .. } => {
-                ServeError::Transport(format!("snapshot stream rejected: {e}"))
-            }
-            other => ServeError::Snapshot(other),
-        })
-    }
+    bin::snapshot_from_chunks(&header, &chunks).map_err(|e| match e {
+        // Wire-level damage (flipped bits, torn stream) is a transport
+        // failure; semantic snapshot problems keep their own variant.
+        SnapshotError::ChunkChecksum { .. } | SnapshotError::Truncated { .. } => {
+            ServeError::Transport(format!("snapshot stream rejected: {e}"))
+        }
+        other => ServeError::Snapshot(other),
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 //! Hostile input for every decoder that meets bytes from a peer or from
-//! disk: the frame reader, the snapshot-stream assembler and the binary
+//! disk: the frame readers, the snapshot-stream reader and the binary
 //! payload decoders, then every JSON decoder — wire requests and replies,
 //! error frames, snapshot files and ranker files.
 //!
@@ -23,8 +23,8 @@ use sorl_serve::{
     SnapshotError, TuneRequest,
 };
 use sorl_shard::wire::{
-    self, bin, read_frame, read_snapshot_chunks, write_chunk_frames, write_frame, Frame, FrameKind,
-    SnapshotAssembler, SnapshotChunk, SnapshotHeader, WireError, WireFault, MAGIC, MAX_PAYLOAD,
+    self, bin, next_frame, read_frame, read_snapshot_chunks, write_chunk_frames, write_frame,
+    FrameKind, SnapshotChunk, SnapshotHeader, WireError, WireFault, MAGIC, MAX_PAYLOAD,
     PROTOCOL_VERSION,
 };
 use sorl_shard::{CacheSlice, Topology, TraceDumpReply, TraceQuery};
@@ -156,8 +156,8 @@ fn chunk_payload(snap: &CacheSnapshot) -> Vec<u8> {
     chunks.into_iter().next().unwrap().payload
 }
 
-/// Drives every decoder that meets peer bytes — the frame reader, the
-/// snapshot assembler and the three binary payload decoders — with
+/// Drives every decoder that meets peer bytes — the frame readers, the
+/// snapshot-stream reader and the three binary payload decoders — with
 /// random bytes, every truncation and every single-bit flip of valid
 /// encodings, lying counts and malformed varints. No call may panic,
 /// malformed input must be an `Err`, and whatever a binary decoder
@@ -207,13 +207,19 @@ fn hostile_input_never_panics_and_valid_encodings_round_trip() {
         }
 
         // Frames: truncations fail, flips either fail or re-encode to
-        // a prefix of what was read, random bytes never panic.
+        // a prefix of what was read, random bytes never panic. The wait
+        // for a frame reads a whole one, and fails on an empty or cut one
+        // (a byte slice never times out, so it never reports idle).
         let mut frame = Vec::new();
         let len = rng.below(40) as usize;
         let payload = rng.bytes(len);
         write_frame(&mut frame, FrameKind::TuneOk, rng.next(), rng.next(), &payload).unwrap();
+        let whole = next_frame(&mut frame.as_slice()).unwrap().unwrap();
+        assert_eq!(whole, read_frame(&mut frame.as_slice()).unwrap());
         for cut in 0..frame.len() {
             let err = read_frame(&mut &frame[..cut]).unwrap_err();
+            assert!(matches!(err, WireError::Io(_)), "frame cut at {cut}: {err}");
+            let err = next_frame(&mut &frame[..cut]).unwrap_err();
             assert!(matches!(err, WireError::Io(_)), "frame cut at {cut}: {err}");
         }
         for bit in (0..frame.len() * 8).step_by(flip_stride) {
@@ -229,7 +235,14 @@ fn hostile_input_never_panics_and_valid_encodings_round_trip() {
         noise.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
         noise.extend(rng.bytes(64));
         let _ = read_frame(&mut noise.as_slice());
-        let _ = read_frame(&mut rng.bytes(64).as_slice());
+        let _ = next_frame(&mut noise.as_slice());
+        let noise = rng.bytes(64);
+        let _ = read_frame(&mut noise.as_slice());
+        let _ = next_frame(&mut noise.as_slice());
+        // Noise that cannot start a frame is an error, never an idle link.
+        let mut noise = rng.bytes(64);
+        noise[0] = !MAGIC[0];
+        assert!(matches!(next_frame(&mut noise.as_slice()), Err(WireError::BadMagic(_))));
     }
 
     // A frame whose length field claims the whole payload cap, with
@@ -262,34 +275,28 @@ fn hostile_input_never_panics_and_valid_encodings_round_trip() {
         assert!(matches!(err, ServeError::Transport(ref m) if m.contains("varint")), "{err}");
     }
 
-    // The assembler: lying chunk counts, short chunks, foreign ids,
-    // wrong kinds — each an `Err`, never a panic.
+    // The stream reader: lying chunk counts, short chunks, foreign ids,
+    // wrong kinds — each an `Err`, never a panic. It reads exactly the
+    // chunk count the header declares, so no chunk can arrive past it.
     let snap = one_entry_snapshot();
     let (header, chunks) = bin::snapshot_to_chunks(&snap, 1);
-    let chunk_frame = |id: u64, payload: Vec<u8>| Frame {
-        kind: FrameKind::SnapshotChunk,
-        request_id: id,
-        trace_id: 0,
-        payload,
-    };
     let mut sealed = chunks[0].checksum.to_le_bytes().to_vec();
     sealed.extend_from_slice(&chunks[0].payload);
-    let fresh = |chunks: usize, entries: usize| {
-        SnapshotAssembler::new(SnapshotHeader { chunks, entries, ..header }, 9).unwrap()
+    let read = |kind: FrameKind, id: u64, payload: &[u8], chunks: usize, entries: usize| {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, kind, id, 0, payload).unwrap();
+        let header = SnapshotHeader { chunks, entries, ..header };
+        read_snapshot_chunks(&mut bytes.as_slice(), header, 9)
     };
 
-    let mut a = fresh(1, 1);
-    assert!(a.push(&chunk_frame(10, sealed.clone())).is_err(), "foreign request id");
-    assert!(a.push(&Frame { kind: FrameKind::TuneOk, ..chunk_frame(9, sealed.clone()) }).is_err());
-    assert!(a.push(&chunk_frame(9, sealed[..7].to_vec())).is_err(), "short chunk");
-    a.push(&chunk_frame(9, sealed.clone())).unwrap();
-    assert!(a.push(&chunk_frame(9, sealed.clone())).is_err(), "chunk past the count");
-    assert_eq!(a.finish().unwrap(), snap);
-
-    let mut a = fresh(1, 2);
-    a.push(&chunk_frame(9, sealed.clone())).unwrap();
-    assert!(a.finish().is_err(), "header claims more entries than arrived");
-    assert!(fresh(2, 1).finish().is_err(), "header claims more chunks than arrived");
+    assert!(read(FrameKind::SnapshotChunk, 10, &sealed, 1, 1).is_err(), "foreign request id");
+    assert!(read(FrameKind::TuneOk, 9, &sealed, 1, 1).is_err(), "wrong kind");
+    assert!(read(FrameKind::SnapshotChunk, 9, &sealed[..7], 1, 1).is_err(), "short chunk");
+    assert_eq!(read(FrameKind::SnapshotChunk, 9, &sealed, 1, 1).unwrap(), snap);
+    let err = read(FrameKind::SnapshotChunk, 9, &sealed, 1, 2).unwrap_err();
+    assert!(matches!(err, ServeError::Transport(_)), "more entries than arrived: {err}");
+    let header_only = SnapshotHeader { chunks: 2, ..header };
+    assert!(read_snapshot_chunks(&mut &[][..], header_only, 9).is_err(), "no chunk arrived");
     let mut bytes = Vec::new();
     write_chunk_frames(&mut bytes, 9, &chunks).unwrap();
     let short = SnapshotHeader { chunks: 2, ..header };
@@ -297,7 +304,7 @@ fn hostile_input_never_panics_and_valid_encodings_round_trip() {
     // A header claiming a giant chunk count is rejected up front — not
     // honored one frame at a time until memory runs out.
     let absurd = SnapshotHeader { chunks: usize::MAX, entries: usize::MAX, ..header };
-    let err = SnapshotAssembler::new(absurd, 9).unwrap_err();
+    let err = read_snapshot_chunks(&mut bytes.as_slice(), absurd, 9).unwrap_err();
     assert!(matches!(err, ServeError::Transport(ref m) if m.contains("bound")), "{err}");
 }
 

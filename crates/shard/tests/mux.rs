@@ -1,21 +1,25 @@
 //! Multiplexed-link integration tests: request-id routing under shuffled
 //! completion orders, poisoning on responses for ids that were never
-//! issued or of the wrong kind, the client's in-flight cap, and the
-//! dial-retry backoff surface.
+//! issued or of the wrong kind, the client's in-flight cap, the dial-retry
+//! backoff, and the one read path at both ends: frames split into pieces
+//! or coalesced into one write, and snapshot streams contiguous on the
+//! wire.
 //!
 //! Everything here binds `127.0.0.1:0` only — no external network. The
 //! fake peers are raw `TcpListener` loops speaking hand-rolled frames, so
 //! the tests pin the *wire* behavior, not just two library halves
 //! agreeing with each other.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sorl::tuner::TopK;
 use sorl::StencilRanker;
-use sorl_serve::{ServeConfig, ServeError, TuneRequest, TuneService};
+use sorl_serve::{CacheSnapshot, ServeConfig, ServeError, TuneRequest, TuneService};
 use sorl_shard::wire::{self, bin, FrameKind};
-use sorl_shard::{ReconnectPolicy, ShardServer, ShardTransport, TcpShard};
+use sorl_shard::{CacheSlice, ShardServer, ShardTransport, TcpShard};
 use stencil_model::{GridSize, StencilInstance, StencilKernel};
 
 fn dense_ranker(seed: u64) -> StencilRanker {
@@ -146,21 +150,15 @@ fn wrong_kind_for_a_known_request_id_poisons_the_link() {
     server.join().unwrap();
 }
 
-/// Dial failures on *re*connect walk the exponential backoff schedule and
-/// report how many attempts were spent; `NO_RETRY` fails on the first.
+/// Dial failures on *re*connect sleep out the fixed 25+50+100+200 ms
+/// schedule and report how many attempts were spent; without the backoff
+/// the first failure surfaces at once.
 #[test]
 fn redial_backoff_is_bounded_and_reported() {
     // Hold a live listener just long enough for the eager connect, then
     // free the port so every redial fails.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let policy = ReconnectPolicy {
-        base: Duration::from_millis(5),
-        factor: 2,
-        max_delay: Duration::from_millis(20),
-        attempts: 3,
-    };
-    let shard = TcpShard::connect(addr).unwrap().with_reconnect(policy);
+    let shard = TcpShard::connect(listener.local_addr().unwrap()).unwrap();
     drop(listener);
 
     // First call: the pre-dialed link was reset with the listener, so the
@@ -169,21 +167,19 @@ fn redial_backoff_is_bounded_and_reported() {
     assert!(matches!(err, ServeError::Transport(_)), "{err}");
 
     // Second call: the slot is empty, so the client redials — and must
-    // sleep out the whole 5+10+20ms schedule before giving up.
+    // sleep out the whole schedule before giving up.
     let started = Instant::now();
     let err = shard.tune(lap(64), 1).unwrap_err();
     let elapsed = started.elapsed();
     assert!(
-        matches!(err, ServeError::Transport(ref m) if m.contains("after 4 attempt(s)")),
+        matches!(err, ServeError::Transport(ref m) if m.contains("after 5 attempt(s)")),
         "{err}"
     );
-    assert!(elapsed >= Duration::from_millis(35), "backoff not honored: {elapsed:?}");
+    assert!(elapsed >= Duration::from_millis(375), "backoff not honored: {elapsed:?}");
 
-    // NO_RETRY: one attempt, immediate failure.
-    let dead: SocketAddr = addr;
+    // Without the backoff: one attempt, immediate failure.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let eager = listener.local_addr().unwrap();
-    let shard = TcpShard::connect(eager).unwrap().with_reconnect(ReconnectPolicy::NO_RETRY);
+    let shard = TcpShard::connect(listener.local_addr().unwrap()).unwrap().without_redial_backoff();
     drop(listener);
     let _ = shard.tune(lap(64), 1).unwrap_err(); // drop the reset link
     let started = Instant::now();
@@ -192,8 +188,7 @@ fn redial_backoff_is_bounded_and_reported() {
         matches!(err, ServeError::Transport(ref m) if m.contains("after 1 attempt(s)")),
         "{err}"
     );
-    assert!(started.elapsed() < Duration::from_secs(2), "NO_RETRY must not sleep");
-    let _ = dead;
+    assert!(started.elapsed() < Duration::from_secs(2), "a single dial must not sleep");
 }
 
 /// The client-side in-flight cap is backpressure, not a shed: with a cap
@@ -215,5 +210,171 @@ fn client_in_flight_cap_serializes_instead_of_failing() {
         .collect();
     for caller in callers {
         assert_eq!(caller.join().unwrap().entries.len(), 2);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One read path: split frames, coalesced frames, contiguous streams
+// ---------------------------------------------------------------------------
+
+/// A cache snapshot of `n` decisions for `ranker`'s fingerprint.
+fn warm_snapshot(ranker: StencilRanker, n: u32) -> CacheSnapshot {
+    let donor = TuneService::spawn(ranker, ServeConfig::default());
+    for i in 0..n {
+        donor.client().tune(lap(64 + 8 * i), 2).unwrap();
+    }
+    donor.cache_snapshot().unwrap()
+}
+
+fn raw_peer(server: &ShardServer) -> TcpStream {
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream
+}
+
+/// Asserts that no frame beyond those already read arrives.
+fn assert_no_more_frames(stream: &mut TcpStream) {
+    stream.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+    assert!(wire::read_frame(stream).is_err(), "a reply nobody asked for");
+}
+
+/// A stream's frames are contiguous on the wire: a server that slips
+/// another request's reply between an export's header and its chunks
+/// fails the export with a transport error and poisons the link, instead
+/// of the client routing the stray frame and returning the snapshot.
+#[test]
+fn a_reply_inside_a_snapshot_stream_fails_the_export() {
+    let snapshot = warm_snapshot(dense_ranker(0x5e9a), 1);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let sent = snapshot.clone();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        // Gather both requests, in whichever order they arrive.
+        let (mut export, mut tune) = (0, (0, 0));
+        for _ in 0..2 {
+            let frame = wire::read_frame(&mut stream).unwrap();
+            match frame.kind {
+                FrameKind::ExportCache => export = frame.request_id,
+                FrameKind::Tune => tune = (frame.request_id, frame.trace_id),
+                other => panic!("unexpected {other:?} request"),
+            }
+        }
+        let (header, chunks) = bin::snapshot_to_chunks(&sent, wire::CHUNK_ENTRIES);
+        let header = wire::to_payload(&header);
+        wire::write_frame(&mut stream, FrameKind::SnapshotHeader, export, 0, &header).unwrap();
+        answer_marked(&mut stream, tune.0, tune.1, 1);
+        wire::write_chunk_frames(&mut stream, export, &chunks).unwrap();
+        let _ = wire::read_frame(&mut stream);
+    });
+
+    let shard = Arc::new(TcpShard::connect(addr).unwrap());
+    let tuner = {
+        let shard = Arc::clone(&shard);
+        std::thread::spawn(move || shard.tune(lap(64), 1))
+    };
+    let err = shard.export_cache(&CacheSlice::everything("solo")).unwrap_err();
+    assert!(matches!(err, ServeError::Transport(ref m) if m.contains("TuneOk")), "{err}");
+    let tuned = tuner.join().unwrap();
+    assert!(matches!(tuned, Err(ServeError::Transport(_))), "the link is poisoned: {tuned:?}");
+    drop(shard);
+    server.join().unwrap();
+}
+
+/// A snapshot stream that arrives a few bytes at a time, frames split at
+/// every boundary, reassembles into the snapshot the server sent.
+#[test]
+fn a_snapshot_stream_dribbled_in_pieces_reassembles() {
+    let snapshot = warm_snapshot(dense_ranker(0xd1bb), 3);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let sent = snapshot.clone();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.set_nodelay(true).unwrap();
+        let id = wire::read_frame(&mut stream).unwrap().request_id;
+        // One chunk per decision, so the stream holds several chunk frames.
+        let (header, chunks) = bin::snapshot_to_chunks(&sent, 1);
+        let mut bytes = Vec::new();
+        wire::write_frame(&mut bytes, FrameKind::SnapshotHeader, id, 0, &wire::to_payload(&header))
+            .unwrap();
+        wire::write_chunk_frames(&mut bytes, id, &chunks).unwrap();
+        for piece in bytes.chunks(7) {
+            stream.write_all(piece).unwrap();
+            std::thread::sleep(Duration::from_micros(300));
+        }
+        let _ = wire::read_frame(&mut stream);
+    });
+    let shard = TcpShard::connect(addr).unwrap();
+    assert_eq!(shard.export_cache(&CacheSlice::everything("solo")).unwrap(), snapshot);
+    drop(shard);
+    server.join().unwrap();
+}
+
+/// A tune request written one byte at a time, with pauses, is read as one
+/// request and answered exactly once.
+#[test]
+fn a_request_dribbled_byte_by_byte_is_answered_once() {
+    let ranker = dense_ranker(0xb17e);
+    let server =
+        ShardServer::spawn(TuneService::spawn(ranker, ServeConfig::default()), "127.0.0.1:0")
+            .unwrap();
+    let mut raw = raw_peer(&server);
+    let mut frame = Vec::new();
+    let request = wire::to_payload(&TuneRequest::new(lap(48), 2));
+    wire::write_frame(&mut frame, FrameKind::Tune, 7, 0, &request).unwrap();
+    for byte in &frame {
+        raw.write_all(std::slice::from_ref(byte)).unwrap();
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    let reply = wire::read_frame(&mut raw).unwrap();
+    assert_eq!((reply.kind, reply.request_id), (FrameKind::TuneOk, 7));
+    assert_eq!(bin::decode_top_k(&reply.payload).unwrap().len(), 2);
+    assert_no_more_frames(&mut raw);
+}
+
+/// Two tunes, an import stream and a stats request sent in one write
+/// land in one buffered read on the server: each request gets exactly one
+/// reply, and the import is applied. Any read that bypassed the
+/// connection's buffered reader would lose the frames behind it.
+#[test]
+fn coalesced_requests_and_an_import_stream_each_get_one_reply() {
+    const SEED: u64 = 0xc0a1;
+    let server = ShardServer::spawn(
+        TuneService::spawn(dense_ranker(SEED), ServeConfig::default()),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let snapshot = warm_snapshot(dense_ranker(SEED), 3);
+    let (header, chunks) = bin::snapshot_to_chunks(&snapshot, 1);
+    let tune = |n| wire::to_payload(&TuneRequest::new(lap(n), 2));
+    let mut bytes = Vec::new();
+    wire::write_frame(&mut bytes, FrameKind::Tune, 1, 0, &tune(40)).unwrap();
+    wire::write_frame(&mut bytes, FrameKind::Tune, 2, 0, &tune(48)).unwrap();
+    let header = wire::to_payload(&header);
+    wire::write_frame(&mut bytes, FrameKind::ImportCache, 3, 0, &header).unwrap();
+    wire::write_chunk_frames(&mut bytes, 3, &chunks).unwrap();
+    wire::write_frame(&mut bytes, FrameKind::Stats, 4, 0, &[]).unwrap();
+
+    let mut raw = raw_peer(&server);
+    raw.write_all(&bytes).unwrap();
+    let mut replies: Vec<_> = (0..4).map(|_| wire::read_frame(&mut raw).unwrap()).collect();
+    assert_no_more_frames(&mut raw);
+    replies.sort_by_key(|frame| frame.request_id);
+    let answered: Vec<_> = replies.iter().map(|frame| (frame.request_id, frame.kind)).collect();
+    assert_eq!(
+        answered,
+        [
+            (1, FrameKind::TuneOk),
+            (2, FrameKind::TuneOk),
+            (3, FrameKind::ImportOk),
+            (4, FrameKind::StatsOk)
+        ]
+    );
+    assert_eq!(wire::from_payload::<usize>(&replies[2].payload).unwrap(), snapshot.len());
+    let resident = server.service().cache_snapshot().unwrap();
+    for entry in &snapshot.entries {
+        assert!(resident.entries.iter().any(|e| e.key == entry.key), "imported decision resident");
     }
 }

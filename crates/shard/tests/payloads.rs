@@ -6,6 +6,7 @@
 //! frames over a plain `TcpStream`, so these tests pin what the *bytes*
 //! say, not just two library halves agreeing with each other.
 
+use std::io::Read;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -32,7 +33,7 @@ fn raw_connect(server: &ShardServer) -> TcpStream {
 }
 
 /// A snapshot export streams a JSON header frame followed by binary chunk
-/// frames; reassembled by hand off a raw socket they equal what the
+/// frames; read off a raw socket by the stream reader they equal what the
 /// client returns, in under half the bytes of the entries' JSON.
 #[test]
 fn snapshot_export_ships_binary_chunks_that_reassemble_exactly() {
@@ -53,14 +54,11 @@ fn snapshot_export_ships_binary_chunks_that_reassemble_exactly() {
     let header_frame = wire::read_frame(&mut raw).unwrap();
     assert_eq!((header_frame.kind, header_frame.request_id), (FrameKind::SnapshotHeader, 3));
     let header: wire::SnapshotHeader = wire::from_payload(&header_frame.payload).unwrap();
-    let mut assembler = wire::SnapshotAssembler::new(header, 3).unwrap();
-    let mut binary_bytes = 0usize;
-    while !assembler.is_complete() {
-        let frame = wire::read_frame(&mut raw).unwrap();
-        binary_bytes += frame.payload.len();
-        assembler.push(&frame).unwrap();
-    }
-    assert_eq!(assembler.finish().unwrap(), exported);
+    // `take` counts down the bytes the stream reader consumes.
+    let mut chunks = raw.take(u64::MAX);
+    assert_eq!(wire::read_snapshot_chunks(&mut chunks, header, 3).unwrap(), exported);
+    let frame_bytes = usize::try_from(u64::MAX - chunks.limit()).unwrap();
+    let binary_bytes = frame_bytes - header.chunks * wire::HEADER_LEN;
     let json_bytes = serde_json::to_string(&exported.entries).unwrap().len();
     assert!(binary_bytes * 2 <= json_bytes, "binary {binary_bytes}B vs JSON {json_bytes}B");
 }

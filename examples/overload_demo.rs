@@ -6,6 +6,10 @@
 //! servers, each fronting a single-threaded `TuneService` with a small
 //! bounded queue, driven by many unpaced client threads through one
 //! `ShardRouter` — an offered load far beyond what the workers can drain.
+//! A client that is shed pauses 1 ms (`SHED_PAUSE`) before its next call: one
+//! that retried at once would spin faster the cheaper a shed gets, and
+//! take the CPU the workers need, so the soak would measure its own retry
+//! loop rather than the fleet.
 //!
 //! What must hold under that abuse (the process exits non-zero otherwise):
 //!
@@ -54,6 +58,9 @@ fn client_threads() -> usize {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     (cores * 4).clamp(16, 32)
 }
+
+/// How long a shed client waits before its next call.
+const SHED_PAUSE: Duration = Duration::from_millis(1);
 
 /// Distinct 3-D instances cycling a 64-wide set: with caches disabled every
 /// request costs a real scoring pass, so the workers saturate honestly.
@@ -205,6 +212,7 @@ fn main() {
                             tally
                                 .shed_turnaround_us
                                 .push(call_started.elapsed().as_micros() as u64);
+                            std::thread::sleep(SHED_PAUSE);
                         }
                         Err(other) => panic!("request {i}: non-shed failure under load: {other}"),
                     }
